@@ -7,8 +7,7 @@ RFC-4180 CSV.  Exit code 0 means every check passed, 1 flags a
 verification failure, 2 a usage error.
 
 Reports are byte-deterministic: a fixed default seed, fixed key order,
-and string-rendered unbounded integers.  VERMA_LAB_THREADS bounds the
-parallelism of the report sweep.
+and string-rendered unbounded integers.
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,14 +53,6 @@ def scalar_str(x):
     """Exact scalar as a string: decimal for integers, num/den otherwise."""
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def _threads():
-    raw = os.environ.get("VERMA_LAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +342,8 @@ def cmd_verify_pseudoadjoint(cfg):
 
 
 def cmd_report(cfg):
-    depth_of = (lambda n: cfg.depth) if cfg.depth is not None else (lambda n: 2 * n + 10)
-    ns = list(range(cfg.n_max + 1))
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        results = list(pool.map(lambda n: _record_for_n(n, depth_of(n)), ns))
+    results = [_record_for_n(n, 2 * n + 10 if cfg.depth is None else cfg.depth)
+               for n in range(cfg.n_max + 1)]
     records = [doc for doc, _ in results]
     failures = sum(0 if ok else 1 for _, ok in results)
     cases_run = sum(len(doc["cases"]) for doc in records)

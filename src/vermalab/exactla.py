@@ -5,17 +5,30 @@ Scalars are either ``fractions.Fraction`` (exact rationals) or
 ``q`` with rational coefficients, denominator monic).  Matrices are
 sparse maps ``(row, col) -> scalar`` with zeros absent.
 
-Kernel computations over the rationals clear denominators and run a
-fraction-free (Bareiss) elimination, so intermediate values stay
-integral.  Results are normalized for reproducibility: pivots take the
-lowest admissible column index, and rational kernel vectors are scaled
-to integer entries with gcd 1 and positive leading coordinate.
+``nullspace``, ``rank``, ``solve`` and ``generalized_kernel`` all run one
+sparse integer echelon routine on matrices with ``int`` or ``Fraction``
+entries (anything else raises ``TypeError``).  Each row becomes a
+``{col: int}`` dict scaled by the lcm of its denominators; the
+right-hand side of ``solve`` is an extra column.  Rows are bucketed by
+leading column, columns are taken in increasing order, and the shortest
+row of a bucket is the pivot that clears that column from the others.
+Every new row is divided by the gcd of its entries, so intermediate
+values stay small integers.  Only back substitution uses ``Fraction``.
+
+Which row serves as pivot cannot change a result.  Column c holds a
+pivot exactly when it is not in the span of the columns before it (the
+column rank profile), a property of the matrix and not of the row
+order.  Given the pivot columns, the kernel vector with one free
+coordinate 1 and the others 0 is unique, and so is the solution with
+every free coordinate 0.  Kernel vectors are finally scaled to integer
+entries with gcd 1 and positive defining free coordinate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 __all__ = [
     "RatFunc",
@@ -357,12 +370,6 @@ class SparseMat:
                     ent[i, j] = Fraction(x) if isinstance(x, int) else x
         return SparseMat(rows, cols, ent)
 
-    def to_dense(self):
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (i, j), x in self.entries.items():
-            out[i][j] = x
-        return out
-
     def __getitem__(self, key):
         return self.entries.get(key, 0)
 
@@ -446,202 +453,143 @@ class SparseMat:
                     out.pop(i, None)
         return out
 
-    def transpose(self):
-        return SparseMat(self.cols, self.rows, {(j, i): x for (i, j), x in self.entries.items()})
-
-    def column(self, j):
-        return {i: x for (i, jj), x in self.entries.items() if jj == j}
-
     def __repr__(self):
         return f"SparseMat({self.rows}x{self.cols}, {len(self.entries)} entries)"
 
 
-def _is_rational_matrix(m):
-    return all(isinstance(x, (int, Fraction)) for x in m.entries.values())
-
-
 # ---------------------------------------------------------------------------
-# elimination
+# elimination: one sparse integer echelon routine
 # ---------------------------------------------------------------------------
 
-def _echelon_fraction_free(dense):
-    """Bareiss fraction-free row echelon on an integer matrix, in place.
+def _primitive(row):
+    """Divide an integer row by its content (the gcd of its entries)."""
+    g = gcd(*row.values())
+    return row if g == 1 else {j: x // g for j, x in row.items()}
 
-    Returns the list of pivot columns.  Pivots are chosen at the lowest
-    column index admitting a nonzero entry, rows swapped as needed.
+
+def _integer_rows(m, rhs=None):
+    """Nonzero rows of m as primitive {col: int} dicts.
+
+    Each row is scaled by the lcm of its denominators; the entries of rhs
+    become the extra column m.cols.  Raises TypeError on an entry that is
+    neither int nor Fraction.
     """
-    rows = len(dense)
-    cols = len(dense[0]) if rows else 0
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if dense[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            dense[r], dense[pr] = dense[pr], dense[r]
-        piv = dense[r][c]
-        for i in range(r + 1, rows):
-            if all(x == 0 for x in dense[i][c:]):
-                continue
-            xi = dense[i][c]
-            for j in range(cols):
-                num = piv * dense[i][j] - xi * dense[r][j]
-                quo, rem = divmod(num, prev)
-                assert rem == 0, "fraction-free elimination lost exactness"
-                dense[i][j] = quo
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
-
-
-def _echelon_field(dense):
-    """Plain Gaussian elimination for entries in an arbitrary field."""
-    rows = len(dense)
-    cols = len(dense[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if dense[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            dense[r], dense[pr] = dense[pr], dense[r]
-        piv = dense[r][c]
-        for i in range(r + 1, rows):
-            if dense[i][c]:
-                factor = dense[i][c] / piv
-                for j in range(c, cols):
-                    dense[i][j] = dense[i][j] - factor * dense[r][j]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
-
-
-def _dense_int_copy(m):
-    """Dense integer copy of a rational matrix (rows scaled by denominator lcm)."""
-    dense = [[0] * m.cols for _ in range(m.rows)]
-    row_lcm = [1] * m.rows
-    for (i, _), x in m.entries.items():
-        d = Fraction(x).denominator
-        row_lcm[i] = row_lcm[i] * d // gcd(row_lcm[i], d)
+    rows = {}
     for (i, j), x in m.entries.items():
-        dense[i][j] = int(Fraction(x) * row_lcm[i])
-    return dense
-
-
-def _kernel_from_echelon(dense, pivots, cols, rational):
-    """Kernel basis by back substitution on an echelon form."""
-    free = [c for c in range(cols) if c not in pivots]
-    one = _field_one(dense) if not rational else Fraction(1)
-    basis = []
-    for fc in free:
-        x = {fc: one}
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            s = None
-            for j, xj in x.items():
-                a = dense[r][j]
-                if a:
-                    s = a * xj if s is None else s + a * xj
-            if s is not None and s:
-                x[pc] = -s / dense[r][pc]
-        if rational:
-            basis.append(normalize_integer_vector(x))
-        else:
-            basis.append({k: v for k, v in x.items() if v})  # free coordinate is 1
-    return basis
-
-
-def _field_one(dense):
-    for row in dense:
-        for x in row:
+        rows.setdefault(i, {})[j] = x
+    if rhs:
+        for i, x in rhs.items():
             if x:
-                return x / x
-    return Fraction(1)
+                rows.setdefault(i, {})[m.cols] = x
+    out = []
+    for row in rows.values():
+        den = 1
+        for x in row.values():
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(
+                    f"exact elimination needs int or Fraction entries, not {type(x).__name__}"
+                )
+            den = lcm(den, x.denominator)
+        out.append(_primitive({j: x.numerator * (den // x.denominator) for j, x in row.items()}))
+    return out
+
+
+def _echelon(rows):
+    """Sparse fraction-free row echelon form of primitive integer rows.
+
+    Rows are bucketed by leading column and the columns are taken in
+    increasing order.  The shortest row of a bucket becomes its pivot;
+    every other row r is replaced by the primitive part of a*r - b*pivot,
+    where a and b are the pivot's and r's leading entries divided by their
+    gcd, and re-bucketed by its new leading column.  Returns the echelon
+    rows as (pivot column, row) pairs in increasing pivot column.
+    """
+    buckets = {}
+    for row in rows:
+        buckets.setdefault(min(row), []).append(row)
+    heap = list(buckets)
+    heapify(heap)
+    echelon = []
+    while heap:
+        c = heappop(heap)
+        bucket = buckets.pop(c)
+        pivot = min(bucket, key=len)
+        echelon.append((c, pivot))
+        p = pivot[c]
+        for row in bucket:
+            if row is pivot:
+                continue
+            g = gcd(p, row[c])
+            a, b = p // g, row[c] // g
+            new = {j: a * x for j, x in row.items()}
+            for j, x in pivot.items():
+                y = new.get(j, 0) - b * x
+                if y:
+                    new[j] = y
+                else:
+                    del new[j]
+            if new:
+                new = _primitive(new)
+                lead = min(new)
+                if lead in buckets:
+                    buckets[lead].append(new)
+                else:
+                    buckets[lead] = [new]
+                    heappush(heap, lead)
+    return echelon
 
 
 def nullspace(m):
     """Basis of ker(m), one sparse vector per free column.
 
-    Over the rationals each basis vector has integer entries with gcd 1
-    and its defining free coordinate positive.  Over other fields the
-    free coordinate is normalized to 1.  The empty list means the map is
-    injective.
+    Each basis vector has integer entries with gcd 1 and its defining
+    free coordinate positive.  The empty list means the map is injective.
+    Raises TypeError unless every entry is an int or a Fraction.
     """
-    if _is_rational_matrix(m):
-        dense = _dense_int_copy(m)
-        pivots = _echelon_fraction_free(dense)
-        return _kernel_from_echelon(dense, pivots, m.cols, rational=True)
-    dense = [[m.entries.get((i, j), _zero_like(m)) for j in range(m.cols)] for i in range(m.rows)]
-    pivots = _echelon_field(dense)
-    return _kernel_from_echelon(dense, pivots, m.cols, rational=False)
-
-
-def _zero_like(m):
-    for x in m.entries.values():
-        return x - x
-    return Fraction(0)
+    echelon = _echelon(_integer_rows(m))
+    pivots = {c for c, _ in echelon}
+    basis = []
+    for fc in range(m.cols):
+        if fc in pivots:
+            continue
+        x = {fc: Fraction(1)}
+        for pc, row in reversed(echelon):
+            s = 0
+            for j, a in row.items():
+                if j in x:
+                    s += a * x[j]
+            if s:
+                x[pc] = -s / row[pc]
+        basis.append(normalize_integer_vector(x))
+    return basis
 
 
 def rank(m):
-    if _is_rational_matrix(m):
-        dense = _dense_int_copy(m)
-        return len(_echelon_fraction_free(dense))
-    dense = [[m.entries.get((i, j), _zero_like(m)) for j in range(m.cols)] for i in range(m.rows)]
-    return len(_echelon_field(dense))
+    return len(_echelon(_integer_rows(m)))
 
 
 def solve(m, b):
     """Some x with m @ x = b, or None when b is outside the image.
 
     b is a sparse vector over row indices; raises ValueError when an
-    index of b lies outside the row range.
+    index of b lies outside the row range, and TypeError unless every
+    entry of m and b is an int or a Fraction.  The solution has every
+    free coordinate 0.
     """
     for i in b:
         if not (0 <= i < m.rows):
             raise ValueError(f"right-hand side index {i} out of range for {m.rows} rows")
-    rational = _is_rational_matrix(m) and all(isinstance(x, (int, Fraction)) for x in b.values())
-    if rational:
-        dense = [[Fraction(0)] * (m.cols + 1) for _ in range(m.rows)]
-        for (i, j), x in m.entries.items():
-            dense[i][j] = Fraction(x)
-        for i, x in b.items():
-            dense[i][m.cols] = Fraction(x)
-    else:
-        z = _zero_like(m)
-        dense = [[z] * (m.cols + 1) for _ in range(m.rows)]
-        for (i, j), x in m.entries.items():
-            dense[i][j] = x
-        for i, x in b.items():
-            dense[i][m.cols] = x
-    pivots = _echelon_field(dense)
-    if pivots and pivots[-1] == m.cols:
+    echelon = _echelon(_integer_rows(m, b))
+    if echelon and echelon[-1][0] == m.cols:
         return None  # pivot in the augmented column: inconsistent
     x = {}
-    for r in range(len(pivots) - 1, -1, -1):
-        pc = pivots[r]
-        s = dense[r][m.cols]
-        for j, xj in x.items():
-            a = dense[r][j]
-            if a:
-                s = s - a * xj
+    for pc, row in reversed(echelon):
+        s = Fraction(row.get(m.cols, 0))
+        for j, a in row.items():
+            if j in x:
+                s -= a * x[j]
         if s:
-            x[pc] = s / dense[r][pc]
+            x[pc] = s / row[pc]
     return x
 
 
@@ -649,7 +597,7 @@ def generalized_kernel(m, power):
     """(kernel basis of m, extension to a basis of ker(m**power)).
 
     Every excess vector v satisfies m @ v != 0 and m**power @ v = 0,
-    which is asserted before returning.
+    which is checked before returning.
     """
     if m.rows != m.cols:
         raise ValueError("generalized kernel needs a square matrix")
@@ -657,17 +605,14 @@ def generalized_kernel(m, power):
         raise ValueError("power must be positive")
     kernel = nullspace(m)
     big = nullspace(m**power)
-    # extend `kernel` to a basis of the larger space, keeping the order of `big`
-    rows_by_lead = {}
-    for v in kernel:
-        w = _reduce_vec(v, rows_by_lead)
-        rows_by_lead[min(w)] = w
-    excess = []
-    for v in big:
-        w = _reduce_vec(v, rows_by_lead)
-        if w:
-            excess.append(v)
-            rows_by_lead[min(w)] = w
+    # extend `kernel` to a basis of the larger space, keeping the order of
+    # `big`: the excess vectors are the pivot columns of [kernel | big]
+    # that lie in `big`
+    columns = kernel + big
+    stacked = SparseMat(
+        m.cols, len(columns), {(k, j): x for j, v in enumerate(columns) for k, x in v.items()}
+    )
+    excess = [columns[c] for c, _ in _echelon(_integer_rows(stacked)) if c >= len(kernel)]
     mp = m**power
     for v in excess:
         if vec_is_zero(m.apply(v)):
@@ -675,21 +620,3 @@ def generalized_kernel(m, power):
         if not vec_is_zero(mp.apply(v)):
             raise AssertionError("excess vector survives the matrix power")
     return kernel, excess
-
-
-def _reduce_vec(v, rows_by_lead):
-    """Reduce v modulo an echelon set of vectors keyed by leading index."""
-    w = {k: Fraction(x) for k, x in v.items()}
-    while w:
-        lead = min(w)
-        row = rows_by_lead.get(lead)
-        if row is None:
-            break
-        c = w[lead] / row[lead]
-        for k, x in row.items():
-            y = w.get(k, Fraction(0)) - c * x
-            if y:
-                w[k] = y
-            else:
-                w.pop(k, None)
-    return w

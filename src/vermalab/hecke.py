@@ -31,7 +31,6 @@ __all__ = [
     "HeckeElement",
     "jucys_murphy",
     "verify_degenerate",
-    "hecke_multiply",
     "evaluation_X",
     "evaluation_X_inverses",
     "verify_nondegenerate",
@@ -341,11 +340,6 @@ class HeckeElement:
         if not self.terms:
             return "0"
         return " + ".join(f"({c})*T{p}" for p, c in sorted(self.terms.items()))
-
-
-def hecke_multiply(a, b):
-    """Bilinear product in the T_w basis."""
-    return a * b
 
 
 def t_inverse(n, i):

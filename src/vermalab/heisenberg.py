@@ -189,8 +189,8 @@ def _nf_cached(word, strategy):
     w1 = word[:pos] + swapped + word[pos + 2:]
     w2 = word[:pos] + contracted + word[pos + 2:]
     base = word_inversions(word)
-    assert word_inversions(w1) < base and word_inversions(w2) < base, \
-        "rewrite step failed to decrease the inversion measure"
+    if not (word_inversions(w1) < base and word_inversions(w2) < base):
+        raise AssertionError("rewrite step failed to decrease the inversion measure")
     return _nf_cached(w1, strategy) + _nf_cached(w2, strategy)
 
 
@@ -199,11 +199,12 @@ def normal_form(word, strategy="leftmost"):
 
     The strategy picks which adjacent a-before-b pair to exchange first;
     any strategy reaches the same normal form (checked by fuzzing, not
-    assumed by the implementation).
+    assumed by the implementation).  The result is a fresh copy, so a
+    caller may mutate it without touching the cache.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    return _nf_cached(tuple(word), strategy)
+    return HElem(_nf_cached(tuple(word), strategy).terms)
 
 
 # ---------------------------------------------------------------------------

@@ -114,15 +114,6 @@ class TestReport:
         _, b = run_to_file(tmp_path, "b.json", command="report", n_max=3)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_env_does_not_change_bytes(self, tmp_path, monkeypatch):
-        _, a = run_to_file(tmp_path, "a.json", command="report", n_max=2)
-        monkeypatch.setenv("VERMA_LAB_THREADS", "4")
-        _, b = run_to_file(tmp_path, "b.json", command="report", n_max=2)
-        assert a.read_bytes() == b.read_bytes()
-        monkeypatch.setenv("VERMA_LAB_THREADS", "nonsense")
-        _, c = run_to_file(tmp_path, "c.json", command="report", n_max=2)
-        assert a.read_bytes() == c.read_bytes()
-
 
 class TestFormats:
     def test_csv_audit(self, tmp_path):

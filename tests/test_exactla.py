@@ -12,6 +12,7 @@ from vermalab.exactla import (
     nullspace,
     rank,
     solve,
+    vec_add,
 )
 
 
@@ -172,3 +173,117 @@ def test_normalize_integer_vector():
     v = normalize_integer_vector({0: Fraction(-2, 3), 2: Fraction(4, 3)})
     assert v == {0: -1, 2: 2}
     assert normalize_integer_vector({}) == {}
+
+
+# ---------------------------------------------------------------------------
+# independent oracles for the elimination engine
+# ---------------------------------------------------------------------------
+
+_entry = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.integers(-6, 6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@st.composite
+def sparse_system(draw):
+    """A sparse rational matrix (at most 10 x 14) and a right-hand side.
+
+    Half the time a last row is appended that combines two others.
+    Independently, half the time the right-hand side is perturbed on the
+    last row, which makes the system inconsistent whenever that row
+    depends on the others.
+    """
+    rows = draw(st.integers(1, 9))
+    cols = draw(st.integers(1, 14))
+    data = draw(st.lists(st.lists(_entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    if rows >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(rows)))[:2]
+        c, d = draw(_entry), draw(_entry)
+        data.append([c * x + d * y for x, y in zip(data[i], data[j])])
+    m = mat(data)
+    x = {j: draw(_entry) for j in range(cols)}
+    b = m.apply({j: v for j, v in x.items() if v})
+    if draw(st.booleans()):
+        k = m.rows - 1
+        b = vec_add(b, {k: draw(st.integers(1, 5))})
+    return m, b
+
+
+def _permuted(m, b, perm):
+    """P·m and P·b, where row i of the result is row perm[i] of the input."""
+    inv = {old: new for new, old in enumerate(perm)}
+    pm = SparseMat(m.rows, m.cols, {(inv[i], j): x for (i, j), x in m.entries.items()})
+    return pm, {inv[i]: x for i, x in b.items()}
+
+
+def _items(vectors):
+    return [list(v.items()) for v in vectors]
+
+
+@given(sparse_system(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_row_permutation_does_not_change_outputs(system, data):
+    m, b = system
+    perm = data.draw(st.permutations(range(m.rows)))
+    pm, pb = _permuted(m, b, perm)
+    assert _items(nullspace(pm)) == _items(nullspace(m))
+    x, px = solve(m, b), solve(pm, pb)
+    if x is None:
+        assert px is None
+    else:
+        assert px is not None and list(px.items()) == list(x.items())
+        assert m.apply(x) == b
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _to_sympy(sympy, m, b):
+    def q(x):
+        x = Fraction(x)
+        return sympy.Rational(x.numerator, x.denominator)
+
+    a = sympy.zeros(m.rows, m.cols)
+    for (i, j), x in m.entries.items():
+        a[i, j] = q(x)
+    rhs = sympy.zeros(m.rows, 1)
+    for i, x in b.items():
+        rhs[i, 0] = q(x)
+    return a, rhs
+
+
+def _from_sympy(column):
+    return {i: Fraction(int(x.p), int(x.q)) for i, x in enumerate(column) if x != 0}
+
+
+@given(sparse_system())
+@settings(max_examples=60, deadline=None)
+def test_against_sympy(sympy, system):
+    m, b = system
+    a, rhs = _to_sympy(sympy, m, b)
+    expected = [normalize_integer_vector(_from_sympy(v)) for v in a.nullspace()]
+    assert nullspace(m) == expected
+    try:
+        sol, params = a.gauss_jordan_solve(rhs)
+    except ValueError:  # sympy's verdict for an inconsistent system
+        assert solve(m, b) is None
+    else:
+        particular = sol.subs({p: 0 for p in params})
+        assert solve(m, b) == _from_sympy(particular)
+
+
+def test_non_rational_entries_rejected():
+    m = SparseMat(1, 2, {(0, 0): RatFunc.q(), (0, 1): Fraction(1)})
+    for f in (nullspace, rank):
+        with pytest.raises(TypeError):
+            f(m)
+    with pytest.raises(TypeError):
+        solve(m, {0: Fraction(1)})
+    with pytest.raises(TypeError):
+        solve(mat([[1, 2]]), {0: 1.5})

@@ -49,6 +49,14 @@ class TestNormalForm:
         w = (a_gen(1), b_gen(1), a_gen(1), b_gen(1))
         assert normal_form(w, "leftmost") == normal_form(w, "rightmost")
 
+    def test_mutating_a_result_leaves_the_cache_intact(self):
+        word = (("a", 2), ("b", 2))
+        expected = repr(normal_form(word))
+        x = normal_form(word)
+        x.terms.clear()
+        assert expected != "0"
+        assert repr(normal_form(word)) == expected
+
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             normal_form((), "inner")
