@@ -200,25 +200,19 @@ def cmd_verify_hecke(cfg):
     n_deg = cfg.n_max if cfg.n_max is not None else 5
     n_nondeg = min(cfg.n_max, 4) if cfg.n_max is not None else 4
     n_bridge = min(cfg.n_max, 3) if cfg.n_max is not None else 3
-    rows = []
+    checks = []
     if cfg.q_mode in ("both", "unit"):
         for n in range(2, n_deg + 1):
-            for chk in hecke.verify_degenerate(n):
-                rows.append({"model": "degenerate", "relation": chk.family,
-                             "n": chk.n, "indices": list(chk.indices),
-                             "witnessOrPass": chk.passed})
+            checks += [("degenerate", c) for c in hecke.verify_degenerate(n)]
     if cfg.q_mode in ("both", "generic"):
         for n in range(2, n_nondeg + 1):
-            for chk in hecke.verify_nondegenerate(n):
-                rows.append({"model": "nondegenerate", "relation": chk.family,
-                             "n": chk.n, "indices": list(chk.indices),
-                             "witnessOrPass": chk.passed})
+            checks += [("nondegenerate", c) for c in hecke.verify_nondegenerate(n)]
         for n in range(2, n_bridge + 1):
-            for chk in hecke.degeneration_check(n):
-                rows.append({"model": "degeneration", "relation": chk.family,
-                             "n": chk.n, "indices": list(chk.indices),
-                             "witnessOrPass": chk.passed})
-    ok = all(r["witnessOrPass"] for r in rows)
+            checks += [("degeneration", c) for c in hecke.degeneration_check(n)]
+    rows = [{"model": model, "relation": c.family, "n": c.n, "indices": list(c.indices),
+             "witnessOrPass": True if c.passed else c.witness}
+            for model, c in checks]
+    ok = all(c.passed for _, c in checks)
     return {"relations": rows, "allPassed": ok}, ok
 
 
@@ -439,7 +433,9 @@ def run(cfg):
         # precondition violations from the suites are usage errors
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
+    except (AssertionError, ArithmeticError) as exc:
+        # ArithmeticError: an exact division that must succeed did not
+        # (for example 1 - q not dividing a Hecke bridge coefficient)
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     text = render_json(doc) if cfg.fmt == "json" else render_csv(cfg.command, doc)

@@ -1,9 +1,17 @@
-"""Exact scalars and sparse linear algebra over Q and Q(q).
+"""Exact scalars and sparse linear algebra over Q, Z[q, q^-1] and Q(q).
 
-Scalars are either ``fractions.Fraction`` (exact rationals) or
-:class:`RatFunc` (reduced fractions of polynomials in one indeterminate
-``q`` with rational coefficients, denominator monic).  Matrices are
-sparse maps ``(row, col) -> scalar`` with zeros absent.
+Scalars are ``int``, ``fractions.Fraction`` (exact rationals),
+:class:`Laurent` (Laurent polynomials in one indeterminate ``q`` with
+integer coefficients) or :class:`RatFunc` (reduced fractions of
+polynomials in ``q`` with rational coefficients, denominator monic).
+Matrices are sparse maps ``(row, col) -> scalar`` with zeros absent.
+
+``Laurent`` is the coefficient ring of the Hecke algebra: every
+structure constant there lies in Z[q, q^-1], so its arithmetic needs no
+gcd.  Its one division, by 1 - q, is exact or raises ArithmeticError.
+``RatFunc`` normalises by a polynomial gcd on every operation and no
+library module uses it; it stays as the independent Q(q) oracle the
+tests check ``Laurent`` against.
 
 ``nullspace``, ``rank``, ``solve`` and ``generalized_kernel`` all run one
 sparse integer echelon routine on matrices with ``int`` or ``Fraction``
@@ -31,6 +39,8 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 __all__ = [
+    "Laurent",
+    "as_integer",
     "RatFunc",
     "SparseMat",
     "nullspace",
@@ -119,11 +129,12 @@ def _peval(a, value):
     return acc
 
 
-def _pstr(a):
+def _pstr(a, low=0):
+    """a[i] is the coefficient of q^(low + i)."""
     if not a:
         return "0"
     parts = []
-    for i, c in enumerate(a):
+    for i, c in enumerate(a, low):
         if c == 0:
             continue
         if i == 0:
@@ -269,6 +280,156 @@ class RatFunc:
         if self.den == (Fraction(1),):
             return _pstr(self.num)
         return f"({_pstr(self.num)})/({_pstr(self.den)})"
+
+
+# ---------------------------------------------------------------------------
+# Laurent polynomials in q over Z
+# ---------------------------------------------------------------------------
+
+def as_integer(x):
+    """x as an int; raises TypeError unless x is an int or an integral Fraction."""
+    if isinstance(x, int):
+        return x
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    raise TypeError(f"expected an integer, not {x!r}")
+
+
+def _laurent(low, coeffs):
+    """The Laurent polynomial sum coeffs[k] q^(low + k) from a list of
+    ints, trimming zeros at both ends."""
+    lo, hi = 0, len(coeffs)
+    while lo < hi and not coeffs[lo]:
+        lo += 1
+    while hi > lo and not coeffs[hi - 1]:
+        hi -= 1
+    out = object.__new__(Laurent)
+    out.low = low + lo if lo < hi else 0
+    out.coeffs = tuple(coeffs[lo:hi])
+    return out
+
+
+class Laurent:
+    """A Laurent polynomial in q with integer coefficients.
+
+    ``coeffs[k]`` is the coefficient of ``q^(low + k)``.  Both ends of
+    ``coeffs`` are nonzero and zero has ``low == 0``, so equality is plain
+    structural equality.  Instances are immutable.
+    """
+
+    __slots__ = ("low", "coeffs")
+
+    def __init__(self, coeffs=(), low=0):
+        made = _laurent(low, [as_integer(x) for x in coeffs])
+        self.low, self.coeffs = made.low, made.coeffs
+
+    # -- constructors -------------------------------------------------
+    @staticmethod
+    def const(c):
+        return _laurent(0, [as_integer(c)])
+
+    @staticmethod
+    def q(power=1):
+        return _laurent(power, [1])
+
+    @staticmethod
+    def _lift(x):
+        if isinstance(x, Laurent):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return Laurent.const(x)
+        return NotImplemented
+
+    # -- ring operations ----------------------------------------------
+    def __add__(self, other):
+        other = Laurent._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
+        lo = min(self.low, other.low)
+        hi = max(self.low + len(self.coeffs), other.low + len(other.coeffs))
+        out = [0] * (hi - lo)
+        for k, x in enumerate(self.coeffs, self.low - lo):
+            out[k] = x
+        for k, x in enumerate(other.coeffs, other.low - lo):
+            out[k] += x
+        return _laurent(lo, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _laurent(self.low, [-x for x in self.coeffs])
+
+    def __sub__(self, other):
+        other = Laurent._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def __mul__(self, other):
+        other = Laurent._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return _laurent(0, [])
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+        # Z has no zero divisors, so both ends of the product are nonzero
+        return _laurent(self.low + other.low, out)
+
+    __rmul__ = __mul__
+
+    def div_by_one_minus_q(self):
+        """The exact quotient self / (1 - q).
+
+        Raises ArithmeticError when 1 - q does not divide self, that is
+        when self does not vanish at q = 1.  The quotient's coefficients
+        are the running sums of self's.
+        """
+        sums, acc = [], 0
+        for x in self.coeffs:
+            acc += x
+            sums.append(acc)
+        if acc:
+            raise ArithmeticError(f"1 - q does not divide {self!r}")
+        return _laurent(self.low, sums[:-1])
+
+    # -- predicates ---------------------------------------------------
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        if isinstance(other, Laurent):
+            return self.low == other.low and self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction)):
+            return self.low == 0 and self.coeffs == ((other,) if other else ())
+        return NotImplemented
+
+    def __hash__(self):
+        if self.low == 0 and len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)  # as the int
+        return hash((self.low, self.coeffs))
+
+    def at(self, value):
+        """Evaluate at q = value as an exact Fraction; raises
+        ZeroDivisionError at q = 0 when a negative power is present."""
+        v = Fraction(value)
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * v + c
+        return acc * v**self.low if self.low else acc
+
+    def __repr__(self):
+        return _pstr(self.coeffs, self.low)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,22 @@
 """Affine Hecke relations checked in faithful finite representations.
 
 Two models are used.  The degenerate presentation (q = 1) is realized in
-the rational group algebra of the symmetric group with T_i the simple
+the integral group algebra of the symmetric group with T_i the simple
 transpositions and X_k the Jucys-Murphy sums of transpositions.  The
-nondegenerate presentation runs over Q(q) in the finite Hecke algebra on
-the T_w basis, with commuting evaluation elements X_i built from
-X_1 = 1 and the defining relation T_i X_i T_i = q X_{i+1}.
+nondegenerate presentation runs over Z[q, q^-1] in the finite Hecke
+algebra on the T_w basis, with commuting evaluation elements X_i built
+from X_1 = 1 and the defining relation T_i X_i T_i = q X_{i+1}.  That
+ring suffices: the structure constants of the T_w basis lie in Z[q], and
+X_i and X_i^-1 lie in the span of the T_w over Z[q, q^-1].
 
-The degeneration bridge X-bar_i = (1 - X_i)/(1 - q) is handled
-symbolically: the bridging identity holds as an exact rational-function
-identity, and the reduced coefficients of X-bar_i are regular at q = 1,
-where they specialize to the Jucys-Murphy elements.
+The degeneration bridge X-bar_i = (1 - X_i)/(1 - q) is computed by exact
+division: every coefficient of 1 - X_i is divisible by 1 - q (the
+division raises ArithmeticError otherwise), so X-bar_i is regular at
+q = 1 by construction and specializes there to the Jucys-Murphy
+elements.
+
+Every relation is checked as lhs - rhs == 0; a failing check carries the
+nonzero difference as its witness.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import RatFunc
+from .exactla import Laurent, as_integer
 
 __all__ = [
     "identity_perm",
@@ -109,11 +115,15 @@ def reduced_word(p):
 
 
 # ---------------------------------------------------------------------------
-# the group algebra of the symmetric group over Q
+# the group algebra of the symmetric group over Z
 # ---------------------------------------------------------------------------
 
 class GroupAlgebraElement:
-    """Finite Q-linear combination of permutations of fixed size."""
+    """Finite Z-linear combination of permutations of fixed size.
+
+    Coefficients are plain ints; an integral Fraction is accepted and
+    stored as an int, any other coefficient raises TypeError.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -122,18 +132,19 @@ class GroupAlgebraElement:
         self.terms = {}
         if terms:
             for p, c in (terms.items() if isinstance(terms, dict) else terms):
+                c = as_integer(c)
                 if c:
-                    self.terms[p] = self.terms.get(p, Fraction(0)) + c
+                    self.terms[p] = self.terms.get(p, 0) + c
                     if not self.terms[p]:
                         del self.terms[p]
 
     @staticmethod
-    def from_perm(p, coeff=Fraction(1)):
-        return GroupAlgebraElement(len(p), {p: Fraction(coeff)})
+    def from_perm(p, coeff=1):
+        return GroupAlgebraElement(len(p), {p: coeff})
 
     @staticmethod
     def one(n):
-        return GroupAlgebraElement(n, {identity_perm(n): Fraction(1)})
+        return GroupAlgebraElement(n, {identity_perm(n): 1})
 
     @staticmethod
     def zero(n):
@@ -143,13 +154,17 @@ class GroupAlgebraElement:
         if self.n != other.n:
             raise ValueError("mixed symmetric group sizes")
 
-    def __add__(self, other):
+    def _lift(self, other):
         if isinstance(other, (int, Fraction)):
-            other = GroupAlgebraElement(self.n, {identity_perm(self.n): Fraction(other)})
+            return GroupAlgebraElement(self.n, {identity_perm(self.n): other})
+        return other
+
+    def __add__(self, other):
+        other = self._lift(other)
         self._check(other)
         out = dict(self.terms)
         for p, c in other.terms.items():
-            x = out.get(p, Fraction(0)) + c
+            x = out.get(p, 0) + c
             if x:
                 out[p] = x
             else:
@@ -162,19 +177,18 @@ class GroupAlgebraElement:
         return GroupAlgebraElement(self.n, {p: -c for p, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GroupAlgebraElement(self.n, {identity_perm(self.n): Fraction(other)})
-        return self + (-other)
+        return self + (-self._lift(other))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            other = as_integer(other)
             return GroupAlgebraElement(self.n, {p: c * other for p, c in self.terms.items()})
         self._check(other)
         out = {}
         for p, c in self.terms.items():
             for r, d in other.terms.items():
                 key = compose(p, r)
-                x = out.get(key, Fraction(0)) + c * d
+                x = out.get(key, 0) + c * d
                 if x:
                     out[key] = x
                 else:
@@ -187,8 +201,7 @@ class GroupAlgebraElement:
         return NotImplemented
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GroupAlgebraElement(self.n, {identity_perm(self.n): Fraction(other)})
+        other = self._lift(other)
         return self.n == other.n and self.terms == other.terms
 
     def __bool__(self):
@@ -206,20 +219,26 @@ def jucys_murphy(n, k):
         raise ValueError(f"X_{k} undefined for n={n}")
     terms = {}
     for j in range(1, k):
-        terms[transposition(n, j, k)] = Fraction(1)
+        terms[transposition(n, j, k)] = 1
     return GroupAlgebraElement(n, terms)
 
 
 # ---------------------------------------------------------------------------
-# the finite Hecke algebra over Q(q) on the T_w basis
+# the finite Hecke algebra over Z[q, q^-1] on the T_w basis
 # ---------------------------------------------------------------------------
 
-_RF_ONE = RatFunc.const(1)
-_RF_Q = RatFunc.q()
+_ONE = Laurent.const(1)
+_Q = Laurent.q()
+_Q_MINUS_ONE = _Q - 1
 
 
 class HeckeElement:
-    """Finite Q(q)-linear combination of basis elements T_w."""
+    """Finite Z[q, q^-1]-linear combination of basis elements T_w.
+
+    Coefficients are :class:`Laurent` polynomials; an int or integral
+    Fraction is lifted to a constant, any other coefficient raises
+    TypeError.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -228,7 +247,7 @@ class HeckeElement:
         self.terms = {}
         if terms:
             for p, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = c if isinstance(c, RatFunc) else RatFunc.const(c)
+                c = c if isinstance(c, Laurent) else Laurent.const(c)
                 if c:
                     cur = self.terms.get(p)
                     c = c + cur if cur is not None else c
@@ -238,12 +257,12 @@ class HeckeElement:
                         del self.terms[p]
 
     @staticmethod
-    def T(p, coeff=_RF_ONE):
+    def T(p, coeff=_ONE):
         return HeckeElement(len(p), {p: coeff})
 
     @staticmethod
     def one(n):
-        return HeckeElement(n, {identity_perm(n): _RF_ONE})
+        return HeckeElement(n, {identity_perm(n): _ONE})
 
     @staticmethod
     def zero(n):
@@ -254,7 +273,7 @@ class HeckeElement:
             raise ValueError("mixed Hecke algebra sizes")
 
     def _lift(self, other):
-        if isinstance(other, (int, Fraction, RatFunc)):
+        if isinstance(other, (int, Fraction, Laurent)):
             return HeckeElement(self.n, {identity_perm(self.n): other})
         return other
 
@@ -283,13 +302,15 @@ class HeckeElement:
         return -(self - other)
 
     def scale(self, c):
-        c = c if isinstance(c, RatFunc) else RatFunc.const(c)
+        c = c if isinstance(c, Laurent) else Laurent.const(c)
         return HeckeElement(self.n, {p: c * x for p, x in self.terms.items()})
 
     def _gen_left(self, i):
         """Left multiplication by T_i on the basis:
         T_i T_w = T_{s_i w} when the length goes up, otherwise
-        q T_{s_i w} + (q - 1) T_w."""
+        q T_{s_i w} + (q - 1) T_w.  s_i w swaps the values i-1 and i
+        (0-based) of w, so the length goes up exactly when i-1 comes
+        before i in w."""
         n = self.n
         si = simple(n, i)
         out = {}
@@ -302,18 +323,17 @@ class HeckeElement:
             else:
                 out.pop(p, None)
 
-        qm1 = _RF_Q - _RF_ONE
         for w, c in self.terms.items():
             sw = compose(si, w)
-            if inversions(sw) > inversions(w):
+            if w.index(i - 1) < w.index(i):
                 bump(sw, c)
             else:
-                bump(sw, _RF_Q * c)
-                bump(w, qm1 * c)
+                bump(sw, _Q * c)
+                bump(w, _Q_MINUS_ONE * c)
         return HeckeElement(n, out)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RatFunc)):
+        if isinstance(other, (int, Fraction, Laurent)):
             return self.scale(other)
         self._check(other)
         result = HeckeElement.zero(self.n)
@@ -325,7 +345,7 @@ class HeckeElement:
         return result
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, RatFunc)):
+        if isinstance(other, (int, Fraction, Laurent)):
             return self.scale(other)
         return NotImplemented
 
@@ -344,14 +364,14 @@ class HeckeElement:
 
 def t_inverse(n, i):
     """T_i^{-1} = q^{-1} T_i - (1 - q^{-1}), from the quadratic relation."""
-    qinv = RatFunc.q(-1)
-    return HeckeElement(n, {simple(n, i): qinv}) - (_RF_ONE - qinv)
+    qinv = Laurent.q(-1)
+    return HeckeElement(n, {simple(n, i): qinv}) - (_ONE - qinv)
 
 
 def evaluation_X(n):
     """The commuting evaluation elements [X_1, ..., X_n] with X_1 = 1 and
     X_{i+1} = q^{-1} T_i X_i T_i."""
-    qinv = RatFunc.q(-1)
+    qinv = Laurent.q(-1)
     xs = [HeckeElement.one(n)]
     for i in range(1, n):
         ti = HeckeElement.T(simple(n, i))
@@ -364,7 +384,7 @@ def evaluation_X_inverses(n):
     out = [HeckeElement.one(n)]
     for i in range(1, n):
         tinv = t_inverse(n, i)
-        out.append((tinv * out[-1] * tinv).scale(_RF_Q))
+        out.append((tinv * out[-1] * tinv).scale(_Q))
     return out
 
 
@@ -374,10 +394,24 @@ def evaluation_X_inverses(n):
 
 @dataclass(frozen=True)
 class RelationCheck:
+    """One relation instance; ``witness`` is the repr of the nonzero
+    difference lhs - rhs when the relation fails, None when it holds."""
+
     family: str
     n: int
     indices: tuple
     passed: bool
+    witness: str | None = None
+
+
+def _relation(family, n, indices, *sides):
+    """Check the identities sides[0] = sides[1], sides[2] = sides[3], ...
+    in order; the witness is the first nonzero difference."""
+    for lhs, rhs in zip(sides[::2], sides[1::2]):
+        diff = lhs - rhs
+        if diff:
+            return RelationCheck(family, n, indices, False, repr(diff))
+    return RelationCheck(family, n, indices, True)
 
 
 def verify_degenerate(n):
@@ -391,31 +425,31 @@ def verify_degenerate(n):
     checks = []
 
     for i in range(1, n):
-        checks.append(RelationCheck("involution", n, (i,), T[i] * T[i] == one))
+        checks.append(_relation("involution", n, (i,), T[i] * T[i], one))
     for i in range(1, n):
         for j in range(i + 2, n):
-            checks.append(RelationCheck("distant_braid", n, (i, j), T[i] * T[j] == T[j] * T[i]))
+            checks.append(_relation("distant_braid", n, (i, j), T[i] * T[j], T[j] * T[i]))
     for i in range(1, n - 1):
-        checks.append(RelationCheck(
+        checks.append(_relation(
             "braid", n, (i, i + 1),
-            T[i] * T[i + 1] * T[i] == T[i + 1] * T[i] * T[i + 1]))
+            T[i] * T[i + 1] * T[i], T[i + 1] * T[i] * T[i + 1]))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            checks.append(RelationCheck("X_commute", n, (i, j), X[i] * X[j] == X[j] * X[i]))
+            checks.append(_relation("X_commute", n, (i, j), X[i] * X[j], X[j] * X[i]))
     for i in range(1, n + 1):
         for j in range(1, n):
             if i - j in (0, 1):
                 continue
-            checks.append(RelationCheck("X_T_commute", n, (i, j), X[i] * T[j] == T[j] * X[i]))
+            checks.append(_relation("X_T_commute", n, (i, j), X[i] * T[j], T[j] * X[i]))
     for i in range(1, n):
-        checks.append(RelationCheck(
+        checks.append(_relation(
             "crossing", n, (i,),
-            X[i + 1] * T[i] == T[i] * X[i] + one))
+            X[i + 1] * T[i], T[i] * X[i] + one))
     return checks
 
 
 def verify_nondegenerate(n):
-    """All nondegenerate presentation relations over Q(q) in the
+    """All nondegenerate presentation relations over Z[q, q^-1] in the
     evaluation representation, as exact identities in the T_w basis."""
     if n < 2:
         raise ValueError("need n >= 2")
@@ -426,59 +460,64 @@ def verify_nondegenerate(n):
     checks = []
 
     for i in range(1, n):
-        checks.append(RelationCheck(
+        checks.append(_relation(
             "quadratic", n, (i,),
-            (T[i] + one) * (T[i] - one.scale(_RF_Q)) == HeckeElement.zero(n)))
+            (T[i] + one) * (T[i] - one.scale(_Q)), HeckeElement.zero(n)))
     for i in range(1, n):
         for j in range(i + 2, n):
-            checks.append(RelationCheck("distant_braid", n, (i, j), T[i] * T[j] == T[j] * T[i]))
+            checks.append(_relation("distant_braid", n, (i, j), T[i] * T[j], T[j] * T[i]))
     for i in range(1, n - 1):
-        checks.append(RelationCheck(
+        checks.append(_relation(
             "braid", n, (i, i + 1),
-            T[i] * T[i + 1] * T[i] == T[i + 1] * T[i] * T[i + 1]))
+            T[i] * T[i + 1] * T[i], T[i + 1] * T[i] * T[i + 1]))
     for i in range(1, n + 1):
-        checks.append(RelationCheck(
+        checks.append(_relation(
             "laurent", n, (i,),
-            X[i - 1] * Xinv[i - 1] == one and Xinv[i - 1] * X[i - 1] == one))
+            X[i - 1] * Xinv[i - 1], one, Xinv[i - 1] * X[i - 1], one))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            checks.append(RelationCheck(
-                "X_commute", n, (i, j), X[i - 1] * X[j - 1] == X[j - 1] * X[i - 1]))
+            checks.append(_relation(
+                "X_commute", n, (i, j), X[i - 1] * X[j - 1], X[j - 1] * X[i - 1]))
     for i in range(1, n + 1):
         for j in range(1, n):
             if i - j in (0, 1):
                 continue
-            checks.append(RelationCheck(
-                "X_T_commute", n, (i, j), X[i - 1] * T[j] == T[j] * X[i - 1]))
+            checks.append(_relation(
+                "X_T_commute", n, (i, j), X[i - 1] * T[j], T[j] * X[i - 1]))
     for i in range(1, n):
-        checks.append(RelationCheck(
+        checks.append(_relation(
             "crossing", n, (i,),
-            T[i] * X[i - 1] * T[i] == X[i].scale(_RF_Q)))
+            T[i] * X[i - 1] * T[i], X[i].scale(_Q)))
     return checks
 
 
 def xbar(n):
-    """The bridge elements (1 - X_i)/(1 - q), defined over Q(q)."""
-    one_minus_q = RatFunc((1, -1))
-    factor = _RF_ONE / one_minus_q
-    return [(HeckeElement.one(n) - x).scale(factor) for x in evaluation_X(n)]
+    """The bridge elements Xbar_i = (1 - X_i)/(1 - q) over Z[q, q^-1].
+
+    Every coefficient of 1 - X_i is divided exactly by 1 - q; the
+    division raises ArithmeticError when it is not exact, so a returned
+    Xbar_i is a proof that it is regular at q = 1.
+    """
+    one = HeckeElement.one(n)
+    return [
+        HeckeElement(n, {p: c.div_by_one_minus_q() for p, c in (one - x).terms.items()})
+        for x in evaluation_X(n)
+    ]
 
 
 def specialize_at_one(h):
-    """Evaluate every coefficient at q = 1, landing in the group algebra.
-
-    Raises ZeroDivisionError when a reduced coefficient has a pole there.
-    """
+    """Evaluate every coefficient at q = 1, landing in the group algebra
+    over Z."""
     return GroupAlgebraElement(h.n, {p: c.at(1) for p, c in h.terms.items()})
 
 
 def degeneration_check(n):
     """The bridge identities tying the two presentations together.
 
-    Over Q(q): T_i + T_i Xbar_i T_i = q Xbar_{i+1} exactly (so the
-    statement survives any specialization q != 1, and the q -> 1 limit
-    is meaningful).  At q = 1 the reduced Xbar_i coefficients are
-    regular and specialize to the Jucys-Murphy elements, and the
+    Over Z[q, q^-1]: T_i + T_i Xbar_i T_i = q Xbar_{i+1} exactly, where
+    Xbar_i = (1 - X_i)/(1 - q) exists because 1 - q divides every
+    coefficient of 1 - X_i (``xbar`` raises ArithmeticError otherwise).
+    At q = 1 the Xbar_i specialize to the Jucys-Murphy elements, and the
     degenerate crossing relation 1 + T_i Xbar_i = Xbar_{i+1} T_i holds
     in the group algebra.
     """
@@ -488,18 +527,18 @@ def degeneration_check(n):
     T = {i: HeckeElement.T(simple(n, i)) for i in range(1, n)}
     checks = []
     for i in range(1, n):
-        lhs = T[i] + T[i] * xb[i - 1] * T[i]
-        rhs = xb[i].scale(_RF_Q)
-        checks.append(RelationCheck("bridge", n, (i,), lhs == rhs))
+        checks.append(_relation(
+            "bridge", n, (i,),
+            T[i] + T[i] * xb[i - 1] * T[i], xb[i].scale(_Q)))
     for i in range(1, n + 1):
-        checks.append(RelationCheck(
+        checks.append(_relation(
             "xbar_at_one", n, (i,),
-            specialize_at_one(xb[i - 1]) == jucys_murphy(n, i)))
+            specialize_at_one(xb[i - 1]), jucys_murphy(n, i)))
     one = GroupAlgebraElement.one(n)
     for i in range(1, n):
         ti = GroupAlgebraElement.from_perm(simple(n, i))
         jm_i, jm_next = jucys_murphy(n, i), jucys_murphy(n, i + 1)
-        checks.append(RelationCheck(
+        checks.append(_relation(
             "crossing_at_one", n, (i,),
-            one + ti * jm_i == jm_next * ti))
+            one + ti * jm_i, jm_next * ti))
     return checks

@@ -182,12 +182,12 @@ def test_criterion_09_hecke():
     ok = True
     for n in range(2, 6):
         ok = ok and all(c.passed for c in hecke.verify_degenerate(n))
-    for n in range(2, 5):
+    for n in range(2, 6):
         ok = ok and all(c.passed for c in hecke.verify_nondegenerate(n))
-    for n in range(2, 4):
+    for n in range(2, 5):
         ok = ok and all(c.passed for c in hecke.degeneration_check(n))
-    _report(9, "degenerate relations n <= 5, nondegenerate over Q(q) n <= 4, "
-               "bridge identity n <= 3", ok)
+    _report(9, "degenerate relations n <= 5, nondegenerate over Z[q, q^-1] n <= 5, "
+               "bridge identity n <= 4", ok)
 
 
 def test_criterion_10_heisenberg():

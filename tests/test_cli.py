@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from vermalab import cli
+from vermalab import cli, hecke
 from vermalab.cli import RunConfig, main, run, scalar_str
+from vermalab.exactla import Laurent
 
 
 def run_to_file(tmp_path, name, **kw):
@@ -29,6 +30,24 @@ class TestExitCodes:
     def test_missing_required_s(self, capsys):
         assert main(["hwv", "--n", "4"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("failure", ["non_divisible_bridge", "zero_division"])
+    def test_arithmetic_error_is_a_verification_failure(self, monkeypatch, capsys,
+                                                        failure):
+        if failure == "non_divisible_bridge":
+            # X_2 + 1: 1 - q no longer divides 1 - X_2, so xbar raises
+            real = hecke.evaluation_X
+            monkeypatch.setattr(hecke, "evaluation_X",
+                                lambda n: [x + 1 if k == 1 else x
+                                           for k, x in enumerate(real(n))])
+        else:
+            def divide_by_zero(n):
+                return 1 // 0
+            monkeypatch.setattr(hecke, "verify_degenerate", divide_by_zero)
+        assert main(["verify-hecke", "--n-max", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verification failure:")
+        assert "Traceback" not in err
 
 
 class TestDecompose:
@@ -76,6 +95,21 @@ class TestVerifiers:
         code, out = run_to_file(tmp_path, "hk.json", command="verify-hecke", n_max=3)
         doc = json.loads(out.read_text())
         assert code == 0 and doc["allPassed"]
+
+    def test_hecke_failure_carries_witness(self, tmp_path, monkeypatch):
+        real = hecke.evaluation_X
+        monkeypatch.setattr(hecke, "evaluation_X",
+                            lambda n: [x.scale(Laurent.q()) if k == 1 else x
+                                       for k, x in enumerate(real(n))])
+        code, out = run_to_file(tmp_path, "hk.json", command="verify-hecke",
+                                n_max=2, q_mode="generic")
+        doc = json.loads(out.read_text())
+        assert code == 1 and doc["allPassed"] is False
+        witnesses = {(r["relation"], r["model"]): r["witnessOrPass"]
+                     for r in doc["relations"]}
+        assert witnesses["quadratic", "nondegenerate"] is True
+        crossing = witnesses["crossing", "nondegenerate"]
+        assert isinstance(crossing, str) and crossing != "0" and "q" in crossing
 
     def test_heisenberg(self, tmp_path):
         code, out = run_to_file(tmp_path, "hz.json", command="verify-heisenberg",

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vermalab.exactla import (
+    Laurent,
     RatFunc,
     SparseMat,
     generalized_kernel,
@@ -155,6 +156,75 @@ class TestRatFunc:
     def test_negative_powers(self):
         q = RatFunc.q()
         assert RatFunc.q(-2) * q * q == 1
+
+
+class TestLaurent:
+    def test_canonical_form(self):
+        x = Laurent((0, 3, 0, -2, 0), low=-2)
+        assert (x.low, x.coeffs) == (-1, (3, 0, -2))
+        assert repr(x) == "3*q^-1-2*q"
+        assert Laurent((0, 0), low=5) == Laurent() == 0
+        assert Laurent((0, 0), low=5).low == 0
+
+    def test_integer_constants(self):
+        assert Laurent.const(Fraction(4)) == 4 == Laurent.const(4)
+        assert hash(Laurent.const(4)) == hash(4) and hash(Laurent()) == hash(0)
+        assert Laurent.q(2) != 0 and Laurent.const(1) != Fraction(1, 2)
+        with pytest.raises(TypeError):
+            Laurent.const(Fraction(1, 2))
+        with pytest.raises(TypeError):
+            Laurent.q() + Fraction(1, 2)
+        with pytest.raises(TypeError):
+            Laurent.q() * RatFunc.q()
+
+    def test_evaluation(self):
+        x = Laurent.q(-2) - 3 * Laurent.q()
+        assert x.at(Fraction(1, 2)) == Fraction(4) - Fraction(3, 2)
+        assert type(x.at(1)) is Fraction and x.at(1) == -2
+        with pytest.raises(ZeroDivisionError):
+            x.at(0)
+
+    def test_division_by_one_minus_q(self):
+        q = Laurent.q()
+        p = q * q - Laurent.q(-1)
+        assert p.div_by_one_minus_q() == -(q + 1 + Laurent.q(-1))
+        assert Laurent().div_by_one_minus_q() == 0
+        with pytest.raises(ArithmeticError):
+            (q + 1).div_by_one_minus_q()
+
+
+def ratfunc_of(p):
+    """The independent Q(q) image of a Laurent polynomial."""
+    if p.low >= 0:
+        return RatFunc((0,) * p.low + p.coeffs)
+    return RatFunc(p.coeffs, (0,) * -p.low + (1,))
+
+
+laurents = st.builds(Laurent, st.lists(st.integers(-5, 5), max_size=6), st.integers(-4, 4))
+
+
+@given(laurents, laurents)
+@settings(max_examples=200, deadline=None)
+def test_laurent_ring_operations_match_ratfunc(a, b):
+    assert ratfunc_of(a + b) == ratfunc_of(a) + ratfunc_of(b)
+    assert ratfunc_of(a - b) == ratfunc_of(a) - ratfunc_of(b)
+    assert ratfunc_of(a * b) == ratfunc_of(a) * ratfunc_of(b)
+    assert (a == b) == (ratfunc_of(a) == ratfunc_of(b))
+
+
+@given(laurents, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_division_by_one_minus_q_matches_ratfunc(p, make_divisible):
+    if make_divisible:
+        p = p * (1 - Laurent.q())
+    quotient = ratfunc_of(p) / RatFunc((1, -1))
+    # exact in Z[q, q^-1] iff the reduced denominator is a power of q
+    if all(c == 0 for c in quotient.den[:-1]):
+        assert ratfunc_of(p.div_by_one_minus_q()) == quotient
+    else:
+        assert not make_divisible
+        with pytest.raises(ArithmeticError):
+            p.div_by_one_minus_q()
 
 
 @given(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))

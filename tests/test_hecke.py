@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vermalab.exactla import RatFunc
+from vermalab import hecke
+from vermalab.exactla import Laurent
 from vermalab.hecke import (
     GroupAlgebraElement,
     HeckeElement,
@@ -25,7 +28,7 @@ from vermalab.hecke import (
     xbar,
 )
 
-Q = RatFunc.q()
+Q = Laurent.q()
 
 
 class TestPermutations:
@@ -69,17 +72,28 @@ class TestJucysMurphy:
         assert x3 * x4 == x4 * x3
 
 
+def test_coefficients_are_integral():
+    p = simple(3, 1)
+    assert type(GroupAlgebraElement.from_perm(p, Fraction(2)).terms[p]) is int
+    assert HeckeElement.T(p, Fraction(2)) == HeckeElement.T(p, Laurent.const(2))
+    with pytest.raises(TypeError):
+        GroupAlgebraElement.from_perm(p, Fraction(1, 2))
+    with pytest.raises(TypeError):
+        HeckeElement.T(p, Fraction(1, 2))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_degenerate_relations(n):
     assert all(c.passed for c in verify_degenerate(n))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_nondegenerate_relations(n):
-    assert all(c.passed for c in verify_nondegenerate(n))
+    checks = verify_nondegenerate(n)
+    assert all(c.passed and c.witness is None for c in checks)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_degeneration_identities(n):
     assert all(c.passed for c in degeneration_check(n))
 
@@ -125,8 +139,8 @@ class TestHeckeMultiplication:
             terms = {}
             for _ in range(3):
                 p = perms[rng.randrange(len(perms))]
-                coeffs = tuple(Fraction(rng.randint(-2, 2)) for _ in range(3))
-                terms[p] = RatFunc(coeffs)
+                coeffs = [rng.randint(-2, 2) for _ in range(3)]
+                terms[p] = Laurent(coeffs, low=-1)  # q^-1, 1, q
             return HeckeElement(n, terms)
 
         for _ in range(200):
@@ -138,8 +152,8 @@ class TestEvaluationElements:
     def test_x2_closed_form(self):
         xs = evaluation_X(2)
         expected = HeckeElement(2, {
-            identity_perm(2): RatFunc.const(1),
-            simple(2, 1): RatFunc.const(1) - RatFunc.q(-1),
+            identity_perm(2): Laurent.const(1),
+            simple(2, 1): Laurent.const(1) - Laurent.q(-1),
         })
         assert xs[1] == expected
 
@@ -166,7 +180,7 @@ class TestDegeneration:
     def test_xbar2_closed_form(self):
         xb = xbar(2)
         assert xb[0] == HeckeElement.zero(2)
-        assert xb[1] == HeckeElement(2, {simple(2, 1): RatFunc.q(-1)})
+        assert xb[1] == HeckeElement(2, {simple(2, 1): Laurent.q(-1)})
 
     def test_bridge_identity_n2(self):
         n = 2
@@ -187,3 +201,45 @@ class TestDegeneration:
         for i in (1, 2):
             ti = GroupAlgebraElement.from_perm(simple(n, i))
             assert one + ti * jucys_murphy(n, i) == jucys_murphy(n, i + 1) * ti
+
+    def test_specialization_is_integral(self):
+        for x in xbar(4):
+            assert all(type(c) is int for c in specialize_at_one(x).terms.values())
+
+    def test_non_divisible_bridge_coefficient_raises(self, monkeypatch):
+        # X_2 + 1 leaves 1 - X_2 with a coefficient that is -1 at q = 1
+        real = hecke.evaluation_X
+        monkeypatch.setattr(hecke, "evaluation_X",
+                            lambda n: [x + 1 if k == 1 else x for k, x in enumerate(real(n))])
+        with pytest.raises(ArithmeticError):
+            xbar(3)
+        with pytest.raises(ArithmeticError):
+            degeneration_check(3)
+
+
+def test_failing_relation_carries_its_difference(monkeypatch):
+    real = hecke.evaluation_X
+    monkeypatch.setattr(hecke, "evaluation_X",
+                        lambda n: [x.scale(Q) if k == 1 else x for k, x in enumerate(real(n))])
+    checks = {(c.family, c.indices): c for c in verify_nondegenerate(2)}
+    crossing = checks["crossing", (1,)]
+    # T_1 X_1 T_1 = q X_2, but X_2 was replaced by q X_2
+    x2 = real(2)[1]
+    assert not crossing.passed
+    assert crossing.witness == repr(x2.scale(Q) - x2.scale(Q * Q))
+    assert crossing.witness != "0"
+    assert all(c.witness is None for c in checks.values() if c.passed)
+
+
+# up to four permutations of S_3 with Laurent coefficients in q^-2 .. q^4
+_perms3 = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+_laurent = st.builds(Laurent, st.lists(st.integers(-3, 3), max_size=5), st.integers(-2, 0))
+_hecke3 = st.dictionaries(st.sampled_from(_perms3), _laurent, max_size=4).map(
+    lambda terms: HeckeElement(3, terms))
+
+
+@given(_hecke3, _hecke3)
+@settings(max_examples=100, deadline=None)
+def test_specialization_at_one_is_multiplicative(a, b):
+    """At q = 1 the Hecke product becomes the group algebra product."""
+    assert specialize_at_one(a * b) == specialize_at_one(a) * specialize_at_one(b)
