@@ -9,14 +9,21 @@ matrices; since the printed block shapes admit more than one
 dimension-consistent reading, the choice is resolved behaviourally: the
 candidate constructions are run against a universal-property oracle on
 random instances and the unique survivor is recorded.
+
+Every linear condition on matrix unknowns (homotopies, morphism spaces,
+factorizations) is assembled by one builder, ``_system``, from the
+identity vec(L X R) = (L ⊗ Rᵀ) vec(X).  vec is row-major throughout:
+entry (r, c) of an unknown with ``cols`` columns is variable
+``offset + r*cols + c``, and entry (i, j) of an equation's residual is
+one row in the same order.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
+from . import fixtures
 from .exactla import SparseMat, nullspace, solve
 
 __all__ = [
@@ -118,6 +125,67 @@ def _mat_from_vars(sol, rows, cols, offset):
     return SparseMat(rows, cols, ent)
 
 
+def _system(shapes, equations):
+    """The linear system for unknown matrices X_k of the given shapes.
+
+    Each equation is (terms, target): the sum of L @ X_k @ R over its
+    terms (L, k, R) must equal the target matrix (None for zero).  L or R
+    may be None for an identity, which costs no multiplication; the
+    residual's shape is read from the first term.  Returns (matrix, rhs,
+    unpack), where unpack turns a solution vector into the list of X_k.
+    """
+    offsets = [0]
+    for r, c in shapes:
+        offsets.append(offsets[-1] + r * c)
+    ent, rhs, row0 = {}, {}, 0
+    for terms, target in equations:
+        L, k, R = terms[0]
+        height = shapes[k][0] if L is None else L.rows
+        width = shapes[k][1] if R is None else R.cols
+        for L, k, R in terms:
+            (xrows, xcols), off = shapes[k], offsets[k]
+            if L is None:
+                cells = ((i * width + j, off + i * xcols + q, y)
+                         for (q, j), y in R.entries.items() for i in range(xrows))
+            elif R is None:
+                cells = ((i * width + j, off + p * xcols + j, x)
+                         for (i, p), x in L.entries.items() for j in range(xcols))
+            else:
+                cells = ((i * width + j, off + p * xcols + q, x * y)
+                         for (i, p), x in L.entries.items()
+                         for (q, j), y in R.entries.items())
+            for r, c, x in cells:
+                key = (row0 + r, c)
+                old = ent.get(key)
+                ent[key] = x if old is None else old + x
+        if target is not None:
+            for (i, j), x in target.entries.items():
+                rhs[row0 + i * width + j] = x
+        row0 += height * width
+
+    def unpack(vec):
+        return [_mat_from_vars(vec, r, c, off) for (r, c), off in zip(shapes, offsets)]
+
+    return SparseMat(row0, offsets[-1], ent), rhs, unpack
+
+
+def _squares(src, tgt):
+    """Shapes of a triple (x1, x2, x3): src -> tgt as unknowns 0, 1, 2,
+    and the equations x2 m1 - m1' x1 = 0 and x3 m2 - m2' x2 = 0."""
+    shapes = [(b, a) for a, b in zip(src.dims, tgt.dims)]
+    return shapes, [
+        ([(None, 1, src.m1), (tgt.m1.scale(-1), 0, None)], None),
+        ([(None, 2, src.m2), (tgt.m2.scale(-1), 1, None)], None),
+    ]
+
+
+def _homotopy_terms(src, tgt, k):
+    """Shapes of a homotopy (s1, s2) between triples src -> tgt as
+    unknowns k, k + 1, and the terms of b' s1 + s2 a."""
+    return ([(tgt.dims[0], src.dims[1]), (tgt.dims[1], src.dims[2])],
+            [(tgt.m1, k, None), (None, k + 1, src.m2)])
+
+
 def homotopic(f, g):
     """A witness (s1, s2) with b' s1 + s2 a = f.x2 - g.x2, or None.
 
@@ -126,33 +194,14 @@ def homotopic(f, g):
     """
     if f.source.dims != g.source.dims or f.target.dims != g.target.dims:
         raise ValueError("homotopy requires equal shapes")
-    src, tgt = f.source, f.target
-    dA = src.dims[1]
-    dA2 = src.dims[2]
-    dB1 = tgt.dims[0]
-    dB = tgt.dims[1]
-    a = src.m2       # A -> A''
-    bp = tgt.m1      # B' -> B
+    bp, a = f.target.m1, f.source.m2
     diff = f.x2 - g.x2
-
-    n_s1 = dB1 * dA
-    n_s2 = dB * dA2
-    ent = {}
-    # rows indexed by (p, q) in dB x dA
-    for (p, r), x in bp.entries.items():
-        for q in range(dA):
-            ent[p * dA + q, r * dA + q] = x
-    for (r, q), x in a.entries.items():
-        for p in range(dB):
-            key = (p * dA + q, n_s1 + p * dA2 + r)
-            ent[key] = ent.get(key, 0) + x
-    mat = SparseMat(dB * dA, n_s1 + n_s2, {k: v for k, v in ent.items() if v})
-    rhs = {p * dA + q: x for (p, q), x in diff.entries.items()}
+    shapes, terms = _homotopy_terms(f.source, f.target, 0)
+    mat, rhs, unpack = _system(shapes, [(terms, diff)])
     sol = solve(mat, rhs)
     if sol is None:
         return None
-    s1 = _mat_from_vars(sol, dB1, dA, 0)
-    s2 = _mat_from_vars(sol, dB, dA2, n_s1)
+    s1, s2 = unpack(sol)
     if bp @ s1 + s2 @ a != diff:
         raise AssertionError("homotopy witness failed re-verification")
     return Homotopy(s1, s2)
@@ -172,34 +221,22 @@ def zero_equivalent(obj):
 # block constructions for kernel and cokernel
 # ---------------------------------------------------------------------------
 
-def _hstack(left, right):
-    rows = left.rows
-    if right.rows != rows:
-        raise ValueError("hstack row mismatch")
-    ent = dict(left.entries)
-    for (r, c), x in right.entries.items():
-        ent[r, c + left.cols] = x
-    return SparseMat(rows, left.cols + right.cols, ent)
-
-
-def _vstack(top, bottom):
-    cols = top.cols
-    if bottom.cols != cols:
-        raise ValueError("vstack col mismatch")
-    ent = dict(top.entries)
-    for (r, c), x in bottom.entries.items():
-        ent[r + top.rows, c] = x
-    return SparseMat(top.rows + bottom.rows, cols, ent)
-
-
 def _block(rows_of_blocks):
-    out = None
+    """Block matrix: the blocks of a row share their row count, and the
+    block columns share their column counts."""
+    widths = [blk.cols for blk in rows_of_blocks[0]]
+    ent = {}
+    r0 = 0
     for row in rows_of_blocks:
-        acc = None
+        if [blk.cols for blk in row] != widths or any(blk.rows != row[0].rows for blk in row):
+            raise ValueError("block shape mismatch")
+        c0 = 0
         for blk in row:
-            acc = blk if acc is None else _hstack(acc, blk)
-        out = acc if out is None else _vstack(out, acc)
-    return out
+            for (r, c), x in blk.entries.items():
+                ent[r0 + r, c0 + c] = x
+            c0 += blk.cols
+        r0 += row[0].rows
+    return SparseMat(r0, sum(widths), ent)
 
 
 def _kernel_extended(t):
@@ -209,12 +246,9 @@ def _kernel_extended(t):
     src, tgt = t.source, t.target
     dA1, dA, dA2 = src.dims
     dB1, dB, _ = tgt.dims
-    Ia = SparseMat.identity(dA)
-    Ib1 = SparseMat.identity(dB1)
-    Ia2 = SparseMat.identity(dA2)
     phi = _block([
         [src.m1, SparseMat(dA, dB1)],
-        [t.x1, Ib1],
+        [t.x1, SparseMat.identity(dB1)],
     ])
     psi = _block([
         [t.x2, tgt.m1.scale(-1)],
@@ -223,9 +257,9 @@ def _kernel_extended(t):
     ker = DoubleArrow((dA1 + dB1, dA + dB1, dB + dA2), phi, psi)
     inc = TripleMorphism(
         ker, src,
-        _hstack(SparseMat.identity(dA1), SparseMat(dA1, dB1)),
-        _hstack(Ia, SparseMat(dA, dB1)),
-        _hstack(SparseMat(dA2, dB), Ia2),
+        _block([[SparseMat.identity(dA1), SparseMat(dA1, dB1)]]),
+        _block([[SparseMat.identity(dA), SparseMat(dA, dB1)]]),
+        _block([[SparseMat(dA2, dB), SparseMat.identity(dA2)]]),
     )
     return ker, inc
 
@@ -235,14 +269,14 @@ def _kernel_middle_a(t):
     src, tgt = t.source, t.target
     dA1, dA, dA2 = src.dims
     dB1, dB, _ = tgt.dims
-    phi = _hstack(src.m1, SparseMat(dA, dB1))
-    psi = _vstack(t.x2, src.m2)
+    phi = _block([[src.m1, SparseMat(dA, dB1)]])
+    psi = _block([[t.x2], [src.m2]])
     ker = DoubleArrow((dA1 + dB1, dA, dB + dA2), phi, psi)
     inc = TripleMorphism(
         ker, src,
-        _hstack(SparseMat.identity(dA1), SparseMat(dA1, dB1)),
+        _block([[SparseMat.identity(dA1), SparseMat(dA1, dB1)]]),
         SparseMat.identity(dA),
-        _hstack(SparseMat(dA2, dB), SparseMat.identity(dA2)),
+        _block([[SparseMat(dA2, dB), SparseMat.identity(dA2)]]),
     )
     return ker, inc
 
@@ -254,21 +288,20 @@ def _cokernel_extended(t):
     src, tgt = t.source, t.target
     _, dA, dA2 = src.dims
     dB1, dB, dB2 = tgt.dims
-    Ia2 = SparseMat.identity(dA2)
     gamma = _block([
         [tgt.m1, t.x2],
         [SparseMat(dA2, dB1), src.m2.scale(-1)],
     ])
     rho = _block([
         [tgt.m2, t.x3],
-        [SparseMat(dA2, dB), Ia2.scale(-1)],
+        [SparseMat(dA2, dB), SparseMat.identity(dA2).scale(-1)],
     ])
     cok = DoubleArrow((dB1 + dA, dB + dA2, dB2 + dA2), gamma, rho)
     proj = TripleMorphism(
         tgt, cok,
-        _vstack(SparseMat.identity(dB1), SparseMat(dA, dB1)),
-        _vstack(SparseMat.identity(dB), SparseMat(dA2, dB)),
-        _vstack(SparseMat.identity(dB2), SparseMat(dA2, dB2)),
+        _block([[SparseMat.identity(dB1)], [SparseMat(dA, dB1)]]),
+        _block([[SparseMat.identity(dB)], [SparseMat(dA2, dB)]]),
+        _block([[SparseMat.identity(dB2)], [SparseMat(dA2, dB2)]]),
     )
     return cok, proj
 
@@ -278,14 +311,14 @@ def _cokernel_middle_b(t):
     src, tgt = t.source, t.target
     _, dA, dA2 = src.dims
     dB1, dB, dB2 = tgt.dims
-    gamma = _hstack(tgt.m1, t.x2)
-    rho = _vstack(tgt.m2, SparseMat(dA2, dB))
+    gamma = _block([[tgt.m1, t.x2]])
+    rho = _block([[tgt.m2], [SparseMat(dA2, dB)]])
     cok = DoubleArrow((dB1 + dA, dB, dB2 + dA2), gamma, rho)
     proj = TripleMorphism(
         tgt, cok,
-        _vstack(SparseMat.identity(dB1), SparseMat(dA, dB1)),
+        _block([[SparseMat.identity(dB1)], [SparseMat(dA, dB1)]]),
         SparseMat.identity(dB),
-        _vstack(SparseMat.identity(dB2), SparseMat(dA2, dB2)),
+        _block([[SparseMat.identity(dB2)], [SparseMat(dA2, dB2)]]),
     )
     return cok, proj
 
@@ -304,15 +337,25 @@ _frozen_choice = None
 
 def frozen_interpretation():
     """The (kernel, cokernel) block readings selected by the resolution
-    procedure, read from the checked-in fixture when present."""
+    procedure, read from the checked-in fixture.
+
+    Raises FixtureError when the fixture cannot be read or does not name
+    one known reading under each of "kernel" and "cokernel".
+    """
     global _frozen_choice
     if _frozen_choice is None:
         try:
-            from .fixtures import load_adelman_fixture
-            doc = load_adelman_fixture()
-            _frozen_choice = (doc["kernel"], doc["cokernel"])
-        except (OSError, KeyError, ValueError):
-            _frozen_choice = ("extended-middle", "extended-middle")
+            doc = fixtures.load_adelman_fixture()
+        except (OSError, ValueError) as exc:
+            raise fixtures.FixtureError(f"cannot read {fixtures.ADELMAN_FIXTURE}: {exc}") from exc
+        choice = (doc.get("kernel"), doc.get("cokernel")) if isinstance(doc, dict) else None
+        # list membership: a malformed value may be unhashable
+        if (choice is None or choice[0] not in list(KERNEL_INTERPRETATIONS)
+                or choice[1] not in list(COKERNEL_INTERPRETATIONS)):
+            raise fixtures.FixtureError(
+                f"{fixtures.ADELMAN_FIXTURE} must name a known kernel and cokernel "
+                f"reading, got {choice}")
+        _frozen_choice = choice
     return _frozen_choice
 
 
@@ -358,7 +401,7 @@ def _random_matrix(rng, rows, cols, density=0.45):
     for i in range(rows):
         for j in range(cols):
             if rng.random() < density:
-                ent[i, j] = Fraction(rng.choice((-2, -1, 1, 2)))
+                ent[i, j] = rng.choice((-2, -1, 1, 2))
     return SparseMat(rows, cols, ent)
 
 
@@ -382,74 +425,27 @@ def random_object(rng, max_dim=3):
     return DoubleArrow(tuple(dims), m1, m2)
 
 
-def _morphism_basis(src, tgt):
-    """Basis of the space of commuting triples src -> tgt."""
-    dA1, dA, dA2 = src.dims
-    dB1, dB, dB2 = tgt.dims
-    n1, n2, n3 = dB1 * dA1, dB * dA, dB2 * dA2
-    total = n1 + n2 + n3
-
-    def v1(r, c):
-        return r * dA1 + c
-
-    def v2(r, c):
-        return n1 + r * dA + c
-
-    def v3(r, c):
-        return n1 + n2 + r * dA2 + c
-
-    ent = {}
-    row = 0
-    # x2 m1s - m1t x1 = 0
-    for p in range(dB):
-        for q in range(dA1):
-            for (r, c), x in src.m1.entries.items():
-                if c == q:
-                    key = (row, v2(p, r))
-                    ent[key] = ent.get(key, 0) + x
-            for (r, c), x in tgt.m1.entries.items():
-                if r == p:
-                    key = (row, v1(c, q))
-                    ent[key] = ent.get(key, 0) - x
-            row += 1
-    # x3 m2s - m2t x2 = 0
-    for p in range(dB2):
-        for q in range(dA):
-            for (r, c), x in src.m2.entries.items():
-                if c == q:
-                    key = (row, v3(p, r))
-                    ent[key] = ent.get(key, 0) + x
-            for (r, c), x in tgt.m2.entries.items():
-                if r == p:
-                    key = (row, v2(c, q))
-                    ent[key] = ent.get(key, 0) - x
-            row += 1
-    mat = SparseMat(row, total, {k: v for k, v in ent.items() if v})
-    basis = []
+def _random_kernel_vector(rng, mat):
+    """Random integer combination of the nullspace basis of mat, one
+    rng.randint(-2, 2) per basis vector in basis order."""
+    combo = {}
     for vec in nullspace(mat):
-        x1 = _mat_from_vars(vec, dB1, dA1, 0)
-        x2 = _mat_from_vars(vec, dB, dA, n1)
-        x3 = _mat_from_vars(vec, dB2, dA2, n1 + n2)
-        basis.append(TripleMorphism(src, tgt, x1, x2, x3))
-    return basis
+        c = rng.randint(-2, 2)
+        if c:
+            for k, x in vec.items():
+                combo[k] = combo.get(k, 0) + c * x
+    return combo
 
 
 def morphism_space_dimension(src, tgt):
-    return len(_morphism_basis(src, tgt))
+    mat, _, _ = _system(*_squares(src, tgt))
+    return len(nullspace(mat))
 
 
 def random_morphism(rng, src, tgt):
     """Random integer combination of a basis of the morphism space."""
-    basis = _morphism_basis(src, tgt)
-    out = zero_morphism(src, tgt)
-    for f in basis:
-        c = rng.randint(-2, 2)
-        if c:
-            out = TripleMorphism(src, tgt,
-                                 out.x1 + f.x1.scale(c),
-                                 out.x2 + f.x2.scale(c),
-                                 out.x3 + f.x3.scale(c))
-    return out
+    mat, _, unpack = _system(*_squares(src, tgt))
+    return TripleMorphism(src, tgt, *unpack(_random_kernel_vector(rng, mat)))
 
 
 def _factors_up_to_homotopy(u, through, side):
@@ -457,114 +453,22 @@ def _factors_up_to_homotopy(u, through, side):
     (side='kernel') or v o through ~ u (side='cokernel').
 
     v ranges over genuine morphisms (its commuting squares are part of
-    the system), and the homotopy only constrains middle components.
+    the system), and the homotopy only constrains middle components:
+    composite middle + b' s1 + s2 a = u.x2 in Hom(u.source, u.target).
     """
     if side == "kernel":
-        W, K, X = u.source, through.source, through.target
-        # unknowns: v: W -> K; homotopy between through o v and u in Hom(W, X)
-        src_h, tgt_h = W, X
-        mid_of_v_factor = through.x2  # composes on the left of v.x2
+        vsrc, vtgt = u.source, through.source
+        composite = (through.x2, 1, None)   # through.x2 @ v.x2
     else:
-        W, K, Y = u.target, through.target, through.source
-        src_h, tgt_h = Y, W
-        mid_of_v_factor = through.x2  # composes on the right of v.x2
-
-    dK1, dK, dK2 = K.dims
-    dW1, dW, dW2 = W.dims
-    nv1, nv2, nv3 = (dK1 * dW1, dK * dW, dK2 * dW2) if side == "kernel" else (
-        dW1 * dK1, dW * dK, dW2 * dK2)
-    dH_a = src_h.dims[1]      # middle of homotopy source
-    dH_a2 = src_h.dims[2]
-    dH_b1 = tgt_h.dims[0]
-    dH_b = tgt_h.dims[1]
-    ns1 = dH_b1 * dH_a
-    ns2 = dH_b * dH_a2
-    total = nv1 + nv2 + nv3 + ns1 + ns2
-
-    rows = []
-    ent = {}
-    row = 0
-
-    def add(r, c, x):
-        key = (r, c)
-        v = ent.get(key, 0) + x
-        if v:
-            ent[key] = v
-        else:
-            ent.pop(key, None)
-
-    if side == "kernel":
-        vsrc, vtgt = W, K
-    else:
-        vsrc, vtgt = K, W
-
-    dv_s = vsrc.dims
-    dv_t = vtgt.dims
-
-    def pos_v1(r, c):
-        return r * dv_s[0] + c
-
-    def pos_v2(r, c):
-        return nv1 + r * dv_s[1] + c
-
-    def pos_v3(r, c):
-        return nv1 + nv2 + r * dv_s[2] + c
-
-    rhs = {}
-    # v commutes: v.x2 m1(vsrc) - m1(vtgt) v.x1 = 0
-    for p in range(dv_t[1]):
-        for q in range(dv_s[0]):
-            for (r, c), x in vsrc.m1.entries.items():
-                if c == q:
-                    add(row, pos_v2(p, r), x)
-            for (r, c), x in vtgt.m1.entries.items():
-                if r == p:
-                    add(row, pos_v1(c, q), -x)
-            row += 1
-    # v commutes: v.x3 m2(vsrc) - m2(vtgt) v.x2 = 0
-    for p in range(dv_t[2]):
-        for q in range(dv_s[1]):
-            for (r, c), x in vsrc.m2.entries.items():
-                if c == q:
-                    add(row, pos_v3(p, r), x)
-            for (r, c), x in vtgt.m2.entries.items():
-                if r == p:
-                    add(row, pos_v2(c, q), -x)
-            row += 1
-    # homotopy: b' s1 + s2 a + (composite middle) = u.x2
-    a = src_h.m2
-    bp = tgt_h.m1
-    for p in range(tgt_h.dims[1]):
-        for q in range(src_h.dims[1]):
-            # composite middle: through.x2 @ v.x2 (kernel) or v.x2 @ through.x2
-            if side == "kernel":
-                for (pp, r), x in mid_of_v_factor.entries.items():
-                    if pp == p:
-                        add(row, pos_v2(r, q), x)
-            else:
-                for (r, qq), x in mid_of_v_factor.entries.items():
-                    if qq == q:
-                        add(row, pos_v2(p, r), x)
-            for (pp, r), x in bp.entries.items():
-                if pp == p:
-                    add(row, nv1 + nv2 + nv3 + r * dH_a + q, x)
-            for (r, qq), x in a.entries.items():
-                if qq == q:
-                    add(row, nv1 + nv2 + nv3 + ns1 + p * dH_a2 + r, x)
-            if u.x2[p, q]:
-                rhs[row] = u.x2[p, q]
-            row += 1
-
-    mat = SparseMat(row, total, ent)
+        vsrc, vtgt = through.target, u.target
+        composite = (None, 1, through.x2)   # v.x2 @ through.x2
+    shapes, squares = _squares(vsrc, vtgt)
+    h_shapes, h_terms = _homotopy_terms(u.source, u.target, 3)
+    mat, rhs, unpack = _system(shapes + h_shapes, squares + [([composite] + h_terms, u.x2)])
     sol = solve(mat, rhs)
     if sol is None:
         return None
-    v = TripleMorphism(
-        vsrc, vtgt,
-        _mat_from_vars(sol, dv_t[0], dv_s[0], 0),
-        _mat_from_vars(sol, dv_t[1], dv_s[1], nv1),
-        _mat_from_vars(sol, dv_t[2], dv_s[2], nv1 + nv2),
-    )
+    v = TripleMorphism(vsrc, vtgt, *unpack(sol)[:3])
     if not is_morphism(v):
         raise AssertionError("factorization solver produced a non-morphism")
     composite = compose(through, v) if side == "kernel" else compose(v, through)
@@ -587,51 +491,20 @@ def random_null_homotopic(rng, src, tgt):
     """Random morphism homotopic to zero, with its witness.
 
     Solves jointly for (x1, x3, s1, s2) with middle x2 := b' s1 + s2 a
-    subject to both commuting squares; the constraint matrix is built by
-    probing unit vectors, and a random integer combination of the
-    solution space basis is returned as (morphism, Homotopy).
+    subject to both commuting squares, and returns a random integer
+    combination of the solution space basis as (morphism, Homotopy).
     """
-    dA1, dA, dA2 = src.dims
-    dB1, dB, dB2 = tgt.dims
-    shapes = [(dB1, dA1), (dB2, dA2), (dB1, dA), (dB, dA2)]  # x1, x3, s1, s2
-    sizes = [r * c for r, c in shapes]
-    offsets = [sum(sizes[:i]) for i in range(len(sizes))]
-    total = sum(sizes)
-
-    def unpack(vec):
-        return [_mat_from_vars(vec, shapes[i][0], shapes[i][1], offsets[i])
-                for i in range(4)]
-
-    def residual(vec):
-        x1, x3, s1, s2 = unpack(vec)
-        x2 = tgt.m1 @ s1 + s2 @ src.m2
-        r1 = x2 @ src.m1 - tgt.m1 @ x1
-        r2 = x3 @ src.m2 - tgt.m2 @ x2
-        out = {}
-        for (p, q), x in r1.entries.items():
-            out[p * dA1 + q] = x
-        base = dB * dA1
-        for (p, q), x in r2.entries.items():
-            out[base + p * dA + q] = x
-        return out
-
-    ent = {}
-    for col in range(total):
-        for r, x in residual({col: Fraction(1)}).items():
-            ent[r, col] = x
-    mat = SparseMat(dB * dA1 + dB2 * dA, total, ent)
-    combo = {}
-    for vec in nullspace(mat):
-        c = rng.randint(-2, 2)
-        if c:
-            for k, x in vec.items():
-                v = combo.get(k, 0) + c * x
-                if v:
-                    combo[k] = v
-                else:
-                    combo.pop(k, None)
-    x1, x3, s1, s2 = unpack(combo)
-    x2 = tgt.m1 @ s1 + s2 @ src.m2
+    bp, a = tgt.m1, src.m2
+    shapes = [(tgt.dims[0], src.dims[0]), (tgt.dims[2], src.dims[2]),
+              (tgt.dims[0], src.dims[1]), (tgt.dims[1], src.dims[2])]  # x1, x3, s1, s2
+    mat, _, unpack = _system(shapes, [
+        # x2 m1 - m1' x1 = 0
+        ([(bp, 2, src.m1), (None, 3, a @ src.m1), (tgt.m1.scale(-1), 0, None)], None),
+        # x3 m2 - m2' x2 = 0
+        ([(None, 1, src.m2), ((tgt.m2 @ bp).scale(-1), 2, None), (tgt.m2.scale(-1), 3, a)], None),
+    ])
+    x1, x3, s1, s2 = unpack(_random_kernel_vector(rng, mat))
+    x2 = bp @ s1 + s2 @ a
     d = TripleMorphism(src, tgt, x1, x2, x3)
     if not is_morphism(d):
         raise AssertionError("null-homotopic construction is not a morphism")

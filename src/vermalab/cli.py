@@ -24,7 +24,7 @@ from . import adelman, enright, hecke, heisenberg, sl2mod
 from .fixtures import (
     ADELMAN_FIXTURE,
     TILDE_FIXTURE,
-    load_adelman_fixture,
+    FixtureError,
     load_tilde_fixture,
     save_json,
 )
@@ -273,10 +273,9 @@ def cmd_verify_adelman(cfg):
             "trials": [r.trials for r in reports],
         })
         adelman._frozen_choice = None
-    frozen = load_adelman_fixture()
+    frozen = adelman.frozen_interpretation()
     resolved = adelman.resolve_interpretation(seed=cfg.seed)
-    stable = (resolved.kernel_choice == frozen["kernel"]
-              and resolved.cokernel_choice == frozen["cokernel"])
+    stable = (resolved.kernel_choice, resolved.cokernel_choice) == frozen
     cong = adelman.congruence_checks(cfg.seed, max(trials // 4, 10))
     up = adelman.universal_property_trials(cfg.seed, trials)
     doc = {
@@ -429,6 +428,12 @@ def run(cfg):
         return 2
     try:
         doc, ok = handler(cfg)
+        text = render_json(doc) if cfg.fmt == "json" else render_csv(cfg.command, doc)
+        if cfg.output_path:
+            with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except ValueError as exc:
         # precondition violations from the suites are usage errors
         print(f"usage error: {exc}", file=sys.stderr)
@@ -438,12 +443,10 @@ def run(cfg):
         # (for example 1 - q not dividing a Hecke bridge coefficient)
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    text = render_json(doc) if cfg.fmt == "json" else render_csv(cfg.command, doc)
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except (FixtureError, OSError) as exc:
+        # a missing or malformed fixture, or a file that cannot be read or written
+        print(f"fixture or file error: {exc}", file=sys.stderr)
+        return 1
     return 0 if ok else 1
 
 

@@ -17,6 +17,10 @@ TILDE_FIXTURE = FIXTURE_DIR / "tilde_residuals.json"
 ADELMAN_FIXTURE = FIXTURE_DIR / "adelman_interpretation.json"
 
 
+class FixtureError(Exception):
+    """A checked-in fixture is missing or malformed."""
+
+
 def load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)

@@ -1,11 +1,13 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from vermalab import adelman as ad
+from vermalab import fixtures
 from vermalab.exactla import SparseMat
-from vermalab.fixtures import load_adelman_fixture
+from vermalab.fixtures import FixtureError, load_adelman_fixture
 
 
 def embedded_pair():
@@ -216,7 +218,168 @@ class TestInterpretation:
         assert ad.factors_through_kernel(u, inc_lit) is None
         assert ad.factors_through_kernel(u, inc_ext) is not None
 
+    @pytest.mark.parametrize("content", [
+        None,
+        "{not json",
+        '["extended-middle", "extended-middle"]',
+        '{"kernel": "extended-middle"}',
+        '{"kernel": "extended-middle", "cokernel": "no-such-reading"}',
+        '{"kernel": ["extended-middle"], "cokernel": "extended-middle"}',
+    ], ids=["missing", "not-json", "not-an-object", "missing-key",
+            "unknown-reading", "unhashable-reading"])
+    def test_missing_or_malformed_fixture_raises(self, tmp_path, monkeypatch, content):
+        path = tmp_path / "adelman_interpretation.json"
+        if content is not None:
+            path.write_text(content)
+        monkeypatch.setattr(fixtures, "ADELMAN_FIXTURE", path)
+        monkeypatch.setattr(ad, "_frozen_choice", None)
+        with pytest.raises(FixtureError):
+            ad.frozen_interpretation()
+        with pytest.raises(FixtureError):
+            ad.kernel(ad.identity_of(ad.embed(1)))
+
 
 def test_universal_property_battery():
     rep = ad.universal_property_trials(seed=1729, trials=30, max_dim=3)
     assert rep.ok
+
+
+# seed -> (literal-middle kernel failures, literal-middle cokernel
+# failures, sha256 prefix of 40 random draws); a change to a nullspace
+# basis, a particular solution or the order of the draws moves them
+PINNED_DRAWS = {
+    1729: (1, 2, "417daa7a80faa74c"),
+    7: (4, 1, "07cc0aceff4ae322"),
+    42: (1, 1, "97de7b8c93a40c3a"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_DRAWS))
+def test_random_draws_are_pinned(seed):
+    literal_kernel, literal_cokernel, digest = PINNED_DRAWS[seed]
+    rep = ad.resolve_interpretation(seed)
+    assert rep.trials == 24
+    assert rep.kernel_scores == {"extended-middle": 0, "literal-middle": literal_kernel}
+    assert rep.cokernel_scores == {"extended-middle": 0, "literal-middle": literal_cokernel}
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for _ in range(40):
+        X = ad.random_object(rng, 4)
+        Y = ad.random_object(rng, 4)
+        f = ad.random_morphism(rng, X, Y)
+        d, w = ad.random_null_homotopic(rng, X, Y)
+        for m in (f.x1, f.x2, f.x3, d.x1, d.x2, d.x3, w.s1, w.s2):
+            h.update(repr((m.rows, m.cols,
+                           sorted((k, str(v)) for k, v in m.entries.items()))).encode())
+    assert h.hexdigest()[:16] == digest
+
+
+def probed_system(shapes, residual, targets):
+    """Oracle for the constraint builder: column k of the matrix is the
+    residual at the k-th unit vector, each residual matrix flattened
+    row-major after the previous one; targets (None for zero) flatten
+    the same way into the right-hand side."""
+    offsets = [0]
+    for r, c in shapes:
+        offsets.append(offsets[-1] + r * c)
+
+    def unit(col):
+        return [SparseMat(r, c, {divmod(col - off, c): 1} if off <= col < off + r * c else {})
+                for (r, c), off in zip(shapes, offsets)]
+
+    def flat(mats):
+        out, base = {}, 0
+        for m in mats:
+            for (i, j), x in m.entries.items():
+                out[base + i * m.cols + j] = x
+            base += m.rows * m.cols
+        return out, base
+
+    zero = residual(*unit(-1))
+    ent = {}
+    for col in range(offsets[-1]):
+        for row, x in flat(residual(*unit(col)))[0].items():
+            ent[row, col] = x
+    rhs, height = flat([z if t is None else t for z, t in zip(zero, targets)])
+    return SparseMat(height, offsets[-1], ent), rhs
+
+
+def triple_shapes(src, tgt):
+    return [(b, a) for a, b in zip(src.dims, tgt.dims)]
+
+
+def squares(src, tgt, x1, x2, x3):
+    return [x2 @ src.m1 - tgt.m1 @ x1, x3 @ src.m2 - tgt.m2 @ x2]
+
+
+def test_constraint_systems_match_unit_vector_oracle(monkeypatch):
+    """Every system handed to the elimination engine equals the one read
+    off the residual on unit vectors: homotopies, morphism spaces,
+    null-homotopic morphisms and both factorizations."""
+    calls = []
+    real_solve, real_nullspace = ad.solve, ad.nullspace
+
+    def solve(m, b):
+        calls.append((m, b))
+        return real_solve(m, b)
+
+    def nullspace(m):
+        calls.append((m, {}))
+        return real_nullspace(m)
+
+    monkeypatch.setattr(ad, "solve", solve)
+    monkeypatch.setattr(ad, "nullspace", nullspace)
+
+    def first_system(fn, *args):
+        calls.clear()
+        out = fn(*args)
+        return out, calls[0]
+
+    rng = random.Random(4141)
+    dims_seen = set()
+    for _ in range(100):
+        X, Y, W = (ad.random_object(rng) for _ in range(3))
+        dims_seen.update(X.dims + Y.dims)
+
+        f, got = first_system(ad.random_morphism, rng, X, Y)
+        assert got == probed_system(
+            triple_shapes(X, Y), lambda *x: squares(X, Y, *x), [None, None])
+
+        (d, _), got = first_system(ad.random_null_homotopic, rng, X, Y)
+
+        def null_residual(x1, x3, s1, s2):
+            return squares(X, Y, x1, Y.m1 @ s1 + s2 @ X.m2, x3)
+
+        shapes = [(Y.dims[0], X.dims[0]), (Y.dims[2], X.dims[2]),
+                  (Y.dims[0], X.dims[1]), (Y.dims[1], X.dims[2])]
+        assert got == probed_system(shapes, null_residual, [None, None])
+
+        g = ad.TripleMorphism(X, Y, f.x1 + d.x1, f.x2 + d.x2, f.x3 + d.x3)
+        h_shapes = [(Y.dims[0], X.dims[1]), (Y.dims[1], X.dims[2])]
+        _, got = first_system(ad.homotopic, f, g)
+        assert got == probed_system(
+            h_shapes, lambda s1, s2: [Y.m1 @ s1 + s2 @ X.m2], [f.x2 - g.x2])
+
+        # through o v ~ u with v: W -> ker, and v o through ~ u with v: cok -> W
+        for side in ("kernel", "cokernel"):
+            if side == "kernel":
+                ker, through = ad.kernel(f)
+                u = ad.random_morphism(rng, W, X)
+                vsrc, vtgt = W, ker
+                factor = ad.factors_through_kernel
+            else:
+                cok, through = ad.cokernel(f)
+                u = ad.random_morphism(rng, Y, W)
+                vsrc, vtgt = cok, W
+                factor = ad.factors_through_cokernel
+            src, tgt = u.source, u.target
+
+            def residual(v1, v2, v3, s1, s2):
+                middle = through.x2 @ v2 if side == "kernel" else v2 @ through.x2
+                return squares(vsrc, vtgt, v1, v2, v3) + [middle + tgt.m1 @ s1 + s2 @ src.m2]
+
+            shapes = triple_shapes(vsrc, vtgt) + [(tgt.dims[0], src.dims[1]),
+                                                   (tgt.dims[1], src.dims[2])]
+            _, got = first_system(factor, u, through)
+            assert got == probed_system(shapes, residual, [None, None, u.x2])
+    assert 0 in dims_seen

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from vermalab import cli, hecke
+from vermalab import adelman, cli, fixtures, hecke
 from vermalab.cli import RunConfig, main, run, scalar_str
 from vermalab.exactla import Laurent
 
@@ -47,6 +47,28 @@ class TestExitCodes:
         assert main(["verify-hecke", "--n-max", "2"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("verification failure:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("content", [None, '{"kernel": "extended-middle"}'],
+                             ids=["missing", "malformed"])
+    def test_bad_adelman_fixture_is_a_fixture_error(self, tmp_path, monkeypatch,
+                                                    capsys, content):
+        path = tmp_path / "adelman_interpretation.json"
+        if content is not None:
+            path.write_text(content)
+        monkeypatch.setattr(fixtures, "ADELMAN_FIXTURE", path)
+        monkeypatch.setattr(adelman, "_frozen_choice", None)
+        assert main(["verify-adelman", "--trials", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fixture or file error:")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_unwritable_output_is_a_file_error(self, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "d.json"
+        assert main(["decompose", "--n", "2", "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fixture or file error:")
         assert "Traceback" not in err
 
 
@@ -186,3 +208,15 @@ class TestRefreeze:
         assert any(row["n"] == 2 and row["m"] == 3
                    and row["residualNormalForm"] == "1*b1"
                    for row in frozen["table"])
+
+    def test_adelman_refreeze_writes_a_missing_fixture(self, tmp_path, monkeypatch):
+        target = tmp_path / "adelman_interpretation.json"
+        monkeypatch.setattr(fixtures, "ADELMAN_FIXTURE", target)
+        monkeypatch.setattr(cli, "ADELMAN_FIXTURE", target)
+        monkeypatch.setattr(adelman, "_frozen_choice", None)
+        code, out = run_to_file(tmp_path, "ad.json", command="verify-adelman",
+                                trials=4, refreeze=True)
+        assert code == 0
+        assert json.loads(out.read_text())["interpretationChosen"]["matchesFixture"]
+        frozen = json.loads(target.read_text())
+        assert (frozen["kernel"], frozen["cokernel"]) == ("extended-middle", "extended-middle")
