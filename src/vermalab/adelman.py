@@ -569,6 +569,23 @@ class UniversalPropertyReport:
         return self.kernel_failed == 0 and self.cokernel_failed == 0
 
 
+# The kernel side and the cokernel side as (end, after, hom, readings,
+# factors): end(t) is the end of t the candidate attaches to, after(f, g)
+# composes g with f on that side (f o g for kernels, g o f for
+# cokernels), and hom(rng, W, obj) draws a random morphism W -> obj for
+# kernels and obj -> W for cokernels.  The lambdas look the module
+# functions up at call time, so a wrapper installed on the module
+# attribute (as a tracer does) sees every call.
+_SIDES = (
+    (lambda t: t.source, lambda f, g: compose(f, g),
+     lambda rng, W, obj: random_morphism(rng, W, obj),
+     KERNEL_INTERPRETATIONS, lambda u, inc: factors_through_kernel(u, inc)),
+    (lambda t: t.target, lambda f, g: compose(g, f),
+     lambda rng, W, obj: random_morphism(rng, obj, W),
+     COKERNEL_INTERPRETATIONS, lambda u, proj: factors_through_cokernel(u, proj)),
+)
+
+
 def universal_property_trials(seed, trials, max_dim=4,
                               kernel_interpretation=None,
                               cokernel_interpretation=None):
@@ -582,33 +599,23 @@ def universal_property_trials(seed, trials, max_dim=4,
         Y = random_object(rng, max_dim)
         t = random_morphism(rng, X, Y)
         W = random_object(rng, max_dim)
-        ker, inc = kernel(t, kernel_interpretation)
-        ok = homotopic_to_zero(compose(t, inc)) is not None
-        if ok:
-            tests = []
-            if homotopic_to_zero(t) is not None:
-                tests.append(identity_of(X))
-            u = random_morphism(rng, W, X)
-            if homotopic_to_zero(compose(t, u)) is not None:
-                tests.append(u)
-            tests.append(compose(inc, random_morphism(rng, W, ker)))
-            ok = all(factors_through_kernel(u, inc) is not None for u in tests)
-        rep.kernel_passed += 1 if ok else 0
-        rep.kernel_failed += 0 if ok else 1
-
-        cok, proj = cokernel(t, cokernel_interpretation)
-        ok = homotopic_to_zero(compose(proj, t)) is not None
-        if ok:
-            tests = []
-            if homotopic_to_zero(t) is not None:
-                tests.append(identity_of(Y))
-            u = random_morphism(rng, Y, W)
-            if homotopic_to_zero(compose(u, t)) is not None:
-                tests.append(u)
-            tests.append(compose(random_morphism(rng, cok, W), proj))
-            ok = all(factors_through_cokernel(u, proj) is not None for u in tests)
-        rep.cokernel_passed += 1 if ok else 0
-        rep.cokernel_failed += 0 if ok else 1
+        passed = []
+        for (end, after, hom, _, factors), build, name in zip(
+                _SIDES, (kernel, cokernel), (kernel_interpretation, cokernel_interpretation)):
+            obj, arrow = build(t, name)
+            ok = homotopic_to_zero(after(t, arrow)) is not None
+            if ok:
+                tests = [identity_of(end(t))] if homotopic_to_zero(t) is not None else []
+                u = hom(rng, W, end(t))
+                if homotopic_to_zero(after(t, u)) is not None:
+                    tests.append(u)
+                tests.append(after(arrow, hom(rng, W, obj)))
+                ok = all(factors(u, arrow) is not None for u in tests)
+            passed.append(ok)
+        rep.kernel_passed += passed[0]
+        rep.kernel_failed += not passed[0]
+        rep.cokernel_passed += passed[1]
+        rep.cokernel_failed += not passed[1]
     return rep
 
 
@@ -640,14 +647,10 @@ def resolve_interpretation(seed=1729, min_trials=24, max_trials=400, max_dim=3):
     seed and stable across seeds.
     """
     rng = random.Random(seed)
-
-    kernel_scores = {name: 0 for name in KERNEL_INTERPRETATIONS}
-    cokernel_scores = {name: 0 for name in COKERNEL_INTERPRETATIONS}
+    scores = [{name: 0 for name in readings} for _, _, _, readings, _ in _SIDES]
 
     def undecided():
-        k_alive = sum(1 for v in kernel_scores.values() if v == 0)
-        c_alive = sum(1 for v in cokernel_scores.values() if v == 0)
-        return k_alive > 1 or c_alive > 1
+        return any(sum(1 for v in side.values() if v == 0) > 1 for side in scores)
 
     tests_per_candidate = 4
     trials = 0
@@ -657,53 +660,27 @@ def resolve_interpretation(seed=1729, min_trials=24, max_trials=400, max_dim=3):
         Y = random_object(rng, max_dim)
         t = random_morphism(rng, X, Y)
         W = random_object(rng, max_dim)
-        sub = rng.getrandbits(32)
-        # --- kernels
-        candidates = {name: f(t) for name, f in KERNEL_INTERPRETATIONS.items()}
-        tests = []
-        r2 = random.Random(sub)
-        if homotopic_to_zero(t) is not None:
-            tests.append(identity_of(t.source))  # everything must factor
-        for _ in range(2):
-            u = random_morphism(r2, W, t.source)
-            if homotopic_to_zero(compose(t, u)) is not None:
-                tests.append(u)
-        for ker, inc in candidates.values():
-            for _ in range(tests_per_candidate):
-                cand_u = compose(inc, random_morphism(r2, W, ker))
-                if homotopic_to_zero(compose(t, cand_u)) is not None:
-                    tests.append(cand_u)
-        for name, (ker, inc) in candidates.items():
-            ok = homotopic_to_zero(compose(t, inc)) is not None
-            if ok:
-                for u_test in tests:
-                    if factors_through_kernel(u_test, inc) is None:
-                        ok = False
-                        break
-            kernel_scores[name] += 0 if ok else 1
-        # --- cokernels
-        candidates = {name: f(t) for name, f in COKERNEL_INTERPRETATIONS.items()}
-        tests = []
-        if homotopic_to_zero(t) is not None:
-            tests.append(identity_of(t.target))
-        for _ in range(2):
-            u = random_morphism(r2, t.target, W)
-            if homotopic_to_zero(compose(u, t)) is not None:
-                tests.append(u)
-        for cok, proj in candidates.values():
-            for _ in range(tests_per_candidate):
-                cand_u = compose(random_morphism(r2, cok, W), proj)
-                if homotopic_to_zero(compose(cand_u, t)) is not None:
-                    tests.append(cand_u)
-        for name, (cok, proj) in candidates.items():
-            ok = homotopic_to_zero(compose(proj, t)) is not None
-            if ok:
-                for u_test in tests:
-                    if factors_through_cokernel(u_test, proj) is None:
-                        ok = False
-                        break
-            cokernel_scores[name] += 0 if ok else 1
+        r2 = random.Random(rng.getrandbits(32))
+        for (end, after, hom, readings, factors), side_scores in zip(_SIDES, scores):
+            candidates = {name: f(t) for name, f in readings.items()}
+            tests = []
+            if homotopic_to_zero(t) is not None:
+                tests.append(identity_of(end(t)))  # everything must factor
+            for _ in range(2):
+                u = hom(r2, W, end(t))
+                if homotopic_to_zero(after(t, u)) is not None:
+                    tests.append(u)
+            for obj, arrow in candidates.values():
+                for _ in range(tests_per_candidate):
+                    cand_u = after(arrow, hom(r2, W, obj))
+                    if homotopic_to_zero(after(t, cand_u)) is not None:
+                        tests.append(cand_u)
+            for name, (_, arrow) in candidates.items():
+                ok = (homotopic_to_zero(after(t, arrow)) is not None
+                      and all(factors(u, arrow) is not None for u in tests))
+                side_scores[name] += 0 if ok else 1
 
+    kernel_scores, cokernel_scores = scores
     kernel_pass = [n for n, bad in kernel_scores.items() if bad == 0]
     cokernel_pass = [n for n, bad in cokernel_scores.items() if bad == 0]
     if len(kernel_pass) != 1 or len(cokernel_pass) != 1:

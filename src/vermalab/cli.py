@@ -18,9 +18,9 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import adelman, enright, hecke, heisenberg, sl2mod
+from .exactla import scalar_str
 from .fixtures import (
     ADELMAN_FIXTURE,
     TILDE_FIXTURE,
@@ -47,12 +47,6 @@ class RunConfig:
     output_path: str = None
     fmt: str = "json"
     refreeze: bool = False
-
-
-def scalar_str(x):
-    """Exact scalar as a string: decimal for integers, num/den otherwise."""
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +85,7 @@ def _case_record(n, s, iprime):
     else:
         mat, basis = enright.casimir_weight_matrix(n, s, c)
         pos = {b: i for i, b in enumerate(basis)}
-        vec = {pos[key]: Fraction(v) for key, v in rec.coefficients.items()}
+        vec = {pos[key]: v for key, v in rec.coefficients.items()}
         checks["casimirNilpotent"] = not mat.apply(vec)
     ok = (
         checks["positivity"]

@@ -121,7 +121,7 @@ def casimir_weight_matrix(n, mu, c=0):
     pos = {b: idx for idx, b in enumerate(basis)}
     ent = {}
     for j, (i, k) in enumerate(basis):
-        col = casimir_on_vector(mod, {("vw", i, k): Fraction(1)})
+        col = casimir_on_vector(mod, {("vw", i, k): 1})
         for lbl, x in col.items():
             ent[pos[(lbl[1], lbl[2])], j] = x
         if c:
@@ -143,7 +143,7 @@ def _e_restriction_matrix(n, mu):
     pos = {b: idx for idx, b in enumerate(targets)}
     ent = {}
     for j, (i, k) in enumerate(basis):
-        for lbl, x in apply_op(mod, "e", {("vw", i, k): Fraction(1)}).items():
+        for lbl, x in apply_op(mod, "e", {("vw", i, k): 1}).items():
             ent[pos[(lbl[1], lbl[2])], j] = x
     return SparseMat(len(targets), len(basis), ent), basis
 
@@ -168,14 +168,17 @@ def p_coefficients(n, r):
         raise ValueError(f"(n+r)/2 must be nonnegative, got {half}")
     out = []
     for i in range(half + 1):
-        val = Fraction(4) ** (half - i) * Fraction(n + r + 2, n + r - 2 * i + 2)
+        num = 4 ** (half - i) * (n + r + 2)
         for j in range(i):
-            val *= (n + r - 2 * j) ** 2
+            num *= (n + r - 2 * j) ** 2
         for nu in range(i, half):  # nu runs to (n+r-2)/2 inclusive
-            val *= n - nu
-        if val.denominator != 1 or val <= 0:
-            raise AssertionError(f"p_{i} is not a positive integer for n={n}, r={r}: {val}")
-        out.append(int(val))
+            num *= n - nu
+        den = n + r - 2 * i + 2
+        val, rem = divmod(num, den)
+        if rem or val <= 0:
+            raise AssertionError(
+                f"p_{i} is not a positive integer for n={n}, r={r}: {num}/{den}")
+        out.append(val)
     return out
 
 
@@ -188,7 +191,7 @@ class HwvRecord:
     basis: list = field(default_factory=list)
 
     def vector(self):
-        return {("vw", i, k): Fraction(c) for (i, k), c in self.coefficients.items()}
+        return {("vw", i, k): c for (i, k), c in self.coefficients.items()}
 
 
 def highest_weight_vector(n, s):
@@ -208,7 +211,7 @@ def highest_weight_vector(n, s):
         raise AssertionError(
             f"e-kernel at weight {s} has dimension {len(ker)}, expected 1 (n={n})")
     vec = ker[0]
-    coeffs = {basis[j]: int(c) for j, c in vec.items()}
+    coeffs = {basis[j]: c for j, c in vec.items()}
     if any(c <= 0 for c in coeffs.values()):
         raise AssertionError(f"highest weight coefficients not positive at n={n}, s={s}")
 
@@ -263,7 +266,7 @@ def alpha_recursion_check(record):
     residuals = hwv_recursion_residuals(record.n, record.coefficients)
     if record.s != record.n:
         n, r = record.n, -record.s - 2
-        seed = Fraction(4) ** ((n + r) // 2)
+        seed = 4 ** ((n + r) // 2)
         for nu in range((n - r + 2) // 2, n + 1):
             seed *= nu
         if record.p_list[0] != seed:
@@ -361,11 +364,7 @@ def projective_generator(n, s):
 
     sigma = None
     for cand in range(1, 1001):
-        a = vec_add(u, vec_scale(cand, z))
-        g = 0
-        for x in a.values():
-            g = math.gcd(g, abs(int(x)))
-        if g == 1:
+        if math.gcd(*vec_add(u, vec_scale(cand, z)).values()) == 1:
             sigma = cand
             break
     if sigma is None:
@@ -382,20 +381,19 @@ def projective_generator(n, s):
     if a.get(last):
         raise AssertionError("generator support leaks onto the k=0 boundary")
 
-    q_list = [int(a.get(j, 0)) for j in range(top + 1)]
-    p_list = [int(u.get(j, 0)) for j in range(top + 1)]
+    q_list = [a.get(j, 0) for j in range(top + 1)]
+    p_list = [u.get(j, 0) for j in range(top + 1)]
     if any(p <= 0 for p in p_list):
         raise AssertionError("kernel line coefficients expected positive")
 
-    m_shift = max(
-        [0] + [1 + math.ceil(Fraction(-q, p)) for q, p in zip(q_list, p_list)]
-    )
+    # 1 - q // p == 1 + ceil(-q / p) for p > 0
+    m_shift = max([0] + [1 - q // p for q, p in zip(q_list, p_list)])
     final = [q + m_shift * p for q, p in zip(q_list, p_list)]
     if any(x <= 0 for x in final):
         raise AssertionError("shifted coefficients are not all positive")
 
     def keyed(vec):
-        return {basis[j]: int(x) for j, x in vec.items()}
+        return {basis[j]: x for j, x in vec.items()}
 
     final_vec = vec_add(a, vec_scale(m_shift, u))
     record = ProjGenRecord(
@@ -642,7 +640,7 @@ def pseudoadjoint_check(module, c, margin=8):
     identity_zero = True
     casimir_match = True
     for b in interior:
-        v = {b: Fraction(1)}
+        v = {b: 1}
         Bv = _apply_combo(module, _B_WORDS, v)
         Cv = _apply_combo(module, _C_WORDS, v)
         lhs = _apply_combo(module, _B_WORDS, Bv)
@@ -704,12 +702,12 @@ def _formal_matrices(n, depth):
     e_ent = {}
     for j, (i, k) in enumerate(basis):
         if i < n:
-            f_ent[pos_ext[(i + 1, k)], j] = Fraction(i + 1)
-        f_ent[pos_ext[(i, k + 1)], j] = Fraction(1)
+            f_ent[pos_ext[(i + 1, k)], j] = i + 1
+        f_ent[pos_ext[(i, k + 1)], j] = 1
         if i > 0:
-            e_ent[pos[(i - 1, k)], j] = Fraction(n - i + 1)
+            e_ent[pos[(i - 1, k)], j] = n - i + 1
         if k >= 2:
-            e_ent[pos[(i, k - 1)], j] = Fraction(-k * (k - 1))
+            e_ent[pos[(i, k - 1)], j] = -k * (k - 1)
     F = SparseMat(len(basis_ext), len(basis), f_ent)
     E = SparseMat(len(basis), len(basis), e_ent)
     return basis, basis_ext, F, E
@@ -741,11 +739,11 @@ def decategorify(n, depth):
         if any(m < 0 for m in classes.values()):
             hwv_ok[s] = False
             continue
-        image = {("vw", i, k): Fraction(m) for (i, k), m in classes.items()}
+        image = {("vw", i, k): m for (i, k), m in classes.items()}
         is_hwv = vec_is_zero(apply_op(mod, "e", image))
         ratio_ok = all(
-            Fraction(classes[(j, (n - s) // 2 - j)]) * rec.coefficients[rec.basis[0]]
-            == Fraction(rec.coefficients.get((j, (n - s) // 2 - j), 0)) * classes[(0, (n - s) // 2)]
+            classes[(j, (n - s) // 2 - j)] * rec.coefficients[rec.basis[0]]
+            == rec.coefficients.get((j, (n - s) // 2 - j), 0) * classes[(0, (n - s) // 2)]
             for j in range(len(rec.p_list))
         )
         hwv_ok[s] = is_hwv and ratio_ok
@@ -753,7 +751,7 @@ def decategorify(n, depth):
     gen_ok = {}
     for r in sets.Iprime:
         rec = projective_generator(n, r)
-        image = {("vw", i, k): Fraction(x) for (i, k), x in rec.final_vector.items()}
+        image = {("vw", i, k): x for (i, k), x in rec.final_vector.items()}
         if any(x <= 0 for x in rec.final):
             gen_ok[r] = False
             continue

@@ -6,6 +6,13 @@ integer coefficients) or :class:`RatFunc` (reduced fractions of
 polynomials in ``q`` with rational coefficients, denominator monic).
 Matrices are sparse maps ``(row, col) -> scalar`` with zeros absent.
 
+A value is a ``Fraction`` only when a division produced it, which is
+back substitution: ``solve`` returns such values, and ``nullspace``
+scales its vectors back to ``int``.  Every integral structure constant
+(identity matrices, the sl2 actions, the Casimir, the closed-form
+coefficients) is a plain ``int``, and ``scalar_str`` renders both kinds
+the same way.
+
 ``Laurent`` is the coefficient ring of the Hecke algebra: every
 structure constant there lies in Z[q, q^-1], so its arithmetic needs no
 gcd.  Its one division, by 1 - q, is exact or raises ArithmeticError.
@@ -15,8 +22,9 @@ tests check ``Laurent`` against.
 
 ``nullspace``, ``rank``, ``solve`` and ``generalized_kernel`` all run one
 sparse integer echelon routine on matrices with ``int`` or ``Fraction``
-entries (anything else raises ``TypeError``).  Each row becomes a
-``{col: int}`` dict scaled by the lcm of its denominators; the
+entries (anything else raises ``TypeError``); ``Fraction`` entries
+arrive when a solution of ``solve`` enters a later system.  Each row
+becomes a ``{col: int}`` dict scaled by the lcm of its denominators; the
 right-hand side of ``solve`` is an extra column.  Rows are bucketed by
 leading column, columns are taken in increasing order, and the shortest
 row of a bucket is the pivot that clears that column from the others.
@@ -51,6 +59,7 @@ __all__ = [
     "vec_scale",
     "vec_is_zero",
     "normalize_integer_vector",
+    "scalar_str",
 ]
 
 
@@ -295,6 +304,12 @@ def as_integer(x):
     raise TypeError(f"expected an integer, not {x!r}")
 
 
+def scalar_str(x):
+    """Exact scalar as a string: decimal for integers, num/den otherwise."""
+    f = Fraction(x)
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
 def _laurent(low, coeffs):
     """The Laurent polynomial sum coeffs[k] q^(low + k) from a list of
     ints, trimming zeros at both ends."""
@@ -515,8 +530,8 @@ class SparseMat:
                     self.entries[r, c] = val
 
     @staticmethod
-    def identity(n, one=Fraction(1)):
-        return SparseMat(n, n, {(i, i): one for i in range(n)})
+    def identity(n):
+        return SparseMat(n, n, {(i, i): 1 for i in range(n)})
 
     @staticmethod
     def from_rows(rows_list):
@@ -528,7 +543,7 @@ class SparseMat:
                 raise ValueError("ragged rows")
             for j, x in enumerate(row):
                 if x:
-                    ent[i, j] = Fraction(x) if isinstance(x, int) else x
+                    ent[i, j] = x
         return SparseMat(rows, cols, ent)
 
     def __getitem__(self, key):
@@ -764,8 +779,9 @@ def generalized_kernel(m, power):
         raise ValueError("generalized kernel needs a square matrix")
     if power < 1:
         raise ValueError("power must be positive")
+    mp = m**power
     kernel = nullspace(m)
-    big = nullspace(m**power)
+    big = nullspace(mp)
     # extend `kernel` to a basis of the larger space, keeping the order of
     # `big`: the excess vectors are the pivot columns of [kernel | big]
     # that lie in `big`
@@ -774,7 +790,6 @@ def generalized_kernel(m, power):
         m.cols, len(columns), {(k, j): x for j, v in enumerate(columns) for k, x in v.items()}
     )
     excess = [columns[c] for c, _ in _echelon(_integer_rows(stacked)) if c >= len(kernel)]
-    mp = m**power
     for v in excess:
         if vec_is_zero(m.apply(v)):
             raise AssertionError("excess vector lies in the plain kernel")

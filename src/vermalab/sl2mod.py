@@ -1,6 +1,8 @@
 """Truncated sl2-modules with exact action matrices.
 
-Four module kinds are supported, all over exact rationals:
+Four module kinds are supported, all with exact e, f, h actions.  The
+coefficients are ``int``, except T_r's e-action, which an exact solve
+produces as ``Fraction``s:
 
 - ``Ln``         the (n+1)-dimensional simple module, basis v_0..v_n
 - ``Verma``      the highest weight module of weight lambda on w_k = x^k
@@ -19,9 +21,8 @@ most ``margin`` stay inside the slice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactla import SparseMat, nullspace, solve, vec_is_zero
+from .exactla import SparseMat, nullspace, scalar_str, solve, vec_is_zero
 
 __all__ = [
     "TruncatedModule",
@@ -99,11 +100,11 @@ class TruncatedModule:
     def act_label(self, op, label):
         """Exact action of op in {'e','f','h'} on one basis label.
 
-        The result is a dict label -> Fraction in the untruncated module;
+        The result is a dict label -> coefficient in the untruncated module;
         raises TruncationError when the action is not known that deep.
         """
         if op == "h":
-            return {label: Fraction(self.weights[label])} if self.weights[label] else {}
+            return {label: self.weights[label]} if self.weights[label] else {}
         return self._act(op, label)
 
     def weight(self, label):
@@ -242,9 +243,9 @@ def build_Ln(n):
     def act(op, label):
         i = label[1]
         if op == "e":
-            return {("v", i - 1): Fraction(n - i + 1)} if i >= 1 else {}
+            return {("v", i - 1): n - i + 1} if i >= 1 else {}
         if op == "f":
-            return {("v", i + 1): Fraction(i + 1)} if i < n else {}
+            return {("v", i + 1): i + 1} if i < n else {}
         raise ValueError(op)
 
     return TruncatedModule("Ln", {"n": n}, n, basis, basis, weights, depths,
@@ -266,10 +267,10 @@ def build_verma(lam, depth):
     def act(op, label):
         k = label[1]
         if op == "e":
-            c = Fraction(k * (lam - k + 1))
+            c = k * (lam - k + 1)
             return {("w", k - 1): c} if k >= 1 and c else {}
         if op == "f":
-            return {("w", k + 1): Fraction(1)}
+            return {("w", k + 1): 1}
         raise ValueError(op)
 
     return TruncatedModule("Verma", {"lam": lam}, depth, basis, basis_ext,
@@ -297,14 +298,14 @@ def build_tensor(n, depth):
         out = {}
         if op == "e":
             if i >= 1:
-                out[("vw", i - 1, k)] = Fraction(n - i + 1)
+                out[("vw", i - 1, k)] = n - i + 1
             if k >= 2:  # k(k-1) vanishes for k <= 1
-                out[("vw", i, k - 1)] = Fraction(-k * (k - 1))
+                out[("vw", i, k - 1)] = -k * (k - 1)
             return out
         if op == "f":
             if i < n:
-                out[("vw", i + 1, k)] = Fraction(i + 1)
-            out[("vw", i, k + 1)] = Fraction(1)
+                out[("vw", i + 1, k)] = i + 1
+            out[("vw", i, k + 1)] = 1
             return out
         raise ValueError(op)
 
@@ -333,8 +334,8 @@ def build_Tr(r, n, depth):
 
     hwv = enright.highest_weight_vector(n, r)
     gen = enright.projective_generator(n, r)
-    u_vec = {("vw", i, k): Fraction(c) for (i, k), c in hwv.coefficients.items()}
-    a_vec = {("vw", i, k): Fraction(c) for (i, k), c in gen.final_vector.items()}
+    u_vec = hwv.vector()
+    a_vec = {("vw", i, k): c for (i, k), c in gen.final_vector.items()}
 
     # tensor slice deep enough to hold f^(depth+1) of both generators
     a_top = max(k for (_, k) in gen.final_vector)
@@ -404,7 +405,7 @@ def build_Tr(r, n, depth):
         tower = a_tower if lbl[0] == "a" else u_tower
         d = depths[lbl]
         if d <= depth:
-            table["f", lbl] = {(lbl[0], k + 1): Fraction(1)}
+            table["f", lbl] = {(lbl[0], k + 1): 1}
         # e image lives one depth higher in weight; solve it back
         if d <= depth + 1:
             e_img = apply_op(amb, "e", tower[k])
@@ -431,26 +432,26 @@ def _validate_Tr(mod, r):
     cross coefficient of e from the a-column into the u-column must not
     depend on the f-power.
     """
-    if mod.act_label("h", ("a", 0)) != {("a", 0): Fraction(-r - 2)}:
+    if mod.act_label("h", ("a", 0)) != {("a", 0): -r - 2}:
         raise ConstructionError("generator a does not have weight -r-2")
     kappa = None
     for lbl in mod.basis:
         k = lbl[1]
         img = mod.act_label("e", lbl)
         if lbl[0] == "u":
-            expect = {("u", k - 1): Fraction(k * (r - k + 1))} if k >= 1 and k != r + 1 else {}
+            expect = {("u", k - 1): k * (r - k + 1)} if k >= 1 and k != r + 1 else {}
             if img != expect:
                 raise ConstructionError(f"u-column is not the Verma({r}) action at {lbl}")
         else:
             a_part = {l: c for l, c in img.items() if l[0] == "a"}
             u_part = {l: c for l, c in img.items() if l[0] == "u"}
-            expect = {("a", k - 1): Fraction(-k * (k + r + 1))} if k >= 1 else {}
+            expect = {("a", k - 1): -k * (k + r + 1)} if k >= 1 else {}
             if a_part != expect:
                 raise ConstructionError(
                     f"a-column does not give the Verma({-r - 2}) quotient action at {lbl}")
             if set(u_part) - {("u", k + r)}:
                 raise ConstructionError(f"unexpected cross terms in e at {lbl}")
-            c = u_part.get(("u", k + r), Fraction(0))
+            c = u_part.get(("u", k + r), 0)
             if kappa is None:
                 kappa = c
             elif c != kappa:
@@ -470,7 +471,7 @@ def casimir(m):
     """
     ent = {}
     for j, b in enumerate(m.basis):
-        col = casimir_on_vector(m, {b: Fraction(1)})
+        col = casimir_on_vector(m, {b: 1})
         for lbl, c in col.items():
             i = m.index.get(lbl)
             if i is not None:
@@ -519,7 +520,7 @@ def verify_category_I(m, margin=1):
     kills each basis vector).
     """
     weights_ok = all(
-        m.act_label("h", b) == ({b: Fraction(m.weights[b])} if m.weights[b] else {})
+        m.act_label("h", b) == ({b: m.weights[b]} if m.weights[b] else {})
         for b in m.basis
     )
 
@@ -545,7 +546,7 @@ def verify_category_I(m, margin=1):
     e_ok = True
     for b in m.basis:
         steps = (top - m.weights[b]) // 2 + 1
-        vec = {b: Fraction(1)}
+        vec = {b: 1}
         for _ in range(steps):
             vec = apply_op(m, "e", vec)
             if not vec:
@@ -566,16 +567,12 @@ def verify_category_I(m, margin=1):
 def module_to_json(m):
     """JSON-ready document: labels, weights, and matrix triplet lists."""
 
-    def scalar(x):
-        f = Fraction(x)
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
     def triplets(mat):
-        return [[i, j, scalar(x)] for (i, j), x in sorted(mat.entries.items())]
+        return [[i, j, scalar_str(x)] for (i, j), x in sorted(mat.entries.items())]
 
     return {
         "kind": m.kind,
-        "params": {k: (v if isinstance(v, int) else scalar(v))
+        "params": {k: (v if isinstance(v, int) else scalar_str(v))
                    for k, v in m.params.items()},
         "depth": m.depth,
         "basis": [label_str(b) for b in m.basis],

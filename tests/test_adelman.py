@@ -383,3 +383,11 @@ def test_constraint_systems_match_unit_vector_oracle(monkeypatch):
             _, got = first_system(factor, u, through)
             assert got == probed_system(shapes, residual, [None, None, u.x2])
     assert 0 in dims_seen
+
+
+def test_identities_are_plain_int():
+    rng = random.Random(5)
+    for _ in range(20):
+        ident = ad.identity_of(ad.random_object(rng))
+        assert all(type(x) is int
+                   for m in (ident.x1, ident.x2, ident.x3) for x in m.entries.values())

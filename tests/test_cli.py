@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from vermalab import adelman, cli, fixtures, hecke
+from vermalab import adelman, cli, exactla, fixtures, hecke
 from vermalab.cli import RunConfig, main, run, scalar_str
 from vermalab.exactla import Laurent
 
@@ -188,10 +189,28 @@ class TestFormats:
             "model,relation,n,indices,witnessOrPass\r\n")
 
     def test_scalar_rendering(self):
-        from fractions import Fraction
         assert scalar_str(5) == "5"
         assert scalar_str(Fraction(-3, 4)) == "-3/4"
         assert scalar_str(Fraction(8, 2)) == "4"
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--n-max", "6"], ["decompose", "--n", "4"], ["verify-pseudoadjoint", "--n", "4"],
+], ids=["report", "decompose", "verify-pseudoadjoint"])
+def test_sl2_eliminations_see_no_fraction(monkeypatch, capsys, argv):
+    """Integral values stay int all the way into the elimination engine."""
+    seen = []
+    real = exactla._integer_rows
+
+    def recording(m, rhs=None):
+        seen.extend(m.entries.values())
+        seen.extend((rhs or {}).values())
+        return real(m, rhs)
+
+    monkeypatch.setattr(exactla, "_integer_rows", recording)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert seen and not [x for x in seen if isinstance(x, Fraction)]
 
 
 class TestRefreeze:

@@ -302,3 +302,10 @@ class TestDecategorify:
         j = basis.index((0, 0))
         col = {i: x for (i, jj), x in F.entries.items() if jj == j}
         assert col == {basis_ext.index((1, 0)): 1, basis_ext.index((0, 1)): 1}
+
+
+def test_integral_matrices_are_plain_int():
+    shifted, _ = enright.casimir_weight_matrix(4, -4, 8)
+    _, _, F, E = enright._formal_matrices(3, 4)
+    for mat in (shifted, F, E):
+        assert mat.entries and all(type(x) is int for x in mat.entries.values())

@@ -128,6 +128,11 @@ class TestGeneralizedKernel:
             generalized_kernel(SparseMat(2, 3), 2)
 
 
+def test_identity_and_from_rows_keep_int_entries():
+    for m in (SparseMat.identity(3), mat([[1, 0], [-2, 5]])):
+        assert m.entries and all(type(x) is int for x in m.entries.values())
+
+
 class TestRatFunc:
     def test_reduction_idempotent(self):
         q = RatFunc.q()

@@ -223,3 +223,13 @@ def test_serialization_roundtrip_shape():
 def test_label_str():
     assert label_str(("vw", 1, 2)) == "v1*w2"
     assert label_str(("a", 3)) == "a3"
+
+
+@pytest.mark.parametrize("build,args", [
+    (build_Ln, (4,)), (build_verma, (2, 6)), (build_verma, (-3, 6)), (build_tensor, (3, 5)),
+], ids=["Ln4", "Verma2", "Verma-3", "L3xV0"])
+def test_integral_actions_are_plain_int(build, args):
+    """Every integral structure constant is an int, never a Fraction."""
+    m = build(*args)
+    for mat in (m.actE, m.actF, m.actH, casimir(m)):
+        assert mat.entries and all(type(x) is int for x in mat.entries.values())
