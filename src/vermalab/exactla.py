@@ -605,14 +605,18 @@ class SparseMat:
             raise ValueError("power of a non-square matrix")
         if k < 0:
             raise ValueError("negative matrix power")
-        out = SparseMat.identity(self.rows)
+        if k == 0:
+            return SparseMat.identity(self.rows)
+        out = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                out = out @ base
-            base = base @ base if k > 1 else base
+                out = base if out is None else out @ base
             k >>= 1
-        return out
+            if not k:
+                # a fresh matrix even for k == 1: callers may mutate entries
+                return SparseMat(self.rows, self.cols, out.entries) if out is self else out
+            base = base @ base
 
     def apply(self, vec):
         """Matrix times sparse column vector (dict col -> scalar)."""

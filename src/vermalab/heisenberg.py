@@ -1,15 +1,26 @@
-"""The integral Heisenberg algebra on a_n, b_m by normal-form rewriting.
+"""The integral Heisenberg algebra on a_n, b_m and its normal forms.
 
 Generators a_n and b_m (n, m >= 1) satisfy
 
     a_n b_m = b_m a_n + b_{m-1} a_{n-1},     a_0 = b_0 = 1,
 
-with the a's commuting among themselves and likewise the b's.  Words
-rewrite to integer combinations of normal monomials b...b a...a with
-weakly increasing indices.  Each exchange step strictly decreases the
-number of (a, b) inversions, so rewriting terminates; confluence is
-exercised empirically by running two independent strategies over random
-words.
+with the a's commuting among themselves and likewise the b's; in
+generating series, A(t) B(u) = B(u) A(t) (1 + tu).  Words reduce to
+integer combinations of normal monomials b...b a...a with weakly
+increasing indices, in three independent ways:
+
+- "series", the default: a left-to-right fold.  An a-letter joins the
+  a-monomial; b_m passes a_{n_1} ... a_{n_j} as
+  sum over S of b_{m-|S|} prod_{l in S} a_{n_l - 1} prod_{l not in S} a_{n_l},
+  read off the series relation, with subsets S of equal indices
+  enumerated by multiset and weighted by binomial coefficients.
+- "leftmost" and "rightmost": exchange-step rewriters.  Each step
+  strictly decreases the number of (a, b) inversions, so rewriting
+  terminates.  They run iteratively, one inversion count at a time, and
+  raise if a word turns up under the wrong count.
+
+Only whole words are memoised, in a bounded cache.  Confluence is
+exercised empirically by comparing all three over random words.
 
 The power-sum elements built from the logarithmic derivative of the
 generating series A(t) are provided as an exploratory probe: their
@@ -21,9 +32,11 @@ delta relation only for m <= n).
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 __all__ = [
     "HElem",
@@ -170,39 +183,139 @@ def _exchange(n, m):
 
 
 def _find_inversion(word, strategy):
-    positions = [p for p in range(len(word) - 1)
-                 if word[p][0] == "a" and word[p + 1][0] == "b"]
-    if not positions:
-        return None
-    return positions[0] if strategy == "leftmost" else positions[-1]
+    """Position of the leftmost or rightmost adjacent a-before-b pair."""
+    if strategy == "leftmost":
+        span = range(len(word) - 1)
+    else:
+        span = range(len(word) - 2, -1, -1)
+    for p in span:
+        if word[p][0] == "a" and word[p + 1][0] == "b":
+            return p
+    return None
 
 
-@lru_cache(maxsize=1 << 18)
+def _rewrite(word, strategy):
+    """Exchange-step rewriting, one inversion count at a time.
+
+    Words are filed in buckets by their number of (a, b) inversions.  A
+    bucket is rewritten only once every word above it is done, so each
+    distinct word is rewritten once, carrying its summed coefficient.  The
+    swap removes exactly the exchanged inversion; the contraction also
+    removes the inversions of a b_1 with the a's in front of it and of an
+    a_1 with the b's behind it, since b_0 = a_0 = 1 leave the word.  A word
+    is normal exactly when it is filed under count 0: anything else is a
+    failed decrease of the inversion measure and raises.
+    """
+    top = word_inversions(word)
+    buckets = [{} for _ in range(top + 1)]
+    buckets[top][word] = 1
+    out = {}
+    for count in range(top, -1, -1):
+        for w, c in buckets[count].items():
+            pos = _find_inversion(w, strategy)
+            if (pos is None) != (count == 0):
+                raise AssertionError(
+                    f"rewrite step failed to decrease the inversion measure: "
+                    f"{w} filed under {count} inversions")
+            if pos is None:
+                mono = (tuple(sorted(m for kind, m in w if kind == "b")),
+                        tuple(sorted(n for kind, n in w if kind == "a")))
+                out[mono] = out.get(mono, 0) + c
+                continue
+            n, m = w[pos][1], w[pos + 1][1]
+            swapped, contracted = _exchange(n, m)
+            lost = 1
+            if m == 1:
+                lost += sum(1 for kind, _ in w[:pos] if kind == "a")
+            if n == 1:
+                lost += sum(1 for kind, _ in w[pos + 2:] if kind == "b")
+            if lost > count:
+                raise AssertionError(
+                    f"rewrite step failed to decrease the inversion measure: "
+                    f"{w} filed under {count} inversions loses {lost}")
+            for new, below in ((swapped, 1), (contracted, lost)):
+                target = buckets[count - below]
+                key = w[:pos] + new + w[pos + 2:]
+                target[key] = target.get(key, 0) + c
+        buckets[count] = None
+    return HElem(out)
+
+
+def _insert(indices, i):
+    """The sorted tuple `indices` with one more entry i."""
+    at = bisect_right(indices, i)
+    return indices[:at] + (i,) + indices[at:]
+
+
+def _push_b(aas, m):
+    """a_{n_1} ... a_{n_j} b_m as a list of (weight, b-index, a-indices).
+
+    From A(t) B(u) = B(u) A(t) (1 + tu): b_m passes each a_n either
+    unchanged or lowering both, a_n to a_{n-1} and b_m to b_{m-1}, with
+    a_0 = b_0 = 1 and nothing lowered past b_0.  Lowering k of the r
+    copies of one index has weight C(r, k).  `aas` is sorted, so the
+    lowered copies of a run land after every earlier run and the
+    a-indices stay sorted; a b-index of 0 means the b is gone.
+    """
+    partial = [(1, m, ())]
+    p = 0
+    while p < len(aas):
+        n = aas[p]
+        r = bisect_right(aas, n, p) - p
+        p += r
+        lower = (n - 1,) if n > 1 else ()
+        partial = [
+            (w * comb(r, k), mb - k, kept + lower * k + (n,) * (r - k))
+            for w, mb, kept in partial
+            for k in range(min(r, mb) + 1)
+        ]
+    return partial
+
+
+def _fold(word):
+    """Normal form by a left-to-right fold over the letters of the word.
+
+    The running value is a combination of normal monomials b...b a...a:
+    an a-letter joins the a-part, a b-letter is pushed through the a-part
+    by `_push_b`.  No recursion and no memo of sub-words.
+    """
+    terms = {((), ()): 1}
+    for kind, i in word:
+        if kind == "a":
+            terms = {(bs, _insert(aas, i)): c for (bs, aas), c in terms.items()}
+            continue
+        out = {}
+        for (bs, aas), c in terms.items():
+            for w, mb, new_aas in _push_b(aas, i):
+                key = (_insert(bs, mb) if mb else bs, new_aas)
+                out[key] = out.get(key, 0) + c * w
+        terms = out
+    return HElem(terms)
+
+
+_STRATEGIES = ("series", "leftmost", "rightmost")
+
+
+@lru_cache(maxsize=4096)
 def _nf_cached(word, strategy):
-    pos = _find_inversion(word, strategy)
-    if pos is None:
-        bs = tuple(sorted(m for kind, m in word if kind == "b"))
-        aas = tuple(sorted(n for kind, n in word if kind == "a"))
-        return HElem({(bs, aas): 1})
-    n, m = word[pos][1], word[pos + 1][1]
-    swapped, contracted = _exchange(n, m)
-    w1 = word[:pos] + swapped + word[pos + 2:]
-    w2 = word[:pos] + contracted + word[pos + 2:]
-    base = word_inversions(word)
-    if not (word_inversions(w1) < base and word_inversions(w2) < base):
-        raise AssertionError("rewrite step failed to decrease the inversion measure")
-    return _nf_cached(w1, strategy) + _nf_cached(w2, strategy)
+    if strategy == "series":
+        return _fold(word)
+    return _rewrite(word, strategy)
 
 
-def normal_form(word, strategy="leftmost"):
+def normal_form(word, strategy="series"):
     """Fully rewritten normal form of a word in the generators.
 
-    The strategy picks which adjacent a-before-b pair to exchange first;
-    any strategy reaches the same normal form (checked by fuzzing, not
-    assumed by the implementation).  The result is a fresh copy, so a
-    caller may mutate it without touching the cache.
+    "series" (the default) folds the word through the closed form of
+    pushing a b past a-letters, read off the generating-series relation.
+    "leftmost" and "rightmost" are true exchange-step rewriters that pick
+    which adjacent a-before-b pair to exchange first.  All three reach the
+    same normal form (checked by fuzzing, not assumed by the
+    implementation).  Whole words are memoised in a bounded cache; the
+    result is a fresh copy, so a caller may mutate it without touching
+    the cache.
     """
-    if strategy not in ("leftmost", "rightmost"):
+    if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     return HElem(_nf_cached(tuple(word), strategy).terms)
 
@@ -215,9 +328,10 @@ def verify_generating_identity(order):
     """Residual table of a_i b_j against the series side, i, j <= order.
 
     The right-hand side B(u) A(t) (1 + tu) is expanded as a genuine
-    bivariate series whose coefficients are already normal monomials, so
-    the comparison pits the rewriting engine against an independent
-    construction.
+    bivariate series whose coefficients are already normal monomials.  The
+    left-hand side goes through the "leftmost" exchange rewriter, not the
+    default fold, which is itself read off this relation: the comparison
+    pits the rewriting engine against an independent construction.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -231,7 +345,7 @@ def verify_generating_identity(order):
     for i in range(1, order + 1):
         for j in range(1, order + 1):
             rhs = ba_coeff(i, j) + ba_coeff(i - 1, j - 1)
-            lhs = normal_form((("a", i), ("b", j)))
+            lhs = normal_form((("a", i), ("b", j)), "leftmost")
             residuals[i, j] = lhs - rhs
     return residuals
 
@@ -299,22 +413,23 @@ def tilde_candidates(order):
     Coefficient of t^{k-1} in A'(-t) A(-t)^{-1}, expanded inside the
     commutative subalgebra generated by the a's; these are the power
     sums of the alphabet whose elementary symmetric functions are the
-    a_n, and they have integer coefficients.
+    a_n.  A(-t) has constant term 1, so its inverse needs no division and
+    every coefficient stays an integer.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    # series coefficients are maps (sorted a-index tuple) -> Fraction
-    a_minus = [{(): Fraction(1)}]
+    # series coefficients are maps (sorted a-index tuple) -> int
+    a_minus = [{(): 1}]
     for j in range(1, order + 1):
-        a_minus.append({(j,): Fraction(-1) ** j})
-    a_prime = [{(j + 1,): Fraction(-1) ** j * (j + 1)} for j in range(order)]
+        a_minus.append({(j,): (-1) ** j})
+    a_prime = [{(j + 1,): (-1) ** j * (j + 1)} for j in range(order)]
 
     def cmul(x, y):
         out = {}
         for mx, cx in x.items():
             for my, cy in y.items():
                 key = tuple(sorted(mx + my))
-                v = out.get(key, Fraction(0)) + cx * cy
+                v = out.get(key, 0) + cx * cy
                 if v:
                     out[key] = v
                 else:
@@ -322,13 +437,13 @@ def tilde_candidates(order):
         return out
 
     # power series inverse of A(-t) modulo t^order
-    inv = [{(): Fraction(1)}]
+    inv = [{(): 1}]
     for k in range(1, order):
         acc = {}
         for j in range(1, k + 1):
             if j < len(a_minus):
                 for mono, c in cmul(a_minus[j], inv[k - j]).items():
-                    v = acc.get(mono, Fraction(0)) + c
+                    v = acc.get(mono, 0) + c
                     if v:
                         acc[mono] = v
                     else:
@@ -341,17 +456,12 @@ def tilde_candidates(order):
         for j in range(k):
             if j < len(a_prime):
                 for mono, c in cmul(a_prime[j], inv[k - 1 - j]).items():
-                    v = acc.get(mono, Fraction(0)) + c
+                    v = acc.get(mono, 0) + c
                     if v:
                         acc[mono] = v
                     else:
                         acc.pop(mono, None)
-        terms = {}
-        for mono, c in acc.items():
-            if c.denominator != 1:
-                raise AssertionError(f"power-sum coefficient not integral: {c}")
-            terms[((), mono)] = int(c)
-        tildes.append(HElem(terms))
+        tildes.append(HElem({((), mono): c for mono, c in acc.items()}))
     return tildes
 
 
@@ -390,8 +500,9 @@ class FuzzVerdict:
 
 
 def confluence_fuzz(trials, seed, max_len=8, max_index=6):
-    """Rewrite random words under both strategies and compare.
+    """Normalise random words by the fold and both rewriters and compare.
 
+    A word is a mismatch unless all three normal forms are equal.
     Also checks that every normal form of a product of generators has
     nonnegative integer coefficients.  Per-trial randomness derives from
     the master seed, so runs are reproducible.
@@ -406,11 +517,12 @@ def confluence_fuzz(trials, seed, max_len=8, max_index=6):
         word = tuple(
             (rng.choice("ab"), rng.randint(1, max_index)) for _ in range(length)
         )
+        series = normal_form(word)
         left = normal_form(word, "leftmost")
         right = normal_form(word, "rightmost")
-        if left != right:
+        if not series == left == right:
             mismatches.append(word)
-        if any(c < 0 for c in left.terms.values()):
+        if any(c < 0 for c in series.terms.values()):
             negatives.append(word)
     return FuzzVerdict(trials=trials, mismatches=mismatches,
                        negative_coefficient_words=negatives)

@@ -128,6 +128,17 @@ class TestGeneralizedKernel:
             generalized_kernel(SparseMat(2, 3), 2)
 
 
+def test_matrix_power_matches_repeated_products():
+    m = mat([[1, 2, 0], [0, -1, 3], [4, 0, 1]])
+    assert m**0 == SparseMat.identity(3)
+    one = m**1
+    assert one == m and one is not m
+    one.entries.clear()
+    assert m[0, 0] == 1  # the power is a fresh matrix
+    assert m**3 == m @ m @ m
+    assert m**5 == m @ m @ m @ m @ m
+
+
 def test_identity_and_from_rows_keep_int_entries():
     for m in (SparseMat.identity(3), mat([[1, 0], [-2, 5]])):
         assert m.entries and all(type(x) is int for x in m.entries.values())

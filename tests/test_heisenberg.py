@@ -1,7 +1,11 @@
+from fractions import Fraction
+from math import comb, factorial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vermalab import heisenberg
 from vermalab.fixtures import load_tilde_fixture
 from vermalab.heisenberg import (
     FockPoly,
@@ -19,8 +23,19 @@ from vermalab.heisenberg import (
 )
 
 
+STRATEGIES = ("series", "leftmost", "rightmost")
+
+
 def mono(bs=(), aas=(), c=1):
     return HElem.monomial(bs, aas, c)
+
+
+@pytest.fixture
+def fresh_cache():
+    # a planted fault must neither read nor leave behind memoised words
+    heisenberg._nf_cached.cache_clear()
+    yield
+    heisenberg._nf_cached.cache_clear()
 
 
 class TestNormalForm:
@@ -62,12 +77,38 @@ class TestNormalForm:
             normal_form((), "inner")
 
 
+def _power_oracle(k):
+    # a_1^k b_1^k = sum_j C(k, j)^2 j! b_1^{k-j} a_1^{k-j}: choose the j
+    # lowered a's and b's and match them up
+    return HElem({((1,) * (k - j), (1,) * (k - j)): comb(k, j) ** 2 * factorial(j)
+                  for j in range(k + 1)})
+
+
+@pytest.mark.parametrize("k, strategy", [(40, s) for s in STRATEGIES] + [(200, "series")])
+def test_power_word_matches_closed_form(k, strategy, fresh_cache):
+    word = (a_gen(1),) * k + (b_gen(1),) * k
+    assert normal_form(word, strategy) == _power_oracle(k)
+
+
 def test_inversion_measure_decreases():
     # one exchange step removes exactly one inversion
     w = (a_gen(2), b_gen(2))
     assert word_inversions(w) == 1
     assert word_inversions((b_gen(2), a_gen(2))) == 0
     assert word_inversions((b_gen(1), a_gen(1))) == 0
+
+
+@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+@pytest.mark.parametrize("shift", [-1, 1])
+@pytest.mark.parametrize("word", [(a_gen(1), b_gen(1)), (a_gen(1), a_gen(1), b_gen(1)),
+                                  (a_gen(2), b_gen(3), a_gen(1), b_gen(1))])
+def test_misfiled_word_raises(word, shift, strategy, monkeypatch, fresh_cache):
+    # file the word under the wrong inversion count: some word must then
+    # reach count 0 with an a before a b, or leave it without one
+    true_count = word_inversions(word)
+    monkeypatch.setattr(heisenberg, "word_inversions", lambda w: true_count + shift)
+    with pytest.raises(AssertionError, match="inversion measure"):
+        normal_form(word, strategy)
 
 
 @st.composite
@@ -82,10 +123,9 @@ def words(draw):
 @given(words())
 @settings(max_examples=200, deadline=None)
 def test_confluence_and_positivity(word):
-    left = normal_form(word, "leftmost")
-    right = normal_form(word, "rightmost")
-    assert left == right
-    assert all(c > 0 for c in left.terms.values())
+    series, left, right = (normal_form(word, s) for s in STRATEGIES)
+    assert series == left == right
+    assert all(c > 0 for c in series.terms.values())
 
 
 @pytest.mark.parametrize("i", range(1, 7))
@@ -135,6 +175,61 @@ class TestFockAction:
     def test_degree_overflow(self):
         with pytest.raises(OverflowError):
             fock_action(mono(bs=(5,)), FockPoly.from_indices((1,), degree_bound=3))
+
+
+def _tilde_candidates_fraction(order):
+    """The power-sum candidates computed over Fraction, as a dict per order."""
+    a_minus = [{(): Fraction(1)}]
+    for j in range(1, order + 1):
+        a_minus.append({(j,): Fraction(-1) ** j})
+    a_prime = [{(j + 1,): Fraction(-1) ** j * (j + 1)} for j in range(order)]
+
+    def cmul(x, y):
+        out = {}
+        for mx, cx in x.items():
+            for my, cy in y.items():
+                key = tuple(sorted(mx + my))
+                v = out.get(key, Fraction(0)) + cx * cy
+                if v:
+                    out[key] = v
+                else:
+                    out.pop(key, None)
+        return out
+
+    inv = [{(): Fraction(1)}]
+    for k in range(1, order):
+        acc = {}
+        for j in range(1, k + 1):
+            if j < len(a_minus):
+                for mono_, c in cmul(a_minus[j], inv[k - j]).items():
+                    v = acc.get(mono_, Fraction(0)) + c
+                    if v:
+                        acc[mono_] = v
+                    else:
+                        acc.pop(mono_, None)
+        inv.append({m: -c for m, c in acc.items()})
+
+    tildes = []
+    for k in range(1, order + 1):
+        acc = {}
+        for j in range(k):
+            if j < len(a_prime):
+                for mono_, c in cmul(a_prime[j], inv[k - 1 - j]).items():
+                    v = acc.get(mono_, Fraction(0)) + c
+                    if v:
+                        acc[mono_] = v
+                    else:
+                        acc.pop(mono_, None)
+        tildes.append(acc)
+    return tildes
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_tilde_candidates_match_fraction_computation(order):
+    expected = [{((), m): c for m, c in t.items()} for t in _tilde_candidates_fraction(order)]
+    got = tilde_candidates(order)
+    assert [t.terms for t in got] == expected
+    assert all(type(c) is int for t in got for c in t.terms.values())
 
 
 class TestTildeProbe:
@@ -188,3 +283,13 @@ class TestConfluenceFuzz:
     def test_needs_trials(self):
         with pytest.raises(ValueError):
             confluence_fuzz(0, 1)
+
+    def test_planted_fold_fault_is_a_mismatch(self, monkeypatch, fresh_cache):
+        # drop the last term of every multi-term push of a b through a's
+        push = heisenberg._push_b
+        monkeypatch.setattr(heisenberg, "_push_b",
+                            lambda aas, m: push(aas, m)[:-1] or push(aas, m))
+        verdict = confluence_fuzz(200, 1729)
+        assert verdict.mismatches and not verdict.ok
+        assert all(normal_form(w, "leftmost") == normal_form(w, "rightmost")
+                   for w in verdict.mismatches)

@@ -4,14 +4,54 @@ from pathlib import Path
 import vermalab
 
 
+SOURCES = sorted(Path(vermalab.__file__).parent.glob("*.py"))
+
+
+def _nodes():
+    for p in SOURCES:
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"), filename=str(p))):
+            yield p.name, node
+
+
 def test_library_has_no_bare_assert():
     # `python -O` strips assert statements, so library checks must raise
-    sources = sorted(Path(vermalab.__file__).parent.glob("*.py"))
-    assert "exactla.py" in [p.name for p in sources]
-    offenders = [
-        f"{p.name}:{node.lineno}"
-        for p in sources
-        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"), filename=str(p)))
-        if isinstance(node, ast.Assert)
-    ]
+    assert "exactla.py" in [p.name for p in SOURCES]
+    offenders = [f"{name}:{node.lineno}" for name, node in _nodes()
+                 if isinstance(node, ast.Assert)]
+    assert offenders == []
+
+
+LRU = ("lru_cache", "functools.lru_cache")
+
+
+def _maxsize(call):
+    sizes = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1]
+    try:
+        return ast.literal_eval(sizes[0]) if sizes else None
+    except ValueError:
+        return None
+
+
+def test_library_caches_are_bounded():
+    # a module-level memo lives as long as the process: keep each one small
+    called, offenders, seen = set(), [], 0
+    for name, node in _nodes():
+        where = f"{name}:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)) \
+                and ast.unparse(node.func) in LRU:
+            seen += 1
+            called.add(node.func)
+            size = _maxsize(node)
+            if type(size) is not int or not 0 < size <= 4096:
+                offenders.append(f"{where}: lru_cache maxsize {size!r}")
+        elif isinstance(node, (ast.Name, ast.Attribute)) and node not in called:
+            text = ast.unparse(node)
+            if text in LRU:
+                offenders.append(f"{where}: lru_cache without maxsize")
+            elif text == "functools.cache":
+                offenders.append(f"{where}: functools.cache is unbounded")
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools" \
+                and any(alias.name == "cache" for alias in node.names):
+            offenders.append(f"{where}: functools.cache is unbounded")
+    assert seen  # the scan still sees heisenberg's whole-word memo
     assert offenders == []
