@@ -54,7 +54,8 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 def _case_record(n, s, iprime):
-    rec = enright.highest_weight_vector(n, s)
+    gen = enright.projective_generator(n, s) if s in iprime else None
+    rec = gen.hwv if gen else enright.highest_weight_vector(n, s)
     alpha = enright.alpha_recursion_check(rec)
     case = {
         "s": s,
@@ -73,9 +74,7 @@ def _case_record(n, s, iprime):
         "positivity": all(x > 0 for x in rec.p_list)
         and all(c > 0 for c in rec.coefficients.values()),
     }
-    c = s * (s + 2)
-    if s in iprime:
-        gen = enright.projective_generator(n, s)
+    if gen:
         case["q"] = [scalar_str(x) for x in gen.q_list]
         case["m"] = gen.m_shift
         case["final"] = [scalar_str(x) for x in gen.final]
@@ -83,7 +82,7 @@ def _case_record(n, s, iprime):
         checks["casimirNilpotent"] = True  # record construction verifies both halves
         checks["positivity"] = checks["positivity"] and all(x > 0 for x in gen.final)
     else:
-        mat, basis = enright.casimir_weight_matrix(n, s, c)
+        mat, basis = enright.casimir_weight_matrix(n, s, s * (s + 2))
         pos = {b: i for i, b in enumerate(basis)}
         vec = {pos[key]: v for key, v in rec.coefficients.items()}
         checks["casimirNilpotent"] = not mat.apply(vec)
@@ -161,7 +160,7 @@ def cmd_decompose(cfg):
         })
         ok = ok and rep.ok
     doc["casimirBlocks"] = blocks
-    doc["module"] = sl2mod.module_to_json(enright.tensor_module(cfg.n, depth))
+    doc["module"] = sl2mod.module_to_json(sl2mod.build_tensor(cfg.n, depth))
     return doc, ok
 
 

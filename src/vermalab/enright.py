@@ -10,6 +10,11 @@ two computational pillars are
   weight slice, which produces the projective generator together with
   its five-term coefficient recurrence and the positivity shift.
 
+A slice's Casimir matrix is built once and shifted per eigenvalue, and
+the two-step kernel returns the square that later checks reuse.  A
+projective generator keeps the highest weight record it was checked
+against, so callers need no second solve.
+
 All checks are exact; there are no tolerances anywhere.
 """
 
@@ -37,7 +42,6 @@ __all__ = [
     "HwvRecord",
     "ProjGenRecord",
     "index_sets",
-    "tensor_module",
     "p_coefficients",
     "highest_weight_vector",
     "alpha_recursion_check",
@@ -89,11 +93,6 @@ def index_sets(n, lam=0):
     return IndexSets(n, lam, tuple(I), tuple(iprime), tuple(idouble), tuple(itriple))
 
 
-def tensor_module(n, depth):
-    """Slice of Ln (x) Verma(0); see sl2mod.build_tensor for the action."""
-    return build_tensor(n, depth)
-
-
 # ---------------------------------------------------------------------------
 # weight slices of the tensor module
 # ---------------------------------------------------------------------------
@@ -124,14 +123,8 @@ def casimir_weight_matrix(n, mu, c=0):
         col = casimir_on_vector(mod, {("vw", i, k): 1})
         for lbl, x in col.items():
             ent[pos[(lbl[1], lbl[2])], j] = x
-        if c:
-            key = (j, j)
-            y = ent.get(key, 0) - c
-            if y:
-                ent[key] = y
-            else:
-                ent.pop(key, None)
-    return SparseMat(len(basis), len(basis), ent), basis
+    omega = SparseMat(len(basis), len(basis), ent)
+    return omega - SparseMat.identity(len(basis)).scale(c), basis
 
 
 def _e_restriction_matrix(n, mu):
@@ -316,6 +309,7 @@ class ProjGenRecord:
     omega_minus_c: SparseMat
     beta_residuals: list
     q_residuals: list
+    hwv: HwvRecord       # the highest weight record u_s was checked against
 
 
 def projective_generator(n, s):
@@ -332,10 +326,11 @@ def projective_generator(n, s):
     sets = index_sets(n, 0)
     if s not in sets.Iprime:
         raise ValueError(f"s={s} is not a projective index for n={n}")
+    hwv = highest_weight_vector(n, s)
     c = s * (s + 2)
     mu = -s - 2
     mat, basis = casimir_weight_matrix(n, mu, c)
-    kernel, excess = generalized_kernel(mat, 2)
+    kernel, excess, square = generalized_kernel(mat)
     if len(kernel) != 1:
         raise AssertionError(f"kernel of shifted Casimir at weight {mu} is {len(kernel)}-dimensional")
     if not excess:
@@ -345,7 +340,6 @@ def projective_generator(n, s):
 
     u = kernel[0]
     # cross-check against the f-power oracle
-    hwv = highest_weight_vector(n, s)
     depth = n + s + 10
     mod = build_tensor(n, depth)
     u_oracle = apply_f_power(mod, hwv.vector(), s + 1)
@@ -373,7 +367,7 @@ def projective_generator(n, s):
 
     if vec_is_zero(mat.apply(a)):
         raise AssertionError("candidate generator lies in the plain kernel")
-    if not vec_is_zero((mat**2).apply(a)):
+    if not vec_is_zero(square.apply(a)):
         raise AssertionError("candidate generator not killed by the squared operator")
 
     top = (n + s) // 2
@@ -403,6 +397,7 @@ def projective_generator(n, s):
         omega_minus_c=mat,
         beta_residuals=beta_recursion_residuals(n, s, keyed(final_vec)),
         q_residuals=q_form_residuals(n, s, final),
+        hwv=hwv,
     )
     if any(record.beta_residuals):
         raise AssertionError(f"five-term recurrence fails at n={n}, s={s}")
@@ -551,12 +546,15 @@ def casimir_blocks(n, mu, depth=None):
     Predicted eigenvalues are t(t+2) for the indices t contributing at
     mu; each block is checked for two-step nilpotency, kernel and excess
     dimensions, and the blocks must jointly exhaust the slice (so no
-    eigenvalue outside the predicted set can occur).
+    eigenvalue outside the predicted set can occur).  The slice's
+    Casimir matrix is built once and shifted per t; the square returned
+    by the two-step kernel feeds both the nilpotency check and the
+    product of squares that rules out stray eigenvalues.
     """
     if depth is not None and (n - mu) % 2 == 0 and (n - mu) // 2 > depth:
         raise ValueError(f"weight {mu} is not interior at depth {depth}")
     sets = index_sets(n, 0)
-    basis = tensor_weight_basis(n, mu)
+    omega, basis = casimir_weight_matrix(n, mu)
     dim = len(basis)
     preds = []
     for r in sets.Iprime:
@@ -569,12 +567,10 @@ def casimir_blocks(n, mu, depth=None):
 
     blocks = []
     total = 0
-    product = SparseMat.identity(dim)
+    product = None
     for t, g, ex in sorted(preds):
         c = t * (t + 2)
-        mat, _ = casimir_weight_matrix(n, mu, c)
-        kernel, excess = generalized_kernel(mat, 2)
-        sq = mat**2
+        kernel, excess, sq = generalized_kernel(omega - SparseMat.identity(dim).scale(c))
         nilpotent = all(vec_is_zero(sq.apply(v)) for v in kernel + excess)
         blocks.append(CasimirBlock(
             t=t, c=c,
@@ -582,11 +578,12 @@ def casimir_blocks(n, mu, depth=None):
             kernel_dim=len(kernel), excess_dim=len(excess), nilpotent=nilpotent,
         ))
         total += len(kernel) + len(excess)
-        product = product @ sq
+        product = sq if product is None else product @ sq
     return CasimirBlockReport(
         n=n, mu=mu, blocks=blocks, dimension=dim,
         covers_slice=(total == dim),
-        no_stray_eigenvalues=product.is_zero(),
+        # with no predicted eigenvalue only the empty slice has none astray
+        no_stray_eigenvalues=not dim if product is None else product.is_zero(),
     )
 
 
@@ -732,9 +729,10 @@ def decategorify(n, depth):
     e_ok = E.scale(-1) == mod.actE.scale(-1)  # [-E] against -actE
 
     sets = index_sets(n, 0)
+    gens = {r: projective_generator(n, r) for r in sets.Iprime}
     hwv_ok = {}
     for s in sorted(set(sets.Iprime) | {n}):
-        rec = highest_weight_vector(n, s)
+        rec = gens[s].hwv if s in gens else highest_weight_vector(n, s)
         classes = {(j, (n - s) // 2 - j): p for j, p in enumerate(rec.p_list)}
         if any(m < 0 for m in classes.values()):
             hwv_ok[s] = False
@@ -749,8 +747,7 @@ def decategorify(n, depth):
         hwv_ok[s] = is_hwv and ratio_ok
 
     gen_ok = {}
-    for r in sets.Iprime:
-        rec = projective_generator(n, r)
+    for r, rec in gens.items():
         image = {("vw", i, k): x for (i, k), x in rec.final_vector.items()}
         if any(x <= 0 for x in rec.final):
             gen_ok[r] = False

@@ -30,6 +30,9 @@ leading column, columns are taken in increasing order, and the shortest
 row of a bucket is the pivot that clears that column from the others.
 Every new row is divided by the gcd of its entries, so intermediate
 values stay small integers.  Only back substitution uses ``Fraction``.
+``generalized_kernel(m)`` is the two-step kernel: it forms ``m @ m``
+once and returns that square with the kernel and its extension, so a
+caller that needs the square again does not recompute it.
 
 Which row serves as pivot cannot change a result.  Column c holds a
 pivot exactly when it is not in the span of the columns before it (the
@@ -600,38 +603,14 @@ class SparseMat:
                     ent.pop(key, None)
         return SparseMat(self.rows, other.cols, ent)
 
-    def __pow__(self, k):
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        if k < 0:
-            raise ValueError("negative matrix power")
-        if k == 0:
-            return SparseMat.identity(self.rows)
-        out = None
-        base = self
-        while True:
-            if k & 1:
-                out = base if out is None else out @ base
-            k >>= 1
-            if not k:
-                # a fresh matrix even for k == 1: callers may mutate entries
-                return SparseMat(self.rows, self.cols, out.entries) if out is self else out
-            base = base @ base
-
     def apply(self, vec):
         """Matrix times sparse column vector (dict col -> scalar)."""
         out = {}
-        by_col = {}
         for (i, j), x in self.entries.items():
-            by_col.setdefault(j, []).append((i, x))
-        for j, c in vec.items():
-            for i, x in by_col.get(j, ()):
-                y = out.get(i, 0) + x * c
-                if y:
-                    out[i] = y
-                else:
-                    out.pop(i, None)
-        return out
+            c = vec.get(j)
+            if c:
+                out[i] = out.get(i, 0) + x * c
+        return {i: y for i, y in out.items() if y}
 
     def __repr__(self):
         return f"SparseMat({self.rows}x{self.cols}, {len(self.entries)} entries)"
@@ -773,19 +752,19 @@ def solve(m, b):
     return x
 
 
-def generalized_kernel(m, power):
-    """(kernel basis of m, extension to a basis of ker(m**power)).
+def generalized_kernel(m):
+    """The two-step kernel of a square matrix m: (kernel, excess, square).
 
-    Every excess vector v satisfies m @ v != 0 and m**power @ v = 0,
-    which is checked before returning.
+    ``kernel`` is a basis of ker(m), ``excess`` extends it to a basis of
+    ker(m @ m), and ``square`` is m @ m, formed once here and returned so
+    that callers need not square m again.  Every excess vector v satisfies
+    m @ v != 0 and square @ v = 0, which is checked before returning.
     """
     if m.rows != m.cols:
         raise ValueError("generalized kernel needs a square matrix")
-    if power < 1:
-        raise ValueError("power must be positive")
-    mp = m**power
+    square = m @ m
     kernel = nullspace(m)
-    big = nullspace(mp)
+    big = nullspace(square)
     # extend `kernel` to a basis of the larger space, keeping the order of
     # `big`: the excess vectors are the pivot columns of [kernel | big]
     # that lie in `big`
@@ -797,6 +776,6 @@ def generalized_kernel(m, power):
     for v in excess:
         if vec_is_zero(m.apply(v)):
             raise AssertionError("excess vector lies in the plain kernel")
-        if not vec_is_zero(mp.apply(v)):
-            raise AssertionError("excess vector survives the matrix power")
-    return kernel, excess
+        if not vec_is_zero(square.apply(v)):
+            raise AssertionError("excess vector survives the square")
+    return kernel, excess, square

@@ -13,9 +13,10 @@ produces as ``Fraction``s:
 
 A module stores a finite slice.  Depth counts f-steps from the top of
 the relevant column, so e lowers depth, f raises it by at most one, and
-h preserves it.  Identity checks are meaningful only on the interior
-region: the labels whose images under every operator word of length at
-most ``margin`` stay inside the slice.
+h preserves it.  A module's weight and depth are functions of the
+label, one each, supplied by its builder.  Identity checks are meaningful
+only on the interior region: the labels whose images under every
+operator word of length at most ``margin`` stay inside the slice.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .exactla import SparseMat, nullspace, scalar_str, solve, vec_is_zero
 
 __all__ = [
     "TruncatedModule",
-    "InteriorRegion",
     "TruncationError",
     "ConstructionError",
     "build_Ln",
@@ -76,22 +76,22 @@ class TruncatedModule:
     """A finite slice of an sl2-module with exact e, f, h actions.
 
     ``basis`` lists the labels of depth <= depth; ``basis_ext`` extends
-    one level deeper so the rectangular matrix of f is exact.  ``complete``
+    one level deeper so the rectangular matrix of f is exact.  ``weight``
+    and ``depth_of`` map a label to its weight and its depth.  ``complete``
     marks modules without truncation (only Ln), where every identity
     holds on the whole basis.
     """
 
-    def __init__(self, kind, params, depth, basis, basis_ext, weights, depths,
-                 act, complete=False, depth_fn=None):
+    def __init__(self, kind, params, depth, basis, basis_ext, weight, depth_of,
+                 act, complete=False):
         self.kind = kind
         self.params = dict(params)
         self.depth = depth
         self.basis = list(basis)
         self.basis_ext = list(basis_ext)
-        self.weights = dict(weights)
-        self.depths = dict(depths)
+        self.weight = weight
+        self.depth_of = depth_of
         self._act = act
-        self._depth_fn = depth_fn
         self.complete = complete
         self.index = {b: i for i, b in enumerate(self.basis)}
         self.index_ext = {b: i for i, b in enumerate(self.basis_ext)}
@@ -104,19 +104,9 @@ class TruncatedModule:
         raises TruncationError when the action is not known that deep.
         """
         if op == "h":
-            return {label: self.weights[label]} if self.weights[label] else {}
+            mu = self.weight(label)
+            return {label: mu} if mu else {}
         return self._act(op, label)
-
-    def weight(self, label):
-        return self.weights[label]
-
-    def depth_of(self, label):
-        d = self.depths.get(label)
-        if d is None and self._depth_fn is not None:
-            d = self._depth_fn(label)
-        if d is None:
-            raise TruncationError(f"label {label_str(label)} outside the stored slice")
-        return d
 
     # -- matrices -------------------------------------------------------
     def act_matrix(self, op):
@@ -153,7 +143,7 @@ class TruncatedModule:
     # -- slices ---------------------------------------------------------
     def weight_labels(self, mu, extended=False):
         src = self.basis_ext if extended else self.basis
-        return [b for b in src if self.weights[b] == mu]
+        return [b for b in src if self.weight(b) == mu]
 
     def weight_space_complete(self, mu):
         """Whether the stored slice contains the whole weight-mu space."""
@@ -171,32 +161,14 @@ class TruncatedModule:
         raise ValueError(self.kind)
 
     def interior(self, margin):
-        return InteriorRegion(self, margin).labels
+        """Labels whose images under any e/f-word of length <= margin stay
+        inside the slice."""
+        if self.complete:
+            return list(self.basis)
+        return [b for b in self.basis if self.depth_of(b) + margin <= self.depth]
 
     def __repr__(self):
         return f"TruncatedModule({self.kind}, {self.params}, depth={self.depth}, dim={len(self.basis)})"
-
-
-@dataclass(frozen=True)
-class InteriorRegion:
-    """Labels whose images under any e/f-word of length <= margin stay
-    inside the slice."""
-
-    module: TruncatedModule
-    margin: int
-
-    @property
-    def labels(self):
-        m = self.module
-        if m.complete:
-            return list(m.basis)
-        return [b for b in m.basis if m.depths[b] + self.margin <= m.depth]
-
-    def __contains__(self, label):
-        m = self.module
-        if m.complete:
-            return label in m.index
-        return label in m.index and m.depths[label] + self.margin <= m.depth
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +209,6 @@ def build_Ln(n):
     if n < 0:
         raise ValueError("n must be nonnegative")
     basis = [("v", i) for i in range(n + 1)]
-    weights = {("v", i): n - 2 * i for i in range(n + 1)}
-    depths = {("v", i): i for i in range(n + 1)}
 
     def act(op, label):
         i = label[1]
@@ -248,8 +218,9 @@ def build_Ln(n):
             return {("v", i + 1): i + 1} if i < n else {}
         raise ValueError(op)
 
-    return TruncatedModule("Ln", {"n": n}, n, basis, basis, weights, depths,
-                           act, complete=True, depth_fn=lambda lbl: lbl[1])
+    return TruncatedModule("Ln", {"n": n}, n, basis, basis,
+                           lambda lbl: n - 2 * lbl[1], lambda lbl: lbl[1],
+                           act, complete=True)
 
 
 def build_verma(lam, depth):
@@ -261,8 +232,6 @@ def build_verma(lam, depth):
         raise ValueError("depth must be nonnegative")
     basis = [("w", k) for k in range(depth + 1)]
     basis_ext = [("w", k) for k in range(depth + 2)]
-    weights = {("w", k): lam - 2 * k for k in range(depth + 2)}
-    depths = {("w", k): k for k in range(depth + 2)}
 
     def act(op, label):
         k = label[1]
@@ -274,7 +243,7 @@ def build_verma(lam, depth):
         raise ValueError(op)
 
     return TruncatedModule("Verma", {"lam": lam}, depth, basis, basis_ext,
-                           weights, depths, act, depth_fn=lambda lbl: lbl[1])
+                           lambda lbl: lam - 2 * lbl[1], lambda lbl: lbl[1], act)
 
 
 def build_tensor(n, depth):
@@ -289,9 +258,6 @@ def build_tensor(n, depth):
         raise ValueError("n and depth must be nonnegative")
     basis = [("vw", i, k) for k in range(depth + 1) for i in range(n + 1)]
     basis_ext = [("vw", i, k) for k in range(depth + 2) for i in range(n + 1)]
-    weights = {("vw", i, k): n - 2 * i - 2 * k
-               for k in range(depth + 2) for i in range(n + 1)}
-    depths = {("vw", i, k): k for k in range(depth + 2) for i in range(n + 1)}
 
     def act(op, label):
         _, i, k = label
@@ -310,7 +276,7 @@ def build_tensor(n, depth):
         raise ValueError(op)
 
     return TruncatedModule("TensorLnV0", {"n": n}, depth, basis, basis_ext,
-                           weights, depths, act, depth_fn=lambda lbl: lbl[2])
+                           lambda lbl: n - 2 * lbl[1] - 2 * lbl[2], lambda lbl: lbl[2], act)
 
 
 def build_Tr(r, n, depth):
@@ -332,8 +298,8 @@ def build_Tr(r, n, depth):
     if r not in sets.Iprime:
         raise ValueError(f"r={r} is not an admissible projective index for n={n}")
 
-    hwv = enright.highest_weight_vector(n, r)
     gen = enright.projective_generator(n, r)
+    hwv = gen.hwv
     u_vec = hwv.vector()
     a_vec = {("vw", i, k): c for (i, k), c in gen.final_vector.items()}
 
@@ -361,21 +327,16 @@ def build_Tr(r, n, depth):
 
     basis = labels_to_depth(depth)
     basis_ext = labels_to_depth(depth + 1)
-    weights = {}
-    depths = {}
-    for lbl in basis_ext:
-        k = lbl[1]
-        if lbl[0] == "u":
-            weights[lbl] = r - 2 * k
-            depths[lbl] = k
-        else:
-            weights[lbl] = -r - 2 - 2 * k
-            depths[lbl] = k + r + 1
+
+    def weight(lbl):
+        return r - 2 * lbl[1] if lbl[0] == "u" else -r - 2 - 2 * lbl[1]
+
+    def depth_of(lbl):
+        return lbl[1] + (r + 1 if lbl[0] == "a" else 0)
 
     span_at_depth = {}
     for lbl in basis_ext:
-        d = depths[lbl]
-        span_at_depth.setdefault(d, []).append(lbl)
+        span_at_depth.setdefault(depth_of(lbl), []).append(lbl)
 
     def resolve(vec, d):
         """Express a tensor vector in the spanning vectors at depth d."""
@@ -403,7 +364,7 @@ def build_Tr(r, n, depth):
     for lbl in basis_ext:
         k = lbl[1]
         tower = a_tower if lbl[0] == "a" else u_tower
-        d = depths[lbl]
+        d = depth_of(lbl)
         if d <= depth:
             table["f", lbl] = {(lbl[0], k + 1): 1}
         # e image lives one depth higher in weight; solve it back
@@ -418,8 +379,7 @@ def build_Tr(r, n, depth):
             raise TruncationError(f"{op} on {label_str(label)} exceeds depth {depth}")
 
     mod = TruncatedModule("Tr", {"r": r, "n": n}, depth, basis, basis_ext,
-                          weights, depths, act,
-                          depth_fn=lambda lbl: lbl[1] + (r + 1 if lbl[0] == "a" else 0))
+                          weight, depth_of, act)
     _validate_Tr(mod, r)
     return mod
 
@@ -520,7 +480,7 @@ def verify_category_I(m, margin=1):
     kills each basis vector).
     """
     weights_ok = all(
-        m.act_label("h", b) == ({b: m.weights[b]} if m.weights[b] else {})
+        m.act_label("h", b) == ({b: m.weight(b)} if m.weight(b) else {})
         for b in m.basis
     )
 
@@ -529,7 +489,7 @@ def verify_category_I(m, margin=1):
     by_weight = {}
     for b in m.basis:
         if b in interior:
-            by_weight.setdefault(m.weights[b], []).append(b)
+            by_weight.setdefault(m.weight(b), []).append(b)
     for mu, labels in sorted(by_weight.items(), reverse=True):
         targets = m.weight_labels(mu - 2, extended=True)
         pos = {t: i for i, t in enumerate(targets)}
@@ -542,10 +502,10 @@ def verify_category_I(m, margin=1):
             f_failures.append(mu)
     f_ok = not f_failures
 
-    top = max(m.weights[b] for b in m.basis)
+    top = max(m.weight(b) for b in m.basis)
     e_ok = True
     for b in m.basis:
-        steps = (top - m.weights[b]) // 2 + 1
+        steps = (top - m.weight(b)) // 2 + 1
         vec = {b: 1}
         for _ in range(steps):
             vec = apply_op(m, "e", vec)
@@ -577,7 +537,7 @@ def module_to_json(m):
         "depth": m.depth,
         "basis": [label_str(b) for b in m.basis],
         "basisExt": [label_str(b) for b in m.basis_ext],
-        "weights": [m.weights[b] for b in m.basis],
+        "weights": [m.weight(b) for b in m.basis],
         "actE": triplets(m.actE),
         "actF": triplets(m.actF),
         "actH": triplets(m.actH),

@@ -1,9 +1,11 @@
+import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from vermalab import adelman, cli, exactla, fixtures, hecke
+from vermalab import adelman, cli, enright, exactla, fixtures, hecke
 from vermalab.cli import RunConfig, main, run, scalar_str
 from vermalab.exactla import Laurent
 
@@ -239,3 +241,41 @@ class TestRefreeze:
         assert json.loads(out.read_text())["interpretationChosen"]["matchesFixture"]
         frozen = json.loads(target.read_text())
         assert (frozen["kernel"], frozen["cokernel"]) == ("extended-middle", "extended-middle")
+
+
+# sha256 of the stdout of each sl2 verb, pinned so that a refactor of the
+# sl2 layer that changes a single report byte fails here
+SL2_DIGESTS = {
+    "report --n-max 8": "8594f50ec9914bb6e82ed39285ca8ef71b419c46083190d242766814833278bf",
+    "decompose --n 6": "f54a2c5e549161d9fc0bc9c7d3530c14e62a9b88ad323ba04d7785386dca1331",
+    "decompose --n 6 --format csv":
+        "7d3e2d7cc91840adbc2c5f19ef0f2350b3184feafa91010116f357692bfd1bfc",
+    "projgen --n 8 --s 2": "ab551124a82502c803f14f0117df4bcdd51de51820728c87962b2d2d924100cf",
+    "hwv --n 8 --s 2": "b13ff48e4a05d62de58d8e03ff44c99e59718206b52b2fb90b2c61a9b7c29d78",
+    "verify-pseudoadjoint --n 4":
+        "062e4e4b5091a034fb8ce6472ec1eb9c59569e6aa4eaf8557ba5562beec4a9a4",
+}
+
+
+@pytest.mark.parametrize("argv", list(SL2_DIGESTS))
+def test_sl2_outputs_are_pinned(argv, capsys):
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SL2_DIGESTS[argv]
+
+
+def test_report_solves_each_highest_weight_vector_once(tmp_path, monkeypatch):
+    # a projective case reads the record its generator was checked against
+    calls = Counter()
+    real = enright.highest_weight_vector
+
+    def counted(n, s):
+        calls[n, s] += 1
+        return real(n, s)
+
+    monkeypatch.setattr(enright, "highest_weight_vector", counted)
+    code, out = run_to_file(tmp_path, "r.json", command="report", n_max=6)
+    assert code == 0
+    cases = {(rec["n"], case["s"])
+             for rec in json.loads(out.read_text())["records"] for case in rec["cases"]}
+    assert len(cases) > 7 and set(calls) == cases and set(calls.values()) == {1}

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from vermalab import enright
-from vermalab.exactla import vec_is_zero
-from vermalab.sl2mod import apply_op, build_Ln, build_Tr, build_tensor, build_verma
+from vermalab.exactla import SparseMat, vec_is_zero
+from vermalab.sl2mod import apply_op, build_Ln, build_Tr, build_tensor, build_verma, casimir
 
 
 class TestIndexSets:
@@ -61,14 +61,6 @@ class TestPCoefficients:
         for j, p in enumerate(ps):
             vec[("vw", j, (n + r + 2) // 2 - j)] = Fraction(p)
         assert apply_op(mod, "e", vec) == {}
-
-
-class TestTensorModule:
-    def test_delegates_to_coproduct_slice(self):
-        m = enright.tensor_module(2, 5)
-        assert m.kind == "TensorLnV0"
-        assert m.act_label("f", ("vw", 0, 0)) == {
-            ("vw", 1, 0): Fraction(1), ("vw", 0, 1): Fraction(1)}
 
 
 class TestHighestWeightVector:
@@ -181,7 +173,7 @@ class TestProjectiveGenerator:
         for k, v in u.items():
             shifted[k] = shifted.get(k, 0) + 7 * v
         assert not vec_is_zero(mat.apply(shifted))
-        assert vec_is_zero((mat**2).apply(shifted))
+        assert vec_is_zero((mat @ mat).apply(shifted))
 
     def test_recursion_residuals_zero(self):
         for n in range(2, 9):
@@ -193,6 +185,12 @@ class TestProjectiveGenerator:
     def test_rejects_non_projective_index(self):
         with pytest.raises(ValueError):
             enright.projective_generator(4, 4)
+
+    def test_keeps_the_highest_weight_record(self):
+        for n in range(2, 9):
+            for s in enright.index_sets(n, 0).Iprime:
+                rec = enright.projective_generator(n, s)
+                assert rec.hwv == enright.highest_weight_vector(n, s)
 
 
 class TestBetaRecursionDisplay:
@@ -207,7 +205,7 @@ class TestBetaRecursionDisplay:
             for _ in range(5):
                 coeffs = {b: rng.randint(-9, 9) for b in basis}
                 vec = {i: Fraction(coeffs[b]) for i, b in enumerate(basis)}
-                image = (mat**2).apply(vec)
+                image = (mat @ mat).apply(vec)
                 res = enright.beta_recursion_residuals(n, s, coeffs)
                 for idx, b in enumerate(basis):
                     assert image.get(idx, 0) == 16 * res[idx]
@@ -309,3 +307,26 @@ def test_integral_matrices_are_plain_int():
     _, _, F, E = enright._formal_matrices(3, 4)
     for mat in (shifted, F, E):
         assert mat.entries and all(type(x) is int for x in mat.entries.values())
+
+
+def test_slice_casimir_matches_the_module_casimir():
+    # independent route: restrict the Casimir matrix of a whole tensor slice
+    # to each weight slice whose labels all have k < depth, so that no
+    # column of the big matrix is truncated
+    for n in range(9):
+        depth = 2 * n + 10
+        mod = build_tensor(n, depth)
+        full = casimir(mod)
+        for j in range(depth):
+            mu = n - 2 * j
+            mat, basis = enright.casimir_weight_matrix(n, mu)
+            idx = [mod.index[("vw", i, k)] for i, k in basis]
+            cols = set(idx)  # the Casimir keeps the weight: no entry leaves the slice
+            assert all(r in cols for r, c in full.entries if c in cols)
+            size = len(idx)
+            restricted = SparseMat(size, size, {
+                (a, b): full[r, c] for a, r in enumerate(idx) for b, c in enumerate(idx)})
+            assert mat == restricted
+            shifted, same = enright.casimir_weight_matrix(n, mu, 3)
+            assert same == basis
+            assert shifted == restricted - SparseMat.identity(size).scale(3)

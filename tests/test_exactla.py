@@ -106,37 +106,31 @@ class TestSolve:
 
 class TestGeneralizedKernel:
     def test_jordan_block(self):
-        kernel, excess = generalized_kernel(mat([[0, 1], [0, 0]]), 2)
+        kernel, excess, _ = generalized_kernel(mat([[0, 1], [0, 0]]))
         assert kernel == [{0: 1}] and excess == [{1: 1}]
 
     def test_diagonal_no_excess(self):
-        kernel, excess = generalized_kernel(mat([[0, 0], [0, 5]]), 2)
+        kernel, excess, _ = generalized_kernel(mat([[0, 0], [0, 5]]))
         assert kernel == [{0: 1}] and excess == []
 
     def test_casimir_weight_slice(self):
         # (Casimir - 0) on weight -2 of L2 (x) V0: columns as derived
         m = mat([[-8, 8, 0], [-8, 8, 4], [0, 0, 8]])
-        kernel, excess = generalized_kernel(m, 2)
+        kernel, excess, _ = generalized_kernel(m)
         assert kernel == [{0: 1, 1: 1}]
         assert len(excess) == 1
         v = excess[0]
         assert m.apply(v) != {}
-        assert (m**2).apply(v) == {}
+        assert (m @ m).apply(v) == {}
+
+    def test_returns_the_square(self):
+        for rows in ([[0, 1], [0, 0]], [[-8, 8, 0], [-8, 8, 4], [0, 0, 8]], [[1, 2], [3, 4]]):
+            m = mat(rows)
+            assert generalized_kernel(m)[2] == m @ m
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            generalized_kernel(SparseMat(2, 3), 2)
-
-
-def test_matrix_power_matches_repeated_products():
-    m = mat([[1, 2, 0], [0, -1, 3], [4, 0, 1]])
-    assert m**0 == SparseMat.identity(3)
-    one = m**1
-    assert one == m and one is not m
-    one.entries.clear()
-    assert m[0, 0] == 1  # the power is a fresh matrix
-    assert m**3 == m @ m @ m
-    assert m**5 == m @ m @ m @ m @ m
+            generalized_kernel(SparseMat(2, 3))
 
 
 def test_identity_and_from_rows_keep_int_entries():

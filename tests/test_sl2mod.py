@@ -4,7 +4,6 @@ import pytest
 
 from vermalab.exactla import SparseMat
 from vermalab.sl2mod import (
-    InteriorRegion,
     apply_op,
     apply_word,
     build_Ln,
@@ -91,7 +90,7 @@ class TestTensor:
 
     def test_commutator_on_interior(self):
         m = build_tensor(3, 6)
-        for b in InteriorRegion(m, 1).labels:
+        for b in m.interior(1):
             ef = apply_word(m, "ef", vec(m, b))
             fe = apply_word(m, "fe", vec(m, b))
             h = apply_op(m, "h", vec(m, b))
@@ -141,7 +140,7 @@ class TestTr:
     def test_casimir_two_step_nilpotent(self, r, n):
         m = build_Tr(r, n, r + 12)
         c = Fraction(r * (r + 2))
-        for b in InteriorRegion(m, 4).labels:
+        for b in m.interior(4):
             v = vec(m, b)
             w = _shifted_casimir(m, c, v)
             assert _shifted_casimir(m, c, w) == {}
@@ -159,7 +158,7 @@ class TestTr:
     @pytest.mark.parametrize("r,n", [(0, 2), (2, 6), (3, 5)])
     def test_commutator_on_interior(self, r, n):
         m = build_Tr(r, n, r + 10)
-        for b in InteriorRegion(m, 1).labels:
+        for b in m.interior(1):
             ef = apply_word(m, "ef", vec(m, b))
             fe = apply_word(m, "fe", vec(m, b))
             assert diff(ef, fe) == apply_op(m, "h", vec(m, b))
@@ -233,3 +232,25 @@ def test_integral_actions_are_plain_int(build, args):
     m = build(*args)
     for mat in (m.actE, m.actF, m.actH, casimir(m)):
         assert mat.entries and all(type(x) is int for x in mat.entries.values())
+
+
+@pytest.mark.parametrize("build,interior", [
+    (lambda: build_Ln(3), [("v", 0), ("v", 1), ("v", 2), ("v", 3)]),
+    (lambda: build_verma(-3, 5), [("w", 0), ("w", 1), ("w", 2), ("w", 3)]),
+    (lambda: build_tensor(2, 4), [("vw", 0, 0), ("vw", 1, 0), ("vw", 2, 0),
+                                  ("vw", 0, 1), ("vw", 1, 1), ("vw", 2, 1),
+                                  ("vw", 0, 2), ("vw", 1, 2), ("vw", 2, 2)]),
+    (lambda: build_Tr(1, 3, 7), [("u", 0), ("u", 1), ("u", 2), ("a", 0), ("u", 3),
+                                 ("a", 1), ("u", 4), ("a", 2), ("u", 5), ("a", 3)]),
+], ids=["Ln3", "Verma-3", "L2xV0", "T1"])
+def test_weight_and_depth_functions(build, interior):
+    """h acts by the builder's weight function on the extended basis, f
+    lowers it by 2, and the interior read off the depth function is the
+    pinned label list."""
+    m = build()
+    for b in m.basis_ext:
+        mu = m.weight(b)
+        assert m.act_label("h", b) == ({b: mu} if mu else {})
+    for b in m.basis:
+        assert all(m.weight(lbl) == m.weight(b) - 2 for lbl in m.act_label("f", b))
+    assert m.interior(2) == interior

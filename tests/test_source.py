@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import vermalab
@@ -55,3 +56,17 @@ def test_library_caches_are_bounded():
             offenders.append(f"{where}: functools.cache is unbounded")
     assert seen  # the scan still sees heisenberg's whole-word memo
     assert offenders == []
+
+
+def test_exported_names_exist():
+    # every name a module lists in __all__ must resolve to an attribute
+    exported, missing = 0, []
+    for p in SOURCES:
+        name = "vermalab" if p.stem == "__init__" else f"vermalab.{p.stem}"
+        module = importlib.import_module(name)
+        for attr in getattr(module, "__all__", ()):
+            exported += 1
+            if not hasattr(module, attr):
+                missing.append(f"{p.name}: {attr}")
+    assert exported  # the scan still sees the library's export lists
+    assert missing == []
