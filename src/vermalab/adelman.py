@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 
 from . import fixtures
-from .exactla import SparseMat, nullspace, solve
+from .exactla import SparseMat, nullspace, solve, vec_iadd
 
 __all__ = [
     "DoubleArrow",
@@ -430,10 +430,7 @@ def _random_kernel_vector(rng, mat):
     rng.randint(-2, 2) per basis vector in basis order."""
     combo = {}
     for vec in nullspace(mat):
-        c = rng.randint(-2, 2)
-        if c:
-            for k, x in vec.items():
-                combo[k] = combo.get(k, 0) + c * x
+        vec_iadd(combo, vec, rng.randint(-2, 2))
     return combo
 
 

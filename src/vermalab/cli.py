@@ -97,6 +97,15 @@ def _case_record(n, s, iprime):
     return case, ok
 
 
+def _index_sets_doc(sets):
+    return {
+        "I": list(sets.I),
+        "Iprime": list(sets.Iprime),
+        "Idoubleprime": list(sets.Idoubleprime),
+        "Itripleprime": list(sets.Itripleprime),
+    }
+
+
 def _record_for_n(n, depth):
     sets = enright.index_sets(n, 0)
     cases = []
@@ -113,12 +122,7 @@ def _record_for_n(n, depth):
     doc = {
         "n": n,
         "lambda": 0,
-        "indexSets": {
-            "I": list(sets.I),
-            "Iprime": list(sets.Iprime),
-            "Idoubleprime": list(sets.Idoubleprime),
-            "Itripleprime": list(sets.Itripleprime),
-        },
+        "indexSets": _index_sets_doc(sets),
         "cases": cases,
         "audit": [{"mu": r.mu, "lhs": r.lhs, "rhs": r.rhs} for r in audit],
     }
@@ -132,16 +136,10 @@ def _record_for_n(n, depth):
 def cmd_decompose(cfg):
     depth = cfg.depth if cfg.depth is not None else 2 * cfg.n + 10
     if cfg.lam != 0:
-        sets = enright.index_sets(cfg.n, cfg.lam)
         doc = {
             "n": cfg.n,
             "lambda": cfg.lam,
-            "indexSets": {
-                "I": list(sets.I),
-                "Iprime": list(sets.Iprime),
-                "Idoubleprime": list(sets.Idoubleprime),
-                "Itripleprime": list(sets.Itripleprime),
-            },
+            "indexSets": _index_sets_doc(enright.index_sets(cfg.n, cfg.lam)),
             "note": "dimension audit runs for lambda = 0 only",
         }
         return doc, True
@@ -318,6 +316,9 @@ def cmd_verify_pseudoadjoint(cfg):
             "identityZero": rep.identity_zero,
             "casimirMatch": rep.casimir_match,
         }
+        if rep.failures:
+            # the witnesses: each failing check with the label it failed on
+            row["failures"] = [[kind, sl2mod.label_str(b)] for kind, b in rep.failures]
         if "cross_coefficient" in mod.params:
             # observed, never asserted: the single e-coefficient from the
             # generator column onto the highest weight column
@@ -452,6 +453,9 @@ def _validate(cfg):
         raise ValueError("--s is required")
     if cfg.command == "report" and (cfg.n_max is None or cfg.n_max < 0):
         raise ValueError("--n-max must be a nonnegative integer")
+    if cfg.command == "verify-hecke" and cfg.n_max is not None and cfg.n_max < 2:
+        # smaller values would check no relation at all
+        raise ValueError("--n-max must be at least 2 for verify-hecke")
     if cfg.depth is not None and cfg.depth < 0:
         raise ValueError("--depth must be nonnegative")
     if cfg.trials is not None and cfg.trials < 1:

@@ -30,12 +30,13 @@ from .exactla import (
     normalize_integer_vector,
     nullspace,
     vec_add,
+    vec_iadd,
     vec_is_zero,
     vec_scale,
     vec_sub,
 )
 from . import sl2mod
-from .sl2mod import apply_op, build_tensor, casimir_on_vector
+from .sl2mod import apply_op, apply_word, build_tensor, casimir_on_vector
 
 __all__ = [
     "IndexSets",
@@ -110,35 +111,28 @@ def tensor_weight_basis(n, mu):
     return out
 
 
+def _label_index(pairs):
+    """Row index of the tensor labels v_i (x) w_k for the pairs (i, k)."""
+    return {("vw", i, k): j for j, (i, k) in enumerate(pairs)}
+
+
 def casimir_weight_matrix(n, mu, c=0):
     """Matrix of (Casimir - c) on the full weight-mu slice of Ln (x) V0."""
     basis = tensor_weight_basis(n, mu)
     if not basis:
         return SparseMat(0, 0), []
-    depth = max(k for _, k in basis)
-    mod = build_tensor(n, depth)
-    pos = {b: idx for idx, b in enumerate(basis)}
-    ent = {}
-    for j, (i, k) in enumerate(basis):
-        col = casimir_on_vector(mod, {("vw", i, k): 1})
-        for lbl, x in col.items():
-            ent[pos[(lbl[1], lbl[2])], j] = x
-    omega = SparseMat(len(basis), len(basis), ent)
+    mod = build_tensor(n, max(k for _, k in basis))
+    index = _label_index(basis)
+    omega = SparseMat.from_columns(index, [casimir_on_vector(mod, {b: 1}) for b in index])
     return omega - SparseMat.identity(len(basis)).scale(c), basis
 
 
 def _e_restriction_matrix(n, mu):
     """Matrix of e from the weight-mu slice to the weight-(mu+2) slice."""
     basis = tensor_weight_basis(n, mu)
-    targets = tensor_weight_basis(n, mu + 2)
-    depth = max((k for _, k in basis), default=0)
-    mod = build_tensor(n, depth)
-    pos = {b: idx for idx, b in enumerate(targets)}
-    ent = {}
-    for j, (i, k) in enumerate(basis):
-        for lbl, x in apply_op(mod, "e", {("vw", i, k): 1}).items():
-            ent[pos[(lbl[1], lbl[2])], j] = x
-    return SparseMat(len(targets), len(basis), ent), basis
+    mod = build_tensor(n, max((k for _, k in basis), default=0))
+    columns = [apply_op(mod, "e", {b: 1}) for b in _label_index(basis)]
+    return SparseMat.from_columns(_label_index(tensor_weight_basis(n, mu + 2)), columns), basis
 
 
 # ---------------------------------------------------------------------------
@@ -598,15 +592,7 @@ _C_WORDS = (("effe", 1), ("feef", 1))
 def _apply_combo(module, words, vec):
     out = {}
     for word, mult in words:
-        part = vec
-        for op in reversed(word):
-            part = apply_op(module, op, part)
-        for lbl, x in part.items():
-            y = out.get(lbl, 0) + mult * x
-            if y:
-                out[lbl] = y
-            else:
-                del out[lbl]
+        vec_iadd(out, apply_word(module, word, vec), mult)
     return out
 
 
@@ -714,10 +700,10 @@ def decategorify(n, depth):
     """The class-to-vector map of the split Grothendieck group.
 
     Classes of the boxtimes objects correspond to tensor basis vectors
-    one-to-one; the formal [F] and [-E] matrices must coincide with the
-    module action matrices, the class of U_s must land on a highest
-    weight vector, and the class of the shifted projective generator on
-    a vector with the two-step Casimir property.
+    one-to-one; the formal [F] and [E] matrices (so also [-E]) must
+    coincide with the module action matrices, the class of U_s must land
+    on a highest weight vector, and the class of the shifted projective
+    generator on a vector with the two-step Casimir property.
     """
     mod = build_tensor(n, depth)
     basis, basis_ext, F, E = _formal_matrices(n, depth)
@@ -726,7 +712,7 @@ def decategorify(n, depth):
         and [(b[1], b[2]) for b in mod.basis_ext] == basis_ext
     )
     f_ok = F == mod.actF
-    e_ok = E.scale(-1) == mod.actE.scale(-1)  # [-E] against -actE
+    e_ok = E == mod.actE
 
     sets = index_sets(n, 0)
     gens = {r: projective_generator(n, r) for r in sets.Iprime}

@@ -4,7 +4,20 @@ Scalars are ``int``, ``fractions.Fraction`` (exact rationals),
 :class:`Laurent` (Laurent polynomials in one indeterminate ``q`` with
 integer coefficients) or :class:`RatFunc` (reduced fractions of
 polynomials in ``q`` with rational coefficients, denominator monic).
-Matrices are sparse maps ``(row, col) -> scalar`` with zeros absent.
+Vectors are dicts ``key -> scalar`` and matrices are sparse maps
+``(row, col) -> scalar``, zeros absent from both.
+
+``vec_iadd`` is the one accumulator: every sparse combination of the
+library (sl2 label vectors, group-algebra and Hecke terms, Heisenberg
+monomials, random kernel combinations) is summed into a dict through it.
+``SparseMat.from_columns`` is the one builder of a matrix from sparse
+columns keyed by labels.  The profiled hot loops keep the add-and-drop-
+zero rule inline, because a call per entry would cost time there:
+``SparseMat.__matmul__``, ``SparseMat.apply``, ``_integer_rows`` and
+``_echelon`` here, ``adelman._system``, ``hecke.HeckeElement._gen_left``,
+and ``heisenberg._fold`` and ``_rewrite``.  ``enright._formal_matrices``
+also writes its matrices by hand: it is the independent class-level
+oracle that the module matrices are compared against.
 
 A value is a ``Fraction`` only when a division produced it, which is
 back substitution: ``solve`` returns such values, and ``nullspace``
@@ -57,6 +70,7 @@ __all__ = [
     "nullspace",
     "solve",
     "generalized_kernel",
+    "vec_iadd",
     "vec_add",
     "vec_sub",
     "vec_scale",
@@ -454,26 +468,30 @@ class Laurent:
 # sparse vectors: plain dicts index -> scalar, zeros absent
 # ---------------------------------------------------------------------------
 
-def vec_add(u, v):
-    out = dict(u)
-    for k, x in v.items():
-        y = out.get(k, 0) + x
-        if y:
-            out[k] = y
-        else:
-            out.pop(k, None)
+def vec_iadd(out, v, c=1):
+    """Add c * v into the sparse vector out in place and return out.
+
+    Zeros are never stored: a key whose sum vanishes is deleted, and a
+    key absent from out takes c * x as it is, so no coefficient pays for
+    0 + x.  This is the one accumulator of sparse combinations.
+    """
+    for k, x in (v.items() if c == 1 else ((k, c * x) for k, x in v.items())):
+        old = out.get(k)
+        if old is not None:
+            x = old + x
+        if x:
+            out[k] = x
+        elif old is not None:
+            del out[k]
     return out
+
+
+def vec_add(u, v):
+    return vec_iadd(dict(u), v)
 
 
 def vec_sub(u, v):
-    out = dict(u)
-    for k, x in v.items():
-        y = out.get(k, 0) - x
-        if y:
-            out[k] = y
-        else:
-            out.pop(k, None)
-    return out
+    return vec_iadd(dict(u), v, -1)
 
 
 def vec_scale(c, u):
@@ -524,9 +542,7 @@ class SparseMat:
         self.cols = cols
         self.entries = {}
         if entries:
-            items = entries.items() if isinstance(entries, dict) else entries
-            for key, val in items:
-                r, c = key
+            for (r, c), val in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise IndexError(f"entry ({r},{c}) out of range {rows}x{cols}")
                 if val:
@@ -535,6 +551,15 @@ class SparseMat:
     @staticmethod
     def identity(n):
         return SparseMat(n, n, {(i, i): 1 for i in range(n)})
+
+    @staticmethod
+    def from_columns(index, columns):
+        """The len(index) x len(columns) matrix whose column j is the
+        sparse vector columns[j], the entry at key k going to row
+        index[k]; index is a dict, or a range for integer keys.  A key
+        outside index raises."""
+        return SparseMat(len(index), len(columns), {
+            (index[k], j): x for j, col in enumerate(columns) for k, x in col.items()})
 
     @staticmethod
     def from_rows(rows_list):
@@ -569,14 +594,7 @@ class SparseMat:
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch in addition")
-        ent = dict(self.entries)
-        for k, x in other.entries.items():
-            y = ent.get(k, 0) + x
-            if y:
-                ent[k] = y
-            else:
-                ent.pop(k, None)
-        return SparseMat(self.rows, self.cols, ent)
+        return SparseMat(self.rows, self.cols, vec_add(self.entries, other.entries))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -769,9 +787,7 @@ def generalized_kernel(m):
     # `big`: the excess vectors are the pivot columns of [kernel | big]
     # that lie in `big`
     columns = kernel + big
-    stacked = SparseMat(
-        m.cols, len(columns), {(k, j): x for j, v in enumerate(columns) for k, x in v.items()}
-    )
+    stacked = SparseMat.from_columns(range(m.cols), columns)
     excess = [columns[c] for c, _ in _echelon(_integer_rows(stacked)) if c >= len(kernel)]
     for v in excess:
         if vec_is_zero(m.apply(v)):

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import Laurent, as_integer
+from .exactla import Laurent, as_integer, vec_add, vec_iadd
 
 __all__ = [
     "identity_perm",
@@ -129,14 +129,7 @@ class GroupAlgebraElement:
 
     def __init__(self, n, terms=None):
         self.n = n
-        self.terms = {}
-        if terms:
-            for p, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = as_integer(c)
-                if c:
-                    self.terms[p] = self.terms.get(p, 0) + c
-                    if not self.terms[p]:
-                        del self.terms[p]
+        self.terms = {p: x for p, c in (terms or {}).items() if (x := as_integer(c))}
 
     @staticmethod
     def from_perm(p, coeff=1):
@@ -162,14 +155,7 @@ class GroupAlgebraElement:
     def __add__(self, other):
         other = self._lift(other)
         self._check(other)
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            x = out.get(p, 0) + c
-            if x:
-                out[p] = x
-            else:
-                out.pop(p, None)
-        return GroupAlgebraElement(self.n, out)
+        return GroupAlgebraElement(self.n, vec_add(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -186,13 +172,8 @@ class GroupAlgebraElement:
         self._check(other)
         out = {}
         for p, c in self.terms.items():
-            for r, d in other.terms.items():
-                key = compose(p, r)
-                x = out.get(key, 0) + c * d
-                if x:
-                    out[key] = x
-                else:
-                    out.pop(key, None)
+            # r -> p r is injective, so the left translate has no collisions
+            vec_iadd(out, {compose(p, r): d for r, d in other.terms.items()}, c)
         return GroupAlgebraElement(self.n, out)
 
     def __rmul__(self, other):
@@ -232,6 +213,12 @@ _Q = Laurent.q()
 _Q_MINUS_ONE = _Q - 1
 
 
+def _as_laurent(c):
+    """c as a Laurent coefficient; raises TypeError unless c is a
+    Laurent, an int or an integral Fraction."""
+    return c if isinstance(c, Laurent) else Laurent.const(c)
+
+
 class HeckeElement:
     """Finite Z[q, q^-1]-linear combination of basis elements T_w.
 
@@ -244,17 +231,7 @@ class HeckeElement:
 
     def __init__(self, n, terms=None):
         self.n = n
-        self.terms = {}
-        if terms:
-            for p, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = c if isinstance(c, Laurent) else Laurent.const(c)
-                if c:
-                    cur = self.terms.get(p)
-                    c = c + cur if cur is not None else c
-                    if c:
-                        self.terms[p] = c
-                    else:
-                        del self.terms[p]
+        self.terms = {p: x for p, c in (terms or {}).items() if (x := _as_laurent(c))}
 
     @staticmethod
     def T(p, coeff=_ONE):
@@ -280,15 +257,7 @@ class HeckeElement:
     def __add__(self, other):
         other = self._lift(other)
         self._check(other)
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            x = out.get(p)
-            x = c if x is None else x + c
-            if x:
-                out[p] = x
-            else:
-                out.pop(p, None)
-        return HeckeElement(self.n, out)
+        return HeckeElement(self.n, vec_add(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -302,7 +271,7 @@ class HeckeElement:
         return -(self - other)
 
     def scale(self, c):
-        c = c if isinstance(c, Laurent) else Laurent.const(c)
+        c = _as_laurent(c)
         return HeckeElement(self.n, {p: c * x for p, x in self.terms.items()})
 
     def _gen_left(self, i):
@@ -336,13 +305,13 @@ class HeckeElement:
         if isinstance(other, (int, Fraction, Laurent)):
             return self.scale(other)
         self._check(other)
-        result = HeckeElement.zero(self.n)
+        out = {}
         for u, c in self.terms.items():
             part = other.scale(c)
             for i in reversed(reduced_word(u)):
                 part = part._gen_left(i)
-            result = result + part
-        return result
+            vec_iadd(out, part.terms)
+        return HeckeElement(self.n, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Laurent)):

@@ -38,6 +38,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+from .exactla import vec_add, vec_iadd
+
 __all__ = [
     "HElem",
     "FockPoly",
@@ -87,15 +89,7 @@ class HElem:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mono, c in (terms.items() if isinstance(terms, dict) else terms):
-                if c:
-                    x = self.terms.get(mono, 0) + c
-                    if x:
-                        self.terms[mono] = x
-                    else:
-                        del self.terms[mono]
+        self.terms = {mono: c for mono, c in (terms or {}).items() if c}
 
     @staticmethod
     def one():
@@ -115,14 +109,7 @@ class HElem:
     def __add__(self, other):
         if isinstance(other, int):
             other = HElem({((), ()): other})
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            x = out.get(mono, 0) + c
-            if x:
-                out[mono] = x
-            else:
-                out.pop(mono, None)
-        return HElem(out)
+        return HElem(vec_add(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -137,13 +124,13 @@ class HElem:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return HElem({m: c * other for m, c in self.terms.items()})
-        out = HElem.zero()
+        out = {}
         for (b1, a1), c in self.terms.items():
             for (b2, a2), d in other.terms.items():
                 word = tuple(("b", m) for m in b1) + tuple(("a", n) for n in a1) \
                      + tuple(("b", m) for m in b2) + tuple(("a", n) for n in a2)
-                out = out + normal_form(word) * (c * d)
-        return out
+                vec_iadd(out, normal_form(word).terms, c * d)
+        return HElem(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -389,17 +376,13 @@ def fock_action(h, p):
         for lam, d in p.terms.items():
             word = tuple(("b", m) for m in bs) + tuple(("a", n) for n in aas) \
                  + tuple(("b", m) for m in lam)
-            for (rb, ra), e in normal_form(word).terms.items():
-                if ra:
-                    continue  # a's annihilate 1
+            # a's annihilate 1
+            kept = {rb: e for (rb, ra), e in normal_form(word).terms.items() if not ra}
+            for rb in kept:
                 if sum(rb) > p.degree_bound:
                     raise OverflowError(
                         f"Fock degree {sum(rb)} exceeds bound {p.degree_bound}")
-                x = out.get(rb, 0) + c * d * e
-                if x:
-                    out[rb] = x
-                else:
-                    del out[rb]
+            vec_iadd(out, kept, c * d)
     return FockPoly(out, p.degree_bound)
 
 
@@ -427,13 +410,8 @@ def tilde_candidates(order):
     def cmul(x, y):
         out = {}
         for mx, cx in x.items():
-            for my, cy in y.items():
-                key = tuple(sorted(mx + my))
-                v = out.get(key, 0) + cx * cy
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
+            # my -> mx + my is injective on multisets: no collisions
+            vec_iadd(out, {tuple(sorted(mx + my)): cy for my, cy in y.items()}, cx)
         return out
 
     # power series inverse of A(-t) modulo t^order
@@ -442,12 +420,7 @@ def tilde_candidates(order):
         acc = {}
         for j in range(1, k + 1):
             if j < len(a_minus):
-                for mono, c in cmul(a_minus[j], inv[k - j]).items():
-                    v = acc.get(mono, 0) + c
-                    if v:
-                        acc[mono] = v
-                    else:
-                        acc.pop(mono, None)
+                vec_iadd(acc, cmul(a_minus[j], inv[k - j]))
         inv.append({m: -c for m, c in acc.items()})
 
     tildes = []
@@ -455,12 +428,7 @@ def tilde_candidates(order):
         acc = {}
         for j in range(k):
             if j < len(a_prime):
-                for mono, c in cmul(a_prime[j], inv[k - 1 - j]).items():
-                    v = acc.get(mono, 0) + c
-                    if v:
-                        acc[mono] = v
-                    else:
-                        acc.pop(mono, None)
+                vec_iadd(acc, cmul(a_prime[j], inv[k - 1 - j]))
         tildes.append(HElem({((), mono): c for mono, c in acc.items()}))
     return tildes
 

@@ -158,6 +158,28 @@ class TestVerifiers:
         doc = json.loads(out.read_text())
         assert code == 0
         assert all(m["identityZero"] and m["casimirMatch"] for m in doc["modules"])
+        assert not any("failures" in m for m in doc["modules"])
+
+    def test_pseudoadjoint_failure_carries_witness_labels(self, tmp_path, monkeypatch):
+        real = enright.pseudoadjoint_check
+        monkeypatch.setattr(enright, "pseudoadjoint_check",
+                            lambda mod, c, margin=8: real(mod, c + 1, margin))
+        code, out = run_to_file(tmp_path, "pa.json", command="verify-pseudoadjoint",
+                                n=1, margin=8, depth=9)
+        doc = json.loads(out.read_text())
+        assert code == 1
+        verma0, ln = doc["modules"][:2]
+        assert (verma0["module"], ln["module"]) == ("Verma", "Ln")
+        assert verma0["identityZero"] is False and verma0["casimirMatch"] is True
+        assert verma0["failures"] == [["identity", "w0"], ["identity", "w1"]]
+        assert ln["failures"] == [["identity", "v0"], ["identity", "v1"]]
+
+    @pytest.mark.parametrize("n_max", ["1", "0", "-3"])
+    def test_hecke_rejects_n_max_below_two(self, n_max, capsys):
+        # below 2 there is no relation to check, so a pass would be vacuous
+        assert main(["verify-hecke", "--n-max", n_max]) == 2
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err and captured.out == ""
 
 
 class TestReport:
@@ -257,11 +279,28 @@ SL2_DIGESTS = {
 }
 
 
+# the same for the verbs of the other three suites, at the default seed
+ALGEBRA_DIGESTS = {
+    "verify-hecke": "30841748cb1586b4728e0050946ee85ab5f2076e8217c3932111ae36deb1ab38",
+    "verify-heisenberg --trials 100":
+        "f5fd4b20d40d8842316d2f3ba102583eac8e6bda26d42018882fbf1c603dfa2e",
+    "verify-adelman --trials 20":
+        "e9baee3fd4836597a4328d4323ba9a9e63706bd6462ccc8a9843b153609abadb",
+}
+
+
 @pytest.mark.parametrize("argv", list(SL2_DIGESTS))
 def test_sl2_outputs_are_pinned(argv, capsys):
     assert main(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SL2_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv", list(ALGEBRA_DIGESTS))
+def test_algebra_outputs_are_pinned(argv, capsys):
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ALGEBRA_DIGESTS[argv]
 
 
 def test_report_solves_each_highest_weight_vector_once(tmp_path, monkeypatch):

@@ -14,6 +14,8 @@ from vermalab.exactla import (
     rank,
     solve,
     vec_add,
+    vec_iadd,
+    vec_sub,
 )
 
 
@@ -131,6 +133,43 @@ class TestGeneralizedKernel:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             generalized_kernel(SparseMat(2, 3))
+
+
+class TestAccumulator:
+    def test_adds_in_place_and_drops_zeros(self):
+        out = {0: 1, 1: 2}
+        assert vec_iadd(out, {0: -1, 1: 1, 2: 5}, 1) is out
+        assert out == {1: 3, 2: 5}
+        assert vec_iadd(out, {1: 1, 3: 2}, -3) == {2: 5, 3: -6}
+        assert vec_iadd(out, {2: 7}, 0) == {2: 5, 3: -6}
+
+    def test_absent_key_takes_the_term_itself(self):
+        # no 0 + x: the stored coefficient is the very object added
+        x = Laurent([1, 2], low=-1)
+        out = vec_iadd({}, {"k": x})
+        assert out["k"] is x
+        assert vec_iadd(out, {"k": -x}) == {}
+
+    def test_add_and_sub_leave_inputs_alone(self):
+        u, v = {0: 1, 1: 2}, {1: 2, 2: 3}
+        assert vec_add(u, v) == {0: 1, 1: 4, 2: 3}
+        assert vec_sub(u, v) == {0: 1, 2: -3}
+        assert u == {0: 1, 1: 2} and v == {1: 2, 2: 3}
+
+
+class TestFromColumns:
+    def test_columns_go_to_indexed_rows(self):
+        m = SparseMat.from_columns({"a": 0, "b": 1, "c": 2}, [{"c": 4, "a": 1}, {}, {"b": -2}])
+        assert (m.rows, m.cols) == (3, 3)
+        assert m.entries == {(2, 0): 4, (0, 0): 1, (1, 2): -2}
+
+    def test_range_index_and_zero_entries(self):
+        m = SparseMat.from_columns(range(2), [{1: 3, 0: 0}])
+        assert (m.rows, m.cols, m.entries) == (2, 1, {(1, 0): 3})
+
+    def test_key_outside_the_index_raises(self):
+        with pytest.raises(KeyError):
+            SparseMat.from_columns({"a": 0}, [{"b": 1}])
 
 
 def test_identity_and_from_rows_keep_int_entries():

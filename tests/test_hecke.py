@@ -82,6 +82,17 @@ def test_coefficients_are_integral():
         HeckeElement.T(p, Fraction(1, 2))
 
 
+def test_constructors_drop_zeros_after_coercion():
+    p, e = simple(3, 1), identity_perm(3)
+    assert GroupAlgebraElement(3, {p: Fraction(0), e: 2}).terms == {e: 2}
+    assert HeckeElement(3, {p: Laurent.const(0), e: 0}).terms == {}
+    # a zero of a foreign type is still rejected, not silently dropped
+    with pytest.raises(TypeError):
+        GroupAlgebraElement(3, {p: Laurent.const(0)})
+    with pytest.raises(TypeError):
+        HeckeElement(3, {p: 0.0})
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_degenerate_relations(n):
     assert all(c.passed for c in verify_degenerate(n))

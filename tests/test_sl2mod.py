@@ -195,6 +195,18 @@ class TestCategoryMembership:
         rep = verify_category_I(build_Tr(0, 2, 10))
         assert rep.in_category
 
+    def test_tensor_is_member(self):
+        rep = verify_category_I(build_tensor(2, 8))
+        assert rep.weights_diagonal and rep.in_category
+
+    @pytest.mark.parametrize("label", [("vw", 0, 0), ("vw", 1, 2), ("vw", 2, 3)])
+    def test_wrong_weight_fails_weights_diagonal(self, label):
+        # h reads the declared weight; e and f do not, so ef - fe exposes it
+        m = build_tensor(2, 8)
+        true_weight = m.weight
+        m.weight = lambda lbl: true_weight(lbl) + (2 if lbl == label else 0)
+        assert not verify_category_I(m).weights_diagonal
+
 
 def test_weight_space_completeness():
     m = build_tensor(3, 4)
