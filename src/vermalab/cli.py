@@ -216,6 +216,11 @@ def _tilde_table(max_n, max_m):
     return rows
 
 
+def _word_str(word):
+    """A word in the generators as its letters, b1.a2 style (1 if empty)."""
+    return ".".join(f"{g}{i}" for g, i in word) or "1"
+
+
 def cmd_verify_heisenberg(cfg):
     trials = cfg.trials if cfg.trials is not None else 1000
     order = 6
@@ -236,14 +241,21 @@ def cmd_verify_heisenberg(cfg):
     )
 
     fuzz = heisenberg.confluence_fuzz(trials, cfg.seed)
+    fuzz_doc = {
+        "trials": fuzz.trials,
+        "failures": len(fuzz.mismatches) + len(fuzz.negative_coefficient_words),
+    }
+    if not fuzz.ok:
+        # the witnesses: every word the three normal forms disagree on,
+        # and every word with a negative normal-form coefficient
+        fuzz_doc["mismatches"] = [_word_str(w) for w in fuzz.mismatches]
+        fuzz_doc["negativeCoefficientWords"] = [
+            _word_str(w) for w in fuzz.negative_coefficient_words]
     doc = {
         "relationResiduals": rel_rows,
         "tildeResiduals": table,
         "tildeMatchesFixture": tilde_ok,
-        "fuzz": {
-            "trials": fuzz.trials,
-            "failures": len(fuzz.mismatches) + len(fuzz.negative_coefficient_words),
-        },
+        "fuzz": fuzz_doc,
         "seed": cfg.seed,
     }
     ok = rel_ok and tilde_ok and fuzz.ok
@@ -394,8 +406,10 @@ def _csv_rows(command, doc):
     elif command == "verify-pseudoadjoint":
         yield ["module", "index", "c", "labelsChecked", "identityZero", "casimirMatch"]
         for row in doc["modules"]:
+            # a failing row carries its witnesses as trailing kind:label cells
             yield [row["module"], row["index"], row["c"], row["labelsChecked"],
-                   row["identityZero"], row["casimirMatch"]]
+                   row["identityZero"], row["casimirMatch"],
+                   *(f"{kind}:{label}" for kind, label in row.get("failures", ()))]
     else:
         yield ["key", "value"]
         yield [command, json.dumps(doc, sort_keys=True)]

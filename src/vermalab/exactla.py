@@ -19,12 +19,12 @@ and ``heisenberg._fold`` and ``_rewrite``.  ``enright._formal_matrices``
 also writes its matrices by hand: it is the independent class-level
 oracle that the module matrices are compared against.
 
-A value is a ``Fraction`` only when a division produced it, which is
-back substitution: ``solve`` returns such values, and ``nullspace``
-scales its vectors back to ``int``.  Every integral structure constant
-(identity matrices, the sl2 actions, the Casimir, the closed-form
-coefficients) is a plain ``int``, and ``scalar_str`` renders both kinds
-the same way.
+A value is a ``Fraction`` only when it is not integral.  Back
+substitution runs in integers: ``nullspace`` never builds a ``Fraction``,
+and ``solve`` returns one only for a non-integral coordinate.  Every
+integral structure constant (identity matrices, the sl2 actions, the
+Casimir, the closed-form coefficients) is a plain ``int``, and
+``scalar_str`` renders both kinds the same way.
 
 ``Laurent`` is the coefficient ring of the Hecke algebra: every
 structure constant there lies in Z[q, q^-1], so its arithmetic needs no
@@ -42,7 +42,11 @@ right-hand side of ``solve`` is an extra column.  Rows are bucketed by
 leading column, columns are taken in increasing order, and the shortest
 row of a bucket is the pivot that clears that column from the others.
 Every new row is divided by the gcd of its entries, so intermediate
-values stay small integers.  Only back substitution uses ``Fraction``.
+values stay small integers.  Back substitution stays in integers too:
+it keeps integer numerators over one common denominator, scaled by
+p / gcd(s, p) whenever a pivot p does not divide the sum s it must
+take.  A kernel vector then only loses its content and sign; a
+solution is divided by the denominator once, at the end.
 ``generalized_kernel(m)`` is the two-step kernel: it forms ``m @ m``
 once and returns that square with the kernel and its extension, so a
 caller that needs the square again does not recompute it.
@@ -509,29 +513,43 @@ def normalize_integer_vector(u):
 
     The sign is fixed by making the highest-indexed nonzero coordinate
     positive; for kernel vectors produced by back substitution that is
-    the defining free coordinate.  Keys must be sortable.
+    the defining free coordinate.  Keys must be sortable.  A vector of
+    ints (as ``nullspace`` builds) only loses its content and sign; other
+    entries are first scaled by the lcm of their denominators.
     """
     if not u:
         return {}
-    den_lcm = 1
-    for x in u.values():
-        f = Fraction(x)
-        den_lcm = den_lcm * f.denominator // gcd(den_lcm, f.denominator)
-    ints = {k: int(Fraction(x) * den_lcm) for k, x in u.items()}
-    g = 0
-    for x in ints.values():
-        g = gcd(g, abs(x))
-    lead = ints[max(ints)]
-    sign = -1 if lead < 0 else 1
-    return {k: sign * x // g for k, x in ints.items()}
+    if all(type(x) is int for x in u.values()):
+        ints = u
+    else:
+        den_lcm = 1
+        for x in u.values():
+            den_lcm = lcm(den_lcm, Fraction(x).denominator)
+        ints = {k: int(Fraction(x) * den_lcm) for k, x in u.items()}
+    g = gcd(*ints.values())
+    if ints[max(ints)] < 0:
+        g = -g
+    return {k: x // g for k, x in ints.items()}
 
 
 # ---------------------------------------------------------------------------
 # sparse matrices
 # ---------------------------------------------------------------------------
 
+def _sparse_mat(rows, cols, entries):
+    """A SparseMat on entries that are in range and nonzero by
+    construction, taken as they are: the results of ``@``, ``+`` and
+    ``scale`` skip the constructor's per-entry checks."""
+    out = object.__new__(SparseMat)
+    out.rows, out.cols, out.entries = rows, cols, entries
+    return out
+
+
 class SparseMat:
-    """Sparse matrix with exact scalar entries, zeros never stored."""
+    """Sparse matrix with exact scalar entries, zeros never stored.
+
+    The constructor checks every entry's position (``IndexError`` out of
+    range) and drops zeros."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -594,15 +612,15 @@ class SparseMat:
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch in addition")
-        return SparseMat(self.rows, self.cols, vec_add(self.entries, other.entries))
+        return _sparse_mat(self.rows, self.cols, vec_add(self.entries, other.entries))
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
         if not c:
-            return SparseMat(self.rows, self.cols)
-        return SparseMat(self.rows, self.cols, {k: c * x for k, x in self.entries.items()})
+            return _sparse_mat(self.rows, self.cols, {})
+        return _sparse_mat(self.rows, self.cols, {k: c * x for k, x in self.entries.items()})
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -619,7 +637,7 @@ class SparseMat:
                     ent[key] = z
                 else:
                     ent.pop(key, None)
-        return SparseMat(self.rows, other.cols, ent)
+        return _sparse_mat(self.rows, other.cols, ent)
 
     def apply(self, vec):
         """Matrix times sparse column vector (dict col -> scalar)."""
@@ -716,11 +734,43 @@ def _echelon(rows):
     return echelon
 
 
+def _back_substitute(echelon, x, rhs):
+    """Integer back substitution through echelon rows, last pivot first.
+
+    x holds integer numerators over a common denominator d > 0, starting
+    from d = 1; column rhs of a row (absent for a kernel) is its
+    right-hand side.  Each pivot column pc with row entry p takes the
+    value s / p, where s is the row's right-hand side minus the row's
+    sum over x, scaled by d.  When p does not divide s, x and d are
+    first multiplied by p / gcd(s, p), which makes the new numerator an
+    integer.  Returns (x, d); x's keys are the initial ones followed by
+    the pivots whose values are nonzero, in decreasing column order.
+    """
+    d = 1
+    for pc, row in reversed(echelon):
+        s = row.get(rhs, 0) * d
+        for j, a in row.items():
+            if j in x:
+                s -= a * x[j]
+        if s:
+            p = row[pc]
+            g = gcd(s, p)
+            if p < 0:
+                g = -g
+            if g != p:
+                f = p // g
+                x = {j: f * v for j, v in x.items()}
+                d *= f
+            x[pc] = s // g
+    return x, d
+
+
 def nullspace(m):
     """Basis of ker(m), one sparse vector per free column.
 
-    Each basis vector has integer entries with gcd 1 and its defining
-    free coordinate positive.  The empty list means the map is injective.
+    Each basis vector has ``int`` entries with gcd 1 and its defining
+    free coordinate positive; no ``Fraction`` is built on the way.  The
+    empty list means the map is injective.
     Raises TypeError unless every entry is an int or a Fraction.
     """
     echelon = _echelon(_integer_rows(m))
@@ -729,14 +779,7 @@ def nullspace(m):
     for fc in range(m.cols):
         if fc in pivots:
             continue
-        x = {fc: Fraction(1)}
-        for pc, row in reversed(echelon):
-            s = 0
-            for j, a in row.items():
-                if j in x:
-                    s += a * x[j]
-            if s:
-                x[pc] = -s / row[pc]
+        x, _ = _back_substitute(echelon, {fc: 1}, m.cols)
         basis.append(normalize_integer_vector(x))
     return basis
 
@@ -751,7 +794,9 @@ def solve(m, b):
     b is a sparse vector over row indices; raises ValueError when an
     index of b lies outside the row range, and TypeError unless every
     entry of m and b is an int or a Fraction.  The solution has every
-    free coordinate 0.
+    free coordinate 0.  Back substitution keeps integer numerators over
+    one common denominator and divides once at the end, so a coordinate
+    is an ``int`` when it is integral and a ``Fraction`` only otherwise.
     """
     for i in b:
         if not (0 <= i < m.rows):
@@ -759,15 +804,10 @@ def solve(m, b):
     echelon = _echelon(_integer_rows(m, b))
     if echelon and echelon[-1][0] == m.cols:
         return None  # pivot in the augmented column: inconsistent
-    x = {}
-    for pc, row in reversed(echelon):
-        s = Fraction(row.get(m.cols, 0))
-        for j, a in row.items():
-            if j in x:
-                s -= a * x[j]
-        if s:
-            x[pc] = s / row[pc]
-    return x
+    x, d = _back_substitute(echelon, {}, m.cols)
+    if d == 1:
+        return x
+    return {j: v // d if v % d == 0 else Fraction(v, d) for j, v in x.items()}
 
 
 def generalized_kernel(m):

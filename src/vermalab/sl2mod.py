@@ -1,8 +1,8 @@
 """Truncated sl2-modules with exact action matrices.
 
 Four module kinds are supported, all with exact e, f, h actions.  The
-coefficients are ``int``, except T_r's e-action, which an exact solve
-produces as ``Fraction``s:
+coefficients are ``int``, except where T_r's e-action, which an exact
+solve produces, has a non-integral coefficient (a ``Fraction``):
 
 - ``Ln``         the (n+1)-dimensional simple module, basis v_0..v_n
 - ``Verma``      the highest weight module of weight lambda on w_k = x^k

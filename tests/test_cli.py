@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from vermalab import adelman, cli, enright, exactla, fixtures, hecke
+from vermalab import adelman, cli, enright, exactla, fixtures, hecke, heisenberg
 from vermalab.cli import RunConfig, main, run, scalar_str
 from vermalab.exactla import Laurent
 
@@ -144,6 +144,26 @@ class TestVerifiers:
         assert doc["tildeMatchesFixture"]
         assert doc["fuzz"] == {"trials": 100, "failures": 0}
 
+    def test_heisenberg_fuzz_failure_names_the_words(self, tmp_path, monkeypatch):
+        real = heisenberg._nf_cached
+
+        def broken(word, strategy):
+            if strategy == "rightmost" and len(word) >= 3:
+                return heisenberg.HElem()
+            return real(word, strategy)
+
+        monkeypatch.setattr(heisenberg, "_nf_cached", broken)
+        code, out = run_to_file(tmp_path, "hz.json", command="verify-heisenberg",
+                                trials=20)
+        fuzz = json.loads(out.read_text())["fuzz"]
+        assert code == 1 and fuzz["failures"] > 0
+        assert fuzz["negativeCoefficientWords"] == []
+        assert len(fuzz["mismatches"]) == fuzz["failures"]
+        for word in fuzz["mismatches"]:
+            letters = word.split(".")
+            assert len(letters) >= 3
+            assert all(x[0] in "ab" and x[1:].isdigit() for x in letters)
+
     def test_adelman(self, tmp_path):
         code, out = run_to_file(tmp_path, "ad.json", command="verify-adelman",
                                 trials=20)
@@ -173,6 +193,18 @@ class TestVerifiers:
         assert verma0["identityZero"] is False and verma0["casimirMatch"] is True
         assert verma0["failures"] == [["identity", "w0"], ["identity", "w1"]]
         assert ln["failures"] == [["identity", "v0"], ["identity", "v1"]]
+
+    def test_pseudoadjoint_csv_failure_carries_witness_labels(self, tmp_path, monkeypatch):
+        real = enright.pseudoadjoint_check
+        monkeypatch.setattr(enright, "pseudoadjoint_check",
+                            lambda mod, c, margin=8: real(mod, c + 1, margin))
+        code, out = run_to_file(tmp_path, "pa.csv", command="verify-pseudoadjoint",
+                                n=1, margin=8, depth=9, fmt="csv")
+        lines = out.read_bytes().decode().split("\r\n")
+        assert code == 1
+        assert lines[0] == "module,index,c,labelsChecked,identityZero,casimirMatch"
+        assert lines[1].endswith(",False,True,identity:w0,identity:w1")
+        assert lines[2].startswith("Ln,") and lines[2].endswith(",identity:v0,identity:v1")
 
     @pytest.mark.parametrize("n_max", ["1", "0", "-3"])
     def test_hecke_rejects_n_max_below_two(self, n_max, capsys):

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vermalab.exactla import (
@@ -292,6 +293,10 @@ def test_normalize_integer_vector():
     v = normalize_integer_vector({0: Fraction(-2, 3), 2: Fraction(4, 3)})
     assert v == {0: -1, 2: 2}
     assert normalize_integer_vector({}) == {}
+    # the int path: content and sign only, key order kept
+    v = normalize_integer_vector({3: -6, 0: 4, 1: -2})
+    assert list(v.items()) == [(3, 3), (0, -2), (1, 1)]
+    assert all(type(x) is int for x in v.values())
 
 
 # ---------------------------------------------------------------------------
@@ -406,3 +411,96 @@ def test_non_rational_entries_rejected():
         solve(m, {0: Fraction(1)})
     with pytest.raises(TypeError):
         solve(mat([[1, 2]]), {0: 1.5})
+
+
+def _gauss_jordan(m, b):
+    """Reference solve: dense Fraction Gauss-Jordan elimination taking the
+    columns left to right.  Returns the solution with every free
+    coordinate 0 as (column, value) pairs of its nonzero values in
+    decreasing pivot column, or None when the system is inconsistent."""
+    a = [[Fraction(m[i, j]) for j in range(m.cols)] + [Fraction(b.get(i, 0))]
+         for i in range(m.rows)]
+    pivots, r = [], 0
+    for c in range(m.cols):
+        k = next((i for i in range(r, m.rows) if a[i][c]), None)
+        if k is None:
+            continue
+        a[r], a[k] = a[k], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(m.rows):
+            if i != r and a[i][c]:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+        pivots.append((c, r))
+        r += 1
+    if any(a[i][m.cols] for i in range(r, m.rows)):
+        return None
+    return [(c, a[i][m.cols]) for c, i in reversed(pivots) if a[i][m.cols]]
+
+
+@given(sparse_system())
+@example(system=(mat([[2, 0], [0, 3]]), {0: 1, 1: 1}))
+@example(system=(mat([[2, 0, 1], [0, 3, 0]]), {0: 1, 1: 6}))  # one int, one Fraction
+@example(system=(mat([[2, 4, 1], [0, 3, 6]]), {0: 1, 1: 2}))
+@example(system=(mat([[Fraction(1, 2), Fraction(1, 3)], [3, -1]]), {0: 1, 1: Fraction(2, 7)}))
+@settings(max_examples=150, deadline=None)
+def test_solve_matches_fraction_gauss_jordan(system):
+    m, b = system
+    expected = _gauss_jordan(m, b)
+    x = solve(m, b)
+    if expected is None:
+        assert x is None
+        return
+    assert list(x.items()) == expected
+    for v in x.values():
+        # an int exactly when the value is integral
+        assert type(v) is (int if Fraction(v).denominator == 1 else Fraction)
+
+
+@given(sparse_system())
+@settings(max_examples=150, deadline=None)
+def test_nullspace_vectors_are_primitive_ints(system):
+    m, _ = system
+    for v in nullspace(m):
+        assert v and all(type(x) is int for x in v.values())
+        assert gcd(*v.values()) == 1
+        assert v[max(v)] > 0
+        assert m.apply(v) == {}
+
+
+def test_constructor_still_checks_the_range():
+    with pytest.raises(IndexError):
+        SparseMat(2, 2, {(2, 0): 1})
+    with pytest.raises(IndexError):
+        SparseMat(2, 2, {(0, -1): 1})
+
+
+@st.composite
+def matrix_pair(draw):
+    """Two matrices of shapes r x k and k x c, or of equal shape."""
+    r, k, c = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    shapes = ((r, k), (r, k)) if draw(st.booleans()) else ((r, k), (k, c))
+
+    def one(rows, cols):
+        return SparseMat(rows, cols, {(i, j): draw(_entry)
+                                      for i in range(rows) for j in range(cols)})
+    return one(*shapes[0]), one(*shapes[1]), draw(_entry)
+
+
+def _checked(m):
+    """The same matrix rebuilt through the checked public constructor."""
+    return SparseMat(m.rows, m.cols, m.entries)
+
+
+@given(matrix_pair())
+@settings(max_examples=200, deadline=None)
+def test_unchecked_results_pass_the_checked_constructor(pair):
+    a, b, c = pair
+    results = [a.scale(c), b.scale(c), a.scale(0)]
+    if a.cols == b.rows:
+        results.append(a @ b)
+    if (a.rows, a.cols) == (b.rows, b.cols):
+        results += [a + b, a - b, a - a]
+    for r in results:
+        assert r == _checked(r) and r.entries == _checked(r).entries
+        assert all(0 <= i < r.rows and 0 <= j < r.cols and x
+                   for (i, j), x in r.entries.items())
