@@ -513,19 +513,15 @@ def normalize_integer_vector(u):
 
     The sign is fixed by making the highest-indexed nonzero coordinate
     positive; for kernel vectors produced by back substitution that is
-    the defining free coordinate.  Keys must be sortable.  A vector of
-    ints (as ``nullspace`` builds) only loses its content and sign; other
-    entries are first scaled by the lcm of their denominators.
+    the defining free coordinate.  Keys must be sortable.  Entries are
+    ints or Fractions; their numerators are scaled by the lcm of the
+    denominators, so no ``Fraction`` is built and a vector of ints (as
+    ``nullspace`` builds) only loses its content and sign.
     """
     if not u:
         return {}
-    if all(type(x) is int for x in u.values()):
-        ints = u
-    else:
-        den_lcm = 1
-        for x in u.values():
-            den_lcm = lcm(den_lcm, Fraction(x).denominator)
-        ints = {k: int(Fraction(x) * den_lcm) for k, x in u.items()}
+    den = lcm(*(x.denominator for x in u.values()))
+    ints = {k: x.numerator * (den // x.denominator) for k, x in u.items()}
     g = gcd(*ints.values())
     if ints[max(ints)] < 0:
         g = -g
@@ -805,8 +801,6 @@ def solve(m, b):
     if echelon and echelon[-1][0] == m.cols:
         return None  # pivot in the augmented column: inconsistent
     x, d = _back_substitute(echelon, {}, m.cols)
-    if d == 1:
-        return x
     return {j: v // d if v % d == 0 else Fraction(v, d) for j, v in x.items()}
 
 

@@ -293,9 +293,13 @@ def test_normalize_integer_vector():
     v = normalize_integer_vector({0: Fraction(-2, 3), 2: Fraction(4, 3)})
     assert v == {0: -1, 2: 2}
     assert normalize_integer_vector({}) == {}
-    # the int path: content and sign only, key order kept
+    # ints: content and sign only, key order kept
     v = normalize_integer_vector({3: -6, 0: 4, 1: -2})
     assert list(v.items()) == [(3, 3), (0, -2), (1, 1)]
+    assert all(type(x) is int for x in v.values())
+    # integral Fractions and ints mixed come back as ints
+    v = normalize_integer_vector({0: Fraction(4), 1: -6, 2: Fraction(2, 1)})
+    assert list(v.items()) == [(0, 2), (1, -3), (2, 1)]
     assert all(type(x) is int for x in v.values())
 
 
