@@ -1,10 +1,11 @@
 """Batch command-line front end for the verification suites.
 
 Verbs: decompose | hwv | projgen | verify-hecke | verify-heisenberg |
-verify-adelman | verify-pseudoadjoint | report.  Output is JSON (sorted
-keys, exact scalars rendered as decimal or "num/den" strings) or
-RFC-4180 CSV.  Exit code 0 means every check passed, 1 flags a
-verification failure, 2 a usage error.
+verify-adelman | verify-pseudoadjoint | report.  ``VERBS`` lists the
+options each verb reads, with their defaults; any other option is a
+usage error.  Output is JSON (sorted keys, exact scalars rendered as
+decimal or "num/den" strings) or RFC-4180 CSV.  Exit code 0 means every
+check passed, 1 flags a verification failure, 2 a usage error.
 
 Reports are byte-deterministic: a fixed default seed, fixed key order,
 and string-rendered unbounded integers.
@@ -17,7 +18,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import adelman, enright, hecke, heisenberg, sl2mod
 from .exactla import scalar_str
@@ -30,23 +31,6 @@ from .fixtures import (
 )
 
 DEFAULT_SEED = 1729
-
-
-@dataclass
-class RunConfig:
-    command: str
-    n: int = None
-    lam: int = 0
-    s: int = None
-    depth: int = None
-    margin: int = 8
-    q_mode: str = "both"
-    trials: int = None
-    seed: int = DEFAULT_SEED
-    n_max: int = None
-    output_path: str = None
-    fmt: str = "json"
-    refreeze: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -130,24 +114,24 @@ def _record_for_n(n, depth):
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the parsed options of its verb
 # ---------------------------------------------------------------------------
 
-def cmd_decompose(cfg):
-    depth = cfg.depth if cfg.depth is not None else 2 * cfg.n + 10
-    if cfg.lam != 0:
+def cmd_decompose(args):
+    depth = args.depth if args.depth is not None else 2 * args.n + 10
+    if args.lam != 0:
         doc = {
-            "n": cfg.n,
-            "lambda": cfg.lam,
-            "indexSets": _index_sets_doc(enright.index_sets(cfg.n, cfg.lam)),
+            "n": args.n,
+            "lambda": args.lam,
+            "indexSets": _index_sets_doc(enright.index_sets(args.n, args.lam)),
             "note": "dimension audit runs for lambda = 0 only",
         }
         return doc, True
-    doc, ok = _record_for_n(cfg.n, depth)
+    doc, ok = _record_for_n(args.n, depth)
     blocks = []
     for j in range(depth + 1):
-        mu = cfg.n - 2 * j
-        rep = enright.casimir_blocks(cfg.n, mu, depth)
+        mu = args.n - 2 * j
+        rep = enright.casimir_blocks(args.n, mu, depth)
         blocks.append({
             "mu": mu,
             "ok": rep.ok,
@@ -158,21 +142,21 @@ def cmd_decompose(cfg):
         })
         ok = ok and rep.ok
     doc["casimirBlocks"] = blocks
-    doc["module"] = sl2mod.module_to_json(sl2mod.build_tensor(cfg.n, depth))
+    doc["module"] = sl2mod.module_to_json(sl2mod.build_tensor(args.n, depth))
     return doc, ok
 
 
-def cmd_hwv(cfg):
-    sets = enright.index_sets(cfg.n, 0)
-    case, ok = _case_record(cfg.n, cfg.s, set(sets.Iprime))
-    return {"n": cfg.n, "case": case}, ok
+def cmd_hwv(args):
+    sets = enright.index_sets(args.n, 0)
+    case, ok = _case_record(args.n, args.s, set(sets.Iprime))
+    return {"n": args.n, "case": case}, ok
 
 
-def cmd_projgen(cfg):
-    gen = enright.projective_generator(cfg.n, cfg.s)
+def cmd_projgen(args):
+    gen = enright.projective_generator(args.n, args.s)
     doc = {
-        "n": cfg.n,
-        "s": cfg.s,
+        "n": args.n,
+        "s": args.s,
         "c": gen.c,
         "q": [scalar_str(x) for x in gen.q_list],
         "p": [scalar_str(x) for x in gen.p_list],
@@ -187,18 +171,15 @@ def cmd_projgen(cfg):
     return doc, ok
 
 
-def cmd_verify_hecke(cfg):
-    n_deg = cfg.n_max if cfg.n_max is not None else 5
-    n_nondeg = min(cfg.n_max, 4) if cfg.n_max is not None else 4
-    n_bridge = min(cfg.n_max, 3) if cfg.n_max is not None else 3
+def cmd_verify_hecke(args):
     checks = []
-    if cfg.q_mode in ("both", "unit"):
-        for n in range(2, n_deg + 1):
+    if args.q_mode in ("both", "unit"):
+        for n in range(2, args.n_max + 1):
             checks += [("degenerate", c) for c in hecke.verify_degenerate(n)]
-    if cfg.q_mode in ("both", "generic"):
-        for n in range(2, n_nondeg + 1):
+    if args.q_mode in ("both", "generic"):
+        for n in range(2, min(args.n_max, 4) + 1):
             checks += [("nondegenerate", c) for c in hecke.verify_nondegenerate(n)]
-        for n in range(2, n_bridge + 1):
+        for n in range(2, min(args.n_max, 3) + 1):
             checks += [("degeneration", c) for c in hecke.degeneration_check(n)]
     rows = [{"model": model, "relation": c.family, "n": c.n, "indices": list(c.indices),
              "witnessOrPass": True if c.passed else c.witness}
@@ -221,8 +202,7 @@ def _word_str(word):
     return ".".join(f"{g}{i}" for g, i in word) or "1"
 
 
-def cmd_verify_heisenberg(cfg):
-    trials = cfg.trials if cfg.trials is not None else 1000
+def cmd_verify_heisenberg(args):
     order = 6
     residuals = heisenberg.verify_generating_identity(order)
     rel_rows = [{"i": i, "j": j, "residual": repr(r)}
@@ -230,7 +210,7 @@ def cmd_verify_heisenberg(cfg):
     rel_ok = all(not r for r in residuals.values())
 
     table = _tilde_table(4, 4)
-    if cfg.refreeze:
+    if args.refreeze:
         save_json(TILDE_FIXTURE, {"maxN": 6, "maxM": 6, "table": _tilde_table(6, 6)})
     frozen = load_tilde_fixture()
     frozen_map = {(row["n"], row["m"]): row["residualNormalForm"]
@@ -240,7 +220,7 @@ def cmd_verify_heisenberg(cfg):
         for row in table
     )
 
-    fuzz = heisenberg.confluence_fuzz(trials, cfg.seed)
+    fuzz = heisenberg.confluence_fuzz(args.trials, args.seed)
     fuzz_doc = {
         "trials": fuzz.trials,
         "failures": len(fuzz.mismatches) + len(fuzz.negative_coefficient_words),
@@ -256,16 +236,16 @@ def cmd_verify_heisenberg(cfg):
         "tildeResiduals": table,
         "tildeMatchesFixture": tilde_ok,
         "fuzz": fuzz_doc,
-        "seed": cfg.seed,
+        "seed": args.seed,
     }
     ok = rel_ok and tilde_ok and fuzz.ok
     return doc, ok
 
 
-def cmd_verify_adelman(cfg):
-    trials = cfg.trials if cfg.trials is not None else 100
-    if cfg.refreeze:
-        reports = [adelman.resolve_interpretation(seed=s) for s in (cfg.seed, cfg.seed + 1, cfg.seed + 2)]
+def cmd_verify_adelman(args):
+    seed = args.seed
+    if args.refreeze:
+        reports = [adelman.resolve_interpretation(seed=s) for s in (seed, seed + 1, seed + 2)]
         choices = {(r.kernel_choice, r.cokernel_choice) for r in reports}
         if len(choices) != 1:
             raise AssertionError(f"interpretation unstable across seeds: {choices}")
@@ -277,10 +257,10 @@ def cmd_verify_adelman(cfg):
         })
         adelman._frozen_choice = None
     frozen = adelman.frozen_interpretation()
-    resolved = adelman.resolve_interpretation(seed=cfg.seed)
+    resolved = adelman.resolve_interpretation(seed=seed)
     stable = (resolved.kernel_choice, resolved.cokernel_choice) == frozen
-    cong = adelman.congruence_checks(cfg.seed, max(trials // 4, 10))
-    up = adelman.universal_property_trials(cfg.seed, trials)
+    cong = adelman.congruence_checks(seed, max(args.trials // 4, 10))
+    up = adelman.universal_property_trials(seed, args.trials)
     doc = {
         "interpretationChosen": {
             "kernel": resolved.kernel_choice,
@@ -299,24 +279,24 @@ def cmd_verify_adelman(cfg):
             "passed": up.kernel_passed + up.cokernel_passed,
             "failed": up.kernel_failed + up.cokernel_failed,
         },
-        "seed": cfg.seed,
+        "seed": seed,
     }
     ok = stable and cong.ok and up.ok
     return doc, ok
 
 
-def cmd_verify_pseudoadjoint(cfg):
-    sets = enright.index_sets(cfg.n, 0)
-    margin = cfg.margin
-    depth = cfg.depth if cfg.depth is not None else margin + 12
+def cmd_verify_pseudoadjoint(args):
+    n, margin = args.n, args.margin
+    depth = args.depth if args.depth is not None else margin + 12
+    sets = enright.index_sets(n, 0)
     runs = []
     ok = True
     jobs = [("Verma", 0, sl2mod.build_verma(0, depth), 0)]
-    jobs.append(("Ln", cfg.n, sl2mod.build_Ln(cfg.n), cfg.n * (cfg.n + 2)))
+    jobs.append(("Ln", n, sl2mod.build_Ln(n), n * (n + 2)))
     for s in sets.Itripleprime:
         jobs.append(("Verma", s, sl2mod.build_verma(s, depth), s * (s + 2)))
     for r in sets.Iprime:
-        mod = sl2mod.build_Tr(r, cfg.n, r + margin + 4)
+        mod = sl2mod.build_Tr(r, n, r + margin + 4)
         jobs.append(("Tr", r, mod, r * (r + 2)))
     for kind, idx, mod, c in jobs:
         rep = enright.pseudoadjoint_check(mod, c, margin)
@@ -337,113 +317,193 @@ def cmd_verify_pseudoadjoint(cfg):
             row["crossCoefficient"] = scalar_str(mod.params["cross_coefficient"])
         runs.append(row)
         ok = ok and rep.identity_zero and rep.casimir_match
-    return {"n": cfg.n, "margin": margin, "modules": runs}, ok
+    return {"n": n, "margin": margin, "modules": runs}, ok
 
 
-def cmd_report(cfg):
-    results = [_record_for_n(n, 2 * n + 10 if cfg.depth is None else cfg.depth)
-               for n in range(cfg.n_max + 1)]
+def cmd_report(args):
+    results = [_record_for_n(n, 2 * n + 10 if args.depth is None else args.depth)
+               for n in range(args.n_max + 1)]
     records = [doc for doc, _ in results]
     failures = sum(0 if ok else 1 for _, ok in results)
     cases_run = sum(len(doc["cases"]) for doc in records)
     doc = {
-        "nMax": cfg.n_max,
-        "seed": cfg.seed,
+        "nMax": args.n_max,
+        "seed": DEFAULT_SEED,  # kept so that report bytes stay as they were
         "records": records,
         "summary": {"casesRun": cases_run, "failures": failures},
     }
     return doc, failures == 0
 
 
-COMMANDS = {
-    "decompose": cmd_decompose,
-    "hwv": cmd_hwv,
-    "projgen": cmd_projgen,
-    "verify-hecke": cmd_verify_hecke,
-    "verify-heisenberg": cmd_verify_heisenberg,
-    "verify-adelman": cmd_verify_adelman,
-    "verify-pseudoadjoint": cmd_verify_pseudoadjoint,
-    "report": cmd_report,
+# ---------------------------------------------------------------------------
+# CSV rows: each takes its verb's report document
+# ---------------------------------------------------------------------------
+
+def _audit_rows(records):
+    return [["n", "mu", "lhs", "rhs"]] + [
+        [rec["n"], row["mu"], row["lhs"], row["rhs"]]
+        for rec in records for row in rec.get("audit", [])]
+
+
+def _hwv_rows(doc):
+    return [["i", "k", "coefficient"], *doc["case"]["coefficients"]]
+
+
+def _projgen_rows(doc):
+    return [["j", "q", "p", "final"]] + [
+        [j, *qpf] for j, qpf in enumerate(zip(doc["q"], doc["p"], doc["final"]))]
+
+
+def _hecke_rows(doc):
+    return [["model", "relation", "n", "indices", "witnessOrPass"]] + [
+        [row["model"], row["relation"], row["n"], " ".join(map(str, row["indices"])),
+         row["witnessOrPass"]] for row in doc["relations"]]
+
+
+def _heisenberg_rows(doc):
+    return [["n", "m", "residualNormalForm"]] + [
+        [row["n"], row["m"], row["residualNormalForm"]] for row in doc["tildeResiduals"]]
+
+
+def _adelman_rows(doc):
+    return [["check", "value"]] + [
+        [key, json.dumps(doc[key], sort_keys=True)]
+        for key in ("interpretationChosen", "congruenceChecks", "universalPropertyTrials")]
+
+
+def _pseudoadjoint_rows(doc):
+    # a failing row carries its witnesses as trailing kind:label cells
+    return [["module", "index", "c", "labelsChecked", "identityZero", "casimirMatch"]] + [
+        [row["module"], row["index"], row["c"], row["labelsChecked"], row["identityZero"],
+         row["casimirMatch"], *(f"{kind}:{label}" for kind, label in row.get("failures", ()))]
+        for row in doc["modules"]]
+
+
+# ---------------------------------------------------------------------------
+# the verb table
+# ---------------------------------------------------------------------------
+
+class Option(NamedTuple):
+    flag: str
+    dest: str           # the attribute it is parsed into
+    least: int | None   # the least value accepted, None for any
+    settings: dict      # the other add_argument keywords
+
+
+def _int_option(flag, dest, least=None, **settings):
+    return Option(flag, dest, least, {"type": int, **settings})
+
+
+N = _int_option("--n", "n", 0, required=True)
+S = _int_option("--s", "s", required=True)
+LAMBDA = _int_option("--lambda", "lam", default=0)
+DEPTH = _int_option("--depth", "depth", 0)  # no fixed default: each verb derives one
+MARGIN = _int_option("--margin", "margin", 0, default=8)
+SEED = _int_option("--seed", "seed", default=DEFAULT_SEED)
+Q_MODE = Option("--q-mode", "q_mode", None,
+                {"choices": ("both", "generic", "unit"), "default": "both"})
+REFREEZE = Option("--refreeze", "refreeze", None,
+                  {"action": "store_true",
+                   "help": "recompute and overwrite the checked-in fixtures"})
+
+
+class Verb(NamedTuple):
+    handler: Callable   # parsed options -> (report document, all checks passed)
+    help: str
+    options: tuple
+    csv_rows: Callable  # report document -> CSV rows, header first
+
+
+VERBS = {
+    "decompose": Verb(
+        cmd_decompose, "index sets, dimension audit, and Casimir blocks",
+        (N, LAMBDA, DEPTH), lambda doc: _audit_rows([doc])),
+    "hwv": Verb(
+        cmd_hwv, "highest weight vector at a given weight", (N, S), _hwv_rows),
+    "projgen": Verb(
+        cmd_projgen, "projective generator with the coefficient recurrence",
+        (N, S), _projgen_rows),
+    "verify-hecke": Verb(
+        cmd_verify_hecke, "all Hecke presentation relations",
+        # below n = 2 there is no relation to check, so a pass would be vacuous
+        (Q_MODE, _int_option("--n-max", "n_max", 2, default=5)), _hecke_rows),
+    "verify-heisenberg": Verb(
+        cmd_verify_heisenberg, "normal-form identities, fuzzing, and the power-sum probe",
+        (_int_option("--trials", "trials", 1, default=1000), SEED, REFREEZE),
+        _heisenberg_rows),
+    "verify-adelman": Verb(
+        cmd_verify_adelman,
+        "homotopy congruence and kernel/cokernel universal properties",
+        (_int_option("--trials", "trials", 1, default=100), SEED, REFREEZE),
+        _adelman_rows),
+    "verify-pseudoadjoint": Verb(
+        cmd_verify_pseudoadjoint, "the degree-eight functor identity on module slices",
+        (N, DEPTH, MARGIN), _pseudoadjoint_rows),
+    "report": Verb(
+        cmd_report, "full sweep over n with per-case records",
+        (_int_option("--n-max", "n_max", 0, required=True), DEPTH),
+        lambda doc: _audit_rows(doc["records"])),
 }
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# rendering and the entry point
 # ---------------------------------------------------------------------------
 
 def render_json(doc):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_rows(command, doc):
-    if command in ("decompose", "report"):
-        records = doc["records"] if command == "report" else [doc]
-        yield ["n", "mu", "lhs", "rhs"]
-        for rec in records:
-            for row in rec.get("audit", []):
-                yield [rec["n"], row["mu"], row["lhs"], row["rhs"]]
-    elif command == "hwv":
-        yield ["i", "k", "coefficient"]
-        for i, k, c in doc["case"]["coefficients"]:
-            yield [i, k, c]
-    elif command == "projgen":
-        yield ["j", "q", "p", "final"]
-        for j, (q, p, f) in enumerate(zip(doc["q"], doc["p"], doc["final"])):
-            yield [j, q, p, f]
-    elif command == "verify-hecke":
-        yield ["model", "relation", "n", "indices", "witnessOrPass"]
-        for row in doc["relations"]:
-            yield [row["model"], row["relation"], row["n"],
-                   " ".join(map(str, row["indices"])), row["witnessOrPass"]]
-    elif command == "verify-heisenberg":
-        yield ["n", "m", "residualNormalForm"]
-        for row in doc["tildeResiduals"]:
-            yield [row["n"], row["m"], row["residualNormalForm"]]
-    elif command == "verify-adelman":
-        yield ["check", "value"]
-        for key in ("interpretationChosen", "congruenceChecks", "universalPropertyTrials"):
-            yield [key, json.dumps(doc[key], sort_keys=True)]
-    elif command == "verify-pseudoadjoint":
-        yield ["module", "index", "c", "labelsChecked", "identityZero", "casimirMatch"]
-        for row in doc["modules"]:
-            # a failing row carries its witnesses as trailing kind:label cells
-            yield [row["module"], row["index"], row["c"], row["labelsChecked"],
-                   row["identityZero"], row["casimirMatch"],
-                   *(f"{kind}:{label}" for kind, label in row.get("failures", ()))]
-    else:
-        yield ["key", "value"]
-        yield [command, json.dumps(doc, sort_keys=True)]
-
-
-def render_csv(command, doc):
+def render_csv(rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
-    for row in _csv_rows(command, doc):
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
-def run(cfg):
-    """Execute one configured command; returns the process exit code."""
-    handler = COMMANDS.get(cfg.command)
-    if handler is None:
-        print(f"unknown command: {cfg.command}", file=sys.stderr)
-        return 2
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="vermalab",
+        description="exact verification suites for sl2 tensor decompositions, "
+                    "Hecke and Heisenberg relations, and the matrix abelianization",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, verb in VERBS.items():
+        # no abbreviations: --n must not be read as --n-max, nor --s as --seed
+        p = sub.add_parser(name, help=verb.help, allow_abbrev=False)
+        for opt in verb.options:
+            p.add_argument(opt.flag, dest=opt.dest, **opt.settings)
+        p.add_argument("--output", "-o", dest="output_path", default=None)
+        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    return parser
+
+
+def _check_ranges(args, options):
+    for opt in options:
+        value = getattr(args, opt.dest)
+        if opt.least is not None and value is not None and value < opt.least:
+            raise ValueError(f"{opt.flag} must be at least {opt.least}")
+
+
+def main(argv=None):
+    """Run one verb; returns the process exit code.
+
+    argparse rejects an unknown verb, an option the verb does not read
+    and a missing required option by raising SystemExit(2).
+    """
+    args = build_parser().parse_args(argv)
+    verb = VERBS[args.command]
     try:
-        _validate(cfg)
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        doc, ok = handler(cfg)
-        text = render_json(doc) if cfg.fmt == "json" else render_csv(cfg.command, doc)
-        if cfg.output_path:
-            with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
+        _check_ranges(args, verb.options)
+        doc, ok = verb.handler(args)
+        text = render_json(doc) if args.fmt == "json" else render_csv(verb.csv_rows(doc))
+        if args.output_path:
+            with open(args.output_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
     except ValueError as exc:
-        # precondition violations from the suites are usage errors
+        # out-of-range options, and precondition violations from the suites
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, ArithmeticError) as exc:
@@ -456,73 +516,6 @@ def run(cfg):
         print(f"fixture or file error: {exc}", file=sys.stderr)
         return 1
     return 0 if ok else 1
-
-
-def _validate(cfg):
-    needs_n = cfg.command in ("decompose", "hwv", "projgen", "verify-pseudoadjoint")
-    if needs_n:
-        if cfg.n is None or cfg.n < 0:
-            raise ValueError("--n must be a nonnegative integer")
-    if cfg.command in ("hwv", "projgen") and cfg.s is None:
-        raise ValueError("--s is required")
-    if cfg.command == "report" and (cfg.n_max is None or cfg.n_max < 0):
-        raise ValueError("--n-max must be a nonnegative integer")
-    if cfg.command == "verify-hecke" and cfg.n_max is not None and cfg.n_max < 2:
-        # smaller values would check no relation at all
-        raise ValueError("--n-max must be at least 2 for verify-hecke")
-    if cfg.depth is not None and cfg.depth < 0:
-        raise ValueError("--depth must be nonnegative")
-    if cfg.trials is not None and cfg.trials < 1:
-        raise ValueError("--trials must be positive")
-    if cfg.margin < 0:
-        raise ValueError("--margin must be nonnegative")
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="vermalab",
-        description="exact verification suites for sl2 tensor decompositions, "
-                    "Hecke and Heisenberg relations, and the matrix abelianization",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "decompose": "index sets, dimension audit, and Casimir blocks",
-        "hwv": "highest weight vector at a given weight",
-        "projgen": "projective generator with the coefficient recurrence",
-        "verify-hecke": "all Hecke presentation relations",
-        "verify-heisenberg": "normal-form identities, fuzzing, and the power-sum probe",
-        "verify-adelman": "homotopy congruence and kernel/cokernel universal properties",
-        "verify-pseudoadjoint": "the degree-eight functor identity on module slices",
-        "report": "full sweep over n with per-case records",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--lambda", dest="lam", type=int, default=0)
-        p.add_argument("--s", type=int, default=None)
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--margin", type=int, default=8)
-        p.add_argument("--q-mode", choices=("both", "generic", "unit"), default="both")
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--n-max", type=int, default=None)
-        p.add_argument("--output", "-o", dest="output_path", default=None)
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-        p.add_argument("--refreeze", action="store_true",
-                       help="recompute and overwrite the checked-in fixtures")
-    return parser
-
-
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(
-        command=args.command, n=args.n, lam=args.lam, s=args.s,
-        depth=args.depth, margin=args.margin, q_mode=args.q_mode,
-        trials=args.trials, seed=args.seed, n_max=args.n_max,
-        output_path=args.output_path, fmt=args.fmt, refreeze=args.refreeze,
-    )
-    return run(cfg)
 
 
 if __name__ == "__main__":

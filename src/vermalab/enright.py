@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .exactla import (
     SparseMat,
@@ -31,7 +30,6 @@ from .exactla import (
     nullspace,
     vec_add,
     vec_iadd,
-    vec_is_zero,
     vec_scale,
     vec_sub,
 )
@@ -272,13 +270,13 @@ def apply_f_power(module, vec, power):
     """
     if power < 0:
         raise ValueError("power must be nonnegative")
-    nonneg = all(Fraction(c) >= 0 and Fraction(c).denominator == 1 for c in vec.values())
+    nonneg = all(c >= 0 and c.denominator == 1 for c in vec.values())
     out = dict(vec)
     for _ in range(power):
         out = apply_op(module, "f", out)
         if any(module.depth_of(lbl) > module.depth + 1 for lbl in out):
             raise sl2mod.TruncationError("f power exceeded the stored depth")
-        if nonneg and any(Fraction(c) < 0 or Fraction(c).denominator != 1 for c in out.values()):
+        if nonneg and any(c < 0 or c.denominator != 1 for c in out.values()):
             raise AssertionError("f did not preserve nonnegative integer coefficients")
     return out
 
@@ -359,9 +357,9 @@ def projective_generator(n, s):
         raise RuntimeError("no admissible generator multiple found")
     a = vec_add(u, vec_scale(sigma, z))
 
-    if vec_is_zero(mat.apply(a)):
+    if not mat.apply(a):
         raise AssertionError("candidate generator lies in the plain kernel")
-    if not vec_is_zero(square.apply(a)):
+    if square.apply(a):
         raise AssertionError("candidate generator not killed by the squared operator")
 
     top = (n + s) // 2
@@ -565,7 +563,7 @@ def casimir_blocks(n, mu, depth=None):
     for t, g, ex in sorted(preds):
         c = t * (t + 2)
         kernel, excess, sq = generalized_kernel(omega - SparseMat.identity(dim).scale(c))
-        nilpotent = all(vec_is_zero(sq.apply(v)) for v in kernel + excess)
+        nilpotent = all(not sq.apply(v) for v in kernel + excess)
         blocks.append(CasimirBlock(
             t=t, c=c,
             predicted_generalized=g, predicted_kernel=g - ex, predicted_excess=ex,
@@ -724,7 +722,7 @@ def decategorify(n, depth):
             hwv_ok[s] = False
             continue
         image = {("vw", i, k): m for (i, k), m in classes.items()}
-        is_hwv = vec_is_zero(apply_op(mod, "e", image))
+        is_hwv = not apply_op(mod, "e", image)
         ratio_ok = all(
             classes[(j, (n - s) // 2 - j)] * rec.coefficients[rec.basis[0]]
             == rec.coefficients.get((j, (n - s) // 2 - j), 0) * classes[(0, (n - s) // 2)]
@@ -740,9 +738,9 @@ def decategorify(n, depth):
             continue
         shifted = vec_sub(casimir_on_vector(mod, image), vec_scale(rec.c, image))
         twice = vec_sub(casimir_on_vector(mod, shifted), vec_scale(rec.c, shifted))
-        gen_ok[r] = (not vec_is_zero(shifted)) and vec_is_zero(twice)
+        gen_ok[r] = bool(shifted) and not twice
 
-    nonneg = all(x > 0 and Fraction(x).denominator == 1 for x in mod.actF.entries.values())
+    nonneg = all(x > 0 and x.denominator == 1 for x in mod.actF.entries.values())
     return DecategorifyReport(
         n=n, depth=depth, dimension=len(basis), bijective=bijective,
         f_intertwines=f_ok, e_intertwines=e_ok,

@@ -37,10 +37,11 @@ tests check ``Laurent`` against.
 sparse integer echelon routine on matrices with ``int`` or ``Fraction``
 entries (anything else raises ``TypeError``); ``Fraction`` entries
 arrive when a solution of ``solve`` enters a later system.  Each row
-becomes a ``{col: int}`` dict scaled by the lcm of its denominators; the
-right-hand side of ``solve`` is an extra column.  Rows are bucketed by
-leading column, columns are taken in increasing order, and the shortest
-row of a bucket is the pivot that clears that column from the others.
+becomes a ``{col: int}`` dict scaled by the lcm of its denominators (a
+row of ints is taken as it is); the right-hand side of ``solve`` is an
+extra column.  Rows are bucketed by leading column, columns are taken
+in increasing order, and the shortest row of a bucket is the pivot that
+clears that column from the others.
 Every new row is divided by the gcd of its entries, so intermediate
 values stay small integers.  Back substitution stays in integers too:
 it keeps integer numerators over one common denominator, scaled by
@@ -78,7 +79,6 @@ __all__ = [
     "vec_add",
     "vec_sub",
     "vec_scale",
-    "vec_is_zero",
     "normalize_integer_vector",
     "scalar_str",
 ]
@@ -326,9 +326,9 @@ def as_integer(x):
 
 
 def scalar_str(x):
-    """Exact scalar as a string: decimal for integers, num/den otherwise."""
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    """Exact scalar (int or Fraction) as a string: decimal for integers,
+    num/den otherwise."""
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _laurent(low, coeffs):
@@ -504,8 +504,21 @@ def vec_scale(c, u):
     return {k: c * x for k, x in u.items()}
 
 
-def vec_is_zero(u):
-    return not u
+def _scaled_to_int(u):
+    """A dict of ints and Fractions scaled by the lcm of its denominators
+    to a dict of ints, building no ``Fraction``; a dict of ints is
+    returned as it is.  Raises TypeError on any other entry."""
+    for x in u.values():
+        if type(x) is not int:
+            break
+    else:
+        return u
+    for x in u.values():
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(
+                f"exact arithmetic needs int or Fraction entries, not {type(x).__name__}")
+    den = lcm(*(x.denominator for x in u.values()))
+    return {k: x.numerator * (den // x.denominator) for k, x in u.items()}
 
 
 def normalize_integer_vector(u):
@@ -514,14 +527,13 @@ def normalize_integer_vector(u):
     The sign is fixed by making the highest-indexed nonzero coordinate
     positive; for kernel vectors produced by back substitution that is
     the defining free coordinate.  Keys must be sortable.  Entries are
-    ints or Fractions; their numerators are scaled by the lcm of the
-    denominators, so no ``Fraction`` is built and a vector of ints (as
-    ``nullspace`` builds) only loses its content and sign.
+    ints or Fractions (anything else raises TypeError), scaled as by
+    ``_scaled_to_int``, so a vector of ints (as ``nullspace`` builds)
+    only loses its content and sign.
     """
     if not u:
         return {}
-    den = lcm(*(x.denominator for x in u.values()))
-    ints = {k: x.numerator * (den // x.denominator) for k, x in u.items()}
+    ints = _scaled_to_int(u)
     g = gcd(*ints.values())
     if ints[max(ints)] < 0:
         g = -g
@@ -661,8 +673,8 @@ def _primitive(row):
 def _integer_rows(m, rhs=None):
     """Nonzero rows of m as primitive {col: int} dicts.
 
-    Each row is scaled by the lcm of its denominators; the entries of rhs
-    become the extra column m.cols.  Raises TypeError on an entry that is
+    Each row is scaled by ``_scaled_to_int``; the entries of rhs become
+    the extra column m.cols.  Raises TypeError on an entry that is
     neither int nor Fraction.
     """
     rows = {}
@@ -672,17 +684,7 @@ def _integer_rows(m, rhs=None):
         for i, x in rhs.items():
             if x:
                 rows.setdefault(i, {})[m.cols] = x
-    out = []
-    for row in rows.values():
-        den = 1
-        for x in row.values():
-            if not isinstance(x, (int, Fraction)):
-                raise TypeError(
-                    f"exact elimination needs int or Fraction entries, not {type(x).__name__}"
-                )
-            den = lcm(den, x.denominator)
-        out.append(_primitive({j: x.numerator * (den // x.denominator) for j, x in row.items()}))
-    return out
+    return [_primitive(_scaled_to_int(row)) for row in rows.values()]
 
 
 def _echelon(rows):
@@ -824,8 +826,8 @@ def generalized_kernel(m):
     stacked = SparseMat.from_columns(range(m.cols), columns)
     excess = [columns[c] for c, _ in _echelon(_integer_rows(stacked)) if c >= len(kernel)]
     for v in excess:
-        if vec_is_zero(m.apply(v)):
+        if not m.apply(v):
             raise AssertionError("excess vector lies in the plain kernel")
-        if not vec_is_zero(square.apply(v)):
+        if square.apply(v):
             raise AssertionError("excess vector survives the square")
     return kernel, excess, square

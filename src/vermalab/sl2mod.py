@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactla import SparseMat, nullspace, scalar_str, solve, vec_iadd, vec_is_zero, vec_sub
+from .exactla import SparseMat, nullspace, scalar_str, solve, vec_iadd, vec_sub
 
 __all__ = [
     "TruncatedModule",
@@ -323,7 +323,7 @@ def build_Tr(r, n, depth):
 
     def resolve(vec, d):
         """Express a tensor vector in the spanning vectors at depth d."""
-        if vec_is_zero(vec):
+        if not vec:
             return {}
         span = span_at_depth.get(d)
         if span is None:
@@ -430,16 +430,17 @@ class CategoryIReport:
         return self.weights_diagonal and self.f_injective and self.e_locally_nilpotent
 
 
-def verify_category_I(m, margin=1):
+def verify_category_I(m):
     """Check the membership criteria for Enright's category on the slice.
 
     h, which acts by the declared weights, must agree with the
-    commutator ef - fe on the interior region; f must be injective there
+    commutator ef - fe on the interior region (the labels whose images
+    under e and f stay inside the slice); f must be injective there
     (full column rank on every weight space); and e must be locally
     nilpotent (it raises weight, so a computable power kills each basis
     vector).
     """
-    interior = m.interior(margin)
+    interior = m.interior(1)
     weights_ok = all(
         m.act_label("h", b)
         == vec_sub(apply_word(m, "ef", {b: 1}), apply_word(m, "fe", {b: 1}))
@@ -474,7 +475,7 @@ def verify_category_I(m, margin=1):
         f_injective=f_ok,
         e_locally_nilpotent=e_ok,
         f_failures=f_failures,
-        details={"kind": m.kind, "params": dict(m.params), "margin": margin},
+        details={"kind": m.kind, "params": dict(m.params), "margin": 1},
     )
 
 

@@ -6,19 +6,19 @@ from fractions import Fraction
 import pytest
 
 from vermalab import adelman, cli, enright, exactla, fixtures, hecke, heisenberg
-from vermalab.cli import RunConfig, main, run, scalar_str
+from vermalab.cli import main, scalar_str
 from vermalab.exactla import Laurent
 
 
-def run_to_file(tmp_path, name, **kw):
+def run_to_file(tmp_path, name, *argv):
     out = tmp_path / name
-    code = run(RunConfig(output_path=str(out), **kw))
+    code = main([*argv, "-o", str(out)])
     return code, out
 
 
 class TestExitCodes:
     def test_decompose_passes(self, tmp_path):
-        code, _ = run_to_file(tmp_path, "d.json", command="decompose", n=4, depth=12)
+        code, _ = run_to_file(tmp_path, "d.json", "decompose", "--n", "4", "--depth", "12")
         assert code == 0
 
     def test_negative_n_usage_error(self, capsys):
@@ -31,8 +31,12 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_missing_required_s(self, capsys):
-        assert main(["hwv", "--n", "4"]) == 2
-        capsys.readouterr()
+        # a required option is enforced by argparse, like an unknown command
+        with pytest.raises(SystemExit) as exc:
+            main(["hwv", "--n", "4"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--s" in captured.err
 
     @pytest.mark.parametrize("failure", ["non_divisible_bridge", "zero_division"])
     def test_arithmetic_error_is_a_verification_failure(self, monkeypatch, capsys,
@@ -75,9 +79,66 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+# the options each verb reads besides --output/-o and --format, and the
+# smallest valid command line of the verb
+VERB_OPTIONS = {
+    "decompose": ({"--n", "--lambda", "--depth"}, ["--n", "2"]),
+    # so the "hwv --lambda" case runs hwv --n 4 --s 0 --lambda 3
+    "hwv": ({"--n", "--s"}, ["--n", "4", "--s", "0"]),
+    "projgen": ({"--n", "--s"}, ["--n", "2", "--s", "0"]),
+    "verify-hecke": ({"--q-mode", "--n-max"}, []),
+    "verify-heisenberg": ({"--trials", "--seed", "--refreeze"}, []),
+    "verify-adelman": ({"--trials", "--seed", "--refreeze"}, []),
+    "verify-pseudoadjoint": ({"--n", "--depth", "--margin"}, ["--n", "2"]),
+    "report": ({"--n-max", "--depth"}, ["--n-max", "1"]),
+}
+# a valid setting of each option, so that only its verb can reject it,
+# and one that differs from its default and from the command lines above
+OPTION_ARGV = {
+    "--n": ["--n", "5"], "--lambda": ["--lambda", "3"], "--s": ["--s", "2"],
+    "--depth": ["--depth", "12"], "--margin": ["--margin", "0"],
+    "--q-mode": ["--q-mode", "unit"], "--trials": ["--trials", "7"],
+    "--seed": ["--seed", "7"], "--n-max": ["--n-max", "3"], "--refreeze": ["--refreeze"],
+}
+
+
+def _verb_option_cases(own):
+    return [pytest.param(verb, opt, id=f"{verb} {opt}")
+            for verb, (options, _) in VERB_OPTIONS.items()
+            for opt in sorted(options if own else set(OPTION_ARGV) - options)]
+
+
+class TestVerbTable:
+    @pytest.mark.parametrize("verb,option", _verb_option_cases(own=False))
+    def test_foreign_option_is_a_usage_error(self, verb, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, *VERB_OPTIONS[verb][1], *OPTION_ARGV[option]])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {option}" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("verb,option", _verb_option_cases(own=True))
+    def test_own_option_is_parsed(self, verb, option):
+        parse = cli.build_parser().parse_args
+        plain = vars(parse([verb, *VERB_OPTIONS[verb][1]]))
+        changed = vars(parse([verb, *VERB_OPTIONS[verb][1], *OPTION_ARGV[option]]))
+        assert [k for k in plain if plain[k] != changed[k]] == \
+            [option.lstrip("-").replace("-", "_").replace("lambda", "lam")]
+
+    def test_fixed_defaults(self):
+        parse = cli.build_parser().parse_args
+        assert parse(["verify-heisenberg"]).trials == 1000
+        assert parse(["verify-adelman"]).trials == 100
+        assert parse(["verify-adelman"]).seed == cli.DEFAULT_SEED
+        assert parse(["verify-hecke"]).n_max == 5
+        assert parse(["verify-pseudoadjoint", "--n", "2"]).margin == 8
+
+
 class TestDecompose:
     def test_index_sets_and_audit(self, tmp_path):
-        code, out = run_to_file(tmp_path, "d.json", command="decompose", n=4, depth=12)
+        code, out = run_to_file(tmp_path, "d.json", "decompose", "--n", "4", "--depth", "12")
         doc = json.loads(out.read_text())
         assert code == 0
         assert doc["indexSets"]["Iprime"] == [0, 2]
@@ -86,7 +147,7 @@ class TestDecompose:
         assert all(blk["ok"] for blk in doc["casimirBlocks"])
 
     def test_nonzero_lambda_index_sets_only(self, tmp_path):
-        code, out = run_to_file(tmp_path, "d.json", command="decompose", n=3, lam=2)
+        code, out = run_to_file(tmp_path, "d.json", "decompose", "--n", "3", "--lambda", "2")
         doc = json.loads(out.read_text())
         assert code == 0
         assert "audit" not in doc
@@ -94,7 +155,7 @@ class TestDecompose:
 
 class TestHwv:
     def test_n4_s0(self, tmp_path):
-        code, out = run_to_file(tmp_path, "h.json", command="hwv", n=4, s=0)
+        code, out = run_to_file(tmp_path, "h.json", "hwv", "--n", "4", "--s", "0")
         doc = json.loads(out.read_text())
         assert code == 0
         assert doc["case"]["p"] == ["16", "8"]
@@ -103,7 +164,7 @@ class TestHwv:
 
 class TestProjgen:
     def test_n2_s0_fixture(self, tmp_path):
-        code, out = run_to_file(tmp_path, "p.json", command="projgen", n=2, s=0)
+        code, out = run_to_file(tmp_path, "p.json", "projgen", "--n", "2", "--s", "0")
         doc = json.loads(out.read_text())
         assert code == 0
         assert doc["q"] == ["2", "1"]
@@ -117,7 +178,7 @@ class TestProjgen:
 
 class TestVerifiers:
     def test_hecke(self, tmp_path):
-        code, out = run_to_file(tmp_path, "hk.json", command="verify-hecke", n_max=3)
+        code, out = run_to_file(tmp_path, "hk.json", "verify-hecke", "--n-max", "3")
         doc = json.loads(out.read_text())
         assert code == 0 and doc["allPassed"]
 
@@ -126,8 +187,8 @@ class TestVerifiers:
         monkeypatch.setattr(hecke, "evaluation_X",
                             lambda n: [x.scale(Laurent.q()) if k == 1 else x
                                        for k, x in enumerate(real(n))])
-        code, out = run_to_file(tmp_path, "hk.json", command="verify-hecke",
-                                n_max=2, q_mode="generic")
+        code, out = run_to_file(tmp_path, "hk.json", "verify-hecke", "--n-max", "2",
+                                "--q-mode", "generic")
         doc = json.loads(out.read_text())
         assert code == 1 and doc["allPassed"] is False
         witnesses = {(r["relation"], r["model"]): r["witnessOrPass"]
@@ -137,8 +198,7 @@ class TestVerifiers:
         assert isinstance(crossing, str) and crossing != "0" and "q" in crossing
 
     def test_heisenberg(self, tmp_path):
-        code, out = run_to_file(tmp_path, "hz.json", command="verify-heisenberg",
-                                trials=100)
+        code, out = run_to_file(tmp_path, "hz.json", "verify-heisenberg", "--trials", "100")
         doc = json.loads(out.read_text())
         assert code == 0
         assert doc["tildeMatchesFixture"]
@@ -153,8 +213,7 @@ class TestVerifiers:
             return real(word, strategy)
 
         monkeypatch.setattr(heisenberg, "_nf_cached", broken)
-        code, out = run_to_file(tmp_path, "hz.json", command="verify-heisenberg",
-                                trials=20)
+        code, out = run_to_file(tmp_path, "hz.json", "verify-heisenberg", "--trials", "20")
         fuzz = json.loads(out.read_text())["fuzz"]
         assert code == 1 and fuzz["failures"] > 0
         assert fuzz["negativeCoefficientWords"] == []
@@ -165,16 +224,15 @@ class TestVerifiers:
             assert all(x[0] in "ab" and x[1:].isdigit() for x in letters)
 
     def test_adelman(self, tmp_path):
-        code, out = run_to_file(tmp_path, "ad.json", command="verify-adelman",
-                                trials=20)
+        code, out = run_to_file(tmp_path, "ad.json", "verify-adelman", "--trials", "20")
         doc = json.loads(out.read_text())
         assert code == 0
         assert doc["interpretationChosen"]["matchesFixture"]
         assert doc["universalPropertyTrials"]["failed"] == 0
 
     def test_pseudoadjoint(self, tmp_path):
-        code, out = run_to_file(tmp_path, "pa.json", command="verify-pseudoadjoint",
-                                n=3, margin=8)
+        code, out = run_to_file(tmp_path, "pa.json", "verify-pseudoadjoint", "--n", "3",
+                                "--margin", "8")
         doc = json.loads(out.read_text())
         assert code == 0
         assert all(m["identityZero"] and m["casimirMatch"] for m in doc["modules"])
@@ -184,8 +242,8 @@ class TestVerifiers:
         real = enright.pseudoadjoint_check
         monkeypatch.setattr(enright, "pseudoadjoint_check",
                             lambda mod, c, margin=8: real(mod, c + 1, margin))
-        code, out = run_to_file(tmp_path, "pa.json", command="verify-pseudoadjoint",
-                                n=1, margin=8, depth=9)
+        code, out = run_to_file(tmp_path, "pa.json", "verify-pseudoadjoint", "--n", "1",
+                                "--margin", "8", "--depth", "9")
         doc = json.loads(out.read_text())
         assert code == 1
         verma0, ln = doc["modules"][:2]
@@ -198,8 +256,8 @@ class TestVerifiers:
         real = enright.pseudoadjoint_check
         monkeypatch.setattr(enright, "pseudoadjoint_check",
                             lambda mod, c, margin=8: real(mod, c + 1, margin))
-        code, out = run_to_file(tmp_path, "pa.csv", command="verify-pseudoadjoint",
-                                n=1, margin=8, depth=9, fmt="csv")
+        code, out = run_to_file(tmp_path, "pa.csv", "verify-pseudoadjoint", "--n", "1",
+                                "--margin", "8", "--depth", "9", "--format", "csv")
         lines = out.read_bytes().decode().split("\r\n")
         assert code == 1
         assert lines[0] == "module,index,c,labelsChecked,identityZero,casimirMatch"
@@ -216,30 +274,30 @@ class TestVerifiers:
 
 class TestReport:
     def test_small_sweep(self, tmp_path):
-        code, out = run_to_file(tmp_path, "r.json", command="report", n_max=2)
+        code, out = run_to_file(tmp_path, "r.json", "report", "--n-max", "2")
         doc = json.loads(out.read_text())
         assert code == 0
         assert len(doc["records"]) == 3
         assert doc["summary"]["failures"] == 0
 
     def test_byte_determinism(self, tmp_path):
-        _, a = run_to_file(tmp_path, "a.json", command="report", n_max=3)
-        _, b = run_to_file(tmp_path, "b.json", command="report", n_max=3)
+        _, a = run_to_file(tmp_path, "a.json", "report", "--n-max", "3")
+        _, b = run_to_file(tmp_path, "b.json", "report", "--n-max", "3")
         assert a.read_bytes() == b.read_bytes()
 
 
 class TestFormats:
     def test_csv_audit(self, tmp_path):
-        code, out = run_to_file(tmp_path, "d.csv", command="decompose", n=2,
-                                depth=8, fmt="csv")
+        code, out = run_to_file(tmp_path, "d.csv", "decompose", "--n", "2", "--depth", "8",
+                                "--format", "csv")
         assert code == 0
         lines = out.read_bytes().decode().split("\r\n")
         assert lines[0] == "n,mu,lhs,rhs"
         assert lines[1] == "2,2,1,1"
 
     def test_csv_hecke(self, tmp_path):
-        code, out = run_to_file(tmp_path, "h.csv", command="verify-hecke",
-                                n_max=2, fmt="csv")
+        code, out = run_to_file(tmp_path, "h.csv", "verify-hecke", "--n-max", "2",
+                                "--format", "csv")
         assert code == 0
         assert out.read_bytes().decode().startswith(
             "model,relation,n,indices,witnessOrPass\r\n")
@@ -275,8 +333,7 @@ class TestRefreeze:
         target = tmp_path / "tilde.json"
         monkeypatch.setattr(fx, "TILDE_FIXTURE", target)
         monkeypatch.setattr(cli, "TILDE_FIXTURE", target)
-        code, _ = run_to_file(tmp_path, "hz.json", command="verify-heisenberg",
-                              trials=10, refreeze=True)
+        code, _ = run_to_file(tmp_path, "hz.json", "verify-heisenberg", "--trials", "10", "--refreeze")
         assert code == 0
         frozen = json.loads(target.read_text())
         assert frozen["maxN"] == 6
@@ -289,8 +346,7 @@ class TestRefreeze:
         monkeypatch.setattr(fixtures, "ADELMAN_FIXTURE", target)
         monkeypatch.setattr(cli, "ADELMAN_FIXTURE", target)
         monkeypatch.setattr(adelman, "_frozen_choice", None)
-        code, out = run_to_file(tmp_path, "ad.json", command="verify-adelman",
-                                trials=4, refreeze=True)
+        code, out = run_to_file(tmp_path, "ad.json", "verify-adelman", "--trials", "4", "--refreeze")
         assert code == 0
         assert json.loads(out.read_text())["interpretationChosen"]["matchesFixture"]
         frozen = json.loads(target.read_text())
@@ -345,7 +401,7 @@ def test_report_solves_each_highest_weight_vector_once(tmp_path, monkeypatch):
         return real(n, s)
 
     monkeypatch.setattr(enright, "highest_weight_vector", counted)
-    code, out = run_to_file(tmp_path, "r.json", command="report", n_max=6)
+    code, out = run_to_file(tmp_path, "r.json", "report", "--n-max", "6")
     assert code == 0
     cases = {(rec["n"], case["s"])
              for rec in json.loads(out.read_text())["records"] for case in rec["cases"]}

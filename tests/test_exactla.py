@@ -301,6 +301,9 @@ def test_normalize_integer_vector():
     v = normalize_integer_vector({0: Fraction(4), 1: -6, 2: Fraction(2, 1)})
     assert list(v.items()) == [(0, 2), (1, -3), (2, 1)]
     assert all(type(x) is int for x in v.values())
+    # the elimination rows share this scaling, and its TypeError
+    with pytest.raises(TypeError):
+        normalize_integer_vector({0: 1, 1: 0.5})
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ STRATEGIES = ("series", "leftmost", "rightmost")
 
 
 def mono(bs=(), aas=(), c=1):
-    return HElem.monomial(bs, aas, c)
+    return c * HElem.monomial(bs, aas)
 
 
 @pytest.fixture
