@@ -622,7 +622,7 @@ class InterpretationReport:
     seed: int
 
 
-def resolve_interpretation(seed=1729):
+def resolve_interpretation(seed):
     """Run every candidate block reading against the universal-property
     oracle on seeded random instances and select the unique survivor.
 

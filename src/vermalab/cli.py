@@ -475,6 +475,7 @@ def build_parser():
             p.add_argument(opt.flag, dest=opt.dest, **opt.settings)
         p.add_argument("--output", "-o", dest="output_path", default=None)
         p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+        p.set_defaults(verb_parser=p)
     return parser
 
 
@@ -489,9 +490,12 @@ def main(argv=None):
     """Run one verb; returns the process exit code.
 
     argparse rejects an unknown verb, an option the verb does not read
-    and a missing required option by raising SystemExit(2).
+    and a missing required option by raising SystemExit(2); a foreign
+    option is reported with the usage of the verb it was given to.
     """
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.verb_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     verb = VERBS[args.command]
     try:
         _check_ranges(args, verb.options)

@@ -498,7 +498,6 @@ def decomposition_audit(n, depth):
 class CasimirBlock:
     t: int
     c: int
-    predicted_generalized: int
     predicted_kernel: int
     predicted_excess: int
     kernel_dim: int
@@ -519,7 +518,6 @@ class CasimirBlockReport:
     n: int
     mu: int
     blocks: list
-    dimension: int
     covers_slice: bool
     no_stray_eigenvalues: bool
 
@@ -566,13 +564,13 @@ def casimir_blocks(n, mu, depth=None):
         nilpotent = all(not sq.apply(v) for v in kernel + excess)
         blocks.append(CasimirBlock(
             t=t, c=c,
-            predicted_generalized=g, predicted_kernel=g - ex, predicted_excess=ex,
+            predicted_kernel=g - ex, predicted_excess=ex,
             kernel_dim=len(kernel), excess_dim=len(excess), nilpotent=nilpotent,
         ))
         total += len(kernel) + len(excess)
         product = sq if product is None else product @ sq
     return CasimirBlockReport(
-        n=n, mu=mu, blocks=blocks, dimension=dim,
+        n=n, mu=mu, blocks=blocks,
         covers_slice=(total == dim),
         # with no predicted eigenvalue only the empty slice has none astray
         no_stray_eigenvalues=not dim if product is None else product.is_zero(),
@@ -615,7 +613,7 @@ def pseudoadjoint_check(module, c, margin=8):
     longest operator word (degree 8).
     """
     if not module.complete and module.depth < margin:
-        raise ValueError(f"margin {margin} too small for depth {module.depth}")
+        raise ValueError(f"depth {module.depth} too small for margin {margin}")
     interior = module.interior(margin)
     failures = []
     identity_zero = True
@@ -651,7 +649,6 @@ def pseudoadjoint_check(module, c, margin=8):
 class DecategorifyReport:
     n: int
     depth: int
-    dimension: int
     bijective: bool
     f_intertwines: bool
     e_intertwines: bool
@@ -742,7 +739,7 @@ def decategorify(n, depth):
 
     nonneg = all(x > 0 and x.denominator == 1 for x in mod.actF.entries.values())
     return DecategorifyReport(
-        n=n, depth=depth, dimension=len(basis), bijective=bijective,
+        n=n, depth=depth, bijective=bijective,
         f_intertwines=f_ok, e_intertwines=e_ok,
         hwv_classes=hwv_ok, generator_classes=gen_ok, nonnegative_f=nonneg,
     )

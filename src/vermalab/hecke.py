@@ -15,8 +15,15 @@ division raises ArithmeticError otherwise), so X-bar_i is regular at
 q = 1 by construction and specializes there to the Jucys-Murphy
 elements.
 
+Both element classes share the ring-independent arithmetic of one private
+base, ``_PermCombination``.  Each keeps only its coefficient ring, its
+named constructor, its product and how a term prints; the two products
+stay separate code, so the group algebra remains an independent model
+for the degeneration check.
+
 Every relation is checked as lhs - rhs == 0; a failing check carries the
-nonzero difference as its witness.
+nonzero difference as its witness.  The braid and X-commutation
+families are the same in both presentations and are written once.
 """
 
 from __future__ import annotations
@@ -115,70 +122,65 @@ def reduced_word(p):
 
 
 # ---------------------------------------------------------------------------
-# the group algebra of the symmetric group over Z
+# linear combinations of permutations: the arithmetic both models share
 # ---------------------------------------------------------------------------
 
-class GroupAlgebraElement:
-    """Finite Z-linear combination of permutations of fixed size.
+class _PermCombination:
+    """Finite linear combination of permutations of fixed size ``n``.
 
-    Coefficients are plain ints; an integral Fraction is accepted and
-    stored as an int, any other coefficient raises TypeError.
+    ``terms`` maps each permutation to its nonzero coefficient.  A
+    subclass fixes the coefficient ring (``_coerce`` brings a coefficient
+    into it, ``_scalars`` are the types lifted to multiples of the
+    identity), the product of two elements, and how a term prints
+    (``_term``, a format string over ``c`` and ``p``).
     """
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n, terms=None):
         self.n = n
-        self.terms = {p: x for p, c in (terms or {}).items() if (x := as_integer(c))}
+        self.terms = {p: x for p, c in (terms or {}).items() if (x := self._coerce(c))}
 
-    @staticmethod
-    def from_perm(p, coeff=1):
-        return GroupAlgebraElement(len(p), {p: coeff})
+    @classmethod
+    def one(cls, n):
+        return cls(n, {identity_perm(n): 1})
 
-    @staticmethod
-    def one(n):
-        return GroupAlgebraElement(n, {identity_perm(n): 1})
-
-    @staticmethod
-    def zero(n):
-        return GroupAlgebraElement(n)
+    @classmethod
+    def zero(cls, n):
+        return cls(n)
 
     def _check(self, other):
         if self.n != other.n:
-            raise ValueError("mixed symmetric group sizes")
+            raise ValueError(f"mixed {type(self).__name__} sizes")
 
     def _lift(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GroupAlgebraElement(self.n, {identity_perm(self.n): other})
+        if isinstance(other, self._scalars):
+            return type(self)(self.n, {identity_perm(self.n): other})
         return other
 
     def __add__(self, other):
         other = self._lift(other)
         self._check(other)
-        return GroupAlgebraElement(self.n, vec_add(self.terms, other.terms))
+        return type(self)(self.n, vec_add(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GroupAlgebraElement(self.n, {p: -c for p, c in self.terms.items()})
+        return type(self)(self.n, {p: -c for p, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._lift(other))
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = as_integer(other)
-            return GroupAlgebraElement(self.n, {p: c * other for p, c in self.terms.items()})
-        self._check(other)
-        out = {}
-        for p, c in self.terms.items():
-            # r -> p r is injective, so the left translate has no collisions
-            vec_iadd(out, {compose(p, r): d for r, d in other.terms.items()}, c)
-        return GroupAlgebraElement(self.n, out)
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def scale(self, c):
+        c = self._coerce(c)
+        return type(self)(self.n, {p: c * x for p, x in self.terms.items()})
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
+        if isinstance(other, self._scalars):
+            return self.scale(other)
         return NotImplemented
 
     def __eq__(self, other):
@@ -191,7 +193,38 @@ class GroupAlgebraElement:
     def __repr__(self):
         if not self.terms:
             return "0"
-        return " + ".join(f"{c}*{p}" for p, c in sorted(self.terms.items()))
+        return " + ".join(self._term.format(c=c, p=p) for p, c in sorted(self.terms.items()))
+
+
+# ---------------------------------------------------------------------------
+# the group algebra of the symmetric group over Z
+# ---------------------------------------------------------------------------
+
+class GroupAlgebraElement(_PermCombination):
+    """Finite Z-linear combination of permutations of fixed size.
+
+    Coefficients are plain ints; an integral Fraction is accepted and
+    stored as an int, any other coefficient raises TypeError.
+    """
+
+    __slots__ = ()
+    _coerce = staticmethod(as_integer)
+    _scalars = (int, Fraction)
+    _term = "{c}*{p}"
+
+    @staticmethod
+    def from_perm(p, coeff=1):
+        return GroupAlgebraElement(len(p), {p: coeff})
+
+    def __mul__(self, other):
+        if isinstance(other, self._scalars):
+            return self.scale(other)
+        self._check(other)
+        out = {}
+        for p, c in self.terms.items():
+            # r -> p r is injective, so the left translate has no collisions
+            vec_iadd(out, {compose(p, r): d for r, d in other.terms.items()}, c)
+        return GroupAlgebraElement(self.n, out)
 
 
 def jucys_murphy(n, k):
@@ -219,7 +252,7 @@ def _as_laurent(c):
     return c if isinstance(c, Laurent) else Laurent.const(c)
 
 
-class HeckeElement:
+class HeckeElement(_PermCombination):
     """Finite Z[q, q^-1]-linear combination of basis elements T_w.
 
     Coefficients are :class:`Laurent` polynomials; an int or integral
@@ -227,52 +260,14 @@ class HeckeElement:
     TypeError.
     """
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n, terms=None):
-        self.n = n
-        self.terms = {p: x for p, c in (terms or {}).items() if (x := _as_laurent(c))}
+    __slots__ = ()
+    _coerce = staticmethod(_as_laurent)
+    _scalars = (int, Fraction, Laurent)
+    _term = "({c})*T{p}"
 
     @staticmethod
     def T(p, coeff=_ONE):
         return HeckeElement(len(p), {p: coeff})
-
-    @staticmethod
-    def one(n):
-        return HeckeElement(n, {identity_perm(n): _ONE})
-
-    @staticmethod
-    def zero(n):
-        return HeckeElement(n)
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("mixed Hecke algebra sizes")
-
-    def _lift(self, other):
-        if isinstance(other, (int, Fraction, Laurent)):
-            return HeckeElement(self.n, {identity_perm(self.n): other})
-        return other
-
-    def __add__(self, other):
-        other = self._lift(other)
-        self._check(other)
-        return HeckeElement(self.n, vec_add(self.terms, other.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return HeckeElement(self.n, {p: -c for p, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def scale(self, c):
-        c = _as_laurent(c)
-        return HeckeElement(self.n, {p: c * x for p, x in self.terms.items()})
 
     def _gen_left(self, i):
         """Left multiplication by T_i on the basis:
@@ -302,7 +297,7 @@ class HeckeElement:
         return HeckeElement(n, out)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Laurent)):
+        if isinstance(other, self._scalars):
             return self.scale(other)
         self._check(other)
         out = {}
@@ -312,23 +307,6 @@ class HeckeElement:
                 part = part._gen_left(i)
             vec_iadd(out, part.terms)
         return HeckeElement(self.n, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Laurent)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        other = self._lift(other)
-        return self.n == other.n and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c})*T{p}" for p, c in sorted(self.terms.items()))
 
 
 def t_inverse(n, i):
@@ -383,18 +361,10 @@ def _relation(family, n, indices, *sides):
     return RelationCheck(family, n, indices, True)
 
 
-def verify_degenerate(n):
-    """All degenerate presentation relations with T_i = s_i and X_k the
-    Jucys-Murphy elements, as exact group-algebra identities."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    T = {i: GroupAlgebraElement.from_perm(simple(n, i)) for i in range(1, n)}
-    X = {k: jucys_murphy(n, k) for k in range(1, n + 1)}
-    one = GroupAlgebraElement.one(n)
+def _braid_relations(n, T):
+    """The braid relations of the generators T[1] .. T[n-1], distant
+    pairs first; both presentations share them."""
     checks = []
-
-    for i in range(1, n):
-        checks.append(_relation("involution", n, (i,), T[i] * T[i], one))
     for i in range(1, n):
         for j in range(i + 2, n):
             checks.append(_relation("distant_braid", n, (i, j), T[i] * T[j], T[j] * T[i]))
@@ -402,6 +372,13 @@ def verify_degenerate(n):
         checks.append(_relation(
             "braid", n, (i, i + 1),
             T[i] * T[i + 1] * T[i], T[i + 1] * T[i] * T[i + 1]))
+    return checks
+
+
+def _x_relations(n, T, X):
+    """X[1] .. X[n] commute with each other, and X[i] with every T[j]
+    except T[i-1] and T[i]; both presentations share these relations."""
+    checks = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             checks.append(_relation("X_commute", n, (i, j), X[i] * X[j], X[j] * X[i]))
@@ -410,6 +387,20 @@ def verify_degenerate(n):
             if i - j in (0, 1):
                 continue
             checks.append(_relation("X_T_commute", n, (i, j), X[i] * T[j], T[j] * X[i]))
+    return checks
+
+
+def verify_degenerate(n):
+    """All degenerate presentation relations with T_i = s_i and X_k the
+    Jucys-Murphy elements, as exact group-algebra identities."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    T = {i: GroupAlgebraElement.from_perm(simple(n, i)) for i in range(1, n)}
+    X = {k: jucys_murphy(n, k) for k in range(1, n + 1)}
+    one = GroupAlgebraElement.one(n)
+    checks = [_relation("involution", n, (i,), T[i] * T[i], one) for i in range(1, n)]
+    checks += _braid_relations(n, T)
+    checks += _x_relations(n, T, X)
     for i in range(1, n):
         checks.append(_relation(
             "crossing", n, (i,),
@@ -423,40 +414,22 @@ def verify_nondegenerate(n):
     if n < 2:
         raise ValueError("need n >= 2")
     T = {i: HeckeElement.T(simple(n, i)) for i in range(1, n)}
-    X = evaluation_X(n)
-    Xinv = evaluation_X_inverses(n)
+    X = dict(enumerate(evaluation_X(n), start=1))
+    Xinv = dict(enumerate(evaluation_X_inverses(n), start=1))
     one = HeckeElement.one(n)
-    checks = []
-
-    for i in range(1, n):
-        checks.append(_relation(
-            "quadratic", n, (i,),
-            (T[i] + one) * (T[i] - one.scale(_Q)), HeckeElement.zero(n)))
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            checks.append(_relation("distant_braid", n, (i, j), T[i] * T[j], T[j] * T[i]))
-    for i in range(1, n - 1):
-        checks.append(_relation(
-            "braid", n, (i, i + 1),
-            T[i] * T[i + 1] * T[i], T[i + 1] * T[i] * T[i + 1]))
+    checks = [_relation("quadratic", n, (i,),
+                        (T[i] + one) * (T[i] - one.scale(_Q)), HeckeElement.zero(n))
+              for i in range(1, n)]
+    checks += _braid_relations(n, T)
     for i in range(1, n + 1):
         checks.append(_relation(
             "laurent", n, (i,),
-            X[i - 1] * Xinv[i - 1], one, Xinv[i - 1] * X[i - 1], one))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            checks.append(_relation(
-                "X_commute", n, (i, j), X[i - 1] * X[j - 1], X[j - 1] * X[i - 1]))
-    for i in range(1, n + 1):
-        for j in range(1, n):
-            if i - j in (0, 1):
-                continue
-            checks.append(_relation(
-                "X_T_commute", n, (i, j), X[i - 1] * T[j], T[j] * X[i - 1]))
+            X[i] * Xinv[i], one, Xinv[i] * X[i], one))
+    checks += _x_relations(n, T, X)
     for i in range(1, n):
         checks.append(_relation(
             "crossing", n, (i,),
-            T[i] * X[i - 1] * T[i], X[i].scale(_Q)))
+            T[i] * X[i] * T[i], X[i + 1].scale(_Q)))
     return checks
 
 

@@ -134,21 +134,6 @@ class TruncatedModule:
         return self.act_matrix("h")
 
     # -- slices ---------------------------------------------------------
-    def weight_space_complete(self, mu):
-        """Whether the stored slice contains the whole weight-mu space."""
-        if self.complete:
-            return True
-        if self.kind == "Verma":
-            lam = self.params["lam"]
-            return mu > lam - 2 * (self.depth + 1) or (mu - lam) % 2 != 0
-        if self.kind == "TensorLnV0":
-            n = self.params["n"]
-            return (n - mu) % 2 != 0 or (n - mu) // 2 <= self.depth
-        if self.kind == "Tr":
-            r = self.params["r"]
-            return (r - mu) % 2 != 0 or (r - mu) // 2 <= self.depth
-        raise ValueError(self.kind)
-
     def interior(self, margin):
         """Labels whose images under any e/f-word of length <= margin stay
         inside the slice."""
@@ -423,7 +408,6 @@ class CategoryIReport:
     f_injective: bool
     e_locally_nilpotent: bool
     f_failures: list
-    details: dict
 
     @property
     def in_category(self):
@@ -475,7 +459,6 @@ def verify_category_I(m):
         f_injective=f_ok,
         e_locally_nilpotent=e_ok,
         f_failures=f_failures,
-        details={"kind": m.kind, "params": dict(m.params), "margin": 1},
     )
 
 

@@ -117,6 +117,8 @@ class TestVerbTable:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"unrecognized arguments: {option}" in captured.err
+        # the usage shown is the verb's own, listing the options it does read
+        assert captured.err.startswith(f"usage: vermalab {verb} ")
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("verb,option", _verb_option_cases(own=True))
@@ -263,6 +265,13 @@ class TestVerifiers:
         assert lines[0] == "module,index,c,labelsChecked,identityZero,casimirMatch"
         assert lines[1].endswith(",False,True,identity:w0,identity:w1")
         assert lines[2].startswith("Ln,") and lines[2].endswith(",identity:v0,identity:v1")
+
+    def test_pseudoadjoint_depth_below_margin_is_a_usage_error(self, capsys):
+        # the slice is too shallow for the margin, so the depth is what is too small
+        assert main(["verify-pseudoadjoint", "--n", "2", "--margin", "9", "--depth", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: depth 3 too small for margin 9\n"
 
     @pytest.mark.parametrize("n_max", ["1", "0", "-3"])
     def test_hecke_rejects_n_max_below_two(self, n_max, capsys):

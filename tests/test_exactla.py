@@ -310,11 +310,15 @@ def test_normalize_integer_vector():
 # independent oracles for the elimination engine
 # ---------------------------------------------------------------------------
 
+# every reduced p/q with 1 <= q <= 6 and |p/q| <= 4, the values that
+# st.fractions(min_value=-4, max_value=4, max_denominator=6) can draw;
+# sampling them from a list is about twice as fast to generate
+_FRACTIONS = sorted({Fraction(p, q) for q in range(1, 7) for p in range(-4 * q, 4 * q + 1)})
 _entry = st.one_of(
     st.just(0),
     st.just(0),
     st.integers(-6, 6),
-    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.sampled_from(_FRACTIONS),
 )
 
 

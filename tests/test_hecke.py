@@ -254,3 +254,21 @@ _hecke3 = st.dictionaries(st.sampled_from(_perms3), _laurent, max_size=4).map(
 def test_specialization_at_one_is_multiplicative(a, b):
     """At q = 1 the Hecke product becomes the group algebra product."""
     assert specialize_at_one(a * b) == specialize_at_one(a) * specialize_at_one(b)
+
+
+def test_printed_forms_are_pinned(monkeypatch):
+    # the repr of each model and a failing relation's witness are report bytes
+    assert repr(GroupAlgebraElement(3, {(1, 0, 2): 2, (0, 1, 2): -1})) == \
+        "-1*(0, 1, 2) + 2*(1, 0, 2)"
+    assert repr(HeckeElement(3, {(1, 0, 2): Q - 1, (0, 1, 2): Laurent.q(-1) * 2})) == \
+        "(2*q^-1)*T(0, 1, 2) + (-1+q)*T(1, 0, 2)"
+    # X_3 + (1 3) no longer commutes with X_2 nor with T_1
+    real = hecke.jucys_murphy
+    monkeypatch.setattr(hecke, "jucys_murphy", lambda n, k: real(n, k) + (
+        GroupAlgebraElement.from_perm(transposition(n, 1, 3)) if k == 3 else 0))
+    failed = [(c.family, c.indices, c.witness) for c in verify_degenerate(3) if not c.passed]
+    assert failed == [
+        ("X_commute", (2, 3), "-1*(1, 2, 0) + 1*(2, 0, 1)"),
+        ("X_T_commute", (3, 1), "1*(1, 2, 0) + -1*(2, 0, 1)"),
+        ("crossing", (2,), "1*(2, 0, 1)"),
+    ]

@@ -208,20 +208,6 @@ class TestCategoryMembership:
         assert not verify_category_I(m).weights_diagonal
 
 
-def test_weight_space_completeness():
-    m = build_tensor(3, 4)
-    assert m.weight_space_complete(3)
-    assert m.weight_space_complete(-5)     # k up to 4 at i=0
-    assert not m.weight_space_complete(-7)  # would need k = 5
-    assert m.weight_space_complete(-8)      # parity mismatch: empty slice
-    v = build_verma(0, 3)
-    assert v.weight_space_complete(-6)
-    assert not v.weight_space_complete(-8)
-    t = build_Tr(0, 2, 6)
-    assert t.weight_space_complete(0 - 2 * 6)
-    assert not t.weight_space_complete(0 - 2 * 7)
-
-
 def test_serialization_roundtrip_shape():
     m = build_verma(0, 3)
     doc = module_to_json(m)

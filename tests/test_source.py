@@ -102,3 +102,24 @@ def test_exported_names_are_used():
                 unused.append(f"{p.name}: {name}")
     assert exported and len(SEARCHED) > len(SOURCES)  # the scan still sees all three trees
     assert unused == []
+
+
+def test_declared_fields_are_read():
+    # a dataclass or NamedTuple field that nothing reads is filled on every
+    # call for no one.  A read is an attribute load of the field's name on
+    # any object, matched by name as above.
+    reads = set()
+    for p in SEARCHED:
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"), filename=str(p))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    declared, unread = 0, []
+    for name, node in _nodes():
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    declared += 1
+                    if stmt.target.id not in reads:
+                        unread.append(f"{name}: {node.name}.{stmt.target.id}")
+    assert declared  # the scan still sees the library's record classes
+    assert unread == []
