@@ -131,7 +131,7 @@ def cmd_decompose(args):
     blocks = []
     for j in range(depth + 1):
         mu = args.n - 2 * j
-        rep = enright.casimir_blocks(args.n, mu, depth)
+        rep = enright.casimir_blocks(args.n, mu)
         blocks.append({
             "mu": mu,
             "ok": rep.ok,

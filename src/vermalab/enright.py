@@ -10,10 +10,10 @@ two computational pillars are
   weight slice, which produces the projective generator together with
   its five-term coefficient recurrence and the positivity shift.
 
-A slice's Casimir matrix is built once and shifted per eigenvalue, and
-the two-step kernel returns the square that later checks reuse.  A
-projective generator keeps the highest weight record it was checked
-against, so callers need no second solve.
+The Casimir and e matrices of a weight slice are written in closed form
+from the coproduct, with no tensor module built, and a vector's square
+is checked as M(Mv).  A projective generator keeps the highest weight
+record it was checked against, so callers need no second solve.
 
 All checks are exact; there are no tolerances anywhere.
 """
@@ -28,6 +28,7 @@ from .exactla import (
     generalized_kernel,
     normalize_integer_vector,
     nullspace,
+    rank,
     vec_add,
     vec_iadd,
     vec_scale,
@@ -109,28 +110,34 @@ def tensor_weight_basis(n, mu):
     return out
 
 
-def _label_index(pairs):
-    """Row index of the tensor labels v_i (x) w_k for the pairs (i, k)."""
-    return {("vw", i, k): j for j, (i, k) in enumerate(pairs)}
-
-
 def casimir_weight_matrix(n, mu, c=0):
-    """Matrix of (Casimir - c) on the full weight-mu slice of Ln (x) V0."""
+    """Matrix of (Casimir - c) on the full weight-mu slice of Ln (x) V0,
+    from Delta(Omega) = Omega(x)1 + 1(x)Omega + 2h(x)h + 4e(x)f + 4f(x)e
+    with Omega = n(n+2) on Ln and 0 on V0.  Column (i, k), at index i,
+    holds n(n+2) - 4(n-2i)k - c on the diagonal, 4(n-i+1) at (i-1, k+1)
+    and -4(i+1)k(k-1) at (i+1, k-1)."""
     basis = tensor_weight_basis(n, mu)
-    if not basis:
-        return SparseMat(0, 0), []
-    mod = build_tensor(n, max(k for _, k in basis))
-    index = _label_index(basis)
-    omega = SparseMat.from_columns(index, [casimir_on_vector(mod, {b: 1}) for b in index])
-    return omega - SparseMat.identity(len(basis)).scale(c), basis
+    entries = {}
+    for i, k in basis:
+        entries[i, i] = n * (n + 2) - 4 * (n - 2 * i) * k - c
+        if i > 0:
+            entries[i - 1, i] = 4 * (n - i + 1)
+        if i < n and k > 1:
+            entries[i + 1, i] = -4 * (i + 1) * k * (k - 1)
+    return SparseMat(len(basis), len(basis), entries), basis
 
 
 def _e_restriction_matrix(n, mu):
-    """Matrix of e from the weight-mu slice to the weight-(mu+2) slice."""
+    """Matrix of e from the weight-mu slice to the weight-(mu+2) slice,
+    sending (i, k), at index i in both, to (n-i+1)(i-1, k) - k(k-1)(i, k-1)."""
     basis = tensor_weight_basis(n, mu)
-    mod = build_tensor(n, max((k for _, k in basis), default=0))
-    columns = [apply_op(mod, "e", {b: 1}) for b in _label_index(basis)]
-    return SparseMat.from_columns(_label_index(tensor_weight_basis(n, mu + 2)), columns), basis
+    entries = {}
+    for i, k in basis:
+        if i > 0:
+            entries[i - 1, i] = n - i + 1
+        if k > 1:
+            entries[i, i] = -k * (k - 1)
+    return SparseMat(len(tensor_weight_basis(n, mu + 2)), len(basis), entries), basis
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +329,9 @@ def projective_generator(n, s):
     c = s * (s + 2)
     mu = -s - 2
     mat, basis = casimir_weight_matrix(n, mu, c)
-    kernel, excess, square = generalized_kernel(mat)
+    kernel, excess = generalized_kernel(mat)
     if len(kernel) != 1:
         raise AssertionError(f"kernel of shifted Casimir at weight {mu} is {len(kernel)}-dimensional")
-    if not excess:
-        raise AssertionError(f"empty excess space at n={n}, s={s}")
     if len(excess) != 1:
         raise AssertionError(f"excess space at n={n}, s={s} has dimension {len(excess)}")
 
@@ -357,9 +362,10 @@ def projective_generator(n, s):
         raise RuntimeError("no admissible generator multiple found")
     a = vec_add(u, vec_scale(sigma, z))
 
-    if not mat.apply(a):
+    image = mat.apply(a)
+    if not image:
         raise AssertionError("candidate generator lies in the plain kernel")
-    if square.apply(a):
+    if mat.apply(image):
         raise AssertionError("candidate generator not killed by the squared operator")
 
     top = (n + s) // 2
@@ -530,22 +536,20 @@ class CasimirBlockReport:
         )
 
 
-def casimir_blocks(n, mu, depth=None):
-    """Generalized eigenstructure of the Casimir on a full weight slice.
+def casimir_blocks(n, mu):
+    """Generalized eigenstructure of the Casimir C on a full weight slice.
 
-    Predicted eigenvalues are t(t+2) for the indices t contributing at
-    mu; each block is checked for two-step nilpotency, kernel and excess
-    dimensions, and the blocks must jointly exhaust the slice (so no
-    eigenvalue outside the predicted set can occur).  The slice's
-    Casimir matrix is built once and shifted per t; the square returned
-    by the two-step kernel feeds both the nilpotency check and the
-    product of squares that rules out stray eigenvalues.
+    Predicted eigenvalues are c_t = t(t+2) for the indices t contributing
+    at mu.  Each block is checked for its kernel and excess dimensions and
+    for (C - c_t)((C - c_t)v) = 0 on its vectors.  No eigenvalue lies
+    outside the predicted set when the vectors of all blocks span the
+    slice: each is killed by its own (C - c_t)^2, and these squares
+    commute, so their product kills a spanning set and is zero.
+    Conversely, a zero product splits the slice into the kernels of the
+    (C - c_t)^2, of which the blocks are bases.
     """
-    if depth is not None and (n - mu) % 2 == 0 and (n - mu) // 2 > depth:
-        raise ValueError(f"weight {mu} is not interior at depth {depth}")
     sets = index_sets(n, 0)
-    omega, basis = casimir_weight_matrix(n, mu)
-    dim = len(basis)
+    dim = len(tensor_weight_basis(n, mu))
     preds = []
     for r in sets.Iprime:
         g = _mult_T(r, mu)
@@ -556,24 +560,22 @@ def casimir_blocks(n, mu, depth=None):
             preds.append((s, 1, 0))
 
     blocks = []
-    total = 0
-    product = None
+    vectors = []
     for t, g, ex in sorted(preds):
         c = t * (t + 2)
-        kernel, excess, sq = generalized_kernel(omega - SparseMat.identity(dim).scale(c))
-        nilpotent = all(not sq.apply(v) for v in kernel + excess)
+        shifted, _ = casimir_weight_matrix(n, mu, c)
+        kernel, excess = generalized_kernel(shifted)
+        nilpotent = all(not shifted.apply(shifted.apply(v)) for v in kernel + excess)
         blocks.append(CasimirBlock(
             t=t, c=c,
             predicted_kernel=g - ex, predicted_excess=ex,
             kernel_dim=len(kernel), excess_dim=len(excess), nilpotent=nilpotent,
         ))
-        total += len(kernel) + len(excess)
-        product = sq if product is None else product @ sq
+        vectors += kernel + excess
     return CasimirBlockReport(
         n=n, mu=mu, blocks=blocks,
-        covers_slice=(total == dim),
-        # with no predicted eigenvalue only the empty slice has none astray
-        no_stray_eigenvalues=not dim if product is None else product.is_zero(),
+        covers_slice=(len(vectors) == dim),
+        no_stray_eigenvalues=rank(SparseMat.from_columns(range(dim), vectors)) == dim,
     )
 
 

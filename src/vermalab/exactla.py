@@ -48,9 +48,6 @@ it keeps integer numerators over one common denominator, scaled by
 p / gcd(s, p) whenever a pivot p does not divide the sum s it must
 take.  A kernel vector then only loses its content and sign; a
 solution is divided by the denominator once, at the end.
-``generalized_kernel(m)`` is the two-step kernel: it forms ``m @ m``
-once and returns that square with the kernel and its extension, so a
-caller that needs the square again does not recompute it.
 
 Which row serves as pivot cannot change a result.  Column c holds a
 pivot exactly when it is not in the span of the columns before it (the
@@ -73,6 +70,7 @@ __all__ = [
     "RatFunc",
     "SparseMat",
     "nullspace",
+    "rank",
     "solve",
     "generalized_kernel",
     "vec_iadd",
@@ -807,18 +805,16 @@ def solve(m, b):
 
 
 def generalized_kernel(m):
-    """The two-step kernel of a square matrix m: (kernel, excess, square).
+    """The two-step kernel of a square matrix m: (kernel, excess).
 
-    ``kernel`` is a basis of ker(m), ``excess`` extends it to a basis of
-    ker(m @ m), and ``square`` is m @ m, formed once here and returned so
-    that callers need not square m again.  Every excess vector v satisfies
-    m @ v != 0 and square @ v = 0, which is checked before returning.
+    ``kernel`` is a basis of ker(m) and ``excess`` extends it to a basis
+    of ker(m @ m).  Every excess vector v satisfies m v != 0 and
+    m (m v) = 0, which is checked before returning.
     """
     if m.rows != m.cols:
         raise ValueError("generalized kernel needs a square matrix")
-    square = m @ m
     kernel = nullspace(m)
-    big = nullspace(square)
+    big = nullspace(m @ m)
     # extend `kernel` to a basis of the larger space, keeping the order of
     # `big`: the excess vectors are the pivot columns of [kernel | big]
     # that lie in `big`
@@ -826,8 +822,9 @@ def generalized_kernel(m):
     stacked = SparseMat.from_columns(range(m.cols), columns)
     excess = [columns[c] for c, _ in _echelon(_integer_rows(stacked)) if c >= len(kernel)]
     for v in excess:
-        if not m.apply(v):
+        image = m.apply(v)
+        if not image:
             raise AssertionError("excess vector lies in the plain kernel")
-        if square.apply(v):
+        if m.apply(image):
             raise AssertionError("excess vector survives the square")
-    return kernel, excess, square
+    return kernel, excess

@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from vermalab import enright
+from vermalab.cli import main
 from vermalab.exactla import SparseMat
 from vermalab.sl2mod import apply_op, build_Ln, build_Tr, build_tensor, build_verma, casimir
 
@@ -330,3 +332,82 @@ def test_slice_casimir_matches_the_module_casimir():
             shifted, same = enright.casimir_weight_matrix(n, mu, 3)
             assert same == basis
             assert shifted == restricted - SparseMat.identity(size).scale(3)
+
+
+def test_slice_e_matches_the_module_e():
+    # independent route: restrict e of a whole truncated tensor module to
+    # each weight slice; e never raises k, so both slices are stored
+    for n in range(9):
+        depth = 2 * n + 10
+        mod = build_tensor(n, depth)
+        act = mod.actE
+        for j in range(depth + 1):
+            mu = n - 2 * j
+            mat, basis = enright._e_restriction_matrix(n, mu)
+            src = [mod.index[("vw", i, k)] for i, k in basis]
+            dst = [mod.index[("vw", i, k)] for i, k in enright.tensor_weight_basis(n, mu + 2)]
+            cols, rows = set(src), set(dst)
+            assert all(r in rows for r, c in act.entries if c in cols)
+            assert mat == SparseMat(len(dst), len(src), {
+                (a, b): act[r, c] for a, r in enumerate(dst) for b, c in enumerate(src)})
+
+
+# ---------------------------------------------------------------------------
+# the span check against the product of the squares
+# ---------------------------------------------------------------------------
+
+_CLOSED_FORM = enright.casimir_weight_matrix
+
+
+def _decompose_slices(n_max):
+    """Every (n, mu) that ``decompose`` audits at its default depth."""
+    return [(n, n - 2 * j) for n in range(n_max + 1) for j in range(2 * n + 11)]
+
+
+def _perturb(monkeypatch, n, mu, pos):
+    """Make every shift of the (n, mu) slice carry an extra 2 at pos."""
+    def perturbed(n_, mu_, c=0):
+        mat, basis = _CLOSED_FORM(n_, mu_, c)
+        if (n_, mu_) == (n, mu):
+            mat = mat + SparseMat(mat.rows, mat.cols, {pos: 2})
+        return mat, basis
+    monkeypatch.setattr(enright, "casimir_weight_matrix", perturbed)
+
+
+def _square_product(n, mu, rep):
+    """prod_t (C - c_t)^2 over the blocks of rep, formed with @."""
+    product = SparseMat.identity(len(enright.tensor_weight_basis(n, mu)))
+    for b in rep.blocks:
+        shifted, _ = enright.casimir_weight_matrix(n, mu, b.c)
+        product = product @ shifted @ shifted
+    return product
+
+
+def test_span_check_matches_the_product_of_squares(monkeypatch):
+    # every slice as it is, then with 2 added to one diagonal and one
+    # off-diagonal entry per column; most, not all, of these perturbations
+    # fail both checks
+    stray = total = 0
+    for n, mu in _decompose_slices(8):
+        rep = enright.casimir_blocks(n, mu)
+        assert rep.no_stray_eigenvalues and _square_product(n, mu, rep).is_zero()
+        dim = len(enright.tensor_weight_basis(n, mu))
+        for j in range(dim):
+            for pos in {(j, j), ((j + 1) % dim, j)}:
+                _perturb(monkeypatch, n, mu, pos)
+                rep = enright.casimir_blocks(n, mu)
+                assert rep.no_stray_eigenvalues == _square_product(n, mu, rep).is_zero()
+                stray += not rep.no_stray_eigenvalues
+                total += 1
+    assert (stray, total) == (1655, 1691)
+
+
+@pytest.mark.parametrize("pos", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_a_perturbed_slice_fails_the_span_check(monkeypatch, capsys, pos):
+    _perturb(monkeypatch, 4, -8, pos)
+    rep = enright.casimir_blocks(4, -8)
+    assert not rep.no_stray_eigenvalues and not rep.ok
+    assert not _square_product(4, -8, rep).is_zero()
+    assert main(["decompose", "--n", "4"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [b["mu"] for b in doc["casimirBlocks"] if not b["ok"]] == [-8]
