@@ -515,6 +515,10 @@ def main(argv=None):
         # (for example 1 - q not dividing a Hecke bridge coefficient)
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except (sl2mod.ConstructionError, sl2mod.TruncationError) as exc:
+        # a T_r realization whose exact solve failed or left its stored depth
+        print(f"verification failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     except (FixtureError, OSError) as exc:
         # a missing or malformed fixture, or a file that cannot be read or written
         print(f"fixture or file error: {exc}", file=sys.stderr)

@@ -10,10 +10,13 @@ two computational pillars are
   weight slice, which produces the projective generator together with
   its five-term coefficient recurrence and the positivity shift.
 
-The Casimir and e matrices of a weight slice are written in closed form
-from the coproduct, with no tensor module built, and a vector's square
-is checked as M(Mv).  A projective generator keeps the highest weight
-record it was checked against, so callers need no second solve.
+The e, f and Casimir matrices of a weight slice are written in closed
+form from the coproduct, with no tensor module built, and a vector's
+square is checked as M(Mv).  The f-power oracle of a projective
+generator pushes the highest weight vector down through the f matrices
+of the slices between, one weight at a time.  A projective generator
+keeps the highest weight record it was checked against, so callers need
+no second solve.
 
 All checks are exact; there are no tolerances anywhere.
 """
@@ -34,7 +37,6 @@ from .exactla import (
     vec_scale,
     vec_sub,
 )
-from . import sl2mod
 from .sl2mod import apply_op, apply_word, build_tensor, casimir_on_vector
 
 __all__ = [
@@ -45,7 +47,6 @@ __all__ = [
     "p_coefficients",
     "highest_weight_vector",
     "alpha_recursion_check",
-    "apply_f_power",
     "projective_generator",
     "beta_recursion_residuals",
     "q_form_residuals",
@@ -140,6 +141,18 @@ def _e_restriction_matrix(n, mu):
     return SparseMat(len(tensor_weight_basis(n, mu + 2)), len(basis), entries), basis
 
 
+def _f_restriction_matrix(n, mu):
+    """Matrix of f from the weight-mu slice to the weight-(mu-2) slice,
+    sending (i, k), at index i in both, to (i+1)(i+1, k) + (i, k+1)."""
+    basis = tensor_weight_basis(n, mu)
+    entries = {}
+    for i, k in basis:
+        if i < n:
+            entries[i + 1, i] = i + 1
+        entries[i, i] = 1
+    return SparseMat(len(tensor_weight_basis(n, mu - 2)), len(basis), entries), basis
+
+
 # ---------------------------------------------------------------------------
 # highest weight vectors
 # ---------------------------------------------------------------------------
@@ -181,9 +194,6 @@ class HwvRecord:
     coefficients: dict  # (i, k) -> positive int, gcd 1
     p_list: list        # closed-form values, proportional to the above
     basis: list = field(default_factory=list)
-
-    def vector(self):
-        return {("vw", i, k): c for (i, k), c in self.coefficients.items()}
 
 
 def highest_weight_vector(n, s):
@@ -268,26 +278,6 @@ def alpha_recursion_check(record):
     return residuals
 
 
-def apply_f_power(module, vec, power):
-    """f^power applied to a labelled vector by repeated action.
-
-    Raises sl2mod.TruncationError when the result would leave the stored
-    slice, and asserts that nonnegative integer coefficients stay
-    nonnegative integers under f.
-    """
-    if power < 0:
-        raise ValueError("power must be nonnegative")
-    nonneg = all(c >= 0 and c.denominator == 1 for c in vec.values())
-    out = dict(vec)
-    for _ in range(power):
-        out = apply_op(module, "f", out)
-        if any(module.depth_of(lbl) > module.depth + 1 for lbl in out):
-            raise sl2mod.TruncationError("f power exceeded the stored depth")
-        if nonneg and any(c < 0 or c.denominator != 1 for c in out.values()):
-            raise AssertionError("f did not preserve nonnegative integer coefficients")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # projective generators
 # ---------------------------------------------------------------------------
@@ -336,12 +326,11 @@ def projective_generator(n, s):
         raise AssertionError(f"excess space at n={n}, s={s} has dimension {len(excess)}")
 
     u = kernel[0]
-    # cross-check against the f-power oracle
-    depth = n + s + 10
-    mod = build_tensor(n, depth)
-    u_oracle = apply_f_power(mod, hwv.vector(), s + 1)
-    u_oracle_idx = {basis.index((lbl[1], lbl[2])): x for lbl, x in u_oracle.items()}
-    if normalize_integer_vector(u_oracle_idx) != u:
+    # cross-check against the f-power oracle, keyed by i on each slice
+    u_oracle = {i: c for (i, _), c in hwv.coefficients.items()}
+    for step in range(s + 1):
+        u_oracle = _f_restriction_matrix(n, s - 2 * step)[0].apply(u_oracle)
+    if normalize_integer_vector(u_oracle) != u:
         raise AssertionError("f-power image disagrees with the Casimir kernel line")
 
     pin = basis.index(((n + s) // 2, 1))
@@ -708,8 +697,9 @@ def decategorify(n, depth):
         [(b[1], b[2]) for b in mod.basis] == basis
         and [(b[1], b[2]) for b in mod.basis_ext] == basis_ext
     )
-    f_ok = F == mod.actF
-    e_ok = E == mod.actE
+    act_f = mod.act_matrix("f")
+    f_ok = F == act_f
+    e_ok = E == mod.act_matrix("e")
 
     sets = index_sets(n, 0)
     gens = {r: projective_generator(n, r) for r in sets.Iprime}
@@ -739,7 +729,7 @@ def decategorify(n, depth):
         twice = vec_sub(casimir_on_vector(mod, shifted), vec_scale(rec.c, shifted))
         gen_ok[r] = bool(shifted) and not twice
 
-    nonneg = all(x > 0 and x.denominator == 1 for x in mod.actF.entries.values())
+    nonneg = all(x > 0 and x.denominator == 1 for x in act_f.entries.values())
     return DecategorifyReport(
         n=n, depth=depth, bijective=bijective,
         f_intertwines=f_ok, e_intertwines=e_ok,

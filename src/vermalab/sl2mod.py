@@ -9,7 +9,8 @@ solve produces, has a non-integral coefficient (a ``Fraction``):
 - ``TensorLnV0`` the tensor product Ln (x) Verma(0) on v_i (x) w_k
 - ``Tr``         the indecomposable projective cover, realized concretely
                  inside Ln (x) Verma(0) on the generator columns
-                 {f^k a} u {f^k u}
+                 {f^k a} u {f^k u}, each spanning vector kept on its
+                 weight slice, where e and f act by closed-form matrices
 
 A module stores a finite slice.  Depth counts f-steps from the top of
 the relevant column, so e lowers depth, f raises it by at most one, and
@@ -120,18 +121,6 @@ class TruncatedModule:
         return SparseMat.from_columns(rows, [
             {lbl: c for lbl, c in self.act_label(op, b).items() if lbl in rows}
             for b in self.basis])
-
-    @property
-    def actE(self):
-        return self.act_matrix("e")
-
-    @property
-    def actF(self):
-        return self.act_matrix("f")
-
-    @property
-    def actH(self):
-        return self.act_matrix("h")
 
     # -- slices ---------------------------------------------------------
     def interior(self, margin):
@@ -254,9 +243,12 @@ def build_Tr(r, n, depth):
     generator on which the shifted Casimir is nilpotent of order exactly
     two and u is the highest weight vector of weight r.  Depth counts
     f-steps from u, so label ("u", k) has depth k and ("a", k) has depth
-    k + r + 1.  Actions are found by expressing the e/f/h images of the
-    spanning vectors back in the spanning set with an exact linear solve;
-    an inconsistent solve signals a construction bug and raises.
+    k + r + 1; both labels of depth d lie in the weight-(r-2d) slice of
+    the tensor product, where their spanning vectors are kept keyed by
+    the slice index i.  Actions are found by expressing the e images of
+    the spanning vectors, taken with the closed-form slice matrices,
+    back in the spanning set with an exact linear solve; an inconsistent
+    solve signals a construction bug and raises.
     """
     from . import enright  # deferred: enright builds on this module
 
@@ -267,23 +259,17 @@ def build_Tr(r, n, depth):
         raise ValueError(f"r={r} is not an admissible projective index for n={n}")
 
     gen = enright.projective_generator(n, r)
-    hwv = gen.hwv
-    u_vec = hwv.vector()
-    a_vec = {("vw", i, k): c for (i, k), c in gen.final_vector.items()}
 
-    # tensor slice deep enough to hold f^(depth+1) of both generators
-    a_top = max(k for (_, k) in gen.final_vector)
-    u_top = max(k for (_, k) in hwv.coefficients)
-    amb = build_tensor(n, max(a_top, u_top) + depth + 3)
-
-    def f_tower(vec, count):
-        tower = [vec]
-        for _ in range(count):
-            tower.append(apply_op(amb, "f", tower[-1]))
+    def f_tower(coefficients, mu, count):
+        """f^j of a weight-mu vector given keyed (i, k), for j <= count."""
+        tower = [{i: c for (i, _), c in coefficients.items()}]
+        for j in range(count):
+            f_mat, _ = enright._f_restriction_matrix(n, mu - 2 * j)
+            tower.append(f_mat.apply(tower[-1]))
         return tower
 
-    u_tower = f_tower(u_vec, depth + 2)
-    a_tower = f_tower(a_vec, depth + 2 - (r + 1))
+    u_tower = f_tower(gen.hwv.coefficients, r, depth + 1)
+    a_tower = f_tower(gen.final_vector, -r - 2, depth - r)
 
     def labels_to_depth(d):
         out = []
@@ -307,16 +293,15 @@ def build_Tr(r, n, depth):
         span_at_depth.setdefault(depth_of(lbl), []).append(lbl)
 
     def resolve(vec, d):
-        """Express a tensor vector in the spanning vectors at depth d."""
+        """Express a weight-(r-2d) slice vector in the spanning vectors at depth d."""
         if not vec:
             return {}
         span = span_at_depth.get(d)
         if span is None:
             raise TruncationError(f"depth {d} outside the stored slice")
         cols = [a_tower[l[1]] if l[0] == "a" else u_tower[l[1]] for l in span]
-        coords = sorted({key for col in cols for key in col} | set(vec))
-        pos = {key: i for i, key in enumerate(coords)}
-        x = solve(SparseMat.from_columns(pos, cols), {pos[key]: c for key, c in vec.items()})
+        dim = len(enright.tensor_weight_basis(n, r - 2 * d))
+        x = solve(SparseMat.from_columns(range(dim), cols), vec)
         if x is None:
             raise ConstructionError(
                 f"image not expressible in the T_{r} spanning set at depth {d}")
@@ -331,8 +316,8 @@ def build_Tr(r, n, depth):
             table["f", lbl] = {(lbl[0], k + 1): 1}
         # e image lives one depth higher in weight; solve it back
         if d <= depth + 1:
-            e_img = apply_op(amb, "e", tower[k])
-            table["e", lbl] = resolve(e_img, d - 1)
+            e_mat, _ = enright._e_restriction_matrix(n, r - 2 * d)
+            table["e", lbl] = resolve(e_mat.apply(tower[k]), d - 1)
 
     def act(op, label):
         try:
@@ -476,7 +461,7 @@ def module_to_json(m):
         "basis": [label_str(b) for b in m.basis],
         "basisExt": [label_str(b) for b in m.basis_ext],
         "weights": [m.weight(b) for b in m.basis],
-        "actE": triplets(m.actE),
-        "actF": triplets(m.actF),
-        "actH": triplets(m.actH),
+        "actE": triplets(m.act_matrix("e")),
+        "actF": triplets(m.act_matrix("f")),
+        "actH": triplets(m.act_matrix("h")),
     }

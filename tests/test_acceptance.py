@@ -13,7 +13,7 @@ from fractions import Fraction
 from vermalab import adelman, enright, hecke, heisenberg
 from vermalab.cli import main
 from vermalab.fixtures import load_tilde_fixture
-from vermalab.sl2mod import build_Ln, build_Tr, build_tensor, build_verma
+from vermalab.sl2mod import apply_op, build_Ln, build_Tr, build_tensor, build_verma
 
 
 def _report(num, desc, ok):
@@ -163,14 +163,14 @@ def test_criterion_08_positivity_and_decategorification():
         mod = build_tensor(n, depth)
         ok = ok and all(
             x > 0 and Fraction(x).denominator == 1
-            for x in mod.actF.entries.values())
+            for x in mod.act_matrix("f").entries.values())
         sets = enright.index_sets(n, 0)
         for s in sorted(set(sets.Iprime) | {n}):
             rec = enright.highest_weight_vector(n, s)
-            v = rec.vector()
+            v = {("vw", i, k): c for (i, k), c in rec.coefficients.items()}
             max_l = 2 * depth - (n + s) // 2 - depth  # stay inside the slice
             for _ in range(max(max_l, 4)):
-                v = enright.apply_f_power(mod, v, 1)
+                v = apply_op(mod, "f", v)
                 ok = ok and all(
                     Fraction(c).denominator == 1 and c >= 0 for c in v.values())
     _report(8, "actF nonnegative integer, f-powers stay nonnegative, class map "

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from vermalab import adelman, cli, enright, exactla, fixtures, hecke, heisenberg
+from vermalab import adelman, cli, enright, exactla, fixtures, hecke, heisenberg, sl2mod
 from vermalab.cli import main, scalar_str
 from vermalab.exactla import Laurent
 
@@ -55,6 +55,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("verification failure:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("error", [sl2mod.ConstructionError, sl2mod.TruncationError])
+    def test_failed_Tr_build_is_a_verification_failure(self, monkeypatch, capsys, error):
+        def broken(r, n, depth):
+            raise error(f"T_{r} cannot be built")
+
+        monkeypatch.setattr(sl2mod, "build_Tr", broken)
+        assert main(["verify-pseudoadjoint", "--n", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"verification failure: {error.__name__}: T_0 cannot be built\n"
 
     @pytest.mark.parametrize("content", [None, '{"kernel": "extended-middle"}'],
                              ids=["missing", "malformed"])
@@ -374,6 +384,8 @@ SL2_DIGESTS = {
     "hwv --n 8 --s 2": "b13ff48e4a05d62de58d8e03ff44c99e59718206b52b2fb90b2c61a9b7c29d78",
     "verify-pseudoadjoint --n 4":
         "062e4e4b5091a034fb8ce6472ec1eb9c59569e6aa4eaf8557ba5562beec4a9a4",
+    "verify-pseudoadjoint --n 12":
+        "e028d342d6b47dc0d5a1001fa41e5f9695b5c911ec19d01357ac14c757c7bda0",
 }
 
 

@@ -110,41 +110,35 @@ class TestAlphaRecursion:
 
 
 class TestApplyFPower:
-    def test_single_step(self):
-        mod = build_tensor(2, 8)
-        rec = enright.highest_weight_vector(2, 0)
-        out = enright.apply_f_power(mod, rec.vector(), 1)
-        assert out == {("vw", 1, 1): Fraction(1), ("vw", 0, 2): Fraction(1)}
+    @staticmethod
+    def f_steps(n, rec, count):
+        """f u, ..., f^count u for the highest weight vector u of rec, keyed (i, k)."""
+        v = {i: c for (i, _), c in rec.coefficients.items()}
+        out = []
+        for j in range(count):
+            mat, _ = enright._f_restriction_matrix(n, rec.s - 2 * j)
+            v = mat.apply(v)
+            basis = enright.tensor_weight_basis(n, rec.s - 2 * j - 2)
+            out.append({basis[i]: c for i, c in v.items()})
+        return out
 
-    def test_power_zero_is_identity(self):
-        mod = build_tensor(2, 8)
-        v = {("vw", 0, 1): Fraction(3)}
-        assert enright.apply_f_power(mod, v, 0) == v
+    def test_single_step(self):
+        rec = enright.highest_weight_vector(2, 0)
+        assert self.f_steps(2, rec, 1) == [{(1, 1): 1, (0, 2): 1}]
 
     def test_image_satisfies_hwv_recursion(self):
         # coefficients of f u_0 in L4 (x) V0 follow the same recurrence
         n = 4
-        mod = build_tensor(n, 10)
         rec = enright.highest_weight_vector(n, 0)
-        out = enright.apply_f_power(mod, rec.vector(), 1)
-        coeffs = {(lbl[1], lbl[2]): c for lbl, c in out.items()}
+        [coeffs] = self.f_steps(n, rec, 1)
         assert all(x == 0 for x in enright.hwv_recursion_residuals(n, coeffs))
 
     def test_nonnegativity_preserved(self):
         n = 6
-        mod = build_tensor(n, 20)
         rec = enright.highest_weight_vector(n, 2)
-        v = rec.vector()
-        for _ in range(10):
-            v = enright.apply_f_power(mod, v, 1)
-            assert all(c > 0 or c == 0 for c in v.values())
-            assert all(Fraction(c).denominator == 1 for c in v.values())
-
-    def test_depth_exceeded(self):
-        from vermalab.sl2mod import TruncationError
-        mod = build_tensor(2, 2)
-        with pytest.raises(TruncationError):
-            enright.apply_f_power(mod, {("vw", 0, 0): Fraction(1)}, 4)
+        for v in self.f_steps(n, rec, 10):
+            assert v
+            assert all(type(c) is int and c > 0 for c in v.values())
 
 
 class TestProjectiveGenerator:
@@ -340,12 +334,30 @@ def test_slice_e_matches_the_module_e():
     for n in range(9):
         depth = 2 * n + 10
         mod = build_tensor(n, depth)
-        act = mod.actE
+        act = mod.act_matrix("e")
         for j in range(depth + 1):
             mu = n - 2 * j
             mat, basis = enright._e_restriction_matrix(n, mu)
             src = [mod.index[("vw", i, k)] for i, k in basis]
             dst = [mod.index[("vw", i, k)] for i, k in enright.tensor_weight_basis(n, mu + 2)]
+            cols, rows = set(src), set(dst)
+            assert all(r in rows for r, c in act.entries if c in cols)
+            assert mat == SparseMat(len(dst), len(src), {
+                (a, b): act[r, c] for a, r in enumerate(dst) for b, c in enumerate(src)})
+
+
+def test_slice_f_matches_the_module_f():
+    # independent route: restrict f of a whole truncated tensor module to
+    # each weight slice; f raises k by at most one, into the extended basis
+    for n in range(9):
+        depth = 2 * n + 10
+        mod = build_tensor(n, depth)
+        act = mod.act_matrix("f")
+        for j in range(depth + 1):
+            mu = n - 2 * j
+            mat, basis = enright._f_restriction_matrix(n, mu)
+            src = [mod.index[("vw", i, k)] for i, k in basis]
+            dst = [mod.index_ext[("vw", i, k)] for i, k in enright.tensor_weight_basis(n, mu - 2)]
             cols, rows = set(src), set(dst)
             assert all(r in rows for r, c in act.entries if c in cols)
             assert mat == SparseMat(len(dst), len(src), {
@@ -411,3 +423,18 @@ def test_a_perturbed_slice_fails_the_span_check(monkeypatch, capsys, pos):
     assert main(["decompose", "--n", "4"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert [b["mu"] for b in doc["casimirBlocks"] if not b["ok"]] == [-8]
+
+
+def test_a_wrong_f_slice_fails_the_f_power_oracle(monkeypatch, capsys):
+    real = enright._f_restriction_matrix
+
+    def perturbed(n, mu):
+        mat, basis = real(n, mu)
+        return SparseMat(mat.rows, mat.cols, {**mat.entries, (0, 0): 2}), basis
+
+    monkeypatch.setattr(enright, "_f_restriction_matrix", perturbed)
+    with pytest.raises(AssertionError,
+                       match="f-power image disagrees with the Casimir kernel line"):
+        enright.projective_generator(4, 0)
+    assert main(["projgen", "--n", "4", "--s", "0"]) == 1
+    assert "f-power image disagrees" in capsys.readouterr().err

@@ -228,7 +228,7 @@ def test_label_str():
 def test_integral_actions_are_plain_int(build, args):
     """Every integral structure constant is an int, never a Fraction."""
     m = build(*args)
-    for mat in (m.actE, m.actF, m.actH, casimir(m)):
+    for mat in (m.act_matrix("e"), m.act_matrix("f"), m.act_matrix("h"), casimir(m)):
         assert mat.entries and all(type(x) is int for x in mat.entries.values())
 
 
