@@ -197,11 +197,6 @@ def _tilde_table(max_n, max_m):
     return rows
 
 
-def _word_str(word):
-    """A word in the generators as its letters, b1.a2 style (1 if empty)."""
-    return ".".join(f"{g}{i}" for g, i in word) or "1"
-
-
 def cmd_verify_heisenberg(args):
     order = 6
     residuals = heisenberg.verify_generating_identity(order)
@@ -228,9 +223,9 @@ def cmd_verify_heisenberg(args):
     if not fuzz.ok:
         # the witnesses: every word the three normal forms disagree on,
         # and every word with a negative normal-form coefficient
-        fuzz_doc["mismatches"] = [_word_str(w) for w in fuzz.mismatches]
+        fuzz_doc["mismatches"] = [heisenberg.word_str(w) for w in fuzz.mismatches]
         fuzz_doc["negativeCoefficientWords"] = [
-            _word_str(w) for w in fuzz.negative_coefficient_words]
+            heisenberg.word_str(w) for w in fuzz.negative_coefficient_words]
     doc = {
         "relationResiduals": rel_rows,
         "tildeResiduals": table,
@@ -515,8 +510,9 @@ def main(argv=None):
         # (for example 1 - q not dividing a Hecke bridge coefficient)
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (sl2mod.ConstructionError, sl2mod.TruncationError) as exc:
-        # a T_r realization whose exact solve failed or left its stored depth
+    except (sl2mod.ConstructionError, sl2mod.TruncationError, RuntimeError) as exc:
+        # a T_r realization whose exact solve failed or left its stored depth,
+        # or any other internal step that could not complete
         print(f"verification failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (FixtureError, OSError) as exc:

@@ -32,7 +32,7 @@ delta relation only for m <= n).
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,6 +47,7 @@ __all__ = [
     "b_gen",
     "normal_form",
     "word_inversions",
+    "word_str",
     "verify_generating_identity",
     "fock_action",
     "tilde_candidates",
@@ -158,73 +159,74 @@ class HElem:
         return " + ".join(parts)
 
 
-def _exchange(n, m):
-    """The two replacement words for the adjacent pair a_n b_m."""
-    first = (("b", m), ("a", n))
-    second = []
-    if m - 1 >= 1:
-        second.append(("b", m - 1))
-    if n - 1 >= 1:
-        second.append(("a", n - 1))
-    return first, tuple(second)
+def word_str(word):
+    """A word in the generators as its letters, b1.a2 style (1 if empty)."""
+    return ".".join(f"{g}{i}" for g, i in word) or "1"
 
 
-def _find_inversion(word, strategy):
-    """Position of the leftmost or rightmost adjacent a-before-b pair."""
-    if strategy == "leftmost":
-        span = range(len(word) - 1)
-    else:
-        span = range(len(word) - 2, -1, -1)
-    for p in span:
-        if word[p][0] == "a" and word[p + 1][0] == "b":
-            return p
-    return None
+def _misfiled(w, count, loss=""):
+    """The failed-decrease error for a signed-int word filed under `count`."""
+    letters = word_str(("a", v) if v > 0 else ("b", -v) for v in w)
+    return AssertionError(f"rewrite step failed to decrease the inversion measure: "
+                          f"{letters} filed under {count} inversions{loss}")
 
 
 def _rewrite(word, strategy):
     """Exchange-step rewriting, one inversion count at a time.
 
-    Words are filed in buckets by their number of (a, b) inversions.  A
-    bucket is rewritten only once every word above it is done, so each
-    distinct word is rewritten once, carrying its summed coefficient.  The
-    swap removes exactly the exchanged inversion; the contraction also
-    removes the inversions of a b_1 with the a's in front of it and of an
-    a_1 with the b's behind it, since b_0 = a_0 = 1 leave the word.  A word
-    is normal exactly when it is filed under count 0: anything else is a
-    failed decrease of the inversion measure and raises.
+    Letters are signed ints, a_n as n and b_m as -m, so an adjacent
+    a-before-b pair is w[p] > 0 > w[p + 1].  Words are filed in buckets by
+    their number of (a, b) inversions.  A bucket is rewritten only once
+    every word above it is done, so each distinct word is rewritten once,
+    carrying its summed coefficient.  The swap removes exactly the
+    exchanged inversion; the contraction also removes the inversions of a
+    b_1 with the a's in front of it and of an a_1 with the b's behind it,
+    since b_0 = a_0 = 1 leave the word.  A word is normal (all b's before
+    all a's) exactly when it is filed under count 0: anything else is a
+    failed decrease of the inversion measure and raises.  The words of
+    count 0 are sorted once each; the sorted letters name the monomial.
     """
     top = word_inversions(word)
     buckets = [{} for _ in range(top + 1)]
-    buckets[top][word] = 1
-    out = {}
-    for count in range(top, -1, -1):
+    buckets[top][tuple(i if g == "a" else -i for g, i in word)] = 1
+    leftmost = strategy == "leftmost"
+    for count in range(top, 0, -1):
+        swapped = buckets[count - 1]
         for w, c in buckets[count].items():
-            pos = _find_inversion(w, strategy)
-            if (pos is None) != (count == 0):
-                raise AssertionError(
-                    f"rewrite step failed to decrease the inversion measure: "
-                    f"{w} filed under {count} inversions")
-            if pos is None:
-                mono = (tuple(sorted(m for kind, m in w if kind == "b")),
-                        tuple(sorted(n for kind, n in w if kind == "a")))
-                out[mono] = out.get(mono, 0) + c
-                continue
-            n, m = w[pos][1], w[pos + 1][1]
-            swapped, contracted = _exchange(n, m)
-            lost = 1
-            if m == 1:
-                lost += sum(1 for kind, _ in w[:pos] if kind == "a")
+            for p in range(len(w) - 1) if leftmost else range(len(w) - 2, -1, -1):
+                if w[p] > 0 > w[p + 1]:
+                    break
+            else:
+                raise _misfiled(w, count)
+            n, m = w[p], w[p + 1]  # a_n b_{-m}
+            head, tail = w[:p], w[p + 2:]
+            lost, contracted = 1, (m + 1, n - 1)
+            if m == -1:
+                lost += sum(1 for v in head if v > 0)
+                contracted = contracted[1:]
             if n == 1:
-                lost += sum(1 for kind, _ in w[pos + 2:] if kind == "b")
+                lost += sum(1 for v in tail if v < 0)
+                contracted = contracted[:-1]
             if lost > count:
-                raise AssertionError(
-                    f"rewrite step failed to decrease the inversion measure: "
-                    f"{w} filed under {count} inversions loses {lost}")
-            for new, below in ((swapped, 1), (contracted, lost)):
-                target = buckets[count - below]
-                key = w[:pos] + new + w[pos + 2:]
-                target[key] = target.get(key, 0) + c
+                raise _misfiled(w, count, f" loses {lost}")
+            key = head + (m, n) + tail
+            swapped[key] = swapped.get(key, 0) + c
+            target = buckets[count - lost]
+            key = head + contracted + tail
+            target[key] = target.get(key, 0) + c
         buckets[count] = None
+    merged = {}
+    for w, c in buckets[0].items():
+        s = sorted(w)
+        k = bisect_left(s, 0)
+        if k and max(w[:k]) > 0:
+            raise _misfiled(w, 0)
+        key = tuple(s)
+        merged[key] = merged.get(key, 0) + c
+    out = {}
+    for s, c in merged.items():
+        k = bisect_left(s, 0)
+        out[tuple(-v for v in reversed(s[:k])), s[k:]] = c
     return HElem(out)
 
 

@@ -56,7 +56,8 @@ class TestExitCodes:
         assert err.startswith("verification failure:")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("error", [sl2mod.ConstructionError, sl2mod.TruncationError])
+    @pytest.mark.parametrize("error", [sl2mod.ConstructionError, sl2mod.TruncationError,
+                                       RuntimeError])
     def test_failed_Tr_build_is_a_verification_failure(self, monkeypatch, capsys, error):
         def broken(r, n, depth):
             raise error(f"T_{r} cannot be built")

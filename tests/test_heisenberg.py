@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -20,6 +22,7 @@ from vermalab.heisenberg import (
     tilde_probe,
     verify_generating_identity,
     word_inversions,
+    word_str,
 )
 
 
@@ -107,8 +110,35 @@ def test_misfiled_word_raises(word, shift, strategy, monkeypatch, fresh_cache):
     # reach count 0 with an a before a b, or leave it without one
     true_count = word_inversions(word)
     monkeypatch.setattr(heisenberg, "word_inversions", lambda w: true_count + shift)
-    with pytest.raises(AssertionError, match="inversion measure"):
+    with pytest.raises(AssertionError, match="inversion measure") as exc:
         normal_form(word, strategy)
+    # the witness is written in generator letters, not in the rewriters'
+    # internal encoding
+    assert re.search(r"measure: (1|[ab][1-9]\d*(\.[ab][1-9]\d*)*) filed under",
+                     str(exc.value))
+    if true_count + shift == 0:
+        # filed under 0 with an inversion, the word itself is the witness
+        assert f": {word_str(word)} filed under 0 inversions" in str(exc.value)
+
+
+LETTERS = [a_gen(i) for i in range(1, 4)] + [b_gen(i) for i in range(1, 4)]
+SHORT_WORDS = [w for length in range(5) for w in product(LETTERS, repeat=length)]
+
+
+def test_rewriters_match_the_fold_on_every_short_word(fresh_cache):
+    # every word of length <= 4 over a_1..a_3, b_1..b_3
+    assert len(SHORT_WORDS) == 1555
+    for word in SHORT_WORDS:
+        series = normal_form(word)
+        assert normal_form(word, "leftmost") == series, word
+        assert normal_form(word, "rightmost") == series, word
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_large_indices_need_no_ceiling(strategy, fresh_cache):
+    big = 10**6
+    assert normal_form((a_gen(big), b_gen(big)), strategy) == \
+        mono((big,), (big,)) + mono((big - 1,), (big - 1,))
 
 
 @st.composite
