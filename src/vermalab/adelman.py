@@ -16,6 +16,9 @@ identity vec(L X R) = (L ⊗ Rᵀ) vec(X).  vec is row-major throughout:
 entry (r, c) of an unknown with ``cols`` columns is variable
 ``offset + r*cols + c``, and entry (i, j) of an equation's residual is
 one row in the same order.
+
+Checks that share a coefficient matrix share one elimination, and a
+factorization is checked by the homotopy witness its own solve returns.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import random
 from dataclasses import dataclass
 
 from . import fixtures
-from .exactla import SparseMat, nullspace, solve, vec_iadd
+from .exactla import SparseMat, nullspace, solve_each, vec_iadd
 
 __all__ = [
     "DoubleArrow",
@@ -127,17 +130,18 @@ def _mat_from_vars(sol, rows, cols, offset):
 def _system(shapes, equations):
     """The linear system for unknown matrices X_k of the given shapes.
 
-    Each equation is (terms, target): the sum of L @ X_k @ R over its
-    terms (L, k, R) must equal the target matrix (None for zero).  L or R
-    may be None for an identity, which costs no multiplication; the
-    residual's shape is read from the first term.  Returns (matrix, rhs,
-    unpack), where unpack turns a solution vector into the list of X_k.
+    Each equation is (terms, targets): the sum of L @ X_k @ R over its
+    terms (L, k, R) must equal targets[i] in system i ([] for zero in
+    all).  L or R may be None for an identity, which costs no
+    multiplication; the residual's shape is read from the first term.
+    Returns (matrix, rhss, unpack), unpack turning a solution vector into
+    the list of X_k.
     """
     offsets = [0]
     for r, c in shapes:
         offsets.append(offsets[-1] + r * c)
-    ent, rhs, row0 = {}, {}, 0
-    for terms, target in equations:
+    ent, rhss, row0 = {}, [], 0
+    for terms, targets in equations:
         L, k, R = terms[0]
         height = shapes[k][0] if L is None else L.rows
         width = shapes[k][1] if R is None else R.cols
@@ -157,15 +161,17 @@ def _system(shapes, equations):
                 key = (row0 + r, c)
                 old = ent.get(key)
                 ent[key] = x if old is None else old + x
-        if target is not None:
+        for k, target in enumerate(targets):
+            if k == len(rhss):
+                rhss.append({})
             for (i, j), x in target.entries.items():
-                rhs[row0 + i * width + j] = x
+                rhss[k][row0 + i * width + j] = x
         row0 += height * width
 
     def unpack(vec):
         return [_mat_from_vars(vec, r, c, off) for (r, c), off in zip(shapes, offsets)]
 
-    return SparseMat(row0, offsets[-1], ent), rhs, unpack
+    return SparseMat(row0, offsets[-1], ent), rhss, unpack
 
 
 def _squares(src, tgt):
@@ -173,8 +179,8 @@ def _squares(src, tgt):
     and the equations x2 m1 - m1' x1 = 0 and x3 m2 - m2' x2 = 0."""
     shapes = [(b, a) for a, b in zip(src.dims, tgt.dims)]
     return shapes, [
-        ([(None, 1, src.m1), (tgt.m1.scale(-1), 0, None)], None),
-        ([(None, 2, src.m2), (tgt.m2.scale(-1), 1, None)], None),
+        ([(None, 1, src.m1), (tgt.m1.scale(-1), 0, None)], []),
+        ([(None, 2, src.m2), (tgt.m2.scale(-1), 1, None)], []),
     ]
 
 
@@ -185,25 +191,34 @@ def _homotopy_terms(src, tgt, k):
             [(tgt.m1, k, None), (None, k + 1, src.m2)])
 
 
+def _homotopies(pairs):
+    """[homotopic(f, g) for f, g in pairs], from one elimination: every
+    f must share the first f's objects, and every g their shapes."""
+    src, tgt = pairs[0][0].source, pairs[0][0].target
+    if any((f.source, f.target, g.source.dims, g.target.dims)
+           != (src, tgt, src.dims, tgt.dims) for f, g in pairs):
+        raise ValueError("homotopy requires equal shapes and one pair of objects")
+    diffs = [f.x2 - g.x2 for f, g in pairs]
+    shapes, terms = _homotopy_terms(src, tgt, 0)
+    mat, rhss, unpack = _system(shapes, [(terms, diffs)])
+    witnesses = []
+    for sol, diff in zip(solve_each(mat, rhss), diffs):
+        if sol is not None:
+            s1, s2 = unpack(sol)
+            if tgt.m1 @ s1 + s2 @ src.m2 != diff:
+                raise AssertionError("homotopy witness failed re-verification")
+            sol = Homotopy(s1, s2)
+        witnesses.append(sol)
+    return witnesses
+
+
 def homotopic(f, g):
     """A witness (s1, s2) with b' s1 + s2 a = f.x2 - g.x2, or None.
 
     Only the middle components enter the relation.  The witness is
     re-verified by substitution before being returned.
     """
-    if f.source.dims != g.source.dims or f.target.dims != g.target.dims:
-        raise ValueError("homotopy requires equal shapes")
-    bp, a = f.target.m1, f.source.m2
-    diff = f.x2 - g.x2
-    shapes, terms = _homotopy_terms(f.source, f.target, 0)
-    mat, rhs, unpack = _system(shapes, [(terms, diff)])
-    sol = solve(mat, rhs)
-    if sol is None:
-        return None
-    s1, s2 = unpack(sol)
-    if bp @ s1 + s2 @ a != diff:
-        raise AssertionError("homotopy witness failed re-verification")
-    return Homotopy(s1, s2)
+    return _homotopies([(f, g)])[0]
 
 
 def homotopic_to_zero(f):
@@ -424,58 +439,69 @@ def random_object(rng, max_dim=3):
     return DoubleArrow(tuple(dims), m1, m2)
 
 
-def _random_kernel_vector(rng, mat):
-    """Random integer combination of the nullspace basis of mat, one
-    rng.randint(-2, 2) per basis vector in basis order."""
+def _random_combination(rng, basis):
+    """Random integer combination of a basis, one rng.randint(-2, 2) per
+    basis vector in basis order."""
     combo = {}
-    for vec in nullspace(mat):
+    for vec in basis:
         vec_iadd(combo, vec, rng.randint(-2, 2))
     return combo
 
 
-def random_morphism(rng, src, tgt):
-    """Random integer combination of a basis of the morphism space."""
+def random_morphism(rng, src, tgt, count):
+    """count random integer combinations of one basis of the morphism
+    space, drawn one after another."""
     mat, _, unpack = _system(*_squares(src, tgt))
-    return TripleMorphism(src, tgt, *unpack(_random_kernel_vector(rng, mat)))
+    basis = nullspace(mat)
+    return [TripleMorphism(src, tgt, *unpack(_random_combination(rng, basis)))
+            for _ in range(count)]
 
 
-def _factors_up_to_homotopy(u, through, side):
-    """Joint linear solve for v and a homotopy with through o v ~ u
-    (side='kernel') or v o through ~ u (side='cokernel').
+def _factors_up_to_homotopy(us, through, side):
+    """For each u (all sharing source and target), a v with
+    through o v ~ u (side='kernel') or v o through ~ u (side='cokernel'),
+    or None, from one joint elimination.
 
     v ranges over genuine morphisms (its commuting squares are part of
     the system), and the homotopy only constrains middle components:
     composite middle + b' s1 + s2 a = u.x2 in Hom(u.source, u.target).
+    Each v is checked by is_morphism and by substituting its own (s1, s2).
     """
+    src, tgt = us[0].source, us[0].target
+    if any((u.source, u.target) != (src, tgt) for u in us):
+        raise ValueError("factorization batch requires one pair of objects")
     if side == "kernel":
-        vsrc, vtgt = u.source, through.source
+        vsrc, vtgt = src, through.source
         composite = (through.x2, 1, None)   # through.x2 @ v.x2
     else:
-        vsrc, vtgt = through.target, u.target
+        vsrc, vtgt = through.target, tgt
         composite = (None, 1, through.x2)   # v.x2 @ through.x2
     shapes, squares = _squares(vsrc, vtgt)
-    h_shapes, h_terms = _homotopy_terms(u.source, u.target, 3)
-    mat, rhs, unpack = _system(shapes + h_shapes, squares + [([composite] + h_terms, u.x2)])
-    sol = solve(mat, rhs)
-    if sol is None:
-        return None
-    v = TripleMorphism(vsrc, vtgt, *unpack(sol)[:3])
-    if not is_morphism(v):
-        raise AssertionError("factorization solver produced a non-morphism")
-    composite = compose(through, v) if side == "kernel" else compose(v, through)
-    if homotopic(composite, u) is None:
-        raise AssertionError("factorization solver witness fails homotopy check")
-    return v
+    h_shapes, h_terms = _homotopy_terms(src, tgt, 3)
+    mat, rhss, unpack = _system(shapes + h_shapes,
+                                squares + [([composite] + h_terms, [u.x2 for u in us])])
+    factors = []
+    for u, sol in zip(us, solve_each(mat, rhss)):
+        if sol is not None:
+            x1, x2, x3, s1, s2 = unpack(sol)
+            sol = TripleMorphism(vsrc, vtgt, x1, x2, x3)
+            if not is_morphism(sol):
+                raise AssertionError("factorization solver produced a non-morphism")
+            middle = through.x2 @ x2 if side == "kernel" else x2 @ through.x2
+            if tgt.m1 @ s1 + s2 @ src.m2 != u.x2 - middle:
+                raise AssertionError("factorization solver witness fails homotopy check")
+        factors.append(sol)
+    return factors
 
 
 def factors_through_kernel(u, inclusion):
     """A morphism v with inclusion o v ~ u, or None."""
-    return _factors_up_to_homotopy(u, inclusion, "kernel")
+    return _factors_up_to_homotopy([u], inclusion, "kernel")[0]
 
 
 def factors_through_cokernel(u, projection):
     """A morphism v with v o projection ~ u, or None."""
-    return _factors_up_to_homotopy(u, projection, "cokernel")
+    return _factors_up_to_homotopy([u], projection, "cokernel")[0]
 
 
 def random_null_homotopic(rng, src, tgt):
@@ -490,11 +516,11 @@ def random_null_homotopic(rng, src, tgt):
               (tgt.dims[0], src.dims[1]), (tgt.dims[1], src.dims[2])]  # x1, x3, s1, s2
     mat, _, unpack = _system(shapes, [
         # x2 m1 - m1' x1 = 0
-        ([(bp, 2, src.m1), (None, 3, a @ src.m1), (tgt.m1.scale(-1), 0, None)], None),
+        ([(bp, 2, src.m1), (None, 3, a @ src.m1), (tgt.m1.scale(-1), 0, None)], []),
         # x3 m2 - m2' x2 = 0
-        ([(None, 1, src.m2), ((tgt.m2 @ bp).scale(-1), 2, None), (tgt.m2.scale(-1), 3, a)], None),
+        ([(None, 1, src.m2), ((tgt.m2 @ bp).scale(-1), 2, None), (tgt.m2.scale(-1), 3, a)], []),
     ])
-    x1, x3, s1, s2 = unpack(_random_kernel_vector(rng, mat))
+    x1, x3, s1, s2 = unpack(_random_combination(rng, nullspace(mat)))
     x2 = bp @ s1 + s2 @ a
     d = TripleMorphism(src, tgt, x1, x2, x3)
     if not is_morphism(d):
@@ -525,22 +551,20 @@ def congruence_checks(seed, trials, max_dim=4):
     for _ in range(trials):
         X = random_object(rng, max_dim)
         Y = random_object(rng, max_dim)
-        f = random_morphism(rng, X, Y)
+        [f] = random_morphism(rng, X, Y, 1)
         d1, _ = random_null_homotopic(rng, X, Y)
         d2, _ = random_null_homotopic(rng, X, Y)
         g = TripleMorphism(X, Y, f.x1 + d1.x1, f.x2 + d1.x2, f.x3 + d1.x3)
         h = TripleMorphism(X, Y, g.x1 + d2.x1, g.x2 + d2.x2, g.x3 + d2.x3)
-        if homotopic(f, f) is not None:
-            rep.reflexive_ok += 1
-        if homotopic(f, g) is not None and homotopic(g, f) is not None:
-            rep.symmetric_ok += 1
-        if (homotopic(f, g) is not None and homotopic(g, h) is not None
-                and homotopic(f, h) is not None):
-            rep.transitive_ok += 1
+        ff, fg, gf, gh, fh = (w is not None for w in _homotopies(
+            [(f, f), (f, g), (g, f), (g, h), (f, h)]))
+        rep.reflexive_ok += ff
+        rep.symmetric_ok += fg and gf
+        rep.transitive_ok += fg and gh and fh
         V = random_object(rng, max_dim)
         Z = random_object(rng, max_dim)
-        u = random_morphism(rng, V, X)
-        w = random_morphism(rng, Y, Z)
+        [u] = random_morphism(rng, V, X, 1)
+        [w] = random_morphism(rng, Y, Z, 1)
         if (homotopic(compose(f, u), compose(g, u)) is not None
                 and homotopic(compose(w, f), compose(w, g)) is not None):
             rep.composition_ok += 1
@@ -550,61 +574,67 @@ def congruence_checks(seed, trials, max_dim=4):
 @dataclass
 class UniversalPropertyReport:
     trials: int
-    kernel_passed: int
-    kernel_failed: int
-    cokernel_passed: int
-    cokernel_failed: int
+    passed: int  # sides that passed, out of 2 * trials
+    failures: list  # {"trial" (from 1), "side", "stage", "dims" of X, Y, W}
 
     @property
     def ok(self):
-        return self.kernel_failed == 0 and self.cokernel_failed == 0
+        return not self.failures
 
 
-# The kernel side and the cokernel side as (end, after, hom, readings,
-# factors): end(t) is the end of t the candidate attaches to, after(f, g)
+# The kernel side and the cokernel side as (side, end, after, hom,
+# readings): end(t) is the end of t the candidate attaches to, after(f, g)
 # composes g with f on that side (f o g for kernels, g o f for
-# cokernels), and hom(rng, W, obj) draws a random morphism W -> obj for
-# kernels and obj -> W for cokernels.  The lambdas look the module
-# functions up at call time, so a wrapper installed on the module
+# cokernels), and hom(rng, W, obj, count) draws count random morphisms
+# W -> obj for kernels and obj -> W for cokernels.  The lambdas look the
+# module functions up at call time, so a wrapper installed on the module
 # attribute (as a tracer does) sees every call.
 _SIDES = (
-    (lambda t: t.source, lambda f, g: compose(f, g),
-     lambda rng, W, obj: random_morphism(rng, W, obj),
-     KERNEL_INTERPRETATIONS, lambda u, inc: factors_through_kernel(u, inc)),
-    (lambda t: t.target, lambda f, g: compose(g, f),
-     lambda rng, W, obj: random_morphism(rng, obj, W),
-     COKERNEL_INTERPRETATIONS, lambda u, proj: factors_through_cokernel(u, proj)),
+    ("kernel", lambda t: t.source, lambda f, g: compose(f, g),
+     lambda rng, W, obj, count: random_morphism(rng, W, obj, count),
+     KERNEL_INTERPRETATIONS),
+    ("cokernel", lambda t: t.target, lambda f, g: compose(g, f),
+     lambda rng, W, obj, count: random_morphism(rng, obj, W, count),
+     COKERNEL_INTERPRETATIONS),
 )
+
+
+def _all_factor(groups, through, side):
+    """Whether every test factors through ``through``, one elimination per
+    group of tests that share their objects, stopping at a failure."""
+    return all(v is not None for group in groups if group
+               for v in _factors_up_to_homotopy(group, through, side))
 
 
 def universal_property_trials(seed, trials, max_dim=4):
     """Both halves of the kernel and cokernel universal properties for
     the frozen block readings on seeded random instances: the composite
     through the candidate is null-homotopic, and every test morphism
-    killed by t factors."""
+    killed by t factors.  Each failing side of a trial is recorded with
+    the stage that failed and the dimensions of X, Y and W."""
     rng = random.Random(seed)
-    rep = UniversalPropertyReport(trials, 0, 0, 0, 0)
-    for _ in range(trials):
+    rep = UniversalPropertyReport(trials, 0, [])
+    for trial in range(1, trials + 1):
         X = random_object(rng, max_dim)
         Y = random_object(rng, max_dim)
-        t = random_morphism(rng, X, Y)
+        [t] = random_morphism(rng, X, Y, 1)
         W = random_object(rng, max_dim)
-        passed = []
-        for (end, after, hom, _, factors), build in zip(_SIDES, (kernel, cokernel)):
+        t_null = homotopic_to_zero(t) is not None
+        for (side, end, after, hom, _), build in zip(_SIDES, (kernel, cokernel)):
             obj, arrow = build(t)
-            ok = homotopic_to_zero(after(t, arrow)) is not None
-            if ok:
-                tests = [identity_of(end(t))] if homotopic_to_zero(t) is not None else []
-                u = hom(rng, W, end(t))
-                if homotopic_to_zero(after(t, u)) is not None:
-                    tests.append(u)
-                tests.append(after(arrow, hom(rng, W, obj)))
-                ok = all(factors(u, arrow) is not None for u in tests)
-            passed.append(ok)
-        rep.kernel_passed += passed[0]
-        rep.kernel_failed += not passed[0]
-        rep.cokernel_passed += passed[1]
-        rep.cokernel_failed += not passed[1]
+            stage = "composite not null-homotopic"
+            if homotopic_to_zero(after(t, arrow)) is not None:
+                [u] = hom(rng, W, end(t), 1)
+                [v] = hom(rng, W, obj, 1)
+                tests = [u] if homotopic_to_zero(after(t, u)) is not None else []
+                tests.append(after(arrow, v))
+                identity = [identity_of(end(t))] if t_null else []
+                ok = _all_factor([identity, tests], arrow, side)
+                stage = None if ok else "test morphism does not factor"
+            rep.passed += stage is None
+            if stage:
+                rep.failures.append({"trial": trial, "side": side, "stage": stage,
+                                     "dims": {"X": X.dims, "Y": Y.dims, "W": W.dims}})
     return rep
 
 
@@ -637,7 +667,7 @@ def resolve_interpretation(seed):
     stable across seeds.
     """
     rng = random.Random(seed)
-    scores = [{name: 0 for name in readings} for _, _, _, readings, _ in _SIDES]
+    scores = [{name: 0 for name in readings} for *_, readings in _SIDES]
 
     def undecided():
         return any(sum(1 for v in side.values() if v == 0) > 1 for side in scores)
@@ -648,26 +678,23 @@ def resolve_interpretation(seed):
         trials += 1
         X = random_object(rng, 3)
         Y = random_object(rng, 3)
-        t = random_morphism(rng, X, Y)
+        [t] = random_morphism(rng, X, Y, 1)
         W = random_object(rng, 3)
         r2 = random.Random(rng.getrandbits(32))
-        for (end, after, hom, readings, factors), side_scores in zip(_SIDES, scores):
+        t_null = homotopic_to_zero(t) is not None
+        for (side, end, after, hom, readings), side_scores in zip(_SIDES, scores):
             candidates = {name: f(t) for name, f in readings.items()}
-            tests = []
-            if homotopic_to_zero(t) is not None:
-                tests.append(identity_of(end(t)))  # everything must factor
-            for _ in range(2):
-                u = hom(r2, W, end(t))
-                if homotopic_to_zero(after(t, u)) is not None:
-                    tests.append(u)
+            identity = [identity_of(end(t))] if t_null else []  # everything must factor
+            drawn = hom(r2, W, end(t), 2)
             for obj, arrow in candidates.values():
-                for _ in range(tests_per_candidate):
-                    cand_u = after(arrow, hom(r2, W, obj))
-                    if homotopic_to_zero(after(t, cand_u)) is not None:
-                        tests.append(cand_u)
+                drawn += [after(arrow, g) for g in hom(r2, W, obj, tests_per_candidate)]
+            composites = [after(t, u) for u in drawn]
+            zero = zero_morphism(composites[0].source, composites[0].target)
+            killed = _homotopies([(f, zero) for f in composites])
+            tests = [u for u, w in zip(drawn, killed) if w is not None]
             for name, (_, arrow) in candidates.items():
                 ok = (homotopic_to_zero(after(t, arrow)) is not None
-                      and all(factors(u, arrow) is not None for u in tests))
+                      and _all_factor([identity, tests], arrow, side))
                 side_scores[name] += 0 if ok else 1
 
     kernel_scores, cokernel_scores = scores

@@ -271,11 +271,13 @@ def cmd_verify_adelman(args):
             "composition": cong.composition_ok,
         },
         "universalPropertyTrials": {
-            "passed": up.kernel_passed + up.cokernel_passed,
-            "failed": up.kernel_failed + up.cokernel_failed,
+            "passed": up.passed,
+            "failed": len(up.failures),
         },
         "seed": seed,
     }
+    if up.failures:
+        doc["universalPropertyTrials"]["failures"] = up.failures
     ok = stable and cong.ok and up.ok
     return doc, ok
 

@@ -33,15 +33,16 @@ gcd.  Its one division, by 1 - q, is exact or raises ArithmeticError.
 library module uses it; it stays as the independent Q(q) oracle the
 tests check ``Laurent`` against.
 
-``nullspace``, ``rank``, ``solve`` and ``generalized_kernel`` all run one
-sparse integer echelon routine on matrices with ``int`` or ``Fraction``
-entries (anything else raises ``TypeError``); ``Fraction`` entries
-arrive when a solution of ``solve`` enters a later system.  Each row
-becomes a ``{col: int}`` dict scaled by the lcm of its denominators (a
-row of ints is taken as it is); the right-hand side of ``solve`` is an
-extra column.  Rows are bucketed by leading column, columns are taken
-in increasing order, and the shortest row of a bucket is the pivot that
-clears that column from the others.
+``nullspace``, ``rank``, ``solve``, ``solve_each`` and
+``generalized_kernel`` all run one sparse integer echelon routine on
+matrices with ``int`` or ``Fraction`` entries (anything else raises
+``TypeError``); ``Fraction`` entries arrive when a solution of ``solve``
+enters a later system.  Each row becomes a ``{col: int}`` dict scaled by
+the lcm of its denominators (a row of ints is taken as it is); each
+right-hand side of ``solve_each`` is one extra column, so systems that
+share a matrix share one elimination.  Rows are bucketed by leading
+column, columns are taken in increasing order, and the shortest row of
+a bucket is the pivot that clears that column from the others.
 Every new row is divided by the gcd of its entries, so intermediate
 values stay small integers.  Back substitution stays in integers too:
 it keeps integer numerators over one common denominator, scaled by
@@ -72,6 +73,7 @@ __all__ = [
     "nullspace",
     "rank",
     "solve",
+    "solve_each",
     "generalized_kernel",
     "vec_iadd",
     "vec_add",
@@ -668,20 +670,20 @@ def _primitive(row):
     return row if g == 1 else {j: x // g for j, x in row.items()}
 
 
-def _integer_rows(m, rhs=None):
-    """Nonzero rows of m as primitive {col: int} dicts.
+def _integer_rows(m, rhss=()):
+    """Nonzero rows of [m | rhss] as primitive {col: int} dicts.
 
-    Each row is scaled by ``_scaled_to_int``; the entries of rhs become
-    the extra column m.cols.  Raises TypeError on an entry that is
-    neither int nor Fraction.
+    Each row is scaled by ``_scaled_to_int``; the entries of the k-th
+    right-hand side become the extra column m.cols + k.  Raises TypeError
+    on an entry that is neither int nor Fraction.
     """
     rows = {}
     for (i, j), x in m.entries.items():
         rows.setdefault(i, {})[j] = x
-    if rhs:
+    for col, rhs in enumerate(rhss, m.cols):
         for i, x in rhs.items():
             if x:
-                rows.setdefault(i, {})[m.cols] = x
+                rows.setdefault(i, {})[col] = x
     return [_primitive(_scaled_to_int(row)) for row in rows.values()]
 
 
@@ -790,18 +792,36 @@ def solve(m, b):
     b is a sparse vector over row indices; raises ValueError when an
     index of b lies outside the row range, and TypeError unless every
     entry of m and b is an int or a Fraction.  The solution has every
-    free coordinate 0.  Back substitution keeps integer numerators over
-    one common denominator and divides once at the end, so a coordinate
-    is an ``int`` when it is integral and a ``Fraction`` only otherwise.
+    free coordinate 0; a coordinate is an ``int`` when it is integral and
+    a ``Fraction`` only otherwise (see ``_back_substitute``).
     """
-    for i in b:
-        if not (0 <= i < m.rows):
-            raise ValueError(f"right-hand side index {i} out of range for {m.rows} rows")
-    echelon = _echelon(_integer_rows(m, b))
-    if echelon and echelon[-1][0] == m.cols:
-        return None  # pivot in the augmented column: inconsistent
-    x, d = _back_substitute(echelon, {}, m.cols)
-    return {j: v // d if v % d == 0 else Fraction(v, d) for j, v in x.items()}
+    return solve_each(m, [b])[0]
+
+
+def solve_each(m, bs):
+    """[solve(m, b) for b in bs], from one elimination of [m | b1 ... bk].
+
+    An echelon row leading in a b column says 0 = a nonzero combination
+    of b's, so every b it touches is outside the image.  Each other b is
+    back substituted through the rows leading in m, whose pivots are m's
+    own; with free coordinates 0, each answer is what ``solve`` gives.
+    """
+    for b in bs:
+        for i in b:
+            if not (0 <= i < m.rows):
+                raise ValueError(f"right-hand side index {i} out of range for {m.rows} rows")
+    echelon = _echelon(_integer_rows(m, bs))
+    inconsistent = set()
+    while echelon and echelon[-1][0] >= m.cols:
+        inconsistent.update(echelon.pop()[1])
+    out = []
+    for col, b in enumerate(bs, m.cols):
+        if col in inconsistent:
+            out.append(None)
+            continue
+        x, d = _back_substitute(echelon, {}, col)
+        out.append({j: v // d if v % d == 0 else Fraction(v, d) for j, v in x.items()})
+    return out
 
 
 def generalized_kernel(m):

@@ -35,7 +35,20 @@ class TestMorphisms:
         for _ in range(20):
             X = ad.random_object(rng)
             Y = ad.random_object(rng)
-            assert ad.is_morphism(ad.random_morphism(rng, X, Y))
+            [f] = ad.random_morphism(rng, X, Y, 1)
+            assert ad.is_morphism(f)
+
+    def test_a_batch_of_draws_is_the_draws_one_by_one(self):
+        rng = random.Random(12)
+        for _ in range(20):
+            X = ad.random_object(rng)
+            Y = ad.random_object(rng)
+            one, batch = random.Random(), random.Random()
+            one.setstate(rng.getstate())
+            batch.setstate(rng.getstate())
+            singles = [ad.random_morphism(one, X, Y, 1)[0] for _ in range(4)]
+            assert ad.random_morphism(batch, X, Y, 4) == singles
+            assert batch.getstate() == one.getstate()
 
 
 class TestHomotopy:
@@ -57,7 +70,7 @@ class TestHomotopy:
         for _ in range(20):
             X = ad.random_object(rng)
             Y = ad.random_object(rng)
-            f = ad.random_morphism(rng, X, Y)
+            [f] = ad.random_morphism(rng, X, Y, 1)
             d, witness = ad.random_null_homotopic(rng, X, Y)
             g = ad.TripleMorphism(X, Y, f.x1 + d.x1, f.x2 + d.x2, f.x3 + d.x3)
             assert ad.is_morphism(g)
@@ -266,7 +279,7 @@ def test_random_draws_are_pinned(seed):
     for _ in range(40):
         X = ad.random_object(rng, 4)
         Y = ad.random_object(rng, 4)
-        f = ad.random_morphism(rng, X, Y)
+        [f] = ad.random_morphism(rng, X, Y, 1)
         d, w = ad.random_null_homotopic(rng, X, Y)
         for m in (f.x1, f.x2, f.x3, d.x1, d.x2, d.x3, w.s1, w.s2):
             h.update(repr((m.rows, m.cols,
@@ -315,25 +328,32 @@ def squares(src, tgt, x1, x2, x3):
 def test_constraint_systems_match_unit_vector_oracle(monkeypatch):
     """Every system handed to the elimination engine equals the one read
     off the residual on unit vectors: homotopies, morphism spaces,
-    null-homotopic morphisms and both factorizations."""
+    null-homotopic morphisms and both factorizations, each right-hand
+    side of a batch against its own target."""
     calls = []
-    real_solve, real_nullspace = ad.solve, ad.nullspace
+    real_solve_each, real_nullspace = ad.solve_each, ad.nullspace
 
-    def solve(m, b):
-        calls.append((m, b))
-        return real_solve(m, b)
+    def solve_each(m, bs):
+        calls.append((m, bs))
+        return real_solve_each(m, bs)
 
     def nullspace(m):
-        calls.append((m, {}))
+        calls.append((m, [{}]))
         return real_nullspace(m)
 
-    monkeypatch.setattr(ad, "solve", solve)
+    monkeypatch.setattr(ad, "solve_each", solve_each)
     monkeypatch.setattr(ad, "nullspace", nullspace)
 
-    def first_system(fn, *args):
+    def check_first_system(fn, args, shapes, residual, targets_each):
+        """Call fn, then compare its first system with the oracle, one
+        right-hand side per entry of targets_each."""
         calls.clear()
         out = fn(*args)
-        return out, calls[0]
+        m, bs = calls[0]
+        assert len(bs) == len(targets_each)
+        for b, targets in zip(bs, targets_each):
+            assert (m, b) == probed_system(shapes, residual, targets)
+        return out
 
     rng = random.Random(4141)
     dims_seen = set()
@@ -341,38 +361,41 @@ def test_constraint_systems_match_unit_vector_oracle(monkeypatch):
         X, Y, W = (ad.random_object(rng) for _ in range(3))
         dims_seen.update(X.dims + Y.dims)
 
-        f, got = first_system(ad.random_morphism, rng, X, Y)
-        assert got == probed_system(
-            triple_shapes(X, Y), lambda *x: squares(X, Y, *x), [None, None])
-
-        (d, _), got = first_system(ad.random_null_homotopic, rng, X, Y)
+        [f] = check_first_system(ad.random_morphism, (rng, X, Y, 1), triple_shapes(X, Y),
+                                 lambda *x: squares(X, Y, *x), [[None, None]])
 
         def null_residual(x1, x3, s1, s2):
             return squares(X, Y, x1, Y.m1 @ s1 + s2 @ X.m2, x3)
 
         shapes = [(Y.dims[0], X.dims[0]), (Y.dims[2], X.dims[2]),
                   (Y.dims[0], X.dims[1]), (Y.dims[1], X.dims[2])]
-        assert got == probed_system(shapes, null_residual, [None, None])
+        d, _ = check_first_system(ad.random_null_homotopic, (rng, X, Y), shapes,
+                                  null_residual, [[None, None]])
 
         g = ad.TripleMorphism(X, Y, f.x1 + d.x1, f.x2 + d.x2, f.x3 + d.x3)
         h_shapes = [(Y.dims[0], X.dims[1]), (Y.dims[1], X.dims[2])]
-        _, got = first_system(ad.homotopic, f, g)
-        assert got == probed_system(
-            h_shapes, lambda s1, s2: [Y.m1 @ s1 + s2 @ X.m2], [f.x2 - g.x2])
+
+        def h_residual(s1, s2):
+            return [Y.m1 @ s1 + s2 @ X.m2]
+
+        check_first_system(ad.homotopic, (f, g), h_shapes, h_residual, [[f.x2 - g.x2]])
+        pairs = [(f, g), (g, f), (f, f)]
+        check_first_system(ad._homotopies, (pairs,), h_shapes, h_residual,
+                           [[a.x2 - b.x2] for a, b in pairs])
 
         # through o v ~ u with v: W -> ker, and v o through ~ u with v: cok -> W
         for side in ("kernel", "cokernel"):
             if side == "kernel":
                 ker, through = ad.kernel(f)
-                u = ad.random_morphism(rng, W, X)
+                us = ad.random_morphism(rng, W, X, 2)
                 vsrc, vtgt = W, ker
                 factor = ad.factors_through_kernel
             else:
                 cok, through = ad.cokernel(f)
-                u = ad.random_morphism(rng, Y, W)
+                us = ad.random_morphism(rng, Y, W, 2)
                 vsrc, vtgt = cok, W
                 factor = ad.factors_through_cokernel
-            src, tgt = u.source, u.target
+            src, tgt = us[0].source, us[0].target
 
             def residual(v1, v2, v3, s1, s2):
                 middle = through.x2 @ v2 if side == "kernel" else v2 @ through.x2
@@ -380,8 +403,10 @@ def test_constraint_systems_match_unit_vector_oracle(monkeypatch):
 
             shapes = triple_shapes(vsrc, vtgt) + [(tgt.dims[0], src.dims[1]),
                                                    (tgt.dims[1], src.dims[2])]
-            _, got = first_system(factor, u, through)
-            assert got == probed_system(shapes, residual, [None, None, u.x2])
+            check_first_system(factor, (us[0], through), shapes, residual,
+                               [[None, None, us[0].x2]])
+            check_first_system(ad._factors_up_to_homotopy, (us, through, side), shapes,
+                               residual, [[None, None, u.x2] for u in us])
     assert 0 in dims_seen
 
 
@@ -391,3 +416,79 @@ def test_identities_are_plain_int():
         ident = ad.identity_of(ad.random_object(rng))
         assert all(type(x) is int
                    for m in (ident.x1, ident.x2, ident.x3) for x in m.entries.values())
+
+
+# ---------------------------------------------------------------------------
+# fault injection: each witness check fires on a corrupted solution
+# ---------------------------------------------------------------------------
+
+def unit_object():
+    """Q -1-> Q -1-> Q: b' and a are identities, so a change to any
+    homotopy coordinate changes b' s1 + s2 a."""
+    one = SparseMat.identity(1)
+    return ad.DoubleArrow((1, 1, 1), one, one)
+
+
+def corrupt_solutions(monkeypatch, column):
+    """Make adelman's solve_each add 1 to one coordinate of every
+    solution it returns: the given column, counted from the end if
+    negative."""
+    real = ad.solve_each
+
+    def corrupted(m, bs):
+        col = column % m.cols
+        return [x if x is None else {**x, col: x.get(col, 0) + 1} for x in real(m, bs)]
+
+    monkeypatch.setattr(ad, "solve_each", corrupted)
+
+
+def test_corrupted_homotopy_witness_is_caught(monkeypatch):
+    f = ad.identity_of(unit_object())
+    assert ad.homotopic(f, f) is not None
+    corrupt_solutions(monkeypatch, -1)  # the last coordinate of s2
+    with pytest.raises(AssertionError, match="failed re-verification"):
+        ad.homotopic(f, f)
+
+
+@pytest.mark.parametrize("side", ["kernel", "cokernel"])
+def test_corrupted_factorization_witness_is_caught(monkeypatch, side):
+    X = unit_object()
+    build, factor = ((ad.kernel, ad.factors_through_kernel) if side == "kernel"
+                     else (ad.cokernel, ad.factors_through_cokernel))
+    _, arrow = build(ad.zero_morphism(X, X))
+    u = ad.identity_of(X)
+    assert factor(u, arrow) is not None
+    corrupt_solutions(monkeypatch, -1)  # a homotopy coordinate: v stays a morphism
+    with pytest.raises(AssertionError, match="witness fails homotopy check"):
+        factor(u, arrow)
+    corrupt_solutions(monkeypatch, 0)   # the first entry of v.x1
+    with pytest.raises(AssertionError, match="produced a non-morphism"):
+        factor(u, arrow)
+
+
+def test_a_batch_must_share_its_objects():
+    X, Y = unit_object(), ad.embed(1)
+    f, g = ad.identity_of(X), ad.identity_of(Y)
+    with pytest.raises(ValueError):
+        ad._homotopies([(f, f), (g, g)])
+    _, inc = ad.kernel(ad.zero_morphism(X, X))
+    with pytest.raises(ValueError):
+        ad._factors_up_to_homotopy([f, ad.zero_morphism(Y, X)], inc, "kernel")
+
+
+def test_failing_trials_name_their_witness(monkeypatch):
+    # an inclusion that t does not kill fails the first stage whenever t
+    # is not null-homotopic; the literal cokernel reading fails the second
+    monkeypatch.setattr(ad, "kernel", lambda t: (t.source, ad.identity_of(t.source)))
+    monkeypatch.setattr(ad, "cokernel", ad._cokernel_middle_b)
+    rep = ad.universal_property_trials(seed=1729, trials=20)
+    assert not rep.ok
+    stages = {(f["side"], f["stage"]) for f in rep.failures}
+    assert stages == {("kernel", "composite not null-homotopic"),
+                      ("cokernel", "test morphism does not factor")}
+    assert len(rep.failures) + rep.passed == 2 * 20
+    trials = [f["trial"] for f in rep.failures]
+    assert trials == sorted(trials) and 1 <= trials[0] and trials[-1] <= 20
+    for f in rep.failures:
+        assert set(f["dims"]) == {"X", "Y", "W"}
+        assert all(len(d) == 3 for d in f["dims"].values())

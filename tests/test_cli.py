@@ -242,6 +242,18 @@ class TestVerifiers:
         assert code == 0
         assert doc["interpretationChosen"]["matchesFixture"]
         assert doc["universalPropertyTrials"]["failed"] == 0
+        assert "failures" not in doc["universalPropertyTrials"]
+
+    def test_adelman_failure_names_its_trial(self, tmp_path, monkeypatch):
+        # the literal kernel reading, injected into the trials only
+        monkeypatch.setattr(adelman, "kernel", adelman._kernel_middle_a)
+        code, out = run_to_file(tmp_path, "ad.json", "verify-adelman", "--trials", "20")
+        trials = json.loads(out.read_text())["universalPropertyTrials"]
+        assert code == 1
+        assert trials["failed"] == 1 and trials["passed"] == 39
+        assert trials["failures"] == [{
+            "trial": 15, "side": "kernel", "stage": "test morphism does not factor",
+            "dims": {"X": [0, 4, 2], "Y": [4, 2, 0], "W": [1, 2, 0]}}]
 
     def test_pseudoadjoint(self, tmp_path):
         code, out = run_to_file(tmp_path, "pa.json", "verify-pseudoadjoint", "--n", "3",
@@ -336,10 +348,11 @@ def test_sl2_eliminations_see_no_fraction(monkeypatch, capsys, argv):
     seen = []
     real = exactla._integer_rows
 
-    def recording(m, rhs=None):
+    def recording(m, rhss=()):
         seen.extend(m.entries.values())
-        seen.extend((rhs or {}).values())
-        return real(m, rhs)
+        for rhs in rhss:
+            seen.extend(rhs.values())
+        return real(m, rhss)
 
     monkeypatch.setattr(exactla, "_integer_rows", recording)
     assert main(argv) == 0

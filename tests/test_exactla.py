@@ -14,6 +14,7 @@ from vermalab.exactla import (
     nullspace,
     rank,
     solve,
+    solve_each,
     vec_add,
     vec_iadd,
     vec_sub,
@@ -460,6 +461,52 @@ def test_solve_matches_fraction_gauss_jordan(system):
     for v in x.values():
         # an int exactly when the value is integral
         assert type(v) is (int if Fraction(v).denominator == 1 else Fraction)
+
+
+@st.composite
+def shared_matrix_system(draw):
+    """A sparse_system matrix with 1-4 right-hand sides, each one of: the
+    drawn b; m applied to a vector that may have Fraction entries, so in
+    the image; the drawn b plus a Fraction on one row, often outside the
+    image; the empty b."""
+    m, b = draw(sparse_system())
+
+    def rhs():
+        kind = draw(st.sampled_from(["drawn", "image", "perturbed", "empty"]))
+        if kind == "image":
+            return m.apply({j: x for j in range(m.cols) if (x := draw(_entry))})
+        if kind == "perturbed":
+            row = draw(st.integers(0, m.rows - 1))
+            return vec_add(b, {row: draw(st.sampled_from(_FRACTIONS).filter(bool))})
+        return b if kind == "drawn" else {}
+
+    return m, [rhs() for _ in range(draw(st.integers(1, 4)))]
+
+
+@given(shared_matrix_system())
+@settings(max_examples=100, deadline=None)
+def test_solve_each_matches_each_system_alone(system):
+    m, bs = system
+    xs = solve_each(m, bs)
+    assert len(xs) == len(bs)
+    for x, b in zip(xs, bs):
+        expected = _gauss_jordan(m, b)
+        if expected is None:
+            assert x is None
+            continue
+        assert list(x.items()) == expected
+        assert all(type(v) is (int if Fraction(v).denominator == 1 else Fraction)
+                   for v in x.values())
+        assert m.apply(x) == b
+
+
+def test_solve_each_checks_every_index():
+    m = mat([[1, 0], [0, 1]])
+    assert solve_each(m, []) == []
+    for bad in ({2: 1}, {-1: 1}):
+        for bs in ([bad], [{0: 1}, bad], [bad, {}]):
+            with pytest.raises(ValueError):
+                solve_each(m, bs)
 
 
 @given(sparse_system())
