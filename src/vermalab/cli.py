@@ -132,14 +132,15 @@ def cmd_decompose(args):
     for j in range(depth + 1):
         mu = args.n - 2 * j
         rep = enright.casimir_blocks(args.n, mu)
-        blocks.append({
-            "mu": mu,
-            "ok": rep.ok,
-            "blocks": [
-                {"t": b.t, "c": b.c, "kernel": b.kernel_dim, "excess": b.excess_dim}
-                for b in rep.blocks
-            ],
-        })
+        rows = [{"t": b.t, "c": b.c, "kernel": b.kernel_dim, "excess": b.excess_dim}
+                for b in rep.blocks]
+        blocks.append({"mu": mu, "ok": rep.ok, "blocks": rows})
+        if not rep.ok:
+            # the witness: the failed checks, and each block's predicted
+            # dimensions beside the found ones
+            blocks[-1]["failedChecks"] = rep.failed_checks
+            for row, b in zip(rows, rep.blocks):
+                row.update(predictedKernel=b.predicted_kernel, predictedExcess=b.predicted_excess)
         ok = ok and rep.ok
     doc["casimirBlocks"] = blocks
     doc["module"] = sl2mod.module_to_json(sl2mod.build_tensor(args.n, depth))
@@ -263,19 +264,17 @@ def cmd_verify_adelman(args):
             "matchesFixture": stable,
             "resolutionTrials": resolved.trials,
         },
-        "congruenceChecks": {
-            "trials": cong.trials,
-            "reflexive": cong.reflexive_ok,
-            "symmetric": cong.symmetric_ok,
-            "transitive": cong.transitive_ok,
-            "composition": cong.composition_ok,
-        },
+        "congruenceChecks": {"trials": cong.trials,
+                             **{r: cong.passed(r) for r in adelman.RELATIONS}},
         "universalPropertyTrials": {
             "passed": up.passed,
             "failed": len(up.failures),
         },
         "seed": seed,
     }
+    # the witnesses, only when there are any, so passing bytes stay the same
+    if cong.failures:
+        doc["congruenceChecks"]["failures"] = cong.failures
     if up.failures:
         doc["universalPropertyTrials"]["failures"] = up.failures
     ok = stable and cong.ok and up.ok
@@ -513,7 +512,7 @@ def main(argv=None):
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except (sl2mod.ConstructionError, sl2mod.TruncationError, RuntimeError) as exc:
-        # a T_r realization whose exact solve failed or left its stored depth,
+        # a T_r realization that failed its substitution check or left its stored depth,
         # or any other internal step that could not complete
         print(f"verification failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

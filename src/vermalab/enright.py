@@ -501,11 +501,8 @@ class CasimirBlock:
 
     @property
     def matches(self):
-        return (
-            self.kernel_dim == self.predicted_kernel
-            and self.excess_dim == self.predicted_excess
-            and self.nilpotent
-        )
+        """Whether the kernel and excess dimensions are the predicted ones."""
+        return (self.kernel_dim, self.excess_dim) == (self.predicted_kernel, self.predicted_excess)
 
 
 @dataclass
@@ -517,12 +514,19 @@ class CasimirBlockReport:
     no_stray_eigenvalues: bool
 
     @property
+    def failed_checks(self):
+        """Which of covers, span and nilpotent fail, and "dimensions" when
+        a block's kernel or excess dimension differs from its prediction."""
+        return [name for name, passed in (
+            ("covers", self.covers_slice),
+            ("span", self.no_stray_eigenvalues),
+            ("nilpotent", all(b.nilpotent for b in self.blocks)),
+            ("dimensions", all(b.matches for b in self.blocks)),
+        ) if not passed]
+
+    @property
     def ok(self):
-        return (
-            self.covers_slice
-            and self.no_stray_eigenvalues
-            and all(b.matches for b in self.blocks)
-        )
+        return not self.failed_checks
 
 
 def casimir_blocks(n, mu):

@@ -1,16 +1,16 @@
 """Truncated sl2-modules with exact action matrices.
 
 Four module kinds are supported, all with exact e, f, h actions.  The
-coefficients are ``int``, except where T_r's e-action, which an exact
-solve produces, has a non-integral coefficient (a ``Fraction``):
+coefficients are ``int``, except T_r's cross coefficient, which is a
+``Fraction`` where it is not integral:
 
 - ``Ln``         the (n+1)-dimensional simple module, basis v_0..v_n
 - ``Verma``      the highest weight module of weight lambda on w_k = x^k
 - ``TensorLnV0`` the tensor product Ln (x) Verma(0) on v_i (x) w_k
 - ``Tr``         the indecomposable projective cover, realized concretely
                  inside Ln (x) Verma(0) on the generator columns
-                 {f^k a} u {f^k u}, each spanning vector kept on its
-                 weight slice, where e and f act by closed-form matrices
+                 {f^k a} u {f^k u}; its closed-form action is checked
+                 on the spanning vectors, kept on their weight slices
 
 A module stores a finite slice.  Depth counts f-steps from the top of
 the relevant column, so e lowers depth, f raises it by at most one, and
@@ -23,8 +23,9 @@ operator word of length at most ``margin`` stay inside the slice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .exactla import SparseMat, nullspace, scalar_str, solve, vec_iadd, vec_sub
+from .exactla import SparseMat, nullspace, scalar_str, vec_iadd, vec_sub
 
 __all__ = [
     "TruncatedModule",
@@ -49,7 +50,7 @@ class TruncationError(Exception):
 
 
 class ConstructionError(Exception):
-    """A module build produced an inconsistent linear solve."""
+    """A built module's action disagrees with its realization."""
 
 
 # Basis labels are plain tuples:
@@ -243,12 +244,16 @@ def build_Tr(r, n, depth):
     generator on which the shifted Casimir is nilpotent of order exactly
     two and u is the highest weight vector of weight r.  Depth counts
     f-steps from u, so label ("u", k) has depth k and ("a", k) has depth
-    k + r + 1; both labels of depth d lie in the weight-(r-2d) slice of
-    the tensor product, where their spanning vectors are kept keyed by
-    the slice index i.  Actions are found by expressing the e images of
-    the spanning vectors, taken with the closed-form slice matrices,
-    back in the spanning set with an exact linear solve; an inconsistent
-    solve signals a construction bug and raises.
+    k + r + 1.  T_r extends Verma(-r-2) by Verma(r), glued by the one
+    scalar kappa with e a = kappa f^r u; f moves down each column, and
+        e f^k u = k(r-k+1) f^(k-1) u,
+        e f^k a = -k(k+r+1) f^(k-1) a + kappa f^(k+r) u.
+    kappa is read off one coordinate by exact division (an int when
+    integral).  The spanning vectors are kept on their weight slices of
+    the tensor product, keyed by the slice index i, and every e image
+    down to depth + 1 is checked by substituting them into these
+    formulas under the closed-form slice matrix of e; a mismatch raises
+    ConstructionError naming the label.
     """
     from . import enright  # deferred: enright builds on this module
 
@@ -268,19 +273,8 @@ def build_Tr(r, n, depth):
             tower.append(f_mat.apply(tower[-1]))
         return tower
 
-    u_tower = f_tower(gen.hwv.coefficients, r, depth + 1)
-    a_tower = f_tower(gen.final_vector, -r - 2, depth - r)
-
-    def labels_to_depth(d):
-        out = []
-        for dd in range(d + 1):
-            out.append(("u", dd))
-            if dd >= r + 1:
-                out.append(("a", dd - r - 1))
-        return out
-
-    basis = labels_to_depth(depth)
-    basis_ext = labels_to_depth(depth + 1)
+    towers = {"u": f_tower(gen.hwv.coefficients, r, depth + 1),
+              "a": f_tower(gen.final_vector, -r - 2, depth - r)}
 
     def weight(lbl):
         return r - 2 * lbl[1] if lbl[0] == "u" else -r - 2 - 2 * lbl[1]
@@ -288,82 +282,47 @@ def build_Tr(r, n, depth):
     def depth_of(lbl):
         return lbl[1] + (r + 1 if lbl[0] == "a" else 0)
 
-    span_at_depth = {}
-    for lbl in basis_ext:
-        span_at_depth.setdefault(depth_of(lbl), []).append(lbl)
+    def labels_to_depth(d):
+        """The labels of depth <= d by depth, u before a (the sort is stable)."""
+        return sorted([("u", k) for k in range(d + 1)] + [("a", k) for k in range(d - r)],
+                      key=depth_of)
 
-    def resolve(vec, d):
-        """Express a weight-(r-2d) slice vector in the spanning vectors at depth d."""
-        if not vec:
-            return {}
-        span = span_at_depth.get(d)
-        if span is None:
-            raise TruncationError(f"depth {d} outside the stored slice")
-        cols = [a_tower[l[1]] if l[0] == "a" else u_tower[l[1]] for l in span]
-        dim = len(enright.tensor_weight_basis(n, r - 2 * d))
-        x = solve(SparseMat.from_columns(range(dim), cols), vec)
-        if x is None:
+    basis = labels_to_depth(depth)
+    basis_ext = labels_to_depth(depth + 1)
+    stored = set(basis_ext)
+
+    e_images = {lbl: enright._e_restriction_matrix(n, weight(lbl))[0].apply(
+        towers[lbl[0]][lbl[1]]) for lbl in basis_ext}
+    # e a = kappa f^r u, read at the first coordinate of f^r u
+    i = min(towers["u"][r])
+    x, d = e_images["a", 0].get(i, 0), towers["u"][r][i]
+    kappa = x // d if x % d == 0 else Fraction(x, d)
+
+    def e_action(lbl):
+        col, k = lbl
+        c = k * (r - k + 1) if col == "u" else -k * (k + r + 1)
+        out = {(col, k - 1): c} if c else {}
+        if col == "a" and kappa:
+            out["u", k + r] = kappa
+        return out
+
+    for lbl in basis_ext:
+        expected = {}
+        for (col, k), c in e_action(lbl).items():
+            vec_iadd(expected, towers[col][k], c)
+        if e_images[lbl] != expected:
             raise ConstructionError(
-                f"image not expressible in the T_{r} spanning set at depth {d}")
-        return {span[j]: c for j, c in x.items() if c}
-
-    table = {}
-    for lbl in basis_ext:
-        k = lbl[1]
-        tower = a_tower if lbl[0] == "a" else u_tower
-        d = depth_of(lbl)
-        if d <= depth:
-            table["f", lbl] = {(lbl[0], k + 1): 1}
-        # e image lives one depth higher in weight; solve it back
-        if d <= depth + 1:
-            e_mat, _ = enright._e_restriction_matrix(n, r - 2 * d)
-            table["e", lbl] = resolve(e_mat.apply(tower[k]), d - 1)
+                f"e on {label_str(lbl)} is not the closed-form T_{r} action")
 
     def act(op, label):
-        try:
-            return dict(table[op, label])
-        except KeyError:
+        if label not in stored or depth_of(label) > depth + (op == "e"):
             raise TruncationError(f"{op} on {label_str(label)} exceeds depth {depth}")
+        if op == "f":
+            return {(label[0], label[1] + 1): 1}
+        return e_action(label)
 
-    mod = TruncatedModule("Tr", {"r": r, "n": n}, depth, basis, basis_ext,
-                          weight, depth_of, act)
-    _validate_Tr(mod, r)
-    return mod
-
-
-def _validate_Tr(mod, r):
-    """Structural checks for the realized projective cover.
-
-    The u-column must be e/f/h-stable and carry the Verma(r) action, and
-    the quotient by it must carry the Verma(-r-2) action; the single
-    cross coefficient of e from the a-column into the u-column must not
-    depend on the f-power.
-    """
-    if mod.act_label("h", ("a", 0)) != {("a", 0): -r - 2}:
-        raise ConstructionError("generator a does not have weight -r-2")
-    kappa = None
-    for lbl in mod.basis:
-        k = lbl[1]
-        img = mod.act_label("e", lbl)
-        if lbl[0] == "u":
-            expect = {("u", k - 1): k * (r - k + 1)} if k >= 1 and k != r + 1 else {}
-            if img != expect:
-                raise ConstructionError(f"u-column is not the Verma({r}) action at {lbl}")
-        else:
-            a_part = {l: c for l, c in img.items() if l[0] == "a"}
-            u_part = {l: c for l, c in img.items() if l[0] == "u"}
-            expect = {("a", k - 1): -k * (k + r + 1)} if k >= 1 else {}
-            if a_part != expect:
-                raise ConstructionError(
-                    f"a-column does not give the Verma({-r - 2}) quotient action at {lbl}")
-            if set(u_part) - {("u", k + r)}:
-                raise ConstructionError(f"unexpected cross terms in e at {lbl}")
-            c = u_part.get(("u", k + r), 0)
-            if kappa is None:
-                kappa = c
-            elif c != kappa:
-                raise ConstructionError("cross coefficient varies along the a-column")
-    mod.params["cross_coefficient"] = kappa
+    return TruncatedModule("Tr", {"r": r, "n": n, "cross_coefficient": kappa}, depth,
+                           basis, basis_ext, weight, depth_of, act)
 
 
 # ---------------------------------------------------------------------------

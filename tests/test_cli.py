@@ -255,6 +255,30 @@ class TestVerifiers:
             "trial": 15, "side": "kernel", "stage": "test morphism does not factor",
             "dims": {"X": [0, 4, 2], "Y": [4, 2, 0], "W": [1, 2, 0]}}]
 
+    def test_congruence_failure_names_its_trial(self, tmp_path, monkeypatch):
+        # drop the (f, g) witness of the first congruence trial only, so
+        # symmetry and transitivity fail there
+        real = adelman._homotopies
+        dropped = []
+
+        def dropping(pairs):
+            witnesses = real(pairs)
+            if len(pairs) == 5 and pairs[0][0] is pairs[0][1] and not dropped:
+                dropped.append(witnesses[1])
+                witnesses[1] = None
+            return witnesses
+
+        monkeypatch.setattr(adelman, "_homotopies", dropping)
+        code, out = run_to_file(tmp_path, "ad.json", "verify-adelman", "--trials", "20")
+        doc = json.loads(out.read_text())
+        assert code == 1 and len(dropped) == 1 and dropped[0] is not None
+        assert doc["universalPropertyTrials"]["failed"] == 0
+        dims = {"X": [0, 3, 4], "Y": [4, 2, 4]}
+        assert doc["congruenceChecks"] == {
+            "trials": 10, "reflexive": 10, "symmetric": 9, "transitive": 9, "composition": 10,
+            "failures": [{"trial": 1, "relation": "symmetric", "dims": dims},
+                         {"trial": 1, "relation": "transitive", "dims": dims}]}
+
     def test_pseudoadjoint(self, tmp_path):
         code, out = run_to_file(tmp_path, "pa.json", "verify-pseudoadjoint", "--n", "3",
                                 "--margin", "8")
@@ -400,6 +424,11 @@ SL2_DIGESTS = {
         "062e4e4b5091a034fb8ce6472ec1eb9c59569e6aa4eaf8557ba5562beec4a9a4",
     "verify-pseudoadjoint --n 12":
         "e028d342d6b47dc0d5a1001fa41e5f9695b5c911ec19d01357ac14c757c7bda0",
+    "verify-pseudoadjoint --n 16 --margin 2":
+        "6a4863128051e49ae6fe13334d07698119e040bc0504dde3c40205a696b725aa",
+    # odd r and a slice twelve steps deeper than the identity's words
+    "verify-pseudoadjoint --n 7 --margin 12":
+        "ee38241422a3e31362bf032898f3fc45e03ed53bb91c5c76cae28781e4b6a095",
 }
 
 

@@ -425,6 +425,29 @@ def test_a_perturbed_slice_fails_the_span_check(monkeypatch, capsys, pos):
     assert [b["mu"] for b in doc["casimirBlocks"] if not b["ok"]] == [-8]
 
 
+@pytest.mark.parametrize("pos", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_a_failing_slice_prints_its_witness(monkeypatch, capsys, pos):
+    # the perturbed slice keeps no kernel at all, so the blocks cover and
+    # span nothing; passing slices carry no witness keys
+    _perturb(monkeypatch, 4, -8, pos)
+    assert main(["decompose", "--n", "4"]) == 1
+    slices = json.loads(capsys.readouterr().out)["casimirBlocks"]
+    assert all(set(b) == {"mu", "ok", "blocks"} for b in slices if b["ok"])
+    assert all(set(row) == {"t", "c", "kernel", "excess"}
+               for b in slices if b["ok"] for row in b["blocks"])
+    [failing] = [b for b in slices if not b["ok"]]
+    assert failing == {"mu": -8, "ok": False, "failedChecks": ["covers", "span", "dimensions"],
+                       "blocks": [
+        {"t": 0, "c": 0, "kernel": 0, "excess": 0, "predictedKernel": 1, "predictedExcess": 1},
+        {"t": 2, "c": 8, "kernel": 0, "excess": 0, "predictedKernel": 1, "predictedExcess": 1},
+        {"t": 4, "c": 24, "kernel": 0, "excess": 0, "predictedKernel": 1, "predictedExcess": 0},
+    ]}
+    rep = enright.casimir_blocks(4, -8)
+    assert rep.failed_checks == failing["failedChecks"]
+    assert [(b.predicted_kernel, b.predicted_excess) for b in rep.blocks] == [
+        (row["predictedKernel"], row["predictedExcess"]) for row in failing["blocks"]]
+
+
 def test_a_wrong_f_slice_fails_the_f_power_oracle(monkeypatch, capsys):
     real = enright._f_restriction_matrix
 

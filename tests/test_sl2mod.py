@@ -1,9 +1,14 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from vermalab.exactla import SparseMat
+from vermalab import enright
+from vermalab.cli import main
+from vermalab.exactla import SparseMat, rank, solve
 from vermalab.sl2mod import (
+    ConstructionError,
+    TruncationError,
     apply_op,
     apply_word,
     build_Ln,
@@ -166,6 +171,87 @@ class TestTr:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             build_Tr(1, 2, 8)  # 1 is not a projective index for n=2
+
+
+def _tower(f_mat, index, coefficients, count):
+    """f^j of a tensor vector given keyed (i, k), for j <= count, as
+    vectors over the tensor slice's basis indices."""
+    tower = [{index["vw", i, k]: c for (i, k), c in coefficients.items()}]
+    for _ in range(count):
+        tower.append(f_mat.apply(tower[-1]))
+    return tower
+
+
+@pytest.mark.parametrize("r,n", [(r, n) for n in range(11)
+                                 for r in enright.index_sets(n, 0).Iprime])
+def test_closed_form_e_matches_the_solved_action(r, n):
+    """The independent oracle of T_r's closed-form e: the spanning towers
+    f^k u and f^k a are taken with build_tensor's matrices, and each e
+    image down to depth + 1 is solved back into the towers one depth up,
+    which are independent, so the expression is unique."""
+    depth = r + 12
+    m = build_Tr(r, n, depth)
+    gen = enright.projective_generator(n, r)
+    # f^(depth+1) u and f^(depth-r) a have tensor depth (n-r)/2 + depth + 1
+    tensor = build_tensor(n, (n - r) // 2 + depth + 1)
+    e_mat, f_mat = tensor.act_matrix("e"), tensor.act_matrix("f")
+    towers = {"u": _tower(f_mat, tensor.index, gen.hwv.coefficients, depth + 1),
+              "a": _tower(f_mat, tensor.index, gen.final_vector, depth - r)}
+    rows = range(len(tensor.basis))
+    for lbl in m.basis_ext:
+        span = [s for s in m.basis_ext if m.depth_of(s) == m.depth_of(lbl) - 1]
+        image = e_mat.apply(towers[lbl[0]][lbl[1]])
+        if not span:
+            assert image == {} and m.act_label("e", lbl) == {}
+            continue
+        cols = SparseMat.from_columns(rows, [towers[col][k] for col, k in span])
+        assert rank(cols) == len(span)
+        x = solve(cols, image)
+        assert x is not None
+        assert {span[j]: c for j, c in x.items() if c} == m.act_label("e", lbl)
+
+
+def _perturb_generator(monkeypatch):
+    """Add 1 to the first coordinate of every projective generator."""
+    real = enright.projective_generator
+
+    def perturbed(n, s):
+        rec = real(n, s)
+        key = min(rec.final_vector)
+        return dataclasses.replace(
+            rec, final_vector={**rec.final_vector, key: rec.final_vector[key] + 1})
+
+    monkeypatch.setattr(enright, "projective_generator", perturbed)
+
+
+def test_a_perturbed_generator_fails_the_substitution_check(monkeypatch, capsys):
+    _perturb_generator(monkeypatch)
+    with pytest.raises(ConstructionError, match="^e on a0 is not the closed-form T_2 action$"):
+        build_Tr(2, 4, 12)
+    assert main(["verify-pseudoadjoint", "--n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "verification failure: ConstructionError: e on a0 is not the closed-form T_0 action\n")
+
+
+@pytest.mark.parametrize("r,n", [(0, 2), (1, 3), (2, 4)])
+def test_Tr_action_stops_at_the_stored_depth(r, n):
+    """f is known down to depth and e down to depth + 1; one step deeper
+    raises TruncationError."""
+    depth = r + 5
+    m = build_Tr(r, n, depth)
+    for lbl in m.basis_ext:
+        assert all(m.weight(x) == m.weight(lbl) + 2 for x in m.act_label("e", lbl))
+        if m.depth_of(lbl) <= depth:
+            assert m.act_label("f", lbl) == {(lbl[0], lbl[1] + 1): 1}
+        else:
+            with pytest.raises(TruncationError):
+                m.act_label("f", lbl)
+    for lbl in (("u", depth + 2), ("a", depth + 1 - r)):
+        assert m.depth_of(lbl) == depth + 2
+        with pytest.raises(TruncationError):
+            m.act_label("e", lbl)
 
 
 def _shifted_casimir(m, c, v):
