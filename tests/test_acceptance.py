@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from vermalab import adelman, enright, hecke, heisenberg
 from vermalab.cli import main
+from vermalab.exactla import generalized_kernel
 from vermalab.fixtures import load_tilde_fixture
 from vermalab.sl2mod import apply_op, build_Ln, build_Tr, build_tensor, build_verma
 
@@ -124,9 +125,13 @@ def test_criterion_06_casimir_blocks():
         for j in range(2 * n + 11):
             mu = n - 2 * j
             rep = enright.casimir_blocks(n, mu)
-            ok = ok and rep.covers_slice and rep.no_stray_eigenvalues
+            ok = ok and rep.ok
             for b in rep.blocks:
-                ok = ok and b.nilpotent and b.matches
+                # two-step nilpotency on bases of ker M and ker M^2 / ker M
+                shifted, _ = enright.casimir_weight_matrix(n, mu, b.c)
+                kernel, excess = generalized_kernel(shifted)
+                ok = ok and (len(kernel), len(excess)) == (b.kernel_dim, b.excess_dim)
+                ok = ok and all(not shifted.apply(shifted.apply(v)) for v in kernel + excess)
                 expected_excess = 1 if (b.t in sets.Iprime and mu <= -b.t - 2) else 0
                 ok = ok and b.excess_dim == expected_excess
     _report(6, "eigenvalue multisets, two-step nilpotency, and excess exactly "

@@ -416,6 +416,9 @@ SL2_DIGESTS = {
     "report --n-max 8": "8594f50ec9914bb6e82ed39285ca8ef71b419c46083190d242766814833278bf",
     "decompose --n 6": "f54a2c5e549161d9fc0bc9c7d3530c14e62a9b88ad323ba04d7785386dca1331",
     "decompose --n 16": "8319965d3c115ae855cff930462a042e8ab650a52b5e588fa6038fda329bf4ad",
+    "decompose --n 24": "086a7a2df301d22aaed77dce07328f4c58bd8b82559c303caa8cff6e468ec7ef",
+    "decompose --n 12 --depth 3":
+        "cdae9a87d5c94d7c20a75397cf9af33202b9c62995096ddf5d5c607fefad0c55",
     "decompose --n 6 --format csv":
         "7d3e2d7cc91840adbc2c5f19ef0f2350b3184feafa91010116f357692bfd1bfc",
     "projgen --n 8 --s 2": "ab551124a82502c803f14f0117df4bcdd51de51820728c87962b2d2d924100cf",

@@ -5,7 +5,7 @@ import pytest
 
 from vermalab import enright
 from vermalab.cli import main
-from vermalab.exactla import SparseMat
+from vermalab.exactla import SparseMat, generalized_kernel, rank
 from vermalab.sl2mod import apply_op, build_Ln, build_Tr, build_tensor, build_verma, casimir
 
 
@@ -395,6 +395,25 @@ def _square_product(n, mu, rep):
     return product
 
 
+@pytest.mark.parametrize("n,step", [(n, 1) for n in range(13)] + [(24, 4)])
+def test_ranks_match_the_generalized_kernel(n, step):
+    # every step-th slice that decompose audits: the block dimensions from
+    # rank M and rank M^2 against bases of ker M and ker M^2 / ker M, and
+    # the span check against the rank of those bases
+    for j in range(0, 2 * n + 11, step):
+        mu = n - 2 * j
+        rep = enright.casimir_blocks(n, mu)
+        dim = len(enright.tensor_weight_basis(n, mu))
+        vectors = []
+        for b in rep.blocks:
+            shifted, _ = enright.casimir_weight_matrix(n, mu, b.c)
+            kernel, excess = generalized_kernel(shifted)
+            assert (b.kernel_dim, b.excess_dim) == (len(kernel), len(excess))
+            assert all(not shifted.apply(shifted.apply(v)) for v in kernel + excess)
+            vectors += kernel + excess
+        assert rep.no_stray_eigenvalues == (rank(SparseMat.from_columns(range(dim), vectors)) == dim)
+
+
 def test_span_check_matches_the_product_of_squares(monkeypatch):
     # every slice as it is, then with 2 added to one diagonal and one
     # off-diagonal entry per column; most, not all, of these perturbations
@@ -427,8 +446,8 @@ def test_a_perturbed_slice_fails_the_span_check(monkeypatch, capsys, pos):
 
 @pytest.mark.parametrize("pos", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
 def test_a_failing_slice_prints_its_witness(monkeypatch, capsys, pos):
-    # the perturbed slice keeps no kernel at all, so the blocks cover and
-    # span nothing; passing slices carry no witness keys
+    # the perturbed slice keeps no kernel at all, so the blocks span
+    # nothing; passing slices carry no witness keys
     _perturb(monkeypatch, 4, -8, pos)
     assert main(["decompose", "--n", "4"]) == 1
     slices = json.loads(capsys.readouterr().out)["casimirBlocks"]
@@ -436,7 +455,7 @@ def test_a_failing_slice_prints_its_witness(monkeypatch, capsys, pos):
     assert all(set(row) == {"t", "c", "kernel", "excess"}
                for b in slices if b["ok"] for row in b["blocks"])
     [failing] = [b for b in slices if not b["ok"]]
-    assert failing == {"mu": -8, "ok": False, "failedChecks": ["covers", "span", "dimensions"],
+    assert failing == {"mu": -8, "ok": False, "failedChecks": ["span", "dimensions"],
                        "blocks": [
         {"t": 0, "c": 0, "kernel": 0, "excess": 0, "predictedKernel": 1, "predictedExcess": 1},
         {"t": 2, "c": 8, "kernel": 0, "excess": 0, "predictedKernel": 1, "predictedExcess": 1},
@@ -446,6 +465,34 @@ def test_a_failing_slice_prints_its_witness(monkeypatch, capsys, pos):
     assert rep.failed_checks == failing["failedChecks"]
     assert [(b.predicted_kernel, b.predicted_excess) for b in rep.blocks] == [
         (row["predictedKernel"], row["predictedExcess"]) for row in failing["blocks"]]
+
+
+def test_a_jordan_block_of_size_three_fails_the_span_check(monkeypatch, capsys):
+    # C = J_3(0) + J_2(8) on the (4, -8) slice: the blocks at c = 0 and 8
+    # both read kernel 1 and excess 1, and every vector of ker (C - c)^2 is
+    # killed by (C - c)^2, yet one dimension at c = 0 lies outside ker C^2
+    jordan = {(0, 0): 0, (1, 1): 0, (2, 2): 0, (3, 3): 8, (4, 4): 8,
+              (0, 1): 1, (1, 2): 1, (3, 4): 1}
+
+    def fake(n_, mu_, c=0):
+        mat, basis = _CLOSED_FORM(n_, mu_, c)
+        if (n_, mu_) == (4, -8):
+            mat = SparseMat(5, 5, {pos: x - c if pos[0] == pos[1] else x
+                                   for pos, x in jordan.items()})
+        return mat, basis
+
+    monkeypatch.setattr(enright, "casimir_weight_matrix", fake)
+    rep = enright.casimir_blocks(4, -8)
+    assert [(b.c, b.kernel_dim, b.excess_dim) for b in rep.blocks] == [
+        (0, 1, 1), (8, 1, 1), (24, 0, 0)]
+    assert rep.failed_checks == ["span", "dimensions"]
+    for c in (0, 8):
+        shifted, _ = enright.casimir_weight_matrix(4, -8, c)
+        kernel, excess = generalized_kernel(shifted)
+        assert all(not shifted.apply(shifted.apply(v)) for v in kernel + excess)
+    assert main(["decompose", "--n", "4"]) == 1
+    [failing] = [b for b in json.loads(capsys.readouterr().out)["casimirBlocks"] if not b["ok"]]
+    assert (failing["mu"], failing["failedChecks"]) == (-8, ["span", "dimensions"])
 
 
 def test_a_wrong_f_slice_fails_the_f_power_oracle(monkeypatch, capsys):

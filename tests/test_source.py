@@ -72,6 +72,30 @@ def test_exported_names_exist():
     assert missing == []
 
 
+def test_library_imports_are_used():
+    # a name a module imports and never reads is left over from code that
+    # moved away; a re-export listed in __all__ counts as a read
+    imported, unused = 0, []
+    for p in SOURCES:
+        tree = ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+        module = importlib.import_module("vermalab" if p.stem == "__init__"
+                                         else f"vermalab.{p.stem}")
+        reads = set(getattr(module, "__all__", ()))
+        reads.update(node.id for node in ast.walk(tree)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported += 1
+                    if name not in reads:
+                        unused.append(f"{p.name}:{node.lineno}: {name}")
+    assert imported  # the scan still sees the library's imports
+    assert unused == []
+
+
 ROOT = Path(__file__).resolve().parents[1]
 SEARCHED = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
 
