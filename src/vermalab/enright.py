@@ -5,18 +5,25 @@ decomposition into projective covers T_r and Verma modules V_s.  The
 two computational pillars are
 
 - the closed-form coefficient list ``p_coefficients`` for the highest
-  weight vector of weight s, cross-checked against an e-kernel solve,
-- the generalized 2-step kernel of the shifted Casimir operator on a
-  weight slice, which produces the projective generator together with
-  its five-term coefficient recurrence and the positivity shift.
+  weight vector of weight s, cross-checked against the kernel of e on
+  the weight-s slice,
+- the kernels of the shifted Casimir M and of M^2 on a weight slice,
+  which produce the projective generator together with its five-term
+  coefficient recurrence and the positivity shift.
 
-The e, f and Casimir matrices of a weight slice are written in closed
-form from the coproduct, with no tensor module built, and a vector's
-square is checked as M(Mv).  The f-power oracle of a projective
-generator pushes the highest weight vector down through the f matrices
-of the slices between, one weight at a time.  A projective generator
-keeps the highest weight record it was checked against, so callers need
-no second solve.
+The e and Casimir matrices of a weight slice are written in closed form
+from the coproduct, with no tensor module built.  Every slice map
+solved here is banded: an entry (r, c) has c <= r + w, and the outer
+diagonal m[r, r+w] never vanishes (w = 1 for e and M, whose
+superdiagonal is n-r or 4(n-r); w = 2 for M^2).  So ``_band_kernel``
+reads their kernels by forward substitution, the device behind the
+two-term alpha and five-term beta recurrences, and the elimination
+engine of ``exactla`` sees only maps that fail the band test.  f acts
+on slice vectors in closed form (``_f_on_slice``), which is how the
+f-power oracle of a projective generator pushes the highest weight
+vector down, one weight at a time.  A projective generator keeps the
+highest weight record it was checked against, so callers need no second
+solve.
 
 All checks are exact; there are no tolerances anywhere.
 """
@@ -141,16 +148,80 @@ def _e_restriction_matrix(n, mu):
     return SparseMat(len(tensor_weight_basis(n, mu + 2)), len(basis), entries), basis
 
 
-def _f_restriction_matrix(n, mu):
-    """Matrix of f from the weight-mu slice to the weight-(mu-2) slice,
-    sending (i, k), at index i in both, to (i+1)(i+1, k) + (i, k+1)."""
-    basis = tensor_weight_basis(n, mu)
-    entries = {}
-    for i, k in basis:
+def _f_on_slice(n, vec):
+    """f on a slice vector keyed by i, into the slice one weight lower:
+    (i, k), at index i in both, goes to (i+1)(i+1, k) + (i, k+1)."""
+    out = {}
+    for i, x in vec.items():
+        out[i] = out.get(i, 0) + x
         if i < n:
-            entries[i + 1, i] = i + 1
-        entries[i, i] = 1
-    return SparseMat(len(tensor_weight_basis(n, mu - 2)), len(basis), entries), basis
+            out[i + 1] = out.get(i + 1, 0) + (i + 1) * x
+    return {i: x for i, x in out.items() if x}
+
+
+def _band_kernel(m, w, n, mu):
+    """Kernel of the slice map m of weight mu by forward substitution, or
+    None when m is not banded with width w.
+
+    m is banded when its entries are ints, every entry (r, c) has
+    c <= r + w, and every m[r, r+w] with r + w < m.cols is nonzero.  Row r
+    then fixes coordinate r + w from the ones before it, so every solution
+    of the rows r < m.cols - w is a combination of the solutions y_j that
+    start at the j-th unit vector, j < w.  Each y_j is kept in integers:
+    when the outer entry p does not divide the sum s it must match, y_j
+    is first multiplied by p / gcd(s, p), as in ``exactla._back_substitute``.
+    The remaining rows leave a tail system in at most two unknowns, whose
+    rank is read from its entries and 2x2 minors.  The kernel comes back
+    as primitive int vectors with their last nonzero coordinate positive,
+    each checked by m v = 0 (AssertionError naming n and mu).
+    """
+    cols = m.cols
+    band = [[] for _ in range(m.rows)]
+    for (r, c), x in m.entries.items():
+        if c > r + w or type(x) is not int:
+            return None
+        band[r].append((c, x))
+    outer = [m[r, r + w] for r in range(cols - w)]
+    if not all(outer):
+        return None
+    starts = []
+    for j in range(min(w, cols)):
+        y = [0] * cols
+        y[j] = 1
+        for r, p in enumerate(outer):
+            s = 0
+            for c, a in band[r]:
+                s -= a * y[c]
+            if s:
+                g = math.gcd(s, p)
+                if p < 0:
+                    g = -g
+                if g != p:
+                    f = p // g
+                    y = [f * v for v in y]
+                y[r + w] = s // g
+        starts.append(y)
+    tail = []
+    for r in range(len(outer), m.rows):
+        row = tuple(sum(a * y[c] for c, a in band[r]) for y in starts)
+        if any(row):
+            tail.append(row)
+    if not tail:
+        kernel = starts
+    elif len(starts) == 2 and all(a * tail[0][1] == b * tail[0][0] for a, b in tail):
+        a, b = tail[0]
+        kernel = [[b * y0 - a * y1 for y0, y1 in zip(*starts)]]
+    else:
+        kernel = []
+    out = []
+    for y in kernel:
+        v = normalize_integer_vector({i: x for i, x in enumerate(y) if x})
+        if m.apply(v):
+            raise AssertionError(
+                f"band kernel vector of width {w} is not killed by the slice map "
+                f"at n={n}, mu={mu}")
+        out.append(v)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +270,20 @@ class HwvRecord:
 def highest_weight_vector(n, s):
     """The unique (up to scalar) vector of weight s killed by e.
 
-    Solved as the kernel of e restricted to the weight-s slice, which is
-    asserted to be one-dimensional, normalized to positive integers with
-    gcd 1, and checked against the closed form when one exists.
+    Solved as the kernel of e restricted to the weight-s slice, by forward
+    substitution along its band (``_band_kernel``, with ``nullspace`` for a
+    map that is not banded), which is asserted to be one-dimensional,
+    normalized to positive integers with gcd 1, and checked against the
+    closed form when one exists.
     """
     sets = index_sets(n, 0)
     allowed = set(sets.Iprime) | set(sets.Itripleprime)
     if s not in allowed:
         raise ValueError(f"no highest weight vector expected at weight {s} for n={n}")
     mat, basis = _e_restriction_matrix(n, s)
-    ker = nullspace(mat)
+    ker = _band_kernel(mat, 1, n, s)
+    if ker is None:
+        ker = nullspace(mat)
     if len(ker) != 1:
         raise AssertionError(
             f"e-kernel at weight {s} has dimension {len(ker)}, expected 1 (n={n})")
@@ -307,10 +382,15 @@ def projective_generator(n, s):
     On the weight-(-s-2) slice the shifted Casimir (Casimir - s(s+2)) has
     a one-dimensional kernel (the image of the highest weight vector
     under f^{s+1}) and a one-dimensional second-order kernel on top of
-    it.  The representative is fixed by: support in positions
+    it.  Both kernels come from ``_band_kernel``, M with width 1 and M^2
+    with width 2 (with ``generalized_kernel`` for a map that is not
+    banded).  The representative is fixed by: support in positions
     j <= (n+s)/2, the coefficient at ((n+s)/2, 1) equal to the kernel
     vector's, and the remaining freedom resolved by the smallest
-    positive multiple giving integer entries with gcd 1.
+    positive multiple giving integer entries with gcd 1.  The excess
+    direction z is the line of ker M^2 whose ((n+s)/2, 1) coordinate
+    vanishes; the kernel vector's coordinate there is the closed-form
+    p_top > 0, so z does not depend on the basis that came back.
     """
     sets = index_sets(n, 0)
     if s not in sets.Iprime:
@@ -319,28 +399,28 @@ def projective_generator(n, s):
     c = s * (s + 2)
     mu = -s - 2
     mat, basis = casimir_weight_matrix(n, mu, c)
-    kernel, excess = generalized_kernel(mat)
+    kernel = _band_kernel(mat, 1, n, mu)
+    square = _band_kernel(mat @ mat, 2, n, mu)
+    if kernel is None or square is None:
+        kernel, excess = generalized_kernel(mat)
+        square = kernel + excess
     if len(kernel) != 1:
         raise AssertionError(f"kernel of shifted Casimir at weight {mu} is {len(kernel)}-dimensional")
-    if len(excess) != 1:
-        raise AssertionError(f"excess space at n={n}, s={s} has dimension {len(excess)}")
+    if len(square) != 2:
+        raise AssertionError(f"excess space at n={n}, s={s} has dimension {len(square) - 1}")
 
     u = kernel[0]
     # cross-check against the f-power oracle, keyed by i on each slice
     u_oracle = {i: c for (i, _), c in hwv.coefficients.items()}
-    for step in range(s + 1):
-        u_oracle = _f_restriction_matrix(n, s - 2 * step)[0].apply(u_oracle)
+    for _ in range(s + 1):
+        u_oracle = _f_on_slice(n, u_oracle)
     if normalize_integer_vector(u_oracle) != u:
         raise AssertionError("f-power image disagrees with the Casimir kernel line")
 
     pin = basis.index(((n + s) // 2, 1))
-    e0 = excess[0]
-    # direction with vanishing pin coordinate, independent of the kernel line
-    if e0.get(pin):
-        z = vec_sub(vec_scale(u[pin], e0), vec_scale(e0[pin], u))
-    else:
-        z = e0
-    z = normalize_integer_vector(z)
+    b0, b1 = square
+    z = normalize_integer_vector(
+        vec_sub(vec_scale(b1.get(pin, 0), b0), vec_scale(b0.get(pin, 0), b1)))
 
     sigma = None
     for cand in range(1, 1001):
@@ -526,6 +606,13 @@ class CasimirBlockReport:
         return not self.failed_checks
 
 
+def _nullity(m, w, n, mu):
+    """dim ker m: the band kernel's length, or m.cols - rank m when m is
+    not banded with width w."""
+    kernel = _band_kernel(m, w, n, mu)
+    return m.cols - rank(m) if kernel is None else len(kernel)
+
+
 def casimir_blocks(n, mu):
     """Generalized eigenstructure of the Casimir C on a full weight slice.
 
@@ -533,12 +620,15 @@ def casimir_blocks(n, mu):
     with a one-dimensional kernel, and T_r also one excess vector where
     mu <= -r-2.  With d = dim of the slice, M = C - c_t, r1 = rank M
     and r2 = rank M^2, the block has kernel dimension d - r1 and excess
-    dimension r1 - r2.  The c_t are pairwise distinct (t(t+2) = t'(t'+2)
-    only for t' = -t-2, and I''' holds no mirror of I'), so the spaces
-    ker (C - c_t)^2 are independent.  Their dimensions d - r2 sum to d
-    exactly when they fill the slice, that is exactly when the product
-    of the commuting, pairwise coprime (C - c_t)^2 is zero: no stray
-    eigenvalue and no Jordan block longer than 2.
+    dimension r1 - r2.  The nullities d - r1 and d - r2 are the lengths
+    of the band kernels of M (width 1) and M^2 (width 2), and come from
+    ``rank`` for a map that is not banded.  The c_t are pairwise
+    distinct (t(t+2) = t'(t'+2) only for t' = -t-2, and I''' holds no
+    mirror of I'), so the spaces ker (C - c_t)^2 are independent.  Their
+    dimensions d - r2 sum to d exactly when they fill the slice, that is
+    exactly when the product of the commuting, pairwise coprime
+    (C - c_t)^2 is zero: no stray eigenvalue and no Jordan block longer
+    than 2.
     """
     sets = index_sets(n, 0)
     dim = len(tensor_weight_basis(n, mu))
@@ -550,9 +640,9 @@ def casimir_blocks(n, mu):
     for t, ex in sorted(preds):
         c = t * (t + 2)
         shifted, _ = casimir_weight_matrix(n, mu, c)
-        r1, r2 = rank(shifted), rank(shifted @ shifted)
+        k1, k2 = _nullity(shifted, 1, n, mu), _nullity(shifted @ shifted, 2, n, mu)
         blocks.append(CasimirBlock(t=t, c=c, predicted_kernel=1, predicted_excess=ex,
-                                   kernel_dim=dim - r1, excess_dim=r1 - r2))
+                                   kernel_dim=k1, excess_dim=k2 - k1))
     return CasimirBlockReport(
         n=n, mu=mu, blocks=blocks,
         no_stray_eigenvalues=sum(b.kernel_dim + b.excess_dim for b in blocks) == dim,

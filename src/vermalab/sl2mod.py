@@ -265,16 +265,15 @@ def build_Tr(r, n, depth):
 
     gen = enright.projective_generator(n, r)
 
-    def f_tower(coefficients, mu, count):
-        """f^j of a weight-mu vector given keyed (i, k), for j <= count."""
+    def f_tower(coefficients, count):
+        """f^j of a slice vector given keyed (i, k), for j <= count."""
         tower = [{i: c for (i, _), c in coefficients.items()}]
-        for j in range(count):
-            f_mat, _ = enright._f_restriction_matrix(n, mu - 2 * j)
-            tower.append(f_mat.apply(tower[-1]))
+        for _ in range(count):
+            tower.append(enright._f_on_slice(n, tower[-1]))
         return tower
 
-    towers = {"u": f_tower(gen.hwv.coefficients, r, depth + 1),
-              "a": f_tower(gen.final_vector, -r - 2, depth - r)}
+    towers = {"u": f_tower(gen.hwv.coefficients, depth + 1),
+              "a": f_tower(gen.final_vector, depth - r)}
 
     def weight(lbl):
         return r - 2 * lbl[1] if lbl[0] == "u" else -r - 2 - 2 * lbl[1]

@@ -368,9 +368,11 @@ class TestFormats:
     ["report", "--n-max", "6"], ["decompose", "--n", "4"], ["verify-pseudoadjoint", "--n", "4"],
 ], ids=["report", "decompose", "verify-pseudoadjoint"])
 def test_sl2_eliminations_see_no_fraction(monkeypatch, capsys, argv):
-    """Integral values stay int all the way into the elimination engine."""
+    """Integral values stay int all the way into the elimination engine
+    and into the band kernel, which takes every weight slice map."""
     seen = []
     real = exactla._integer_rows
+    real_band = enright._band_kernel
 
     def recording(m, rhss=()):
         seen.extend(m.entries.values())
@@ -378,7 +380,12 @@ def test_sl2_eliminations_see_no_fraction(monkeypatch, capsys, argv):
             seen.extend(rhs.values())
         return real(m, rhss)
 
+    def recording_band(m, w, n, mu):
+        seen.extend(m.entries.values())
+        return real_band(m, w, n, mu)
+
     monkeypatch.setattr(exactla, "_integer_rows", recording)
+    monkeypatch.setattr(enright, "_band_kernel", recording_band)
     assert main(argv) == 0
     capsys.readouterr()
     assert seen and not [x for x in seen if isinstance(x, Fraction)]
@@ -421,7 +428,9 @@ SL2_DIGESTS = {
         "cdae9a87d5c94d7c20a75397cf9af33202b9c62995096ddf5d5c607fefad0c55",
     "decompose --n 6 --format csv":
         "7d3e2d7cc91840adbc2c5f19ef0f2350b3184feafa91010116f357692bfd1bfc",
+    "report --n-max 24": "77ea18d69791c14b12c00c04efd96fa044bb834c37292b90357c5eb7da2ca08a",
     "projgen --n 8 --s 2": "ab551124a82502c803f14f0117df4bcdd51de51820728c87962b2d2d924100cf",
+    "projgen --n 22 --s 6": "7e951a9519e370e2088f6e367b023ffb6678f95543777d8bf2603652fbfee855",
     "hwv --n 8 --s 2": "b13ff48e4a05d62de58d8e03ff44c99e59718206b52b2fb90b2c61a9b7c29d78",
     "verify-pseudoadjoint --n 4":
         "062e4e4b5091a034fb8ce6472ec1eb9c59569e6aa4eaf8557ba5562beec4a9a4",

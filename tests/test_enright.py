@@ -5,7 +5,7 @@ import pytest
 
 from vermalab import enright
 from vermalab.cli import main
-from vermalab.exactla import SparseMat, generalized_kernel, rank
+from vermalab.exactla import SparseMat, generalized_kernel, nullspace, rank
 from vermalab.sl2mod import apply_op, build_Ln, build_Tr, build_tensor, build_verma, casimir
 
 
@@ -116,8 +116,7 @@ class TestApplyFPower:
         v = {i: c for (i, _), c in rec.coefficients.items()}
         out = []
         for j in range(count):
-            mat, _ = enright._f_restriction_matrix(n, rec.s - 2 * j)
-            v = mat.apply(v)
+            v = enright._f_on_slice(n, v)
             basis = enright.tensor_weight_basis(n, rec.s - 2 * j - 2)
             out.append({basis[i]: c for i, c in v.items()})
         return out
@@ -348,20 +347,23 @@ def test_slice_e_matches_the_module_e():
 
 def test_slice_f_matches_the_module_f():
     # independent route: restrict f of a whole truncated tensor module to
-    # each weight slice; f raises k by at most one, into the extended basis
+    # each weight slice and compare it, column by column, with the closed
+    # form on i-keyed slice vectors; f raises k by at most one, into the
+    # extended basis
     for n in range(9):
         depth = 2 * n + 10
         mod = build_tensor(n, depth)
         act = mod.act_matrix("f")
         for j in range(depth + 1):
             mu = n - 2 * j
-            mat, basis = enright._f_restriction_matrix(n, mu)
+            basis = enright.tensor_weight_basis(n, mu)
             src = [mod.index[("vw", i, k)] for i, k in basis]
             dst = [mod.index_ext[("vw", i, k)] for i, k in enright.tensor_weight_basis(n, mu - 2)]
             cols, rows = set(src), set(dst)
             assert all(r in rows for r, c in act.entries if c in cols)
-            assert mat == SparseMat(len(dst), len(src), {
-                (a, b): act[r, c] for a, r in enumerate(dst) for b, c in enumerate(src)})
+            for b, c in enumerate(src):
+                assert enright._f_on_slice(n, {b: 1}) == {
+                    a: act[r, c] for a, r in enumerate(dst) if act[r, c]}
 
 
 # ---------------------------------------------------------------------------
@@ -496,15 +498,156 @@ def test_a_jordan_block_of_size_three_fails_the_span_check(monkeypatch, capsys):
 
 
 def test_a_wrong_f_slice_fails_the_f_power_oracle(monkeypatch, capsys):
-    real = enright._f_restriction_matrix
+    # f with its (0, 0) entry 2 in place of 1 on every slice
+    real = enright._f_on_slice
 
-    def perturbed(n, mu):
-        mat, basis = real(n, mu)
-        return SparseMat(mat.rows, mat.cols, {**mat.entries, (0, 0): 2}), basis
+    def perturbed(n, vec):
+        out = real(n, vec)
+        if vec.get(0):
+            out[0] = out.get(0, 0) + vec[0]
+        return out
 
-    monkeypatch.setattr(enright, "_f_restriction_matrix", perturbed)
+    monkeypatch.setattr(enright, "_f_on_slice", perturbed)
     with pytest.raises(AssertionError,
                        match="f-power image disagrees with the Casimir kernel line"):
         enright.projective_generator(4, 0)
     assert main(["projgen", "--n", "4", "--s", "0"]) == 1
     assert "f-power image disagrees" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# band kernels against the elimination engine
+# ---------------------------------------------------------------------------
+
+def _checked_band_kernel(m, w, n, mu):
+    """The band kernel of m, held against nullspace and rank: the same
+    dimension and the same span, and every vector killed by m."""
+    band = enright._band_kernel(m, w, n, mu)
+    oracle = nullspace(m)
+    assert band is not None and len(band) == len(oracle) == m.cols - rank(m)
+    assert all(not m.apply(v) for v in band)
+    assert all(type(x) is int for v in band for x in v.values())
+    assert rank(SparseMat.from_columns(range(m.cols), band + oracle)) == len(band)
+    return band
+
+
+@pytest.mark.parametrize("n,step", [(n, 1) for n in range(13)] + [(24, 4), (40, 15)])
+def test_band_kernels_match_the_elimination_engine(n, step):
+    # every step-th slice that decompose audits, with M = C - c for each of
+    # its blocks, every step-th generator slice and every step-th highest
+    # weight slice that report solves: ker M, ker M^2 and ker e against
+    # nullspace, rank and generalized_kernel
+    sets = enright.index_sets(n, 0)
+    shifts = [(mu, b.c) for mu in range(n, -n - 21, -2 * step)
+              for b in enright.casimir_blocks(n, mu).blocks]
+    shifts += [(-s - 2, s * (s + 2)) for s in sets.Iprime[::step]]
+    for mu, c in shifts:
+        m, _ = enright.casimir_weight_matrix(n, mu, c)
+        kernel, excess = generalized_kernel(m)
+        band = _checked_band_kernel(m, 1, n, mu)
+        square = _checked_band_kernel(m @ m, 2, n, mu)
+        assert (len(band), len(square)) == (len(kernel), len(kernel) + len(excess))
+        assert all(not m.apply(m.apply(v)) for v in square)
+    for s in sorted(set(sets.Iprime) | set(sets.Itripleprime))[::step]:
+        m, _ = enright._e_restriction_matrix(n, s)
+        assert len(_checked_band_kernel(m, 1, n, s)) == 1
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls enright makes to its elimination routine name."""
+    calls = []
+    real = getattr(enright, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(enright, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("off_band", ["above", "zero"])
+def test_casimir_maps_off_the_band_go_to_rank(monkeypatch, off_band):
+    # (4, -8) with 2 at (0, d-1) above the band, or with a zero at (1, 2)
+    # on the outer diagonal: the band kernel declines each shifted map and
+    # casimir_blocks reads the dimensions from rank, as rank itself does
+    n, mu = 4, -8
+    calls = _count_calls(monkeypatch, "rank")
+    assert enright.casimir_blocks(n, mu).ok and not calls
+
+    def off(n_, mu_, c=0):
+        mat, basis = _CLOSED_FORM(n_, mu_, c)
+        if (n_, mu_) == (n, mu):
+            d = mat.rows
+            mat = mat + SparseMat(d, d, {(0, d - 1): 2} if off_band == "above"
+                                  else {(1, 2): -mat[1, 2]})
+        return mat, basis
+
+    monkeypatch.setattr(enright, "casimir_weight_matrix", off)
+    rep = enright.casimir_blocks(n, mu)
+    assert len(calls) >= len(rep.blocks)
+    for b in rep.blocks:
+        m, _ = off(n, mu, b.c)
+        assert enright._band_kernel(m, 1, n, mu) is None
+        r1, r2 = rank(m), rank(m @ m)
+        assert (b.kernel_dim, b.excess_dim) == (m.cols - r1, r1 - r2)
+
+
+def test_an_e_map_off_the_band_goes_to_nullspace(monkeypatch):
+    # adding the last row of e to its first keeps the kernel and puts an
+    # entry above the band; the record is the one the band kernel gives
+    n, s = 8, 2
+    calls = _count_calls(monkeypatch, "nullspace")
+    expected = enright.highest_weight_vector(n, s)
+    assert not calls
+    real = enright._e_restriction_matrix
+
+    def above(n_, mu_):
+        mat, basis = real(n_, mu_)
+        last = {c: x for (r, c), x in mat.entries.items() if r == mat.rows - 1}
+        return mat + SparseMat(mat.rows, mat.cols, {(0, c): x for c, x in last.items()}), basis
+
+    monkeypatch.setattr(enright, "_e_restriction_matrix", above)
+    assert enright._band_kernel(above(n, s)[0], 1, n, s) is None
+    assert enright.highest_weight_vector(n, s) == expected
+    assert len(calls) == 1
+
+
+def test_an_e_map_with_a_zero_outer_entry_goes_to_nullspace(monkeypatch):
+    # e on the (4, 0) slice is [[-2, 4, 0], [0, 0, 3]]; with the 3 taken out
+    # the kernel has dimension 2, which nullspace finds and the record refuses
+    calls = _count_calls(monkeypatch, "nullspace")
+    real = enright._e_restriction_matrix
+
+    def zero(n_, mu_):
+        mat, basis = real(n_, mu_)
+        assert mat.entries == {(0, 0): -2, (0, 1): 4, (1, 2): 3}
+        return SparseMat(mat.rows, mat.cols, {(0, 0): -2, (0, 1): 4}), basis
+
+    monkeypatch.setattr(enright, "_e_restriction_matrix", zero)
+    with pytest.raises(AssertionError,
+                       match=r"e-kernel at weight 0 has dimension 2, expected 1 \(n=4\)"):
+        enright.highest_weight_vector(4, 0)
+    assert len(calls) == 1
+
+
+def test_generators_from_the_elimination_engine_are_the_same(monkeypatch):
+    # with the band kernel declining every map, projective_generator takes
+    # its kernels from generalized_kernel and, pinning its excess line,
+    # builds the same record for every (n, s) that report covers up to 12
+    cases = [(n, s) for n in range(13) for s in enright.index_sets(n, 0).Iprime]
+    expected = {case: enright.projective_generator(*case) for case in cases}
+    calls = _count_calls(monkeypatch, "generalized_kernel")
+    assert not calls
+    monkeypatch.setattr(enright, "_band_kernel", lambda m, w, n, mu: None)
+    for case in cases:
+        assert enright.projective_generator(*case) == expected[case]
+    assert len(calls) == len(cases)
+
+
+def test_the_band_kernel_raises_on_a_vector_it_cannot_check(monkeypatch):
+    # a kernel vector that fails m v = 0 names its slice
+    m, _ = enright.casimir_weight_matrix(6, -4, 0)
+    monkeypatch.setattr(enright, "normalize_integer_vector", lambda v: {0: 1})
+    with pytest.raises(AssertionError, match=r"not killed by the slice map at n=6, mu=-4"):
+        enright._band_kernel(m, 1, 6, -4)
