@@ -7,18 +7,19 @@ two computational pillars are
 - the closed-form coefficient list ``p_coefficients`` for the highest
   weight vector of weight s, cross-checked against the kernel of e on
   the weight-s slice,
-- the kernels of the shifted Casimir M and of M^2 on a weight slice,
-  which produce the projective generator together with its five-term
+- the kernel line u of the shifted Casimir M on a weight slice and the
+  solution of M x = u, the second step of its Jordan block, which
+  produce the projective generator together with its five-term
   coefficient recurrence and the positivity shift.
 
 The e and Casimir matrices of a weight slice are written in closed form
 from the coproduct, with no tensor module built.  Every slice map
-solved here is banded: an entry (r, c) has c <= r + w, and the outer
-diagonal m[r, r+w] never vanishes (w = 1 for e and M, whose
-superdiagonal is n-r or 4(n-r); w = 2 for M^2).  So ``_band_kernel``
-reads their kernels by forward substitution, the device behind the
-two-term alpha and five-term beta recurrences, and the elimination
-engine of ``exactla`` sees only maps that fail the band test.  f acts
+solved here is a band map: an entry (r, c) has c <= r + 1, and the
+superdiagonal m[r, r+1] never vanishes (it is n-r for e and 4(n-r) for
+M).  So ``_band_solve`` reads a kernel or a solution by forward
+substitution, the device behind the two-term alpha and five-term beta
+recurrences, no square M^2 is formed, and the elimination engine of
+``exactla`` sees only maps that fail the band test.  f acts
 on slice vectors in closed form (``_f_on_slice``), which is how the
 f-power oracle of a projective generator pushes the highest weight
 vector down, one weight at a time.  A projective generator keeps the
@@ -35,10 +36,10 @@ from dataclasses import dataclass, field
 
 from .exactla import (
     SparseMat,
+    _back_substitute,
     generalized_kernel,
     normalize_integer_vector,
     nullspace,
-    rank,
     vec_add,
     vec_iadd,
     vec_scale,
@@ -159,69 +160,53 @@ def _f_on_slice(n, vec):
     return {i: x for i, x in out.items() if x}
 
 
-def _band_kernel(m, w, n, mu):
-    """Kernel of the slice map m of weight mu by forward substitution, or
-    None when m is not banded with width w.
+def _band_solve(m, b, n, mu):
+    """The band solution of m x = lam b: [x] for some lam != 0 (for
+    m x = 0 when b is empty), [] when there is none, or None when m is
+    off the band.
 
-    m is banded when its entries are ints, every entry (r, c) has
-    c <= r + w, and every m[r, r+w] with r + w < m.cols is nonzero.  Row r
-    then fixes coordinate r + w from the ones before it, so every solution
-    of the rows r < m.cols - w is a combination of the solutions y_j that
-    start at the j-th unit vector, j < w.  Each y_j is kept in integers:
-    when the outer entry p does not divide the sum s it must match, y_j
-    is first multiplied by p / gcd(s, p), as in ``exactla._back_substitute``.
-    The remaining rows leave a tail system in at most two unknowns, whose
-    rank is read from its entries and 2x2 minors.  The kernel comes back
-    as primitive int vectors with their last nonzero coordinate positive,
-    each checked by m v = 0 (AssertionError naming n and mu).
+    m is on the band when its entries are ints, every entry (r, c) has
+    c <= r + 1, and m[r, r+1] != 0 for r + 1 < m.cols.  Its first
+    m.cols - 1 rows are then an echelon form, row r with its pivot r + 1
+    as its last entry, so ``exactla._back_substitute``, given them last
+    first with b as the extra column m.cols, fixes x one coordinate at a
+    time: from x_0 = 1 for a kernel, from x_0 = 0 for a solve.  The rows
+    below only have to agree.  So dim ker m <= 1, and when m has a kernel
+    vector k, a solve is exact: the solutions of the first rows are
+    x + t k, and whether the rows below agree does not depend on t.  x is
+    checked by m x = lam b (AssertionError naming n and mu) and comes
+    back with integer entries, gcd 1 and its last nonzero entry positive.
     """
     cols = m.cols
-    band = [[] for _ in range(m.rows)]
-    for (r, c), x in m.entries.items():
-        if c > r + w or type(x) is not int:
+    rows = [{} for _ in range(m.rows)]
+    for (r, c), a in m.entries.items():
+        if c > r + 1 or type(a) is not int:
             return None
-        band[r].append((c, x))
-    outer = [m[r, r + w] for r in range(cols - w)]
-    if not all(outer):
+        rows[r][c] = a
+    if not all(m[r, r + 1] for r in range(cols - 1)):
         return None
-    starts = []
-    for j in range(min(w, cols)):
-        y = [0] * cols
-        y[j] = 1
-        for r, p in enumerate(outer):
-            s = 0
-            for c, a in band[r]:
-                s -= a * y[c]
-            if s:
-                g = math.gcd(s, p)
-                if p < 0:
-                    g = -g
-                if g != p:
-                    f = p // g
-                    y = [f * v for v in y]
-                y[r + w] = s // g
-        starts.append(y)
-    tail = []
-    for r in range(len(outer), m.rows):
-        row = tuple(sum(a * y[c] for c, a in band[r]) for y in starts)
-        if any(row):
-            tail.append(row)
-    if not tail:
-        kernel = starts
-    elif len(starts) == 2 and all(a * tail[0][1] == b * tail[0][0] for a, b in tail):
-        a, b = tail[0]
-        kernel = [[b * y0 - a * y1 for y0, y1 in zip(*starts)]]
-    else:
-        kernel = []
-    out = []
-    for y in kernel:
-        v = normalize_integer_vector({i: x for i, x in enumerate(y) if x})
-        if m.apply(v):
-            raise AssertionError(
-                f"band kernel vector of width {w} is not killed by the slice map "
-                f"at n={n}, mu={mu}")
-        out.append(v)
-    return out
+    for r, a in b.items():
+        rows[r][cols] = a
+    x, lam = _back_substitute([(r + 1, rows[r]) for r in reversed(range(cols - 1))],
+                              {} if b else {0: 1}, cols)
+    residual = vec_sub(m.apply(x), vec_scale(lam, b))
+    if any(r < cols - 1 for r in residual):
+        raise AssertionError(
+            f"band solution does not satisfy the slice map at n={n}, mu={mu}")
+    return [] if residual else [normalize_integer_vector(x)]
+
+
+def _casimir_kernels(m, n, mu):
+    """(kernel, excess) of a shifted Casimir slice map m, with the meaning
+    of ``generalized_kernel``: kernel spans ker m, and excess extends it
+    to a basis of ker m^2.  On the band, ker m is a line u or nothing, and
+    m^2 y = 0 says m y = lam u, so the excess is the band solution of
+    m x = lam u, and the square of m is never formed.  A map off the band
+    goes to ``generalized_kernel``."""
+    kernel = _band_solve(m, {}, n, mu)
+    if kernel is None:
+        return generalized_kernel(m)
+    return kernel, _band_solve(m, kernel[0], n, mu) if kernel else []
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +256,7 @@ def highest_weight_vector(n, s):
     """The unique (up to scalar) vector of weight s killed by e.
 
     Solved as the kernel of e restricted to the weight-s slice, by forward
-    substitution along its band (``_band_kernel``, with ``nullspace`` for a
+    substitution along its band (``_band_solve``, with ``nullspace`` for a
     map that is not banded), which is asserted to be one-dimensional,
     normalized to positive integers with gcd 1, and checked against the
     closed form when one exists.
@@ -281,7 +266,7 @@ def highest_weight_vector(n, s):
     if s not in allowed:
         raise ValueError(f"no highest weight vector expected at weight {s} for n={n}")
     mat, basis = _e_restriction_matrix(n, s)
-    ker = _band_kernel(mat, 1, n, s)
+    ker = _band_solve(mat, {}, n, s)
     if ker is None:
         ker = nullspace(mat)
     if len(ker) != 1:
@@ -382,15 +367,15 @@ def projective_generator(n, s):
     On the weight-(-s-2) slice the shifted Casimir (Casimir - s(s+2)) has
     a one-dimensional kernel (the image of the highest weight vector
     under f^{s+1}) and a one-dimensional second-order kernel on top of
-    it.  Both kernels come from ``_band_kernel``, M with width 1 and M^2
-    with width 2 (with ``generalized_kernel`` for a map that is not
-    banded).  The representative is fixed by: support in positions
-    j <= (n+s)/2, the coefficient at ((n+s)/2, 1) equal to the kernel
-    vector's, and the remaining freedom resolved by the smallest
-    positive multiple giving integer entries with gcd 1.  The excess
-    direction z is the line of ker M^2 whose ((n+s)/2, 1) coordinate
-    vanishes; the kernel vector's coordinate there is the closed-form
-    p_top > 0, so z does not depend on the basis that came back.
+    it, the solutions of M x = lam u for the kernel vector u; both come
+    from ``_casimir_kernels``.  The representative is fixed by: support
+    in positions j <= (n+s)/2, the coefficient at ((n+s)/2, 1) equal to
+    the kernel vector's, and the remaining freedom resolved by the
+    smallest positive multiple giving integer entries with gcd 1.  The
+    excess direction z is the line of ker M^2 whose ((n+s)/2, 1)
+    coordinate vanishes; the kernel vector's coordinate there is the
+    closed-form p_top > 0, so z does not depend on the excess vector that
+    came back.
     """
     sets = index_sets(n, 0)
     if s not in sets.Iprime:
@@ -399,15 +384,11 @@ def projective_generator(n, s):
     c = s * (s + 2)
     mu = -s - 2
     mat, basis = casimir_weight_matrix(n, mu, c)
-    kernel = _band_kernel(mat, 1, n, mu)
-    square = _band_kernel(mat @ mat, 2, n, mu)
-    if kernel is None or square is None:
-        kernel, excess = generalized_kernel(mat)
-        square = kernel + excess
+    kernel, excess = _casimir_kernels(mat, n, mu)
     if len(kernel) != 1:
         raise AssertionError(f"kernel of shifted Casimir at weight {mu} is {len(kernel)}-dimensional")
-    if len(square) != 2:
-        raise AssertionError(f"excess space at n={n}, s={s} has dimension {len(square) - 1}")
+    if len(excess) != 1:
+        raise AssertionError(f"excess space at n={n}, s={s} has dimension {len(excess)}")
 
     u = kernel[0]
     # cross-check against the f-power oracle, keyed by i on each slice
@@ -418,7 +399,7 @@ def projective_generator(n, s):
         raise AssertionError("f-power image disagrees with the Casimir kernel line")
 
     pin = basis.index(((n + s) // 2, 1))
-    b0, b1 = square
+    b0, b1 = kernel + excess
     z = normalize_integer_vector(
         vec_sub(vec_scale(b1.get(pin, 0), b0), vec_scale(b0.get(pin, 0), b1)))
 
@@ -606,29 +587,21 @@ class CasimirBlockReport:
         return not self.failed_checks
 
 
-def _nullity(m, w, n, mu):
-    """dim ker m: the band kernel's length, or m.cols - rank m when m is
-    not banded with width w."""
-    kernel = _band_kernel(m, w, n, mu)
-    return m.cols - rank(m) if kernel is None else len(kernel)
-
-
 def casimir_blocks(n, mu):
     """Generalized eigenstructure of the Casimir C on a full weight slice.
 
     Each T_r and V_s present at mu predicts the eigenvalue c_t = t(t+2)
     with a one-dimensional kernel, and T_r also one excess vector where
-    mu <= -r-2.  With d = dim of the slice, M = C - c_t, r1 = rank M
-    and r2 = rank M^2, the block has kernel dimension d - r1 and excess
-    dimension r1 - r2.  The nullities d - r1 and d - r2 are the lengths
-    of the band kernels of M (width 1) and M^2 (width 2), and come from
-    ``rank`` for a map that is not banded.  The c_t are pairwise
-    distinct (t(t+2) = t'(t'+2) only for t' = -t-2, and I''' holds no
-    mirror of I'), so the spaces ker (C - c_t)^2 are independent.  Their
-    dimensions d - r2 sum to d exactly when they fill the slice, that is
-    exactly when the product of the commuting, pairwise coprime
-    (C - c_t)^2 is zero: no stray eigenvalue and no Jordan block longer
-    than 2.
+    mu <= -r-2.  With M = C - c_t, the block's kernel dimension
+    dim ker M and excess dimension dim ker M^2 - dim ker M are the
+    lengths of the kernel and excess of ``_casimir_kernels``; on the band
+    dim ker M <= 1, and the excess dimension is [u in im M] for the
+    kernel vector u.  The c_t are pairwise distinct (t(t+2) = t'(t'+2)
+    only for t' = -t-2, and I''' holds no mirror of I'), so the spaces
+    ker (C - c_t)^2 are independent.  Their dimensions sum to the
+    dimension of the slice exactly when they fill it, that is exactly
+    when the product of the commuting, pairwise coprime (C - c_t)^2 is
+    zero: no stray eigenvalue and no Jordan block longer than 2.
     """
     sets = index_sets(n, 0)
     dim = len(tensor_weight_basis(n, mu))
@@ -640,9 +613,9 @@ def casimir_blocks(n, mu):
     for t, ex in sorted(preds):
         c = t * (t + 2)
         shifted, _ = casimir_weight_matrix(n, mu, c)
-        k1, k2 = _nullity(shifted, 1, n, mu), _nullity(shifted @ shifted, 2, n, mu)
+        kernel, excess = _casimir_kernels(shifted, n, mu)
         blocks.append(CasimirBlock(t=t, c=c, predicted_kernel=1, predicted_excess=ex,
-                                   kernel_dim=k1, excess_dim=k2 - k1))
+                                   kernel_dim=len(kernel), excess_dim=len(excess)))
     return CasimirBlockReport(
         n=n, mu=mu, blocks=blocks,
         no_stray_eigenvalues=sum(b.kernel_dim + b.excess_dim for b in blocks) == dim,

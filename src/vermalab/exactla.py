@@ -49,6 +49,8 @@ it keeps integer numerators over one common denominator, scaled by
 p / gcd(s, p) whenever a pivot p does not divide the sum s it must
 take.  A kernel vector then only loses its content and sign; a
 solution is divided by the denominator once, at the end.
+``_back_substitute`` also serves the band maps of ``enright``, whose
+rows are an echelon form as they stand, with no elimination.
 
 Which row serves as pivot cannot change a result.  Column c holds a
 pivot exactly when it is not in the span of the columns before it (the
@@ -733,7 +735,9 @@ def _echelon(rows):
 
 
 def _back_substitute(echelon, x, rhs):
-    """Integer back substitution through echelon rows, last pivot first.
+    """Integer back substitution through (pivot column, row) pairs,
+    taken from the end of the list: the last pivot first for echelon
+    rows, the first row first for a band map listed in reverse.
 
     x holds integer numerators over a common denominator d > 0, starting
     from d = 1; column rhs of a row (absent for a kernel) is its
@@ -742,7 +746,7 @@ def _back_substitute(echelon, x, rhs):
     sum over x, scaled by d.  When p does not divide s, x and d are
     first multiplied by p / gcd(s, p), which makes the new numerator an
     integer.  Returns (x, d); x's keys are the initial ones followed by
-    the pivots whose values are nonzero, in decreasing column order.
+    the pivots whose values are nonzero, in the order they were taken.
     """
     d = 1
     for pc, row in reversed(echelon):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -369,10 +370,10 @@ class TestFormats:
 ], ids=["report", "decompose", "verify-pseudoadjoint"])
 def test_sl2_eliminations_see_no_fraction(monkeypatch, capsys, argv):
     """Integral values stay int all the way into the elimination engine
-    and into the band kernel, which takes every weight slice map."""
+    and into the band solve, which takes every weight slice map."""
     seen = []
     real = exactla._integer_rows
-    real_band = enright._band_kernel
+    real_band = enright._band_solve
 
     def recording(m, rhss=()):
         seen.extend(m.entries.values())
@@ -380,15 +381,45 @@ def test_sl2_eliminations_see_no_fraction(monkeypatch, capsys, argv):
             seen.extend(rhs.values())
         return real(m, rhss)
 
-    def recording_band(m, w, n, mu):
+    def recording_band(m, b, n, mu):
         seen.extend(m.entries.values())
-        return real_band(m, w, n, mu)
+        seen.extend(b.values())
+        return real_band(m, b, n, mu)
 
     monkeypatch.setattr(exactla, "_integer_rows", recording)
-    monkeypatch.setattr(enright, "_band_kernel", recording_band)
+    monkeypatch.setattr(enright, "_band_solve", recording_band)
     assert main(argv) == 0
     capsys.readouterr()
     assert seen and not [x for x in seen if isinstance(x, Fraction)]
+
+
+def test_sl2_verbs_form_no_product_and_run_no_elimination(monkeypatch, capsys):
+    """Every weight slice map of the sl2 verbs is solved on its band: no
+    matrix product is formed and the elimination engine is never called."""
+    calls = Counter()
+    real_matmul = exactla.SparseMat.__matmul__
+
+    def counted_matmul(self, other):
+        calls["__matmul__"] += 1
+        return real_matmul(self, other)
+
+    monkeypatch.setattr(exactla.SparseMat, "__matmul__", counted_matmul)
+    modules = [m for name, m in sys.modules.items() if name.startswith("vermalab")]
+    for name in ("rank", "nullspace", "generalized_kernel"):
+        real = getattr(exactla, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    for argv in (["report", "--n-max", "8"], ["decompose", "--n", "6"],
+                 ["verify-pseudoadjoint", "--n", "4"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == Counter()
 
 
 class TestRefreeze:
@@ -428,6 +459,7 @@ SL2_DIGESTS = {
         "cdae9a87d5c94d7c20a75397cf9af33202b9c62995096ddf5d5c607fefad0c55",
     "decompose --n 6 --format csv":
         "7d3e2d7cc91840adbc2c5f19ef0f2350b3184feafa91010116f357692bfd1bfc",
+    "decompose --n 40": "855fc928f90edf77a4c91cad91b048a37e647c9bfa67ad8786cd7a146441c77f",
     "report --n-max 24": "77ea18d69791c14b12c00c04efd96fa044bb834c37292b90357c5eb7da2ca08a",
     "projgen --n 8 --s 2": "ab551124a82502c803f14f0117df4bcdd51de51820728c87962b2d2d924100cf",
     "projgen --n 22 --s 6": "7e951a9519e370e2088f6e367b023ffb6678f95543777d8bf2603652fbfee855",

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vermalab import enright
 from vermalab.cli import main
@@ -516,41 +518,70 @@ def test_a_wrong_f_slice_fails_the_f_power_oracle(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# band kernels against the elimination engine
+# band solves against the elimination engine
 # ---------------------------------------------------------------------------
 
-def _checked_band_kernel(m, w, n, mu):
-    """The band kernel of m, held against nullspace and rank: the same
-    dimension and the same span, and every vector killed by m."""
-    band = enright._band_kernel(m, w, n, mu)
-    oracle = nullspace(m)
-    assert band is not None and len(band) == len(oracle) == m.cols - rank(m)
-    assert all(not m.apply(v) for v in band)
-    assert all(type(x) is int for v in band for x in v.values())
-    assert rank(SparseMat.from_columns(range(m.cols), band + oracle)) == len(band)
-    return band
+def _checked_casimir_kernels(m, n, mu):
+    """The band (kernel, excess) of m, held against generalized_kernel: the
+    same lengths and the same spans, every kernel vector killed by m and
+    every excess vector x with m x != 0 and m (m x) = 0."""
+    assert enright._band_solve(m, {}, n, mu) is not None
+    kernel, excess = enright._casimir_kernels(m, n, mu)
+    oracle_kernel, oracle_excess = generalized_kernel(m)
+    assert (len(kernel), len(excess)) == (len(oracle_kernel), len(oracle_excess))
+    assert all(not m.apply(v) for v in kernel)
+    assert all(m.apply(x) and not m.apply(m.apply(x)) for x in excess)
+    assert all(type(x) is int for v in kernel + excess for x in v.values())
+    both = kernel + excess
+    for ours, oracle in ((kernel, oracle_kernel), (both, oracle_kernel + oracle_excess)):
+        assert rank(SparseMat.from_columns(range(m.cols), ours + oracle)) == len(ours)
 
 
 @pytest.mark.parametrize("n,step", [(n, 1) for n in range(13)] + [(24, 4), (40, 15)])
 def test_band_kernels_match_the_elimination_engine(n, step):
     # every step-th slice that decompose audits, with M = C - c for each of
     # its blocks, every step-th generator slice and every step-th highest
-    # weight slice that report solves: ker M, ker M^2 and ker e against
-    # nullspace, rank and generalized_kernel
+    # weight slice that report solves: ker M and ker M^2 / ker M against
+    # generalized_kernel, and ker e against nullspace
     sets = enright.index_sets(n, 0)
     shifts = [(mu, b.c) for mu in range(n, -n - 21, -2 * step)
               for b in enright.casimir_blocks(n, mu).blocks]
     shifts += [(-s - 2, s * (s + 2)) for s in sets.Iprime[::step]]
     for mu, c in shifts:
         m, _ = enright.casimir_weight_matrix(n, mu, c)
-        kernel, excess = generalized_kernel(m)
-        band = _checked_band_kernel(m, 1, n, mu)
-        square = _checked_band_kernel(m @ m, 2, n, mu)
-        assert (len(band), len(square)) == (len(kernel), len(kernel) + len(excess))
-        assert all(not m.apply(m.apply(v)) for v in square)
+        _checked_casimir_kernels(m, n, mu)
     for s in sorted(set(sets.Iprime) | set(sets.Itripleprime))[::step]:
         m, _ = enright._e_restriction_matrix(n, s)
-        assert len(_checked_band_kernel(m, 1, n, s)) == 1
+        kernel = enright._band_solve(m, {}, n, s)
+        assert len(kernel) == 1 and kernel == nullspace(m)
+
+
+_NONZERO = st.sampled_from([-3, -2, -1, 1, 2, 3])
+
+
+@st.composite
+def _band_maps(draw):
+    """A square band map of dimension at most 6: entries in -3..3 on and
+    below the superdiagonal, which has none of them zero."""
+    d = draw(st.integers(1, 6))
+    return SparseMat(d, d, {(r, c): draw(_NONZERO if c == r + 1 else st.integers(-3, 3))
+                            for r in range(d) for c in range(min(r + 2, d))})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_band_maps(), st.data())
+@example(SparseMat(1, 1), None)
+@example(SparseMat(4, 4, {(r, r + 1): 1 for r in range(3)}), None)
+@example(SparseMat(2, 2, {(0, 1): 1, (1, 1): 1}), None)
+def test_random_band_maps_match_the_elimination_engine(m, data):
+    # J_1(0), J_4(0), and a kernel outside the image among the examples;
+    # one entry above the band sends the map off it
+    _checked_casimir_kernels(m, 0, 0)
+    if data is not None and m.cols >= 3:
+        r = data.draw(st.integers(0, m.cols - 3))
+        c = data.draw(st.integers(r + 2, m.cols - 1))
+        above = m + SparseMat(m.rows, m.cols, {(r, c): data.draw(_NONZERO)})
+        assert enright._band_solve(above, {}, 0, 0) is None
 
 
 def _count_calls(monkeypatch, name):
@@ -566,13 +597,41 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def test_a_jordan_block_of_size_three_on_the_band_fails_the_span_check(monkeypatch, capsys):
+    # C is the companion matrix of x^3 (x - 8)^2 on the (4, -8) slice, so
+    # J_3(0) + J_2(8) with every shift on the band: the blocks at c = 0 and
+    # 8 read kernel 1 and excess 1 from band solves alone, and the one
+    # dimension of ker C^3 outside ker C^2 is left over
+    companion = {(r, r + 1): 1 for r in range(4)} | {(4, 3): -64, (4, 4): 16}
+
+    def fake(n_, mu_, c=0):
+        mat, basis = _CLOSED_FORM(n_, mu_, c)
+        if (n_, mu_) == (4, -8):
+            mat = SparseMat(5, 5, companion) - SparseMat.identity(5).scale(c)
+        return mat, basis
+
+    monkeypatch.setattr(enright, "casimir_weight_matrix", fake)
+    calls = _count_calls(monkeypatch, "generalized_kernel")
+    rep = enright.casimir_blocks(4, -8)
+    assert [(b.c, b.kernel_dim, b.excess_dim) for b in rep.blocks] == [
+        (0, 1, 1), (8, 1, 1), (24, 0, 0)]
+    assert rep.failed_checks == ["span", "dimensions"]
+    assert main(["decompose", "--n", "4"]) == 1
+    [failing] = [b for b in json.loads(capsys.readouterr().out)["casimirBlocks"] if not b["ok"]]
+    assert (failing["mu"], failing["failedChecks"]) == (-8, ["span", "dimensions"])
+    assert not calls
+    for b in rep.blocks:
+        _checked_casimir_kernels(fake(4, -8, b.c)[0], 4, -8)
+
+
 @pytest.mark.parametrize("off_band", ["above", "zero"])
-def test_casimir_maps_off_the_band_go_to_rank(monkeypatch, off_band):
+def test_casimir_maps_off_the_band_go_to_the_generalized_kernel(monkeypatch, off_band):
     # (4, -8) with 2 at (0, d-1) above the band, or with a zero at (1, 2)
-    # on the outer diagonal: the band kernel declines each shifted map and
-    # casimir_blocks reads the dimensions from rank, as rank itself does
+    # on the superdiagonal: the band solve declines each shifted map and
+    # casimir_blocks reads the dimensions from generalized_kernel, as rank
+    # reads them
     n, mu = 4, -8
-    calls = _count_calls(monkeypatch, "rank")
+    calls = _count_calls(monkeypatch, "generalized_kernel")
     assert enright.casimir_blocks(n, mu).ok and not calls
 
     def off(n_, mu_, c=0):
@@ -585,17 +644,17 @@ def test_casimir_maps_off_the_band_go_to_rank(monkeypatch, off_band):
 
     monkeypatch.setattr(enright, "casimir_weight_matrix", off)
     rep = enright.casimir_blocks(n, mu)
-    assert len(calls) >= len(rep.blocks)
+    assert len(calls) == len(rep.blocks)
     for b in rep.blocks:
         m, _ = off(n, mu, b.c)
-        assert enright._band_kernel(m, 1, n, mu) is None
+        assert enright._band_solve(m, {}, n, mu) is None
         r1, r2 = rank(m), rank(m @ m)
         assert (b.kernel_dim, b.excess_dim) == (m.cols - r1, r1 - r2)
 
 
 def test_an_e_map_off_the_band_goes_to_nullspace(monkeypatch):
     # adding the last row of e to its first keeps the kernel and puts an
-    # entry above the band; the record is the one the band kernel gives
+    # entry above the band; the record is the one the band solve gives
     n, s = 8, 2
     calls = _count_calls(monkeypatch, "nullspace")
     expected = enright.highest_weight_vector(n, s)
@@ -608,7 +667,7 @@ def test_an_e_map_off_the_band_goes_to_nullspace(monkeypatch):
         return mat + SparseMat(mat.rows, mat.cols, {(0, c): x for c, x in last.items()}), basis
 
     monkeypatch.setattr(enright, "_e_restriction_matrix", above)
-    assert enright._band_kernel(above(n, s)[0], 1, n, s) is None
+    assert enright._band_solve(above(n, s)[0], {}, n, s) is None
     assert enright.highest_weight_vector(n, s) == expected
     assert len(calls) == 1
 
@@ -632,22 +691,24 @@ def test_an_e_map_with_a_zero_outer_entry_goes_to_nullspace(monkeypatch):
 
 
 def test_generators_from_the_elimination_engine_are_the_same(monkeypatch):
-    # with the band kernel declining every map, projective_generator takes
+    # with the band solve declining every map, projective_generator takes
     # its kernels from generalized_kernel and, pinning its excess line,
     # builds the same record for every (n, s) that report covers up to 12
     cases = [(n, s) for n in range(13) for s in enright.index_sets(n, 0).Iprime]
     expected = {case: enright.projective_generator(*case) for case in cases}
     calls = _count_calls(monkeypatch, "generalized_kernel")
     assert not calls
-    monkeypatch.setattr(enright, "_band_kernel", lambda m, w, n, mu: None)
+    monkeypatch.setattr(enright, "_band_solve", lambda m, b, n, mu: None)
     for case in cases:
         assert enright.projective_generator(*case) == expected[case]
     assert len(calls) == len(cases)
 
 
 def test_the_band_kernel_raises_on_a_vector_it_cannot_check(monkeypatch):
-    # a kernel vector that fails m v = 0 names its slice
+    # a kernel vector or a solution that fails the rows it was solved from
+    # names its slice
     m, _ = enright.casimir_weight_matrix(6, -4, 0)
-    monkeypatch.setattr(enright, "normalize_integer_vector", lambda v: {0: 1})
-    with pytest.raises(AssertionError, match=r"not killed by the slice map at n=6, mu=-4"):
-        enright._band_kernel(m, 1, 6, -4)
+    monkeypatch.setattr(enright, "_back_substitute", lambda echelon, x, rhs: ({0: 1}, 1))
+    for b in ({}, {0: 1}):
+        with pytest.raises(AssertionError, match=r"does not satisfy the slice map at n=6, mu=-4"):
+            enright._band_solve(m, b, 6, -4)
