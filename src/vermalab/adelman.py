@@ -24,7 +24,7 @@ factorization is checked by the homotopy witness its own solve returns.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import fixtures
 from .exactla import SparseMat, nullspace, solve_each, vec_iadd
@@ -54,24 +54,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DoubleArrow:
-    """A' -> A -> A'': dimensions (d1, d2, d3) and the two matrices."""
-
+class _Arrows(NamedTuple):
     dims: tuple
     m1: SparseMat  # d1 -> d2
     m2: SparseMat  # d2 -> d3
 
-    def __post_init__(self):
-        d1, d2, d3 = self.dims
-        if (self.m1.rows, self.m1.cols) != (d2, d1):
+
+class DoubleArrow(_Arrows):
+    """A' -> A -> A'': dimensions (d1, d2, d3) and the two matrices."""
+
+    __slots__ = ()
+
+    def __new__(cls, dims, m1, m2):
+        d1, d2, d3 = dims
+        if (m1.rows, m1.cols) != (d2, d1):
             raise ValueError("first arrow has wrong shape")
-        if (self.m2.rows, self.m2.cols) != (d3, d2):
+        if (m2.rows, m2.cols) != (d3, d2):
             raise ValueError("second arrow has wrong shape")
+        return super().__new__(cls, dims, m1, m2)
 
 
-@dataclass(frozen=True)
-class TripleMorphism:
+class TripleMorphism(NamedTuple):
     source: DoubleArrow
     target: DoubleArrow
     x1: SparseMat
@@ -79,8 +82,7 @@ class TripleMorphism:
     x3: SparseMat
 
 
-@dataclass(frozen=True)
-class Homotopy:
+class Homotopy(NamedTuple):
     s1: SparseMat  # mid(source) -> first(target)
     s2: SparseMat  # last(source) -> mid(target)
 
@@ -531,8 +533,7 @@ def random_null_homotopic(rng, src, tgt):
 RELATIONS = ("reflexive", "symmetric", "transitive", "composition")
 
 
-@dataclass
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     trials: int
     failures: list  # {"trial" (from 1), "relation", "dims" of X and Y}
 
@@ -574,8 +575,7 @@ def congruence_checks(seed, trials, max_dim=4):
     return rep
 
 
-@dataclass
-class UniversalPropertyReport:
+class UniversalPropertyReport(NamedTuple):
     trials: int
     passed: int  # sides that passed, out of 2 * trials
     failures: list  # {"trial" (from 1), "side", "stage", "dims" of X, Y, W}
@@ -616,7 +616,7 @@ def universal_property_trials(seed, trials, max_dim=4):
     killed by t factors.  Each failing side of a trial is recorded with
     the stage that failed and the dimensions of X, Y and W."""
     rng = random.Random(seed)
-    rep = UniversalPropertyReport(trials, 0, [])
+    passed, failures = 0, []
     for trial in range(1, trials + 1):
         X = random_object(rng, max_dim)
         Y = random_object(rng, max_dim)
@@ -634,19 +634,18 @@ def universal_property_trials(seed, trials, max_dim=4):
                 identity = [identity_of(end(t))] if t_null else []
                 ok = _all_factor([identity, tests], arrow, side)
                 stage = None if ok else "test morphism does not factor"
-            rep.passed += stage is None
+            passed += stage is None
             if stage:
-                rep.failures.append({"trial": trial, "side": side, "stage": stage,
-                                     "dims": {"X": X.dims, "Y": Y.dims, "W": W.dims}})
-    return rep
+                failures.append({"trial": trial, "side": side, "stage": stage,
+                                 "dims": {"X": X.dims, "Y": Y.dims, "W": W.dims}})
+    return UniversalPropertyReport(trials, passed, failures)
 
 
 # ---------------------------------------------------------------------------
 # behavioural disambiguation of the block shapes
 # ---------------------------------------------------------------------------
 
-@dataclass
-class InterpretationReport:
+class InterpretationReport(NamedTuple):
     kernel_choice: str
     cokernel_choice: str
     kernel_scores: dict

@@ -32,7 +32,7 @@ All checks are exact; there are no tolerances anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .exactla import (
     SparseMat,
@@ -71,8 +71,7 @@ __all__ = [
 # index sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IndexSets:
+class IndexSets(NamedTuple):
     n: int
     lam: int
     I: tuple
@@ -243,13 +242,12 @@ def p_coefficients(n, r):
     return out
 
 
-@dataclass
-class HwvRecord:
+class HwvRecord(NamedTuple):
     n: int
     s: int
     coefficients: dict  # (i, k) -> positive int, gcd 1
     p_list: list        # closed-form values, proportional to the above
-    basis: list = field(default_factory=list)
+    basis: list
 
 
 def highest_weight_vector(n, s):
@@ -342,8 +340,7 @@ def alpha_recursion_check(record):
 # projective generators
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ProjGenRecord:
+class ProjGenRecord(NamedTuple):
     n: int
     s: int
     c: int
@@ -525,8 +522,7 @@ def _mult_V(s, mu):
     return 1 if (mu - s) % 2 == 0 and mu <= s else 0
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(NamedTuple):
     mu: int
     lhs: int
     rhs: int
@@ -550,8 +546,7 @@ def decomposition_audit(n, depth):
     return rows
 
 
-@dataclass
-class CasimirBlock:
+class CasimirBlock(NamedTuple):
     t: int
     c: int
     predicted_kernel: int
@@ -565,8 +560,7 @@ class CasimirBlock:
         return (self.kernel_dim, self.excess_dim) == (self.predicted_kernel, self.predicted_excess)
 
 
-@dataclass
-class CasimirBlockReport:
+class CasimirBlockReport(NamedTuple):
     n: int
     mu: int
     blocks: list
@@ -637,8 +631,7 @@ def _apply_combo(module, words, vec):
     return out
 
 
-@dataclass
-class PseudoadjointReport:
+class PseudoadjointReport(NamedTuple):
     kind: str
     c: int
     margin: int
@@ -690,8 +683,7 @@ def pseudoadjoint_check(module, c, margin=8):
 # split Grothendieck decategorification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DecategorifyReport:
+class DecategorifyReport(NamedTuple):
     n: int
     depth: int
     bijective: bool

@@ -33,11 +33,10 @@ gcd.  Its one division, by 1 - q, is exact or raises ArithmeticError.
 library module uses it; it stays as the independent Q(q) oracle the
 tests check ``Laurent`` against.
 
-``nullspace``, ``rank``, ``solve``, ``solve_each`` and
-``generalized_kernel`` all run one sparse integer echelon routine on
-matrices with ``int`` or ``Fraction`` entries (anything else raises
-``TypeError``); ``Fraction`` entries arrive when a solution of ``solve``
-enters a later system.  Each row becomes a ``{col: int}`` dict scaled by
+``nullspace``, ``solve``, ``solve_each`` and ``generalized_kernel``
+all run one sparse integer echelon routine on matrices with ``int`` or
+``Fraction`` entries (anything else raises ``TypeError``); ``Fraction``
+entries arrive when a solution of ``solve`` enters a later system.  Each row becomes a ``{col: int}`` dict scaled by
 the lcm of its denominators (a row of ints is taken as it is); each
 right-hand side of ``solve_each`` is one extra column, so systems that
 share a matrix share one elimination.  Rows are bucketed by leading
@@ -73,7 +72,6 @@ __all__ = [
     "RatFunc",
     "SparseMat",
     "nullspace",
-    "rank",
     "solve",
     "solve_each",
     "generalized_kernel",
@@ -784,10 +782,6 @@ def nullspace(m):
         x, _ = _back_substitute(echelon, {fc: 1}, m.cols)
         basis.append(normalize_integer_vector(x))
     return basis
-
-
-def rank(m):
-    return len(_echelon(_integer_rows(m)))
 
 
 def solve(m, b):

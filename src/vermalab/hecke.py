@@ -28,8 +28,8 @@ families are the same in both presentations and are written once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactla import Laurent, as_integer, vec_add, vec_iadd
 
@@ -339,8 +339,7 @@ def evaluation_X_inverses(n):
 # relation reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     """One relation instance; ``witness`` is the repr of the nonzero
     difference lhs - rhs when the relation fails, None when it holds."""
 

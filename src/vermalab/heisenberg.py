@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .exactla import vec_add, vec_iadd
 
@@ -343,10 +343,10 @@ def verify_generating_identity(order):
 # Fock representation: b multiplies, a lowers and kills 1
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FockPoly:
+class FockPoly(NamedTuple):
     """Integer polynomial in the commuting b's; terms map sorted index
-    tuples to coefficients.  degree_bound caps the total index sum."""
+    tuples to coefficients.  degree_bound caps the total index sum and
+    takes no part in equality."""
 
     terms: dict
     degree_bound: int = 10**9
@@ -361,6 +361,9 @@ class FockPoly:
 
     def __eq__(self, other):
         return self.terms == other.terms
+
+    def __ne__(self, other):
+        return self.terms != other.terms
 
     def is_zero(self):
         return not self.terms
@@ -458,8 +461,7 @@ def tilde_probe(n, degree_bound):
 # confluence fuzzing
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FuzzVerdict:
+class FuzzVerdict(NamedTuple):
     trials: int
     mismatches: list
     negative_coefficient_words: list

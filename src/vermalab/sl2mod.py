@@ -22,8 +22,8 @@ operator word of length at most ``margin`` stay inside the slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactla import SparseMat, nullspace, scalar_str, vec_iadd, vec_sub
 
@@ -345,8 +345,7 @@ def casimir_on_vector(m, vec):
     return vec_iadd(out, apply_op(m, "f", apply_op(m, "e", vec)), 4)
 
 
-@dataclass
-class CategoryIReport:
+class CategoryIReport(NamedTuple):
     weights_diagonal: bool
     f_injective: bool
     e_locally_nilpotent: bool

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import rank
 
 from vermalab import adelman as ad
 from vermalab import fixtures
@@ -152,7 +153,6 @@ class TestKernelCokernel:
         assert not ad.zero_equivalent(cok_n)
 
     def test_rank_criteria_on_random_matrices(self):
-        from vermalab.exactla import rank
         rng = random.Random(31)
         for _ in range(15):
             rows, cols = rng.randint(1, 3), rng.randint(1, 3)
@@ -175,6 +175,23 @@ class TestKernelCokernel:
             with pytest.raises(ValueError):
                 ad.kernel(bad)
         del X
+
+
+class TestRecords:
+    def test_double_arrows_check_their_shapes(self):
+        one, wide = SparseMat.from_rows([[1]]), SparseMat.from_rows([[1, 0]])
+        assert ad.DoubleArrow((1, 1, 1), one, one).dims == (1, 1, 1)
+        with pytest.raises(ValueError, match="^first arrow has wrong shape$"):
+            ad.DoubleArrow((1, 1, 1), wide, one)
+        with pytest.raises(ValueError, match="^second arrow has wrong shape$"):
+            ad.DoubleArrow((1, 1, 1), one, wide)
+
+    def test_arrows_and_morphisms_are_frozen(self):
+        X, idX = embedded_pair()
+        for record, field in ((X, "dims"), (X, "m1"), (X, "m2"),
+                              (idX, "source"), (idX, "target"), (idX, "x2")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
 
 
 class TestEmbedding:

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import rank
 
 from vermalab import enright
 from vermalab.cli import main
-from vermalab.exactla import SparseMat, generalized_kernel, nullspace, rank
+from vermalab.exactla import SparseMat, generalized_kernel, nullspace
 from vermalab.sl2mod import apply_op, build_Ln, build_Tr, build_tensor, build_verma, casimir
 
 
@@ -35,6 +36,11 @@ class TestIndexSets:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             enright.index_sets(-1, 0)
+
+    @pytest.mark.parametrize("field", ["n", "I", "Iprime"])
+    def test_frozen(self, field):
+        with pytest.raises(AttributeError):
+            setattr(enright.index_sets(4, 0), field, ())
 
 
 class TestPCoefficients:

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import rank
 
 from vermalab.exactla import (
     Laurent,
@@ -12,7 +13,6 @@ from vermalab.exactla import (
     generalized_kernel,
     normalize_integer_vector,
     nullspace,
-    rank,
     solve,
     solve_each,
     vec_add,

@@ -104,6 +104,12 @@ def test_nondegenerate_relations(n):
     assert all(c.passed and c.witness is None for c in checks)
 
 
+@pytest.mark.parametrize("field", ["family", "passed", "witness"])
+def test_relation_checks_are_frozen(field):
+    with pytest.raises(AttributeError):
+        setattr(verify_nondegenerate(2)[0], field, None)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_degeneration_identities(n):
     assert all(c.passed for c in degeneration_check(n))

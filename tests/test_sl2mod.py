@@ -1,11 +1,11 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
+from oracles import rank
 
 from vermalab import enright
 from vermalab.cli import main
-from vermalab.exactla import SparseMat, rank, solve
+from vermalab.exactla import SparseMat, solve
 from vermalab.sl2mod import (
     ConstructionError,
     TruncationError,
@@ -218,8 +218,7 @@ def _perturb_generator(monkeypatch):
     def perturbed(n, s):
         rec = real(n, s)
         key = min(rec.final_vector)
-        return dataclasses.replace(
-            rec, final_vector={**rec.final_vector, key: rec.final_vector[key] + 1})
+        return rec._replace(final_vector={**rec.final_vector, key: rec.final_vector[key] + 1})
 
     monkeypatch.setattr(enright, "projective_generator", perturbed)
 

@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import vermalab
@@ -20,6 +23,25 @@ def test_library_has_no_bare_assert():
     offenders = [f"{name}:{node.lineno}" for name, node in _nodes()
                  if isinstance(node, ast.Assert)]
     assert offenders == []
+
+
+def test_records_are_not_dataclasses():
+    # every record is a typing.NamedTuple: a dataclass generates code for
+    # each class at import and imports inspect, which the CLI pays at start
+    offenders = [f"{name}:{node.lineno}" for name, node in _nodes()
+                 if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+                 or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+    assert offenders == []
+
+
+def test_cli_start_up_imports_no_dataclasses_or_inspect():
+    # -S leaves out site, whose .pth files may import anything
+    code = ("import sys, vermalab.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(vermalab.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 LRU = ("lru_cache", "functools.lru_cache")
