@@ -66,10 +66,9 @@ def _case_record(n, s, iprime):
         checks["casimirNilpotent"] = True  # record construction verifies both halves
         checks["positivity"] = checks["positivity"] and all(x > 0 for x in gen.final)
     else:
-        mat, basis = enright.casimir_weight_matrix(n, s, s * (s + 2))
-        pos = {b: i for i, b in enumerate(basis)}
-        vec = {pos[key]: v for key, v in rec.coefficients.items()}
-        checks["casimirNilpotent"] = not mat.apply(vec)
+        rows, _ = enright.casimir_weight_matrix(n, s, s * (s + 2))
+        vec = {i: v for (i, _), v in rec.coefficients.items()}
+        checks["casimirNilpotent"] = not enright._apply_rows(rows, vec)
     ok = (
         checks["positivity"]
         and checks["casimirNilpotent"]
@@ -163,8 +162,8 @@ def cmd_projgen(args):
         "p": [scalar_str(x) for x in gen.p_list],
         "m": gen.m_shift,
         "final": [scalar_str(x) for x in gen.final],
-        "omegaMinusC": [[i, j, scalar_str(x)]
-                        for (i, j), x in sorted(gen.omega_minus_c.entries.items())],
+        "omegaMinusC": [[i, j, scalar_str(x)] for i, row in enumerate(gen.omega_minus_c)
+                        for j, x in sorted(row.items())],
         "betaResiduals": [scalar_str(x) for x in gen.beta_residuals],
         "qFormResiduals": [scalar_str(x) for x in gen.q_residuals],
     }

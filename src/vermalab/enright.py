@@ -12,19 +12,18 @@ two computational pillars are
   produce the projective generator together with its five-term
   coefficient recurrence and the positivity shift.
 
-The e and Casimir matrices of a weight slice are written in closed form
-from the coproduct, with no tensor module built.  Every slice map
-solved here is a band map: an entry (r, c) has c <= r + 1, and the
-superdiagonal m[r, r+1] never vanishes (it is n-r for e and 4(n-r) for
-M).  So ``_band_solve`` reads a kernel or a solution by forward
-substitution, the device behind the two-term alpha and five-term beta
-recurrences, no square M^2 is formed, and the elimination engine of
-``exactla`` sees only maps that fail the band test.  f acts
-on slice vectors in closed form (``_f_on_slice``), which is how the
-f-power oracle of a projective generator pushes the highest weight
-vector down, one weight at a time.  A projective generator keeps the
-highest weight record it was checked against, so callers need no second
-solve.
+The e and Casimir maps of a weight slice are written in closed form
+from the coproduct, with no tensor module built, as lists of
+``{column: int}`` rows.  Both are band maps: an entry (r, c) has
+c <= r + 1, and the superdiagonal m[r, r+1] is n-r for e and 4(n-r) for
+C - c, nonzero on every slice.  So ``_slice_solve`` reads a kernel or a
+solution by forward substitution through ``exactla._back_substitute``,
+the device behind the two-term alpha and five-term beta recurrences: no
+square M^2 is formed and no elimination runs.  f acts on slice vectors
+in closed form (``_f_on_slice``), which is how the f-power oracle of a
+projective generator pushes the highest weight vector down, one weight
+at a time.  A projective generator keeps the highest weight record it
+was checked against, so callers need no second solve.
 
 All checks are exact; there are no tolerances anywhere.
 """
@@ -37,9 +36,7 @@ from typing import NamedTuple
 from .exactla import (
     SparseMat,
     _back_substitute,
-    generalized_kernel,
     normalize_integer_vector,
-    nullspace,
     vec_add,
     vec_iadd,
     vec_scale,
@@ -119,33 +116,37 @@ def tensor_weight_basis(n, mu):
 
 
 def casimir_weight_matrix(n, mu, c=0):
-    """Matrix of (Casimir - c) on the full weight-mu slice of Ln (x) V0,
+    """Rows of (Casimir - c) on the full weight-mu slice of Ln (x) V0,
     from Delta(Omega) = Omega(x)1 + 1(x)Omega + 2h(x)h + 4e(x)f + 4f(x)e
     with Omega = n(n+2) on Ln and 0 on V0.  Column (i, k), at index i,
     holds n(n+2) - 4(n-2i)k - c on the diagonal, 4(n-i+1) at (i-1, k+1)
-    and -4(i+1)k(k-1) at (i+1, k-1)."""
+    and -4(i+1)k(k-1) at (i+1, k-1).  Returns (rows, basis), row r a
+    ``{column: int}`` dict without zeros."""
     basis = tensor_weight_basis(n, mu)
-    entries = {}
+    rows = [{} for _ in basis]
     for i, k in basis:
-        entries[i, i] = n * (n + 2) - 4 * (n - 2 * i) * k - c
         if i > 0:
-            entries[i - 1, i] = 4 * (n - i + 1)
+            rows[i - 1][i] = 4 * (n - i + 1)
+        diagonal = n * (n + 2) - 4 * (n - 2 * i) * k - c
+        if diagonal:
+            rows[i][i] = diagonal
         if i < n and k > 1:
-            entries[i + 1, i] = -4 * (i + 1) * k * (k - 1)
-    return SparseMat(len(basis), len(basis), entries), basis
+            rows[i + 1][i] = -4 * (i + 1) * k * (k - 1)
+    return rows, basis
 
 
 def _e_restriction_matrix(n, mu):
-    """Matrix of e from the weight-mu slice to the weight-(mu+2) slice,
-    sending (i, k), at index i in both, to (n-i+1)(i-1, k) - k(k-1)(i, k-1)."""
+    """Rows of e from the weight-mu slice to the weight-(mu+2) slice,
+    sending (i, k), at index i in both, to (n-i+1)(i-1, k) - k(k-1)(i, k-1).
+    Returns (rows, basis) as ``casimir_weight_matrix`` does."""
     basis = tensor_weight_basis(n, mu)
-    entries = {}
+    rows = [{} for _ in tensor_weight_basis(n, mu + 2)]
     for i, k in basis:
         if i > 0:
-            entries[i - 1, i] = n - i + 1
+            rows[i - 1][i] = n - i + 1
         if k > 1:
-            entries[i, i] = -k * (k - 1)
-    return SparseMat(len(tensor_weight_basis(n, mu + 2)), len(basis), entries), basis
+            rows[i][i] = -k * (k - 1)
+    return rows, basis
 
 
 def _f_on_slice(n, vec):
@@ -159,53 +160,46 @@ def _f_on_slice(n, vec):
     return {i: x for i, x in out.items() if x}
 
 
-def _band_solve(m, b, n, mu):
-    """The band solution of m x = lam b: [x] for some lam != 0 (for
-    m x = 0 when b is empty), [] when there is none, or None when m is
-    off the band.
+def _apply_rows(rows, vec):
+    """The image of a vector keyed by column under a slice map's rows."""
+    image = {r: sum(a * vec[j] for j, a in row.items() if j in vec) for r, row in enumerate(rows)}
+    return {r: y for r, y in image.items() if y}
 
-    m is on the band when its entries are ints, every entry (r, c) has
-    c <= r + 1, and m[r, r+1] != 0 for r + 1 < m.cols.  Its first
-    m.cols - 1 rows are then an echelon form, row r with its pivot r + 1
-    as its last entry, so ``exactla._back_substitute``, given them last
-    first with b as the extra column m.cols, fixes x one coordinate at a
+
+def _slice_solve(rows, cols, b, n, mu):
+    """The solution of m x = lam b for the slice map m with the given
+    rows and cols columns: [x] for some lam != 0 (for m x = 0 when b is
+    empty), or [] when there is none.
+
+    Row r of m has no entry beyond column r + 1, and the closed forms
+    above never leave m[r, r+1] zero.  The first cols - 1 rows are then
+    an echelon form, so ``exactla._back_substitute``, given them last
+    first with b as the extra column cols, fixes x one coordinate at a
     time: from x_0 = 1 for a kernel, from x_0 = 0 for a solve.  The rows
-    below only have to agree.  So dim ker m <= 1, and when m has a kernel
-    vector k, a solve is exact: the solutions of the first rows are
-    x + t k, and whether the rows below agree does not depend on t.  x is
-    checked by m x = lam b (AssertionError naming n and mu) and comes
-    back with integer entries, gcd 1 and its last nonzero entry positive.
+    below only have to agree.  So dim ker m <= 1, and when m has a kernel vector k,
+    a solve is exact: the solutions of the first rows are x + t k, and
+    whether the rows below agree does not depend on t.  x is checked by
+    m x = lam b (AssertionError naming n and mu) and comes back with
+    integer entries, gcd 1 and its last nonzero entry positive.
     """
-    cols = m.cols
-    rows = [{} for _ in range(m.rows)]
-    for (r, c), a in m.entries.items():
-        if c > r + 1 or type(a) is not int:
-            return None
-        rows[r][c] = a
-    if not all(m[r, r + 1] for r in range(cols - 1)):
-        return None
-    for r, a in b.items():
-        rows[r][cols] = a
-    x, lam = _back_substitute([(r + 1, rows[r]) for r in reversed(range(cols - 1))],
-                              {} if b else {0: 1}, cols)
-    residual = vec_sub(m.apply(x), vec_scale(lam, b))
+    echelon = [(r + 1, {**rows[r], cols: b[r]} if r in b else rows[r])
+               for r in reversed(range(cols - 1))]
+    x, lam = _back_substitute(echelon, {} if b else {0: 1}, cols)
+    residual = vec_sub(_apply_rows(rows, x), vec_scale(lam, b))
     if any(r < cols - 1 for r in residual):
         raise AssertionError(
-            f"band solution does not satisfy the slice map at n={n}, mu={mu}")
+            f"slice solution does not satisfy the slice map at n={n}, mu={mu}")
     return [] if residual else [normalize_integer_vector(x)]
 
 
-def _casimir_kernels(m, n, mu):
-    """(kernel, excess) of a shifted Casimir slice map m, with the meaning
-    of ``generalized_kernel``: kernel spans ker m, and excess extends it
-    to a basis of ker m^2.  On the band, ker m is a line u or nothing, and
-    m^2 y = 0 says m y = lam u, so the excess is the band solution of
-    m x = lam u, and the square of m is never formed.  A map off the band
-    goes to ``generalized_kernel``."""
-    kernel = _band_solve(m, {}, n, mu)
-    if kernel is None:
-        return generalized_kernel(m)
-    return kernel, _band_solve(m, kernel[0], n, mu) if kernel else []
+def _casimir_kernels(rows, n, mu):
+    """(kernel, excess) of the rows of a shifted Casimir slice map m, with
+    the meaning of ``exactla.generalized_kernel``: kernel spans ker m, and
+    excess extends it to a basis of ker m^2.  ker m is a line u or
+    nothing, and m^2 y = 0 says m y = lam u, so the excess is the
+    solution of m x = lam u, and the square of m is never formed."""
+    kernel = _slice_solve(rows, len(rows), {}, n, mu)
+    return kernel, _slice_solve(rows, len(rows), kernel[0], n, mu) if kernel else []
 
 
 # ---------------------------------------------------------------------------
@@ -254,19 +248,16 @@ def highest_weight_vector(n, s):
     """The unique (up to scalar) vector of weight s killed by e.
 
     Solved as the kernel of e restricted to the weight-s slice, by forward
-    substitution along its band (``_band_solve``, with ``nullspace`` for a
-    map that is not banded), which is asserted to be one-dimensional,
-    normalized to positive integers with gcd 1, and checked against the
-    closed form when one exists.
+    substitution along its rows (``_slice_solve``), which is asserted to
+    be one-dimensional, normalized to positive integers with gcd 1, and
+    checked against the closed form when one exists.
     """
     sets = index_sets(n, 0)
     allowed = set(sets.Iprime) | set(sets.Itripleprime)
     if s not in allowed:
         raise ValueError(f"no highest weight vector expected at weight {s} for n={n}")
-    mat, basis = _e_restriction_matrix(n, s)
-    ker = _band_solve(mat, {}, n, s)
-    if ker is None:
-        ker = nullspace(mat)
+    rows, basis = _e_restriction_matrix(n, s)
+    ker = _slice_solve(rows, len(basis), {}, n, s)
     if len(ker) != 1:
         raise AssertionError(
             f"e-kernel at weight {s} has dimension {len(ker)}, expected 1 (n={n})")
@@ -352,7 +343,7 @@ class ProjGenRecord(NamedTuple):
     a_vector: dict       # canonical pre-shift generator, keyed (i, k)
     kernel_vector: dict  # normalized u_{-s-2}, keyed (i, k)
     final_vector: dict   # shifted generator, keyed (i, k)
-    omega_minus_c: SparseMat
+    omega_minus_c: list  # rows of the shifted Casimir, {column: int} dicts
     beta_residuals: list
     q_residuals: list
     hwv: HwvRecord       # the highest weight record u_s was checked against
@@ -380,8 +371,8 @@ def projective_generator(n, s):
     hwv = highest_weight_vector(n, s)
     c = s * (s + 2)
     mu = -s - 2
-    mat, basis = casimir_weight_matrix(n, mu, c)
-    kernel, excess = _casimir_kernels(mat, n, mu)
+    rows, basis = casimir_weight_matrix(n, mu, c)
+    kernel, excess = _casimir_kernels(rows, n, mu)
     if len(kernel) != 1:
         raise AssertionError(f"kernel of shifted Casimir at weight {mu} is {len(kernel)}-dimensional")
     if len(excess) != 1:
@@ -395,10 +386,11 @@ def projective_generator(n, s):
     if normalize_integer_vector(u_oracle) != u:
         raise AssertionError("f-power image disagrees with the Casimir kernel line")
 
-    pin = basis.index(((n + s) // 2, 1))
+    # basis[i] = (i, k), so ((n+s)/2, 1) is at index top and (top+1, 0) at top+1
+    top = (n + s) // 2
     b0, b1 = kernel + excess
     z = normalize_integer_vector(
-        vec_sub(vec_scale(b1.get(pin, 0), b0), vec_scale(b0.get(pin, 0), b1)))
+        vec_sub(vec_scale(b1.get(top, 0), b0), vec_scale(b0.get(top, 0), b1)))
 
     sigma = None
     for cand in range(1, 1001):
@@ -409,15 +401,13 @@ def projective_generator(n, s):
         raise RuntimeError("no admissible generator multiple found")
     a = vec_add(u, vec_scale(sigma, z))
 
-    image = mat.apply(a)
+    image = _apply_rows(rows, a)
     if not image:
         raise AssertionError("candidate generator lies in the plain kernel")
-    if mat.apply(image):
+    if _apply_rows(rows, image):
         raise AssertionError("candidate generator not killed by the squared operator")
 
-    top = (n + s) // 2
-    last = basis.index((top + 1, 0))
-    if a.get(last):
+    if a.get(top + 1):
         raise AssertionError("generator support leaks onto the k=0 boundary")
 
     q_list = [a.get(j, 0) for j in range(top + 1)]
@@ -439,7 +429,7 @@ def projective_generator(n, s):
         n=n, s=s, c=c, basis=basis,
         q_list=q_list, p_list=p_list, m_shift=m_shift, final=final,
         a_vector=keyed(a), kernel_vector=keyed(u), final_vector=keyed(final_vec),
-        omega_minus_c=mat,
+        omega_minus_c=rows,
         beta_residuals=beta_recursion_residuals(n, s, keyed(final_vec)),
         q_residuals=q_form_residuals(n, s, final),
         hwv=hwv,
@@ -588,8 +578,8 @@ def casimir_blocks(n, mu):
     with a one-dimensional kernel, and T_r also one excess vector where
     mu <= -r-2.  With M = C - c_t, the block's kernel dimension
     dim ker M and excess dimension dim ker M^2 - dim ker M are the
-    lengths of the kernel and excess of ``_casimir_kernels``; on the band
-    dim ker M <= 1, and the excess dimension is [u in im M] for the
+    lengths of the kernel and excess of ``_casimir_kernels``: on a band
+    map dim ker M <= 1, and the excess dimension is [u in im M] for the
     kernel vector u.  The c_t are pairwise distinct (t(t+2) = t'(t'+2)
     only for t' = -t-2, and I''' holds no mirror of I'), so the spaces
     ker (C - c_t)^2 are independent.  Their dimensions sum to the
@@ -606,8 +596,8 @@ def casimir_blocks(n, mu):
     blocks = []
     for t, ex in sorted(preds):
         c = t * (t + 2)
-        shifted, _ = casimir_weight_matrix(n, mu, c)
-        kernel, excess = _casimir_kernels(shifted, n, mu)
+        rows, _ = casimir_weight_matrix(n, mu, c)
+        kernel, excess = _casimir_kernels(rows, n, mu)
         blocks.append(CasimirBlock(t=t, c=c, predicted_kernel=1, predicted_excess=ex,
                                    kernel_dim=len(kernel), excess_dim=len(excess)))
     return CasimirBlockReport(

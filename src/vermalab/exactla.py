@@ -48,8 +48,9 @@ it keeps integer numerators over one common denominator, scaled by
 p / gcd(s, p) whenever a pivot p does not divide the sum s it must
 take.  A kernel vector then only loses its content and sign; a
 solution is divided by the denominator once, at the end.
-``_back_substitute`` also serves the band maps of ``enright``, whose
-rows are an echelon form as they stand, with no elimination.
+``_back_substitute`` is also the one solver of ``enright``'s weight
+slice maps: their closed-form integer rows are an echelon form as they
+stand, so a slice is solved by forward substitution with no elimination.
 
 Which row serves as pivot cannot change a result.  Column c holds a
 pivot exactly when it is not in the span of the columns before it (the
@@ -735,7 +736,7 @@ def _echelon(rows):
 def _back_substitute(echelon, x, rhs):
     """Integer back substitution through (pivot column, row) pairs,
     taken from the end of the list: the last pivot first for echelon
-    rows, the first row first for a band map listed in reverse.
+    rows, the first row first for a weight slice map listed in reverse.
 
     x holds integer numerators over a common denominator d > 0, starting
     from d = 1; column rhs of a row (absent for a kernel) is its

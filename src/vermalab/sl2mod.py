@@ -252,7 +252,7 @@ def build_Tr(r, n, depth):
     integral).  The spanning vectors are kept on their weight slices of
     the tensor product, keyed by the slice index i, and every e image
     down to depth + 1 is checked by substituting them into these
-    formulas under the closed-form slice matrix of e; a mismatch raises
+    formulas under the closed-form slice rows of e; a mismatch raises
     ConstructionError naming the label.
     """
     from . import enright  # deferred: enright builds on this module
@@ -290,8 +290,8 @@ def build_Tr(r, n, depth):
     basis_ext = labels_to_depth(depth + 1)
     stored = set(basis_ext)
 
-    e_images = {lbl: enright._e_restriction_matrix(n, weight(lbl))[0].apply(
-        towers[lbl[0]][lbl[1]]) for lbl in basis_ext}
+    e_images = {lbl: enright._apply_rows(enright._e_restriction_matrix(n, weight(lbl))[0],
+                                         towers[lbl[0]][lbl[1]]) for lbl in basis_ext}
     # e a = kappa f^r u, read at the first coordinate of f^r u
     i = min(towers["u"][r])
     x, d = e_images["a", 0].get(i, 0), towers["u"][r][i]

@@ -370,10 +370,10 @@ class TestFormats:
 ], ids=["report", "decompose", "verify-pseudoadjoint"])
 def test_sl2_eliminations_see_no_fraction(monkeypatch, capsys, argv):
     """Integral values stay int all the way into the elimination engine
-    and into the band solve, which takes every weight slice map."""
+    and into the slice solve, which takes every weight slice map."""
     seen = []
     real = exactla._integer_rows
-    real_band = enright._band_solve
+    real_slice = enright._slice_solve
 
     def recording(m, rhss=()):
         seen.extend(m.entries.values())
@@ -381,21 +381,22 @@ def test_sl2_eliminations_see_no_fraction(monkeypatch, capsys, argv):
             seen.extend(rhs.values())
         return real(m, rhss)
 
-    def recording_band(m, b, n, mu):
-        seen.extend(m.entries.values())
+    def recording_slice(rows, cols, b, n, mu):
+        seen.extend(x for row in rows for x in row.values())
         seen.extend(b.values())
-        return real_band(m, b, n, mu)
+        return real_slice(rows, cols, b, n, mu)
 
     monkeypatch.setattr(exactla, "_integer_rows", recording)
-    monkeypatch.setattr(enright, "_band_solve", recording_band)
+    monkeypatch.setattr(enright, "_slice_solve", recording_slice)
     assert main(argv) == 0
     capsys.readouterr()
     assert seen and not [x for x in seen if isinstance(x, Fraction)]
 
 
 def test_sl2_verbs_form_no_product_and_run_no_elimination(monkeypatch, capsys):
-    """Every weight slice map of the sl2 verbs is solved on its band: no
-    matrix product is formed and the elimination engine is never called."""
+    """Every weight slice map of the sl2 verbs is solved by forward
+    substitution on its rows: no matrix product is formed and the
+    elimination engine is never called."""
     calls = Counter()
     real_matmul = exactla.SparseMat.__matmul__
 
@@ -461,6 +462,7 @@ SL2_DIGESTS = {
         "7d3e2d7cc91840adbc2c5f19ef0f2350b3184feafa91010116f357692bfd1bfc",
     "decompose --n 40": "855fc928f90edf77a4c91cad91b048a37e647c9bfa67ad8786cd7a146441c77f",
     "report --n-max 24": "77ea18d69791c14b12c00c04efd96fa044bb834c37292b90357c5eb7da2ca08a",
+    "report --n-max 40": "e5da3cc3d175d13fc13e7e7f2f01677cf25319e01a911f70a806051d84a2d360",
     "projgen --n 8 --s 2": "ab551124a82502c803f14f0117df4bcdd51de51820728c87962b2d2d924100cf",
     "projgen --n 22 --s 6": "7e951a9519e370e2088f6e367b023ffb6678f95543777d8bf2603652fbfee855",
     "hwv --n 8 --s 2": "b13ff48e4a05d62de58d8e03ff44c99e59718206b52b2fb90b2c61a9b7c29d78",
