@@ -5,7 +5,8 @@ verify-adelman | verify-pseudoadjoint | report.  ``VERBS`` lists the
 options each verb reads, with their defaults; any other option is a
 usage error.  Output is JSON (sorted keys, exact scalars rendered as
 decimal or "num/den" strings) or RFC-4180 CSV.  Exit code 0 means every
-check passed, 1 flags a verification failure, 2 a usage error.
+check passed, 1 flags a verification failure, 2 a usage error and 3 an
+internal error, an exception of no other class, printed as one line.
 
 Reports are byte-deterministic: a fixed default seed, fixed key order,
 and string-rendered unbounded integers.
@@ -45,7 +46,8 @@ def _case_record(n, s, iprime):
         "s": s,
         "kind": "projective" if s in iprime else "verma",
         "p": [scalar_str(x) for x in rec.p_list],
-        "coefficients": [[i, k, scalar_str(c)] for (i, k), c in sorted(rec.coefficients.items())],
+        "coefficients": [[i, (n - s) // 2 - i, scalar_str(c)]
+                         for i, c in sorted(rec.coefficients.items())],
         "q": None,
         "m": None,
         "final": None,
@@ -66,9 +68,8 @@ def _case_record(n, s, iprime):
         checks["casimirNilpotent"] = True  # record construction verifies both halves
         checks["positivity"] = checks["positivity"] and all(x > 0 for x in gen.final)
     else:
-        rows, _ = enright.casimir_weight_matrix(n, s, s * (s + 2))
-        vec = {i: v for (i, _), v in rec.coefficients.items()}
-        checks["casimirNilpotent"] = not enright._apply_rows(rows, vec)
+        rows = enright.casimir_weight_matrix(n, s, s * (s + 2))
+        checks["casimirNilpotent"] = not enright._apply_rows(rows, rec.coefficients)
     ok = (
         checks["positivity"]
         and checks["casimirNilpotent"]
@@ -154,6 +155,8 @@ def cmd_hwv(args):
 
 def cmd_projgen(args):
     gen = enright.projective_generator(args.n, args.s)
+    # the single-index q-form of the recurrence is the same list
+    residuals = [scalar_str(x) for x in gen.beta_residuals]
     doc = {
         "n": args.n,
         "s": args.s,
@@ -164,8 +167,8 @@ def cmd_projgen(args):
         "final": [scalar_str(x) for x in gen.final],
         "omegaMinusC": [[i, j, scalar_str(x)] for i, row in enumerate(gen.omega_minus_c)
                         for j, x in sorted(row.items())],
-        "betaResiduals": [scalar_str(x) for x in gen.beta_residuals],
-        "qFormResiduals": [scalar_str(x) for x in gen.q_residuals],
+        "betaResiduals": residuals,
+        "qFormResiduals": residuals,
     }
     ok = all(x == 0 for x in gen.beta_residuals) and all(x > 0 for x in gen.final)
     return doc, ok
@@ -519,6 +522,10 @@ def main(argv=None):
         # a missing or malformed fixture, or a file that cannot be read or written
         print(f"fixture or file error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # a fault of the program itself: one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}".replace("\n", " "), file=sys.stderr)
+        return 3
     return 0 if ok else 1
 
 

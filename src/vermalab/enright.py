@@ -12,11 +12,15 @@ two computational pillars are
   produce the projective generator together with its five-term
   coefficient recurrence and the positivity shift.
 
-The e and Casimir maps of a weight slice are written in closed form
-from the coproduct, with no tensor module built, as lists of
-``{column: int}`` rows.  Both are band maps: an entry (r, c) has
-c <= r + 1, and the superdiagonal m[r, r+1] is n-r for e and 4(n-r) for
-C - c, nonzero on every slice.  So ``_slice_solve`` reads a kernel or a
+A weight slice of Ln (x) V0 is the diagonal of the v_i (x) w_k with
+n - 2i - 2k = mu, and every slice vector here -- a highest weight
+vector, a kernel line, a generator -- is keyed by the slice index i
+alone, as the paper writes its coefficients p_i and q_i; k = (n-mu)/2 - i
+is derived only where a report prints it.  The e and Casimir maps of a
+weight slice are written in closed form from the coproduct, with no
+tensor module built, as lists of ``{column: int}`` rows.  Both are band
+maps: an entry (r, c) has c <= r + 1, and the superdiagonal m[r, r+1]
+is n-r for e and 4(n-r) for C - c, nonzero on every slice.  So ``_slice_solve`` reads a kernel or a
 solution by forward substitution through ``exactla._back_substitute``,
 the device behind the two-term alpha and five-term beta recurrences: no
 square M^2 is formed and no elimination runs.  f acts on slice vectors
@@ -54,7 +58,6 @@ __all__ = [
     "alpha_recursion_check",
     "projective_generator",
     "beta_recursion_residuals",
-    "q_form_residuals",
     "decomposition_audit",
     "casimir_blocks",
     "pseudoadjoint_check",
@@ -120,7 +123,7 @@ def casimir_weight_matrix(n, mu, c=0):
     from Delta(Omega) = Omega(x)1 + 1(x)Omega + 2h(x)h + 4e(x)f + 4f(x)e
     with Omega = n(n+2) on Ln and 0 on V0.  Column (i, k), at index i,
     holds n(n+2) - 4(n-2i)k - c on the diagonal, 4(n-i+1) at (i-1, k+1)
-    and -4(i+1)k(k-1) at (i+1, k-1).  Returns (rows, basis), row r a
+    and -4(i+1)k(k-1) at (i+1, k-1).  Returns the rows, row r a
     ``{column: int}`` dict without zeros."""
     basis = tensor_weight_basis(n, mu)
     rows = [{} for _ in basis]
@@ -132,21 +135,20 @@ def casimir_weight_matrix(n, mu, c=0):
             rows[i][i] = diagonal
         if i < n and k > 1:
             rows[i + 1][i] = -4 * (i + 1) * k * (k - 1)
-    return rows, basis
+    return rows
 
 
 def _e_restriction_matrix(n, mu):
     """Rows of e from the weight-mu slice to the weight-(mu+2) slice,
     sending (i, k), at index i in both, to (n-i+1)(i-1, k) - k(k-1)(i, k-1).
-    Returns (rows, basis) as ``casimir_weight_matrix`` does."""
-    basis = tensor_weight_basis(n, mu)
+    Returns the rows as ``casimir_weight_matrix`` does."""
     rows = [{} for _ in tensor_weight_basis(n, mu + 2)]
-    for i, k in basis:
+    for i, k in tensor_weight_basis(n, mu):
         if i > 0:
             rows[i - 1][i] = n - i + 1
         if k > 1:
             rows[i][i] = -k * (k - 1)
-    return rows, basis
+    return rows
 
 
 def _f_on_slice(n, vec):
@@ -239,9 +241,8 @@ def p_coefficients(n, r):
 class HwvRecord(NamedTuple):
     n: int
     s: int
-    coefficients: dict  # (i, k) -> positive int, gcd 1
+    coefficients: dict  # slice index i -> positive int, gcd 1
     p_list: list        # closed-form values, proportional to the above
-    basis: list
 
 
 def highest_weight_vector(n, s):
@@ -256,13 +257,11 @@ def highest_weight_vector(n, s):
     allowed = set(sets.Iprime) | set(sets.Itripleprime)
     if s not in allowed:
         raise ValueError(f"no highest weight vector expected at weight {s} for n={n}")
-    rows, basis = _e_restriction_matrix(n, s)
-    ker = _slice_solve(rows, len(basis), {}, n, s)
+    ker = _slice_solve(_e_restriction_matrix(n, s), len(tensor_weight_basis(n, s)), {}, n, s)
     if len(ker) != 1:
         raise AssertionError(
             f"e-kernel at weight {s} has dimension {len(ker)}, expected 1 (n={n})")
-    vec = ker[0]
-    coeffs = {basis[j]: c for j, c in vec.items()}
+    coeffs = ker[0]
     if any(c <= 0 for c in coeffs.values()):
         raise AssertionError(f"highest weight coefficients not positive at n={n}, s={s}")
 
@@ -270,39 +269,29 @@ def highest_weight_vector(n, s):
         p_list = [1]
     else:
         p_list = p_coefficients(n, -s - 2)
-        support = [b for b in basis if b in coeffs]
-        if len(support) != len(p_list):
+        if len(coeffs) != len(p_list):
             raise AssertionError(
-                f"support size {len(support)} does not match closed form {len(p_list)}")
-        for j in range(len(p_list)):
-            a = coeffs.get(basis[j], 0)
-            if a * p_list[0] != coeffs[basis[0]] * p_list[j]:
+                f"support size {len(coeffs)} does not match closed form {len(p_list)}")
+        for j, p in enumerate(p_list):
+            if coeffs.get(j, 0) * p_list[0] != coeffs[0] * p:
                 raise AssertionError(
                     f"oracle kernel not proportional to closed form at n={n}, s={s}")
-    return HwvRecord(n=n, s=s, coefficients=coeffs, p_list=p_list, basis=basis)
+    return HwvRecord(n=n, s=s, coefficients=coeffs, p_list=p_list)
 
 
-def hwv_recursion_residuals(n, coefficients):
-    """Residuals a_{i+1,k} (n-i) - a_{i,k+1} (k+1) k along a weight diagonal.
+def hwv_recursion_residuals(n, mu, coefficients):
+    """Residuals a_{i+1} (n-i) - a_i (k+1) k along the weight-mu diagonal,
+    k = (n-mu)/2 - (i+1) being the w-index of position i+1.
 
-    ``coefficients`` maps (i, k) to scalars, all on a single diagonal
-    n - 2i - 2k = const.  Zero residuals mean the vector satisfies the
-    highest-weight coefficient recurrence.
+    ``coefficients`` maps the slice index i to scalars.  Zero residuals
+    mean the vector satisfies the highest-weight coefficient recurrence.
     """
-    if not coefficients:
-        return []
-    diag = {i: (k, coefficients[(i, k)]) for (i, k) in coefficients}
-    imax = max(diag)
-    sample_i, (sample_k, _) = next(iter(diag.items()))
-    level = n - 2 * sample_i - 2 * sample_k
     out = []
-    for i in range(0, imax + 1):
-        k = (n - level) // 2 - (i + 1)  # w-index of position i+1
+    for i in range(max(coefficients, default=-1) + 1):
+        k = (n - mu) // 2 - (i + 1)
         if k < 0:
-            continue
-        a_next = diag.get(i + 1, (None, 0))[1]
-        a_cur = diag.get(i, (None, 0))[1]
-        out.append(a_next * (n - i) - a_cur * (k + 1) * k)
+            break
+        out.append(coefficients.get(i + 1, 0) * (n - i) - coefficients.get(i, 0) * (k + 1) * k)
     return out
 
 
@@ -314,7 +303,7 @@ def alpha_recursion_check(record):
     own coefficients are gcd-normalized, so only the closed-form list is
     held to the seed.
     """
-    residuals = hwv_recursion_residuals(record.n, record.coefficients)
+    residuals = hwv_recursion_residuals(record.n, record.s, record.coefficients)
     if record.s != record.n:
         n, r = record.n, -record.s - 2
         seed = 4 ** ((n + r) // 2)
@@ -332,20 +321,17 @@ def alpha_recursion_check(record):
 # ---------------------------------------------------------------------------
 
 class ProjGenRecord(NamedTuple):
+    # q_list, p_list and final are slice vectors in full: by slice index
+    # i = 0 .. top = (n+s)/2, the k = 0 boundary i = top + 1 left at zero
     n: int
     s: int
     c: int
-    basis: list          # weight-slice pairs (i, k), i ascending
-    q_list: list         # canonical generator coefficients, support j <= (n+s)/2
-    p_list: list         # normalized coefficients of f^{s+1} u_s (the kernel line)
+    q_list: list         # canonical pre-shift generator a
+    p_list: list         # normalized kernel line u = f^{s+1} u_s
     m_shift: int
-    final: list          # q_j + m p_j, all positive
-    a_vector: dict       # canonical pre-shift generator, keyed (i, k)
-    kernel_vector: dict  # normalized u_{-s-2}, keyed (i, k)
-    final_vector: dict   # shifted generator, keyed (i, k)
+    final: list          # shifted generator q_i + m p_i, all positive
     omega_minus_c: list  # rows of the shifted Casimir, {column: int} dicts
     beta_residuals: list
-    q_residuals: list
     hwv: HwvRecord       # the highest weight record u_s was checked against
 
 
@@ -357,13 +343,13 @@ def projective_generator(n, s):
     under f^{s+1}) and a one-dimensional second-order kernel on top of
     it, the solutions of M x = lam u for the kernel vector u; both come
     from ``_casimir_kernels``.  The representative is fixed by: support
-    in positions j <= (n+s)/2, the coefficient at ((n+s)/2, 1) equal to
+    in slice indices i <= top = (n+s)/2, the coefficient at top equal to
     the kernel vector's, and the remaining freedom resolved by the
     smallest positive multiple giving integer entries with gcd 1.  The
-    excess direction z is the line of ker M^2 whose ((n+s)/2, 1)
-    coordinate vanishes; the kernel vector's coordinate there is the
-    closed-form p_top > 0, so z does not depend on the excess vector that
-    came back.
+    excess direction z is the line of ker M^2 whose coordinate at top
+    vanishes; the kernel vector's coordinate there is the closed-form
+    p_top > 0, so z does not depend on the excess vector that came back.
+    Neither u nor the generator may reach the k = 0 boundary top + 1.
     """
     sets = index_sets(n, 0)
     if s not in sets.Iprime:
@@ -371,7 +357,7 @@ def projective_generator(n, s):
     hwv = highest_weight_vector(n, s)
     c = s * (s + 2)
     mu = -s - 2
-    rows, basis = casimir_weight_matrix(n, mu, c)
+    rows = casimir_weight_matrix(n, mu, c)
     kernel, excess = _casimir_kernels(rows, n, mu)
     if len(kernel) != 1:
         raise AssertionError(f"kernel of shifted Casimir at weight {mu} is {len(kernel)}-dimensional")
@@ -379,14 +365,6 @@ def projective_generator(n, s):
         raise AssertionError(f"excess space at n={n}, s={s} has dimension {len(excess)}")
 
     u = kernel[0]
-    # cross-check against the f-power oracle, keyed by i on each slice
-    u_oracle = {i: c for (i, _), c in hwv.coefficients.items()}
-    for _ in range(s + 1):
-        u_oracle = _f_on_slice(n, u_oracle)
-    if normalize_integer_vector(u_oracle) != u:
-        raise AssertionError("f-power image disagrees with the Casimir kernel line")
-
-    # basis[i] = (i, k), so ((n+s)/2, 1) is at index top and (top+1, 0) at top+1
     top = (n + s) // 2
     b0, b1 = kernel + excess
     z = normalize_integer_vector(
@@ -400,15 +378,22 @@ def projective_generator(n, s):
     if sigma is None:
         raise RuntimeError("no admissible generator multiple found")
     a = vec_add(u, vec_scale(sigma, z))
+    if max(u) > top or max(a) > top:
+        raise AssertionError(
+            f"kernel line or generator support leaks onto the k=0 boundary at n={n}, s={s}")
+
+    # cross-check against the f-power oracle
+    u_oracle = hwv.coefficients
+    for _ in range(s + 1):
+        u_oracle = _f_on_slice(n, u_oracle)
+    if normalize_integer_vector(u_oracle) != u:
+        raise AssertionError("f-power image disagrees with the Casimir kernel line")
 
     image = _apply_rows(rows, a)
     if not image:
         raise AssertionError("candidate generator lies in the plain kernel")
     if _apply_rows(rows, image):
         raise AssertionError("candidate generator not killed by the squared operator")
-
-    if a.get(top + 1):
-        raise AssertionError("generator support leaks onto the k=0 boundary")
 
     q_list = [a.get(j, 0) for j in range(top + 1)]
     p_list = [u.get(j, 0) for j in range(top + 1)]
@@ -421,18 +406,9 @@ def projective_generator(n, s):
     if any(x <= 0 for x in final):
         raise AssertionError("shifted coefficients are not all positive")
 
-    def keyed(vec):
-        return {basis[j]: x for j, x in vec.items()}
-
-    final_vec = vec_add(a, vec_scale(m_shift, u))
     record = ProjGenRecord(
-        n=n, s=s, c=c, basis=basis,
-        q_list=q_list, p_list=p_list, m_shift=m_shift, final=final,
-        a_vector=keyed(a), kernel_vector=keyed(u), final_vector=keyed(final_vec),
-        omega_minus_c=rows,
-        beta_residuals=beta_recursion_residuals(n, s, keyed(final_vec)),
-        q_residuals=q_form_residuals(n, s, final),
-        hwv=hwv,
+        n=n, s=s, c=c, q_list=q_list, p_list=p_list, m_shift=m_shift, final=final,
+        omega_minus_c=rows, beta_residuals=beta_recursion_residuals(n, s, final), hwv=hwv,
     )
     if any(record.beta_residuals):
         raise AssertionError(f"five-term recurrence fails at n={n}, s={s}")
@@ -453,46 +429,21 @@ def _beta_terms(n, i, k):
 
 
 def beta_recursion_residuals(n, s, coefficients):
-    """Residuals of the five-term recurrence on the weight-(-s-2) diagonal.
+    """Residuals of the five-term recurrence on the weight-(-s-2) diagonal,
+    one per slice position (i, k = (n+s+2)/2 - i).
 
-    ``coefficients`` maps (i, k) with n - 2i - 2k = -s-2 to scalars;
-    missing positions count as zero.  A vector killed by the square of
-    the shifted Casimir yields an all-zero list.
+    ``coefficients`` lists the scalars by slice index i; positions past
+    its end count as zero.  A vector killed by the square of the shifted
+    Casimir yields an all-zero list.
     """
-    def beta(i, k):
-        if i < 0 or i > n or k < 0:
-            return 0
-        return coefficients.get((i, k), 0)
+    def beta(i):
+        return coefficients[i] if 0 <= i < len(coefficients) else 0
 
     out = []
     for (i, k) in tensor_weight_basis(n, -s - 2):
         t1, t2, t3, t4, t5 = _beta_terms(n, i, k)
-        out.append(
-            beta(i - 2, k + 2) * t1
-            + beta(i - 1, k + 1) * t2
-            + beta(i, k) * t3
-            + beta(i + 1, k - 1) * t4
-            + beta(i + 2, k - 2) * t5
-        )
-    return out
-
-
-def q_form_residuals(n, s, q_list):
-    """The same recurrence read through the single-index coefficients
-    q_i with k = (n - 2i + s + 2)/2; reported alongside the two-index
-    form but not independently asserted."""
-    def q(i):
-        if 0 <= i < len(q_list):
-            return q_list[i]
-        return 0
-
-    out = []
-    for i in range((n + s) // 2 + 2):
-        k = (n - 2 * i + s + 2) // 2
-        if k < 0:
-            continue
-        t1, t2, t3, t4, t5 = _beta_terms(n, i, k)
-        out.append(q(i - 2) * t1 + q(i - 1) * t2 + q(i) * t3 + q(i + 1) * t4 + q(i + 2) * t5)
+        out.append(beta(i - 2) * t1 + beta(i - 1) * t2 + beta(i) * t3
+                   + beta(i + 1) * t4 + beta(i + 2) * t5)
     return out
 
 
@@ -596,8 +547,7 @@ def casimir_blocks(n, mu):
     blocks = []
     for t, ex in sorted(preds):
         c = t * (t + 2)
-        rows, _ = casimir_weight_matrix(n, mu, c)
-        kernel, excess = _casimir_kernels(rows, n, mu)
+        kernel, excess = _casimir_kernels(casimir_weight_matrix(n, mu, c), n, mu)
         blocks.append(CasimirBlock(t=t, c=c, predicted_kernel=1, predicted_excess=ex,
                                    kernel_dim=len(kernel), excess_dim=len(excess)))
     return CasimirBlockReport(
@@ -742,22 +692,18 @@ def decategorify(n, depth):
     hwv_ok = {}
     for s in sorted(set(sets.Iprime) | {n}):
         rec = gens[s].hwv if s in gens else highest_weight_vector(n, s)
-        classes = {(j, (n - s) // 2 - j): p for j, p in enumerate(rec.p_list)}
-        if any(m < 0 for m in classes.values()):
+        if any(m < 0 for m in rec.p_list):
             hwv_ok[s] = False
             continue
-        image = {("vw", i, k): m for (i, k), m in classes.items()}
+        image = {("vw", i, (n - s) // 2 - i): m for i, m in enumerate(rec.p_list)}
         is_hwv = not apply_op(mod, "e", image)
-        ratio_ok = all(
-            classes[(j, (n - s) // 2 - j)] * rec.coefficients[rec.basis[0]]
-            == rec.coefficients.get((j, (n - s) // 2 - j), 0) * classes[(0, (n - s) // 2)]
-            for j in range(len(rec.p_list))
-        )
+        ratio_ok = all(p * rec.coefficients[0] == rec.coefficients.get(i, 0) * rec.p_list[0]
+                       for i, p in enumerate(rec.p_list))
         hwv_ok[s] = is_hwv and ratio_ok
 
     gen_ok = {}
     for r, rec in gens.items():
-        image = {("vw", i, k): x for (i, k), x in rec.final_vector.items()}
+        image = {("vw", i, (n + r + 2) // 2 - i): x for i, x in enumerate(rec.final)}
         if any(x <= 0 for x in rec.final):
             gen_ok[r] = False
             continue

@@ -265,15 +265,15 @@ def build_Tr(r, n, depth):
 
     gen = enright.projective_generator(n, r)
 
-    def f_tower(coefficients, count):
-        """f^j of a slice vector given keyed (i, k), for j <= count."""
-        tower = [{i: c for (i, _), c in coefficients.items()}]
+    def f_tower(vec, count):
+        """f^j of a slice vector, for j <= count."""
+        tower = [vec]
         for _ in range(count):
             tower.append(enright._f_on_slice(n, tower[-1]))
         return tower
 
     towers = {"u": f_tower(gen.hwv.coefficients, depth + 1),
-              "a": f_tower(gen.final_vector, depth - r)}
+              "a": f_tower(dict(enumerate(gen.final)), depth - r)}
 
     def weight(lbl):
         return r - 2 * lbl[1] if lbl[0] == "u" else -r - 2 - 2 * lbl[1]
@@ -290,7 +290,7 @@ def build_Tr(r, n, depth):
     basis_ext = labels_to_depth(depth + 1)
     stored = set(basis_ext)
 
-    e_images = {lbl: enright._apply_rows(enright._e_restriction_matrix(n, weight(lbl))[0],
+    e_images = {lbl: enright._apply_rows(enright._e_restriction_matrix(n, weight(lbl)),
                                          towers[lbl[0]][lbl[1]]) for lbl in basis_ext}
     # e a = kappa f^r u, read at the first coordinate of f^r u
     i = min(towers["u"][r])

@@ -83,6 +83,21 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("error,line", [
+        (KeyError("slice"), "KeyError: 'slice'"),
+        (TypeError("two\nlines"), "TypeError: two lines"),
+    ], ids=["KeyError", "multi-line"])
+    def test_unmapped_exception_is_an_internal_error(self, monkeypatch, capsys, error, line):
+        def broken(n, mu):
+            raise error
+
+        monkeypatch.setattr(enright, "casimir_blocks", broken)
+        assert main(["decompose", "--n", "4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal error: {line}\n"
+        assert "Traceback" not in captured.err
+
     def test_unwritable_output_is_a_file_error(self, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "d.json"
         assert main(["decompose", "--n", "2", "-o", str(out)]) == 1
@@ -465,7 +480,13 @@ SL2_DIGESTS = {
     "report --n-max 40": "e5da3cc3d175d13fc13e7e7f2f01677cf25319e01a911f70a806051d84a2d360",
     "projgen --n 8 --s 2": "ab551124a82502c803f14f0117df4bcdd51de51820728c87962b2d2d924100cf",
     "projgen --n 22 --s 6": "7e951a9519e370e2088f6e367b023ffb6678f95543777d8bf2603652fbfee855",
+    # the smallest projgen, and the deepest n = 40 and n = 41 slices
+    "projgen --n 2 --s 0": "b3f32724c970a31360e52facfe537abf44d6b8b0342eb6dbdb5120381d2013bb",
+    "projgen --n 40 --s 0": "5267dd64614503b4afda734565a10faa747fe840891b996a81e38463fa8a5a06",
+    "projgen --n 41 --s 39": "890875115828e99277c7f5bcc847d2f503266f446d483bd71ee7a29446f02f1d",
     "hwv --n 8 --s 2": "b13ff48e4a05d62de58d8e03ff44c99e59718206b52b2fb90b2c61a9b7c29d78",
+    "hwv --n 40 --s 40": "826b7bb83f2933bab796622d7c8acb36628a13b46a186ae0337ea3294770edd4",
+    "hwv --n 41 --s -1": "a73015aab2e24d31e7f30e4f9b42694e56f2acfdd10ab7acb784dbcac648da78",
     "verify-pseudoadjoint --n 4":
         "062e4e4b5091a034fb8ce6472ec1eb9c59569e6aa4eaf8557ba5562beec4a9a4",
     "verify-pseudoadjoint --n 12":

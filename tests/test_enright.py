@@ -76,16 +76,16 @@ class TestPCoefficients:
 class TestHighestWeightVector:
     def test_top_vector(self):
         rec = enright.highest_weight_vector(2, 2)
-        assert rec.coefficients == {(0, 0): 1}
+        assert rec.coefficients == {0: 1}
 
     def test_n4_weight0(self):
         rec = enright.highest_weight_vector(4, 0)
-        assert rec.coefficients == {(0, 2): 2, (1, 1): 1}
+        assert rec.coefficients == {0: 2, 1: 1}  # at (i, k) = (0, 2), (1, 1)
         assert rec.p_list == [16, 8]
 
     def test_n2_weight0(self):
         rec = enright.highest_weight_vector(2, 0)
-        assert rec.coefficients == {(0, 1): 1}
+        assert rec.coefficients == {0: 1}
 
     def test_kernel_dimension_one_sweep(self):
         for n in range(0, 13):
@@ -93,6 +93,8 @@ class TestHighestWeightVector:
             for s in sorted(set(sets.Iprime) | {n}):
                 rec = enright.highest_weight_vector(n, s)
                 assert all(c > 0 for c in rec.coefficients.values())
+                # keyed by slice index: the support is 0 .. len - 1
+                assert sorted(rec.coefficients) == list(range(len(rec.coefficients)))
 
     def test_rejects_non_hwv_weight(self):
         with pytest.raises(ValueError):
@@ -120,25 +122,23 @@ class TestAlphaRecursion:
 class TestApplyFPower:
     @staticmethod
     def f_steps(n, rec, count):
-        """f u, ..., f^count u for the highest weight vector u of rec, keyed (i, k)."""
-        v = {i: c for (i, _), c in rec.coefficients.items()}
-        out = []
-        for j in range(count):
-            v = enright._f_on_slice(n, v)
-            basis = enright.tensor_weight_basis(n, rec.s - 2 * j - 2)
-            out.append({basis[i]: c for i, c in v.items()})
-        return out
+        """f u, ..., f^count u for the highest weight vector u of rec."""
+        out = [rec.coefficients]
+        for _ in range(count):
+            out.append(enright._f_on_slice(n, out[-1]))
+        return out[1:]
 
     def test_single_step(self):
         rec = enright.highest_weight_vector(2, 0)
-        assert self.f_steps(2, rec, 1) == [{(1, 1): 1, (0, 2): 1}]
+        # f (v_0 (x) w_1) = v_1 (x) w_1 + v_0 (x) w_2
+        assert self.f_steps(2, rec, 1) == [{1: 1, 0: 1}]
 
     def test_image_satisfies_hwv_recursion(self):
         # coefficients of f u_0 in L4 (x) V0 follow the same recurrence
         n = 4
         rec = enright.highest_weight_vector(n, 0)
         [coeffs] = self.f_steps(n, rec, 1)
-        assert all(x == 0 for x in enright.hwv_recursion_residuals(n, coeffs))
+        assert all(x == 0 for x in enright.hwv_recursion_residuals(n, -2, coeffs))
 
     def test_nonnegativity_preserved(self):
         n = 6
@@ -151,7 +151,8 @@ class TestApplyFPower:
 class TestProjectiveGenerator:
     def test_n2_s0_fixture(self):
         rec = enright.projective_generator(2, 0)
-        assert rec.basis == [(0, 2), (1, 1), (2, 0)]
+        assert enright.tensor_weight_basis(2, -2) == [(0, 2), (1, 1), (2, 0)]
+        assert len(rec.omega_minus_c) == 3
         cols = [[rec.omega_minus_c[i].get(j, 0) for i in range(3)] for j in range(3)]
         assert cols == [[-8, -8, 0], [8, 8, 0], [0, 4, 8]]
         assert rec.q_list == [2, 1]
@@ -160,18 +161,32 @@ class TestProjectiveGenerator:
         assert rec.final == [2, 1]
 
     def test_boundary_coefficient_vanishes(self):
+        # the lists stop at top, one short of the k = 0 boundary (top + 1, 0)
         for n, s in [(2, 0), (4, 0), (4, 2), (6, 2)]:
             rec = enright.projective_generator(n, s)
             top = (n + s) // 2
-            assert rec.final_vector.get((top + 1, 0), 0) == 0
+            assert enright.tensor_weight_basis(n, -s - 2)[top + 1] == (top + 1, 0)
+            assert len(rec.q_list) == len(rec.p_list) == len(rec.final) == top + 1
+
+    def test_a_kernel_line_on_the_boundary_raises(self, monkeypatch):
+        # u with support at top + 1 would be cut short by p_list
+        real = enright._casimir_kernels
+
+        def leaking(rows, n, mu):
+            kernel, excess = real(rows, n, mu)
+            return [{**kernel[0], len(rows) - 1: 1}], excess
+
+        monkeypatch.setattr(enright, "_casimir_kernels", leaking)
+        with pytest.raises(AssertionError,
+                           match="support leaks onto the k=0 boundary at n=4, s=0"):
+            enright.projective_generator(4, 0)
 
     def test_kernel_shift_invariance(self):
         # adding the kernel line preserves both shifted-Casimir conditions
         rec = enright.projective_generator(4, 0)
-        mat = slice_matrix(rec.omega_minus_c, len(rec.basis))
-        pos = {b: i for i, b in enumerate(rec.basis)}
-        a = {pos[k]: Fraction(v) for k, v in rec.a_vector.items()}
-        u = {pos[k]: Fraction(v) for k, v in rec.kernel_vector.items()}
+        mat = slice_matrix(rec.omega_minus_c, len(rec.omega_minus_c))
+        a = {i: Fraction(v) for i, v in enumerate(rec.q_list)}
+        u = {i: Fraction(v) for i, v in enumerate(rec.p_list)}
         shifted = dict(a)
         for k, v in u.items():
             shifted[k] = shifted.get(k, 0) + 7 * v
@@ -183,7 +198,6 @@ class TestProjectiveGenerator:
             for s in enright.index_sets(n, 0).Iprime:
                 rec = enright.projective_generator(n, s)
                 assert all(x == 0 for x in rec.beta_residuals)
-                assert all(x == 0 for x in rec.q_residuals)
 
     def test_rejects_non_projective_index(self):
         with pytest.raises(ValueError):
@@ -204,14 +218,15 @@ class TestBetaRecursionDisplay:
         rng = random.Random(1234)
         for n, s in [(4, 0), (6, 2), (5, 1)]:
             c = s * (s + 2)
-            rows, basis = enright.casimir_weight_matrix(n, -s - 2, c)
-            mat = slice_matrix(rows, len(basis))
+            rows = enright.casimir_weight_matrix(n, -s - 2, c)
+            mat = slice_matrix(rows, len(rows))
             for _ in range(5):
-                coeffs = {b: rng.randint(-9, 9) for b in basis}
-                vec = {i: Fraction(coeffs[b]) for i, b in enumerate(basis)}
+                coeffs = [rng.randint(-9, 9) for _ in rows]
+                vec = {i: Fraction(x) for i, x in enumerate(coeffs)}
                 image = (mat @ mat).apply(vec)
                 res = enright.beta_recursion_residuals(n, s, coeffs)
-                for idx, b in enumerate(basis):
+                assert len(res) == len(rows)
+                for idx in range(len(rows)):
                     assert image.get(idx, 0) == 16 * res[idx]
 
 
@@ -307,9 +322,9 @@ class TestDecategorify:
 
 
 def test_integral_matrices_are_plain_int():
-    rows, basis = enright.casimir_weight_matrix(4, -4, 8)
+    rows = enright.casimir_weight_matrix(4, -4, 8)
     _, _, F, E = enright._formal_matrices(3, 4)
-    for mat in (slice_matrix(rows, len(basis)), F, E):
+    for mat in (slice_matrix(rows, len(rows)), F, E):
         assert mat.entries and all(type(x) is int for x in mat.entries.values())
 
 
@@ -323,16 +338,15 @@ def test_slice_casimir_matches_the_module_casimir():
         full = casimir(mod)
         for j in range(depth):
             mu = n - 2 * j
-            rows, basis = enright.casimir_weight_matrix(n, mu)
-            idx = [mod.index[("vw", i, k)] for i, k in basis]
+            rows = enright.casimir_weight_matrix(n, mu)
+            idx = [mod.index[("vw", i, k)] for i, k in enright.tensor_weight_basis(n, mu)]
             cols = set(idx)  # the Casimir keeps the weight: no entry leaves the slice
             assert all(r in cols for r, c in full.entries if c in cols)
             size = len(idx)
             restricted = SparseMat(size, size, {
                 (a, b): full[r, c] for a, r in enumerate(idx) for b, c in enumerate(idx)})
             assert slice_matrix(rows, size) == restricted
-            shifted, same = enright.casimir_weight_matrix(n, mu, 3)
-            assert same == basis
+            shifted = enright.casimir_weight_matrix(n, mu, 3)
             assert slice_matrix(shifted, size) == restricted - SparseMat.identity(size).scale(3)
 
 
@@ -345,8 +359,8 @@ def test_slice_e_matches_the_module_e():
         act = mod.act_matrix("e")
         for j in range(depth + 1):
             mu = n - 2 * j
-            e_rows, basis = enright._e_restriction_matrix(n, mu)
-            src = [mod.index[("vw", i, k)] for i, k in basis]
+            e_rows = enright._e_restriction_matrix(n, mu)
+            src = [mod.index[("vw", i, k)] for i, k in enright.tensor_weight_basis(n, mu)]
             dst = [mod.index[("vw", i, k)] for i, k in enright.tensor_weight_basis(n, mu + 2)]
             cols, rows = set(src), set(dst)
             assert all(r in rows for r, c in act.entries if c in cols)
@@ -391,10 +405,8 @@ def _replace_slice(monkeypatch, n, mu, rows_for):
     """Make every shift c of the (n, mu) slice take the rows
     rows_for(rows, c), rows being its closed form."""
     def replaced(n_, mu_, c=0):
-        rows, basis = _CLOSED_FORM(n_, mu_, c)
-        if (n_, mu_) == (n, mu):
-            rows = rows_for(rows, c)
-        return rows, basis
+        rows = _CLOSED_FORM(n_, mu_, c)
+        return rows_for(rows, c) if (n_, mu_) == (n, mu) else rows
     monkeypatch.setattr(enright, "casimir_weight_matrix", replaced)
 
 
@@ -428,7 +440,7 @@ def _square_product(n, mu, rep):
     dim = len(enright.tensor_weight_basis(n, mu))
     product = SparseMat.identity(dim)
     for b in rep.blocks:
-        shifted = slice_matrix(enright.casimir_weight_matrix(n, mu, b.c)[0], dim)
+        shifted = slice_matrix(enright.casimir_weight_matrix(n, mu, b.c), dim)
         product = product @ shifted @ shifted
     return product
 
@@ -444,7 +456,7 @@ def test_ranks_match_the_generalized_kernel(n, step):
         dim = len(enright.tensor_weight_basis(n, mu))
         vectors = []
         for b in rep.blocks:
-            shifted = slice_matrix(enright.casimir_weight_matrix(n, mu, b.c)[0], dim)
+            shifted = slice_matrix(enright.casimir_weight_matrix(n, mu, b.c), dim)
             kernel, excess = generalized_kernel(shifted)
             assert (b.kernel_dim, b.excess_dim) == (len(kernel), len(excess))
             assert all(not shifted.apply(shifted.apply(v)) for v in kernel + excess)
@@ -519,7 +531,7 @@ def test_a_jordan_block_of_size_three_fails_the_span_check(monkeypatch, capsys):
         (0, 1, 1), (8, 1, 1), (24, 0, 0)]
     assert rep.failed_checks == ["span", "dimensions"]
     for c in (0, 8):
-        shifted = slice_matrix(enright.casimir_weight_matrix(4, -8, c)[0], 5)
+        shifted = slice_matrix(enright.casimir_weight_matrix(4, -8, c), 5)
         kernel, excess = generalized_kernel(shifted)
         assert all(not shifted.apply(shifted.apply(v)) for v in kernel + excess)
     assert main(["decompose", "--n", "4"]) == 1
@@ -555,12 +567,12 @@ def test_the_slice_maps_have_a_nonzero_superdiagonal():
     # int at a column c <= r + 1 of its row r, and row r holds c = r + 1
     # whenever that column exists; the shift moves only the diagonal
     for n, mu in _decompose_slices(40):
-        for rows, basis in (enright.casimir_weight_matrix(n, mu),
-                            enright._e_restriction_matrix(n, mu)):
+        cols = len(enright.tensor_weight_basis(n, mu))
+        for rows in (enright.casimir_weight_matrix(n, mu), enright._e_restriction_matrix(n, mu)):
             for r, row in enumerate(rows):
                 assert all(type(x) is int and x for x in row.values())
                 assert max(row, default=r) <= r + 1
-                assert r + 1 >= len(basis) or row.get(r + 1)
+                assert r + 1 >= cols or row.get(r + 1)
 
 
 def _checked_casimir_kernels(rows, n, mu):
@@ -591,11 +603,11 @@ def test_band_kernels_match_the_elimination_engine(n, step):
               for b in enright.casimir_blocks(n, mu).blocks]
     shifts += [(-s - 2, s * (s + 2)) for s in sets.Iprime[::step]]
     for mu, c in shifts:
-        _checked_casimir_kernels(enright.casimir_weight_matrix(n, mu, c)[0], n, mu)
+        _checked_casimir_kernels(enright.casimir_weight_matrix(n, mu, c), n, mu)
     for s in sorted(set(sets.Iprime) | set(sets.Itripleprime))[::step]:
-        rows, basis = enright._e_restriction_matrix(n, s)
-        kernel = enright._slice_solve(rows, len(basis), {}, n, s)
-        assert len(kernel) == 1 and kernel == nullspace(slice_matrix(rows, len(basis)))
+        rows, cols = enright._e_restriction_matrix(n, s), len(enright.tensor_weight_basis(n, s))
+        kernel = enright._slice_solve(rows, cols, {}, n, s)
+        assert len(kernel) == 1 and kernel == nullspace(slice_matrix(rows, cols))
 
 
 _NONZERO = st.sampled_from([-3, -2, -1, 1, 2, 3])
@@ -635,7 +647,7 @@ def test_a_jordan_block_of_size_three_on_the_band_fails_the_span_check(monkeypat
     [failing] = [b for b in json.loads(capsys.readouterr().out)["casimirBlocks"] if not b["ok"]]
     assert (failing["mu"], failing["failedChecks"]) == (-8, ["span", "dimensions"])
     for b in rep.blocks:
-        _checked_casimir_kernels(enright.casimir_weight_matrix(4, -8, b.c)[0], 4, -8)
+        _checked_casimir_kernels(enright.casimir_weight_matrix(4, -8, b.c), 4, -8)
 
 
 def test_generators_from_the_elimination_engine_are_the_same(monkeypatch):
@@ -659,7 +671,7 @@ def test_generators_from_the_elimination_engine_are_the_same(monkeypatch):
 def test_the_band_kernel_raises_on_a_vector_it_cannot_check(monkeypatch):
     # a kernel vector or a solution that fails the rows it was solved from
     # names its slice
-    rows, _ = enright.casimir_weight_matrix(6, -4, 0)
+    rows = enright.casimir_weight_matrix(6, -4, 0)
     monkeypatch.setattr(enright, "_back_substitute", lambda echelon, x, rhs: ({0: 1}, 1))
     for b in ({}, {0: 1}):
         with pytest.raises(AssertionError, match=r"does not satisfy the slice map at n=6, mu=-4"):

@@ -173,10 +173,10 @@ class TestTr:
             build_Tr(1, 2, 8)  # 1 is not a projective index for n=2
 
 
-def _tower(f_mat, index, coefficients, count):
-    """f^j of a tensor vector given keyed (i, k), for j <= count, as
-    vectors over the tensor slice's basis indices."""
-    tower = [{index["vw", i, k]: c for (i, k), c in coefficients.items()}]
+def _tower(f_mat, index, n, mu, coefficients, count):
+    """f^j of a weight-mu slice vector keyed by slice index i, for
+    j <= count, as vectors over the tensor module's basis indices."""
+    tower = [{index["vw", i, (n - mu) // 2 - i]: c for i, c in coefficients.items()}]
     for _ in range(count):
         tower.append(f_mat.apply(tower[-1]))
     return tower
@@ -195,8 +195,8 @@ def test_closed_form_e_matches_the_solved_action(r, n):
     # f^(depth+1) u and f^(depth-r) a have tensor depth (n-r)/2 + depth + 1
     tensor = build_tensor(n, (n - r) // 2 + depth + 1)
     e_mat, f_mat = tensor.act_matrix("e"), tensor.act_matrix("f")
-    towers = {"u": _tower(f_mat, tensor.index, gen.hwv.coefficients, depth + 1),
-              "a": _tower(f_mat, tensor.index, gen.final_vector, depth - r)}
+    towers = {"u": _tower(f_mat, tensor.index, n, r, gen.hwv.coefficients, depth + 1),
+              "a": _tower(f_mat, tensor.index, n, -r - 2, dict(enumerate(gen.final)), depth - r)}
     rows = range(len(tensor.basis))
     for lbl in m.basis_ext:
         span = [s for s in m.basis_ext if m.depth_of(s) == m.depth_of(lbl) - 1]
@@ -217,8 +217,7 @@ def _perturb_generator(monkeypatch):
 
     def perturbed(n, s):
         rec = real(n, s)
-        key = min(rec.final_vector)
-        return rec._replace(final_vector={**rec.final_vector, key: rec.final_vector[key] + 1})
+        return rec._replace(final=[rec.final[0] + 1, *rec.final[1:]])
 
     monkeypatch.setattr(enright, "projective_generator", perturbed)
 

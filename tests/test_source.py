@@ -1,9 +1,13 @@
 import ast
+import hashlib
 import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+from test_cli import SL2_DIGESTS
 
 import vermalab
 
@@ -42,6 +46,16 @@ def test_cli_start_up_imports_no_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+@pytest.mark.parametrize("argv", ["report --n-max 8", "projgen --n 8 --s 2"])
+def test_pinned_outputs_survive_python_O(argv):
+    # -O strips assert statements: every check must still run, and the
+    # bytes stay those pinned for the plain interpreter
+    env = {**os.environ, "PYTHONPATH": str(Path(vermalab.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-O", "-m", "vermalab.cli", *argv.split()], env=env,
+                         capture_output=True, check=True).stdout
+    assert hashlib.sha256(out).hexdigest() == SL2_DIGESTS[argv]
 
 
 LRU = ("lru_cache", "functools.lru_cache")
