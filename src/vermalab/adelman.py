@@ -24,6 +24,7 @@ factorization is checked by the homotopy witness its own solve returns.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import fixtures
@@ -348,31 +349,27 @@ COKERNEL_INTERPRETATIONS = {
     "literal-middle": _cokernel_middle_b,
 }
 
-_frozen_choice = None
-
-
+@lru_cache(maxsize=1)
 def frozen_interpretation():
     """The (kernel, cokernel) block readings selected by the resolution
-    procedure, read from the checked-in fixture.
+    procedure, read from the checked-in fixture once; ``cache_clear()``
+    makes the next call read it again.
 
     Raises FixtureError when the fixture cannot be read or does not name
     one known reading under each of "kernel" and "cokernel".
     """
-    global _frozen_choice
-    if _frozen_choice is None:
-        try:
-            doc = fixtures.load_adelman_fixture()
-        except (OSError, ValueError) as exc:
-            raise fixtures.FixtureError(f"cannot read {fixtures.ADELMAN_FIXTURE}: {exc}") from exc
-        choice = (doc.get("kernel"), doc.get("cokernel")) if isinstance(doc, dict) else None
-        # list membership: a malformed value may be unhashable
-        if (choice is None or choice[0] not in list(KERNEL_INTERPRETATIONS)
-                or choice[1] not in list(COKERNEL_INTERPRETATIONS)):
-            raise fixtures.FixtureError(
-                f"{fixtures.ADELMAN_FIXTURE} must name a known kernel and cokernel "
-                f"reading, got {choice}")
-        _frozen_choice = choice
-    return _frozen_choice
+    try:
+        doc = fixtures.load_adelman_fixture()
+    except (OSError, ValueError) as exc:
+        raise fixtures.FixtureError(f"cannot read {fixtures.ADELMAN_FIXTURE}: {exc}") from exc
+    choice = (doc.get("kernel"), doc.get("cokernel")) if isinstance(doc, dict) else None
+    # list membership: a malformed value may be unhashable
+    if (choice is None or choice[0] not in list(KERNEL_INTERPRETATIONS)
+            or choice[1] not in list(COKERNEL_INTERPRETATIONS)):
+        raise fixtures.FixtureError(
+            f"{fixtures.ADELMAN_FIXTURE} must name a known kernel and cokernel "
+            f"reading, got {choice}")
+    return choice
 
 
 def kernel(t, interpretation=None):

@@ -69,7 +69,7 @@ def _case_record(n, s, iprime):
         checks["positivity"] = checks["positivity"] and all(x > 0 for x in gen.final)
     else:
         rows = enright.casimir_weight_matrix(n, s, s * (s + 2))
-        checks["casimirNilpotent"] = not enright._apply_rows(rows, rec.coefficients)
+        checks["casimirNilpotent"] = not sl2mod.apply_rows(rows, rec.coefficients)
     ok = (
         checks["positivity"]
         and checks["casimirNilpotent"]
@@ -253,7 +253,7 @@ def cmd_verify_adelman(args):
             "seeds": [r.seed for r in reports],
             "trials": [r.trials for r in reports],
         })
-        adelman._frozen_choice = None
+        adelman.frozen_interpretation.cache_clear()
     frozen = adelman.frozen_interpretation()
     resolved = adelman.resolve_interpretation(seed=seed)
     stable = (resolved.kernel_choice, resolved.cokernel_choice) == frozen
@@ -294,7 +294,7 @@ def cmd_verify_pseudoadjoint(args):
     for s in sets.Itripleprime:
         jobs.append(("Verma", s, sl2mod.build_verma(s, depth), s * (s + 2)))
     for r in sets.Iprime:
-        mod = sl2mod.build_Tr(r, n, r + margin + 4)
+        mod = sl2mod.build_Tr(enright.projective_generator(n, r), r + margin + 4)
         jobs.append(("Tr", r, mod, r * (r + 2)))
     for kind, idx, mod, c in jobs:
         rep = enright.pseudoadjoint_check(mod, c, margin)

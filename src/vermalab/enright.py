@@ -16,18 +16,21 @@ A weight slice of Ln (x) V0 is the diagonal of the v_i (x) w_k with
 n - 2i - 2k = mu, and every slice vector here -- a highest weight
 vector, a kernel line, a generator -- is keyed by the slice index i
 alone, as the paper writes its coefficients p_i and q_i; k = (n-mu)/2 - i
-is derived only where a report prints it.  The e and Casimir maps of a
-weight slice are written in closed form from the coproduct, with no
-tensor module built, as lists of ``{column: int}`` rows.  Both are band
-maps: an entry (r, c) has c <= r + 1, and the superdiagonal m[r, r+1]
-is n-r for e and 4(n-r) for C - c, nonzero on every slice.  So ``_slice_solve`` reads a kernel or a
-solution by forward substitution through ``exactla._back_substitute``,
-the device behind the two-term alpha and five-term beta recurrences: no
-square M^2 is formed and no elimination runs.  f acts on slice vectors
-in closed form (``_f_on_slice``), which is how the f-power oracle of a
-projective generator pushes the highest weight vector down, one weight
-at a time.  A projective generator keeps the highest weight record it
-was checked against, so callers need no second solve.
+is derived only where a report prints it.  The slices and the closed-form
+maps of e and f on them come from ``sl2mod``, the module layer below;
+the Casimir map of a slice is written here, in closed form from the
+coproduct, with no tensor module built, as a list of ``{column: int}``
+rows like e's.  Both are band maps: an entry (r, c) has c <= r + 1, and
+the superdiagonal m[r, r+1] is n-r for e and 4(n-r) for C - c, nonzero
+on every slice.  So ``_slice_solve`` reads a kernel or a solution by
+forward substitution through ``exactla.back_substitute``, the device
+behind the two-term alpha and five-term beta recurrences: no square M^2
+is formed and no elimination runs.  f on slice vectors
+(``sl2mod.f_on_slice``) is how the f-power oracle of a projective
+generator pushes the highest weight vector down, one weight at a time.
+A projective generator keeps the highest weight record it was checked
+against, so callers need no second solve, and ``sl2mod.build_Tr``
+realizes T_r from it.
 
 All checks are exact; there are no tolerances anywhere.
 """
@@ -38,15 +41,21 @@ import math
 from typing import NamedTuple
 
 from .exactla import (
-    SparseMat,
-    _back_substitute,
+    back_substitute,
     normalize_integer_vector,
     vec_add,
     vec_iadd,
     vec_scale,
     vec_sub,
 )
-from .sl2mod import apply_op, apply_word, build_tensor, casimir_on_vector
+from .sl2mod import (
+    apply_rows,
+    apply_word,
+    casimir_on_vector,
+    e_weight_matrix,
+    f_on_slice,
+    tensor_weight_basis,
+)
 
 __all__ = [
     "IndexSets",
@@ -61,8 +70,6 @@ __all__ = [
     "decomposition_audit",
     "casimir_blocks",
     "pseudoadjoint_check",
-    "decategorify",
-    "tensor_weight_basis",
     "casimir_weight_matrix",
 ]
 
@@ -102,21 +109,8 @@ def index_sets(n, lam=0):
 
 
 # ---------------------------------------------------------------------------
-# weight slices of the tensor module
+# Casimir slices and slice solves
 # ---------------------------------------------------------------------------
-
-def tensor_weight_basis(n, mu):
-    """Pairs (i, k) with v_i (x) w_k of weight mu, ordered by i."""
-    if (n - mu) % 2 != 0:
-        return []
-    out = []
-    for i in range(n + 1):
-        k = (n - mu) // 2 - i
-        if k < 0:
-            break
-        out.append((i, k))
-    return out
-
 
 def casimir_weight_matrix(n, mu, c=0):
     """Rows of (Casimir - c) on the full weight-mu slice of Ln (x) V0,
@@ -138,44 +132,15 @@ def casimir_weight_matrix(n, mu, c=0):
     return rows
 
 
-def _e_restriction_matrix(n, mu):
-    """Rows of e from the weight-mu slice to the weight-(mu+2) slice,
-    sending (i, k), at index i in both, to (n-i+1)(i-1, k) - k(k-1)(i, k-1).
-    Returns the rows as ``casimir_weight_matrix`` does."""
-    rows = [{} for _ in tensor_weight_basis(n, mu + 2)]
-    for i, k in tensor_weight_basis(n, mu):
-        if i > 0:
-            rows[i - 1][i] = n - i + 1
-        if k > 1:
-            rows[i][i] = -k * (k - 1)
-    return rows
-
-
-def _f_on_slice(n, vec):
-    """f on a slice vector keyed by i, into the slice one weight lower:
-    (i, k), at index i in both, goes to (i+1)(i+1, k) + (i, k+1)."""
-    out = {}
-    for i, x in vec.items():
-        out[i] = out.get(i, 0) + x
-        if i < n:
-            out[i + 1] = out.get(i + 1, 0) + (i + 1) * x
-    return {i: x for i, x in out.items() if x}
-
-
-def _apply_rows(rows, vec):
-    """The image of a vector keyed by column under a slice map's rows."""
-    image = {r: sum(a * vec[j] for j, a in row.items() if j in vec) for r, row in enumerate(rows)}
-    return {r: y for r, y in image.items() if y}
-
-
 def _slice_solve(rows, cols, b, n, mu):
     """The solution of m x = lam b for the slice map m with the given
     rows and cols columns: [x] for some lam != 0 (for m x = 0 when b is
     empty), or [] when there is none.
 
-    Row r of m has no entry beyond column r + 1, and the closed forms
-    above never leave m[r, r+1] zero.  The first cols - 1 rows are then
-    an echelon form, so ``exactla._back_substitute``, given them last
+    Row r of m has no entry beyond column r + 1, and the closed forms of
+    ``casimir_weight_matrix`` and ``sl2mod.e_weight_matrix`` never leave
+    m[r, r+1] zero.  The first cols - 1 rows are then
+    an echelon form, so ``exactla.back_substitute``, given them last
     first with b as the extra column cols, fixes x one coordinate at a
     time: from x_0 = 1 for a kernel, from x_0 = 0 for a solve.  The rows
     below only have to agree.  So dim ker m <= 1, and when m has a kernel vector k,
@@ -186,8 +151,8 @@ def _slice_solve(rows, cols, b, n, mu):
     """
     echelon = [(r + 1, {**rows[r], cols: b[r]} if r in b else rows[r])
                for r in reversed(range(cols - 1))]
-    x, lam = _back_substitute(echelon, {} if b else {0: 1}, cols)
-    residual = vec_sub(_apply_rows(rows, x), vec_scale(lam, b))
+    x, lam = back_substitute(echelon, {} if b else {0: 1}, cols)
+    residual = vec_sub(apply_rows(rows, x), vec_scale(lam, b))
     if any(r < cols - 1 for r in residual):
         raise AssertionError(
             f"slice solution does not satisfy the slice map at n={n}, mu={mu}")
@@ -257,7 +222,7 @@ def highest_weight_vector(n, s):
     allowed = set(sets.Iprime) | set(sets.Itripleprime)
     if s not in allowed:
         raise ValueError(f"no highest weight vector expected at weight {s} for n={n}")
-    ker = _slice_solve(_e_restriction_matrix(n, s), len(tensor_weight_basis(n, s)), {}, n, s)
+    ker = _slice_solve(e_weight_matrix(n, s), len(tensor_weight_basis(n, s)), {}, n, s)
     if len(ker) != 1:
         raise AssertionError(
             f"e-kernel at weight {s} has dimension {len(ker)}, expected 1 (n={n})")
@@ -385,14 +350,14 @@ def projective_generator(n, s):
     # cross-check against the f-power oracle
     u_oracle = hwv.coefficients
     for _ in range(s + 1):
-        u_oracle = _f_on_slice(n, u_oracle)
+        u_oracle = f_on_slice(n, u_oracle)
     if normalize_integer_vector(u_oracle) != u:
         raise AssertionError("f-power image disagrees with the Casimir kernel line")
 
-    image = _apply_rows(rows, a)
+    image = apply_rows(rows, a)
     if not image:
         raise AssertionError("candidate generator lies in the plain kernel")
-    if _apply_rows(rows, image):
+    if apply_rows(rows, image):
         raise AssertionError("candidate generator not killed by the squared operator")
 
     q_list = [a.get(j, 0) for j in range(top + 1)]
@@ -616,104 +581,4 @@ def pseudoadjoint_check(module, c, margin=8):
     return PseudoadjointReport(
         kind=module.kind, c=c, margin=margin, labels_checked=len(interior),
         identity_zero=identity_zero, casimir_match=casimir_match, failures=failures,
-    )
-
-
-# ---------------------------------------------------------------------------
-# split Grothendieck decategorification
-# ---------------------------------------------------------------------------
-
-class DecategorifyReport(NamedTuple):
-    n: int
-    depth: int
-    bijective: bool
-    f_intertwines: bool
-    e_intertwines: bool
-    hwv_classes: dict    # s -> bool, class of U_s maps to a highest weight vector
-    generator_classes: dict  # r -> bool, class of the shifted generator works
-    nonnegative_f: bool
-
-    @property
-    def ok(self):
-        return (
-            self.bijective and self.f_intertwines and self.e_intertwines
-            and all(self.hwv_classes.values())
-            and all(self.generator_classes.values())
-            and self.nonnegative_f
-        )
-
-
-def _formal_matrices(n, depth):
-    """Class-level matrices of [F] and [E] on the boxtimes basis,
-    derived from the direct-sum expansion of the functors on classes:
-    F sends the class (i, k) to (i+1) copies of (i+1, k) plus (i, k+1),
-    and E sends it to (n-i+1) copies of (i-1, k) minus k(k-1) copies of
-    (i, k-1)."""
-    basis = [(i, k) for k in range(depth + 1) for i in range(n + 1)]
-    basis_ext = [(i, k) for k in range(depth + 2) for i in range(n + 1)]
-    pos = {b: j for j, b in enumerate(basis)}
-    pos_ext = {b: j for j, b in enumerate(basis_ext)}
-    f_ent = {}
-    e_ent = {}
-    for j, (i, k) in enumerate(basis):
-        if i < n:
-            f_ent[pos_ext[(i + 1, k)], j] = i + 1
-        f_ent[pos_ext[(i, k + 1)], j] = 1
-        if i > 0:
-            e_ent[pos[(i - 1, k)], j] = n - i + 1
-        if k >= 2:
-            e_ent[pos[(i, k - 1)], j] = -k * (k - 1)
-    F = SparseMat(len(basis_ext), len(basis), f_ent)
-    E = SparseMat(len(basis), len(basis), e_ent)
-    return basis, basis_ext, F, E
-
-
-def decategorify(n, depth):
-    """The class-to-vector map of the split Grothendieck group.
-
-    Classes of the boxtimes objects correspond to tensor basis vectors
-    one-to-one; the formal [F] and [E] matrices (so also [-E]) must
-    coincide with the module action matrices, the class of U_s must land
-    on a highest weight vector, and the class of the shifted projective
-    generator on a vector with the two-step Casimir property.
-    """
-    mod = build_tensor(n, depth)
-    basis, basis_ext, F, E = _formal_matrices(n, depth)
-    bijective = (
-        [(b[1], b[2]) for b in mod.basis] == basis
-        and [(b[1], b[2]) for b in mod.basis_ext] == basis_ext
-    )
-    act_f = mod.act_matrix("f")
-    f_ok = F == act_f
-    e_ok = E == mod.act_matrix("e")
-
-    sets = index_sets(n, 0)
-    gens = {r: projective_generator(n, r) for r in sets.Iprime}
-    hwv_ok = {}
-    for s in sorted(set(sets.Iprime) | {n}):
-        rec = gens[s].hwv if s in gens else highest_weight_vector(n, s)
-        if any(m < 0 for m in rec.p_list):
-            hwv_ok[s] = False
-            continue
-        image = {("vw", i, (n - s) // 2 - i): m for i, m in enumerate(rec.p_list)}
-        is_hwv = not apply_op(mod, "e", image)
-        ratio_ok = all(p * rec.coefficients[0] == rec.coefficients.get(i, 0) * rec.p_list[0]
-                       for i, p in enumerate(rec.p_list))
-        hwv_ok[s] = is_hwv and ratio_ok
-
-    gen_ok = {}
-    for r, rec in gens.items():
-        image = {("vw", i, (n + r + 2) // 2 - i): x for i, x in enumerate(rec.final)}
-        if any(x <= 0 for x in rec.final):
-            gen_ok[r] = False
-            continue
-        shifted = vec_sub(casimir_on_vector(mod, image), vec_scale(rec.c, image))
-        twice = vec_sub(casimir_on_vector(mod, shifted), vec_scale(rec.c, shifted))
-        gen_ok[r] = bool(shifted) and not twice
-
-    nonneg = all(x > 0 and x.denominator == 1 for x in act_f.entries.values())
-    return DecategorifyReport(
-        n=n, depth=depth, bijective=bijective,
-        f_intertwines=f_ok, e_intertwines=e_ok,
-        hwv_classes=hwv_ok, generator_classes=gen_ok, nonnegative_f=nonneg,
     )

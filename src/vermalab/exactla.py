@@ -15,9 +15,9 @@ columns keyed by labels.  The profiled hot loops keep the add-and-drop-
 zero rule inline, because a call per entry would cost time there:
 ``SparseMat.__matmul__``, ``SparseMat.apply``, ``_integer_rows`` and
 ``_echelon`` here, ``adelman._system``, ``hecke.HeckeElement._gen_left``,
-and ``heisenberg._fold`` and ``_rewrite``.  ``enright._formal_matrices``
-also writes its matrices by hand: it is the independent class-level
-oracle that the module matrices are compared against.
+and ``heisenberg._fold`` and ``_rewrite``.  The tests' class-level
+oracle for decategorification also writes its matrices by hand, so that
+the module matrices are compared against an independent source.
 
 A value is a ``Fraction`` only when it is not integral.  Back
 substitution runs in integers: ``nullspace`` never builds a ``Fraction``,
@@ -48,7 +48,7 @@ it keeps integer numerators over one common denominator, scaled by
 p / gcd(s, p) whenever a pivot p does not divide the sum s it must
 take.  A kernel vector then only loses its content and sign; a
 solution is divided by the denominator once, at the end.
-``_back_substitute`` is also the one solver of ``enright``'s weight
+``back_substitute`` is also the one solver of ``enright``'s weight
 slice maps: their closed-form integer rows are an echelon form as they
 stand, so a slice is solved by forward substitution with no elimination.
 
@@ -76,6 +76,7 @@ __all__ = [
     "solve",
     "solve_each",
     "generalized_kernel",
+    "back_substitute",
     "vec_iadd",
     "vec_add",
     "vec_sub",
@@ -733,7 +734,7 @@ def _echelon(rows):
     return echelon
 
 
-def _back_substitute(echelon, x, rhs):
+def back_substitute(echelon, x, rhs):
     """Integer back substitution through (pivot column, row) pairs,
     taken from the end of the list: the last pivot first for echelon
     rows, the first row first for a weight slice map listed in reverse.
@@ -780,7 +781,7 @@ def nullspace(m):
     for fc in range(m.cols):
         if fc in pivots:
             continue
-        x, _ = _back_substitute(echelon, {fc: 1}, m.cols)
+        x, _ = back_substitute(echelon, {fc: 1}, m.cols)
         basis.append(normalize_integer_vector(x))
     return basis
 
@@ -792,7 +793,7 @@ def solve(m, b):
     index of b lies outside the row range, and TypeError unless every
     entry of m and b is an int or a Fraction.  The solution has every
     free coordinate 0; a coordinate is an ``int`` when it is integral and
-    a ``Fraction`` only otherwise (see ``_back_substitute``).
+    a ``Fraction`` only otherwise (see ``back_substitute``).
     """
     return solve_each(m, [b])[0]
 
@@ -818,7 +819,7 @@ def solve_each(m, bs):
         if col in inconsistent:
             out.append(None)
             continue
-        x, d = _back_substitute(echelon, {}, col)
+        x, d = back_substitute(echelon, {}, col)
         out.append({j: v // d if v % d == 0 else Fraction(v, d) for j, v in x.items()})
     return out
 

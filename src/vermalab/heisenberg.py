@@ -21,6 +21,8 @@ increasing indices, in three independent ways:
 
 Only whole words are memoised, in a bounded cache.  Confluence is
 exercised empirically by comparing all three over random words.
+``a_gen`` and ``b_gen`` build checked letters for words written by hand;
+the Fock representation, which no verb reads, is a test oracle.
 
 The power-sum elements built from the logarithmic derivative of the
 generating series A(t) are provided as an exploratory probe: their
@@ -42,14 +44,12 @@ from .exactla import vec_add, vec_iadd
 
 __all__ = [
     "HElem",
-    "FockPoly",
     "a_gen",
     "b_gen",
     "normal_form",
     "word_inversions",
     "word_str",
     "verify_generating_identity",
-    "fock_action",
     "tilde_candidates",
     "tilde_probe",
     "confluence_fuzz",
@@ -337,58 +337,6 @@ def verify_generating_identity(order):
             lhs = normal_form((("a", i), ("b", j)), "leftmost")
             residuals[i, j] = lhs - rhs
     return residuals
-
-
-# ---------------------------------------------------------------------------
-# Fock representation: b multiplies, a lowers and kills 1
-# ---------------------------------------------------------------------------
-
-class FockPoly(NamedTuple):
-    """Integer polynomial in the commuting b's; terms map sorted index
-    tuples to coefficients.  degree_bound caps the total index sum and
-    takes no part in equality."""
-
-    terms: dict
-    degree_bound: int = 10**9
-
-    @staticmethod
-    def one():
-        return FockPoly({(): 1})
-
-    @staticmethod
-    def from_indices(indices, degree_bound=10**9):
-        return FockPoly({tuple(sorted(indices)): 1}, degree_bound)
-
-    def __eq__(self, other):
-        return self.terms == other.terms
-
-    def __ne__(self, other):
-        return self.terms != other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-
-def fock_action(h, p):
-    """Action of an algebra element on a Fock polynomial.
-
-    b_m multiplies; a-letters are pushed through the b's by the exchange
-    rule and annihilate the vacuum, so only the a-free part of the
-    normal form survives.  Raises OverflowError past the degree bound.
-    """
-    out = {}
-    for (bs, aas), c in h.terms.items():
-        for lam, d in p.terms.items():
-            word = tuple(("b", m) for m in bs) + tuple(("a", n) for n in aas) \
-                 + tuple(("b", m) for m in lam)
-            # a's annihilate 1
-            kept = {rb: e for (rb, ra), e in normal_form(word).terms.items() if not ra}
-            for rb in kept:
-                if sum(rb) > p.degree_bound:
-                    raise OverflowError(
-                        f"Fock degree {sum(rb)} exceeds bound {p.degree_bound}")
-            vec_iadd(out, kept, c * d)
-    return FockPoly(out, p.degree_bound)
 
 
 # ---------------------------------------------------------------------------

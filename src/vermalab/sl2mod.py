@@ -18,14 +18,22 @@ h preserves it.  A module's weight and depth are functions of the
 label, one each, supplied by its builder.  Identity checks are meaningful
 only on the interior region: the labels whose images under every
 operator word of length at most ``margin`` stay inside the slice.
+
+The weight slices of Ln (x) V0 live here too, keyed by the slice index
+i of v_i (x) w_k: ``tensor_weight_basis`` lists a slice, ``e_weight_matrix``
+writes e from one slice to the next as ``{column: int}`` rows,
+``f_on_slice`` moves a slice vector one weight down and ``apply_rows``
+applies such rows.  ``enright`` solves its slices on these maps, and
+``build_Tr`` takes the projective generator record that
+``enright.projective_generator`` checked, so this module builds on
+``exactla`` alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
-from .exactla import SparseMat, nullspace, scalar_str, vec_iadd, vec_sub
+from .exactla import SparseMat, scalar_str, vec_iadd
 
 __all__ = [
     "TruncatedModule",
@@ -35,9 +43,10 @@ __all__ = [
     "build_verma",
     "build_tensor",
     "build_Tr",
-    "casimir",
-    "verify_category_I",
-    "CategoryIReport",
+    "tensor_weight_basis",
+    "e_weight_matrix",
+    "f_on_slice",
+    "apply_rows",
     "apply_op",
     "apply_word",
     "module_to_json",
@@ -237,8 +246,60 @@ def build_tensor(n, depth):
                            lambda lbl: n - 2 * lbl[1] - 2 * lbl[2], lambda lbl: lbl[2], act)
 
 
-def build_Tr(r, n, depth):
-    """The projective cover T_r realized inside Ln (x) Verma(0).
+# ---------------------------------------------------------------------------
+# weight slices of Ln (x) V0
+# ---------------------------------------------------------------------------
+
+def tensor_weight_basis(n, mu):
+    """Pairs (i, k) with v_i (x) w_k of weight mu, ordered by i."""
+    if (n - mu) % 2 != 0:
+        return []
+    out = []
+    for i in range(n + 1):
+        k = (n - mu) // 2 - i
+        if k < 0:
+            break
+        out.append((i, k))
+    return out
+
+
+def e_weight_matrix(n, mu):
+    """Rows of e from the weight-mu slice to the weight-(mu+2) slice,
+    sending (i, k), at index i in both, to (n-i+1)(i-1, k) - k(k-1)(i, k-1).
+    Returns the rows, row r a ``{column: int}`` dict without zeros."""
+    rows = [{} for _ in tensor_weight_basis(n, mu + 2)]
+    for i, k in tensor_weight_basis(n, mu):
+        if i > 0:
+            rows[i - 1][i] = n - i + 1
+        if k > 1:
+            rows[i][i] = -k * (k - 1)
+    return rows
+
+
+def f_on_slice(n, vec):
+    """f on a slice vector keyed by i, into the slice one weight lower:
+    (i, k), at index i in both, goes to (i+1)(i+1, k) + (i, k+1)."""
+    out = {}
+    for i, x in vec.items():
+        out[i] = out.get(i, 0) + x
+        if i < n:
+            out[i + 1] = out.get(i + 1, 0) + (i + 1) * x
+    return {i: x for i, x in out.items() if x}
+
+
+def apply_rows(rows, vec):
+    """The image of a vector keyed by column under a slice map's rows."""
+    image = {r: sum(a * vec[j] for j, a in row.items() if j in vec) for r, row in enumerate(rows)}
+    return {r: y for r, y in image.items() if y}
+
+
+# ---------------------------------------------------------------------------
+# the projective cover
+# ---------------------------------------------------------------------------
+
+def build_Tr(gen, depth):
+    """The projective cover T_r realized inside Ln (x) Verma(0), from the
+    projective generator record ``gen`` of index r = gen.s.
 
     The basis is {f^k a : k} u {f^k u : k} where a is the weight-(-r-2)
     generator on which the shifted Casimir is nilpotent of order exactly
@@ -255,21 +316,15 @@ def build_Tr(r, n, depth):
     formulas under the closed-form slice rows of e; a mismatch raises
     ConstructionError naming the label.
     """
-    from . import enright  # deferred: enright builds on this module
-
+    r, n = gen.s, gen.n
     if depth < r + 1:
         raise ValueError(f"depth must be at least r+1={r + 1} to include the a-column")
-    sets = enright.index_sets(n, 0)
-    if r not in sets.Iprime:
-        raise ValueError(f"r={r} is not an admissible projective index for n={n}")
-
-    gen = enright.projective_generator(n, r)
 
     def f_tower(vec, count):
         """f^j of a slice vector, for j <= count."""
         tower = [vec]
         for _ in range(count):
-            tower.append(enright._f_on_slice(n, tower[-1]))
+            tower.append(f_on_slice(n, tower[-1]))
         return tower
 
     towers = {"u": f_tower(gen.hwv.coefficients, depth + 1),
@@ -290,8 +345,8 @@ def build_Tr(r, n, depth):
     basis_ext = labels_to_depth(depth + 1)
     stored = set(basis_ext)
 
-    e_images = {lbl: enright._apply_rows(enright._e_restriction_matrix(n, weight(lbl)),
-                                         towers[lbl[0]][lbl[1]]) for lbl in basis_ext}
+    e_images = {lbl: apply_rows(e_weight_matrix(n, weight(lbl)), towers[lbl[0]][lbl[1]])
+                for lbl in basis_ext}
     # e a = kappa f^r u, read at the first coordinate of f^r u
     i = min(towers["u"][r])
     x, d = e_images["a", 0].get(i, 0), towers["u"][r][i]
@@ -328,80 +383,10 @@ def build_Tr(r, n, depth):
 # operators and reports
 # ---------------------------------------------------------------------------
 
-def casimir(m):
-    """Matrix of the Casimir operator h^2 + 2h + 4fe on the slice.
-
-    Columns for labels outside the interior region with margin 2 may be
-    truncated; everything inside is exact.
-    """
-    return SparseMat.from_columns(m.index, [
-        {lbl: c for lbl, c in casimir_on_vector(m, {b: 1}).items() if lbl in m.index}
-        for b in m.basis])
-
-
 def casimir_on_vector(m, vec):
     h1 = apply_op(m, "h", vec)
     out = vec_iadd(apply_op(m, "h", h1), h1, 2)
     return vec_iadd(out, apply_op(m, "f", apply_op(m, "e", vec)), 4)
-
-
-class CategoryIReport(NamedTuple):
-    weights_diagonal: bool
-    f_injective: bool
-    e_locally_nilpotent: bool
-    f_failures: list
-
-    @property
-    def in_category(self):
-        return self.weights_diagonal and self.f_injective and self.e_locally_nilpotent
-
-
-def verify_category_I(m):
-    """Check the membership criteria for Enright's category on the slice.
-
-    h, which acts by the declared weights, must agree with the
-    commutator ef - fe on the interior region (the labels whose images
-    under e and f stay inside the slice); f must be injective there
-    (full column rank on every weight space); and e must be locally
-    nilpotent (it raises weight, so a computable power kills each basis
-    vector).
-    """
-    interior = m.interior(1)
-    weights_ok = all(
-        m.act_label("h", b)
-        == vec_sub(apply_word(m, "ef", {b: 1}), apply_word(m, "fe", {b: 1}))
-        for b in interior
-    )
-
-    f_failures = []
-    by_weight = {}
-    for b in interior:
-        by_weight.setdefault(m.weight(b), []).append(b)
-    for mu, labels in sorted(by_weight.items(), reverse=True):
-        f_block = SparseMat.from_columns(m.index_ext, [m.act_label("f", b) for b in labels])
-        if nullspace(f_block):
-            f_failures.append(mu)
-    f_ok = not f_failures
-
-    top = max(m.weight(b) for b in m.basis)
-    e_ok = True
-    for b in m.basis:
-        steps = (top - m.weight(b)) // 2 + 1
-        vec = {b: 1}
-        for _ in range(steps):
-            vec = apply_op(m, "e", vec)
-            if not vec:
-                break
-        if vec:
-            e_ok = False
-            break
-
-    return CategoryIReport(
-        weights_diagonal=weights_ok,
-        f_injective=f_ok,
-        e_locally_nilpotent=e_ok,
-        f_failures=f_failures,
-    )
 
 
 def module_to_json(m):

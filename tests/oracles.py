@@ -1,7 +1,23 @@
 """Reference routines that only the tests call; no verb of the library
-needs them, so they stay out of ``src/``."""
+needs them, so they stay out of ``src/``.
 
-from vermalab.exactla import SparseMat, _echelon, _integer_rows
+- ``rank`` and ``slice_matrix``: the elimination engine's view of a
+  matrix and of a weight slice map given as rows;
+- ``casimir`` and ``verify_category_I``: the Casimir matrix of a
+  truncated module and the membership criteria of Enright's category;
+- ``decategorify``: the split Grothendieck class map of Ln (x) V0, with
+  hand-written class-level matrices of [F] and [E] as the independent
+  source the module matrices are compared against;
+- ``FockPoly`` and ``fock_action``: the Fock representation of the
+  Heisenberg algebra, b multiplying and a lowering.
+"""
+
+from typing import NamedTuple
+
+from vermalab.enright import highest_weight_vector, index_sets, projective_generator
+from vermalab.exactla import SparseMat, _echelon, _integer_rows, nullspace, vec_iadd, vec_scale, vec_sub
+from vermalab.heisenberg import normal_form
+from vermalab.sl2mod import apply_op, apply_word, build_tensor, casimir_on_vector
 
 
 def rank(m):
@@ -16,3 +32,229 @@ def slice_matrix(rows, cols):
     with cols columns, for the elimination engine and ``@``."""
     return SparseMat(len(rows), cols, {
         (r, c): x for r, row in enumerate(rows) for c, x in row.items()})
+
+
+# ---------------------------------------------------------------------------
+# truncated modules: the Casimir matrix and category membership
+# ---------------------------------------------------------------------------
+
+def casimir(m):
+    """Matrix of the Casimir operator h^2 + 2h + 4fe on the slice.
+
+    Columns for labels outside the interior region with margin 2 may be
+    truncated; everything inside is exact.
+    """
+    return SparseMat.from_columns(m.index, [
+        {lbl: c for lbl, c in casimir_on_vector(m, {b: 1}).items() if lbl in m.index}
+        for b in m.basis])
+
+
+class CategoryIReport(NamedTuple):
+    weights_diagonal: bool
+    f_injective: bool
+    e_locally_nilpotent: bool
+    f_failures: list
+
+    @property
+    def in_category(self):
+        return self.weights_diagonal and self.f_injective and self.e_locally_nilpotent
+
+
+def verify_category_I(m):
+    """Check the membership criteria for Enright's category on the slice.
+
+    h, which acts by the declared weights, must agree with the
+    commutator ef - fe on the interior region (the labels whose images
+    under e and f stay inside the slice); f must be injective there
+    (full column rank on every weight space); and e must be locally
+    nilpotent (it raises weight, so a computable power kills each basis
+    vector).
+    """
+    interior = m.interior(1)
+    weights_ok = all(
+        m.act_label("h", b)
+        == vec_sub(apply_word(m, "ef", {b: 1}), apply_word(m, "fe", {b: 1}))
+        for b in interior
+    )
+
+    f_failures = []
+    by_weight = {}
+    for b in interior:
+        by_weight.setdefault(m.weight(b), []).append(b)
+    for mu, labels in sorted(by_weight.items(), reverse=True):
+        f_block = SparseMat.from_columns(m.index_ext, [m.act_label("f", b) for b in labels])
+        if nullspace(f_block):
+            f_failures.append(mu)
+    f_ok = not f_failures
+
+    top = max(m.weight(b) for b in m.basis)
+    e_ok = True
+    for b in m.basis:
+        steps = (top - m.weight(b)) // 2 + 1
+        vec = {b: 1}
+        for _ in range(steps):
+            vec = apply_op(m, "e", vec)
+            if not vec:
+                break
+        if vec:
+            e_ok = False
+            break
+
+    return CategoryIReport(
+        weights_diagonal=weights_ok,
+        f_injective=f_ok,
+        e_locally_nilpotent=e_ok,
+        f_failures=f_failures,
+    )
+
+
+# ---------------------------------------------------------------------------
+# split Grothendieck decategorification
+# ---------------------------------------------------------------------------
+
+class DecategorifyReport(NamedTuple):
+    n: int
+    depth: int
+    bijective: bool
+    f_intertwines: bool
+    e_intertwines: bool
+    hwv_classes: dict    # s -> bool, class of U_s maps to a highest weight vector
+    generator_classes: dict  # r -> bool, class of the shifted generator works
+    nonnegative_f: bool
+
+    @property
+    def ok(self):
+        return (
+            self.bijective and self.f_intertwines and self.e_intertwines
+            and all(self.hwv_classes.values())
+            and all(self.generator_classes.values())
+            and self.nonnegative_f
+        )
+
+
+def formal_matrices(n, depth):
+    """Class-level matrices of [F] and [E] on the boxtimes basis,
+    derived from the direct-sum expansion of the functors on classes:
+    F sends the class (i, k) to (i+1) copies of (i+1, k) plus (i, k+1),
+    and E sends it to (n-i+1) copies of (i-1, k) minus k(k-1) copies of
+    (i, k-1)."""
+    basis = [(i, k) for k in range(depth + 1) for i in range(n + 1)]
+    basis_ext = [(i, k) for k in range(depth + 2) for i in range(n + 1)]
+    pos = {b: j for j, b in enumerate(basis)}
+    pos_ext = {b: j for j, b in enumerate(basis_ext)}
+    f_ent = {}
+    e_ent = {}
+    for j, (i, k) in enumerate(basis):
+        if i < n:
+            f_ent[pos_ext[(i + 1, k)], j] = i + 1
+        f_ent[pos_ext[(i, k + 1)], j] = 1
+        if i > 0:
+            e_ent[pos[(i - 1, k)], j] = n - i + 1
+        if k >= 2:
+            e_ent[pos[(i, k - 1)], j] = -k * (k - 1)
+    F = SparseMat(len(basis_ext), len(basis), f_ent)
+    E = SparseMat(len(basis), len(basis), e_ent)
+    return basis, basis_ext, F, E
+
+
+def decategorify(n, depth):
+    """The class-to-vector map of the split Grothendieck group.
+
+    Classes of the boxtimes objects correspond to tensor basis vectors
+    one-to-one; the formal [F] and [E] matrices (so also [-E]) must
+    coincide with the module action matrices, the class of U_s must land
+    on a highest weight vector, and the class of the shifted projective
+    generator on a vector with the two-step Casimir property.
+    """
+    mod = build_tensor(n, depth)
+    basis, basis_ext, F, E = formal_matrices(n, depth)
+    bijective = (
+        [(b[1], b[2]) for b in mod.basis] == basis
+        and [(b[1], b[2]) for b in mod.basis_ext] == basis_ext
+    )
+    act_f = mod.act_matrix("f")
+    f_ok = F == act_f
+    e_ok = E == mod.act_matrix("e")
+
+    sets = index_sets(n, 0)
+    gens = {r: projective_generator(n, r) for r in sets.Iprime}
+    hwv_ok = {}
+    for s in sorted(set(sets.Iprime) | {n}):
+        rec = gens[s].hwv if s in gens else highest_weight_vector(n, s)
+        if any(m < 0 for m in rec.p_list):
+            hwv_ok[s] = False
+            continue
+        image = {("vw", i, (n - s) // 2 - i): m for i, m in enumerate(rec.p_list)}
+        is_hwv = not apply_op(mod, "e", image)
+        ratio_ok = all(p * rec.coefficients[0] == rec.coefficients.get(i, 0) * rec.p_list[0]
+                       for i, p in enumerate(rec.p_list))
+        hwv_ok[s] = is_hwv and ratio_ok
+
+    gen_ok = {}
+    for r, rec in gens.items():
+        image = {("vw", i, (n + r + 2) // 2 - i): x for i, x in enumerate(rec.final)}
+        if any(x <= 0 for x in rec.final):
+            gen_ok[r] = False
+            continue
+        shifted = vec_sub(casimir_on_vector(mod, image), vec_scale(rec.c, image))
+        twice = vec_sub(casimir_on_vector(mod, shifted), vec_scale(rec.c, shifted))
+        gen_ok[r] = bool(shifted) and not twice
+
+    nonneg = all(x > 0 and x.denominator == 1 for x in act_f.entries.values())
+    return DecategorifyReport(
+        n=n, depth=depth, bijective=bijective,
+        f_intertwines=f_ok, e_intertwines=e_ok,
+        hwv_classes=hwv_ok, generator_classes=gen_ok, nonnegative_f=nonneg,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Fock representation: b multiplies, a lowers and kills 1
+# ---------------------------------------------------------------------------
+
+class FockPoly(NamedTuple):
+    """Integer polynomial in the commuting b's; terms map sorted index
+    tuples to coefficients.  degree_bound caps the total index sum and
+    takes no part in equality."""
+
+    terms: dict
+    degree_bound: int = 10**9
+
+    @staticmethod
+    def one():
+        return FockPoly({(): 1})
+
+    @staticmethod
+    def from_indices(indices, degree_bound=10**9):
+        return FockPoly({tuple(sorted(indices)): 1}, degree_bound)
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+    def __ne__(self, other):
+        return self.terms != other.terms
+
+    def is_zero(self):
+        return not self.terms
+
+
+def fock_action(h, p):
+    """Action of an algebra element on a Fock polynomial.
+
+    b_m multiplies; a-letters are pushed through the b's by the exchange
+    rule and annihilate the vacuum, so only the a-free part of the
+    normal form survives.  Raises OverflowError past the degree bound.
+    """
+    out = {}
+    for (bs, aas), c in h.terms.items():
+        for lam, d in p.terms.items():
+            word = tuple(("b", m) for m in bs) + tuple(("a", n) for n in aas) \
+                 + tuple(("b", m) for m in lam)
+            # a's annihilate 1
+            kept = {rb: e for (rb, ra), e in normal_form(word).terms.items() if not ra}
+            for rb in kept:
+                if sum(rb) > p.degree_bound:
+                    raise OverflowError(
+                        f"Fock degree {sum(rb)} exceeds bound {p.degree_bound}")
+            vec_iadd(out, kept, c * d)
+    return FockPoly(out, p.degree_bound)

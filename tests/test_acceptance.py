@@ -10,13 +10,20 @@ suite doubles as a checklist:
 import time
 from fractions import Fraction
 
-from oracles import slice_matrix
+from oracles import decategorify, slice_matrix
 
 from vermalab import adelman, enright, hecke, heisenberg
 from vermalab.cli import main
 from vermalab.exactla import generalized_kernel
 from vermalab.fixtures import load_tilde_fixture
-from vermalab.sl2mod import apply_op, build_Ln, build_Tr, build_tensor, build_verma
+from vermalab.sl2mod import (
+    apply_op,
+    build_Ln,
+    build_Tr,
+    build_tensor,
+    build_verma,
+    tensor_weight_basis,
+)
 
 
 def _report(num, desc, ok):
@@ -102,7 +109,7 @@ def test_criterion_04_projective_generators():
             # final stops at top, so the boundary (top + 1, 0) holds zero
             top = (n + s) // 2
             ok = ok and len(gen.final) == top + 1
-            ok = ok and enright.tensor_weight_basis(n, -s - 2)[top + 1] == (top + 1, 0)
+            ok = ok and tensor_weight_basis(n, -s - 2)[top + 1] == (top + 1, 0)
             ok = ok and all(isinstance(x, int) and x > 0 for x in gen.final)
     fix = enright.projective_generator(2, 0)
     cols = [[fix.omega_minus_c[i].get(j, 0) for i in range(3)] for j in range(3)]
@@ -153,7 +160,7 @@ def test_criterion_07_pseudoadjoint():
             rep = enright.pseudoadjoint_check(mod, s * (s + 2), margin)
             ok = ok and rep.identity_zero and rep.casimir_match
         for r in sets.Iprime:
-            mod = build_Tr(r, n, r + margin + 4)
+            mod = build_Tr(enright.projective_generator(n, r), r + margin + 4)
             rep = enright.pseudoadjoint_check(mod, r * (r + 2), margin)
             ok = ok and rep.identity_zero and rep.casimir_match
         rep = enright.pseudoadjoint_check(build_Ln(n), n * (n + 2), margin)
@@ -166,7 +173,7 @@ def test_criterion_08_positivity_and_decategorification():
     ok = True
     for n in range(13):
         depth = n + 8
-        dec = enright.decategorify(n, depth)
+        dec = decategorify(n, depth)
         ok = ok and dec.ok
         mod = build_tensor(n, depth)
         ok = ok and all(

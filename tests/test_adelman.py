@@ -262,7 +262,7 @@ class TestInterpretation:
         if content is not None:
             path.write_text(content)
         monkeypatch.setattr(fixtures, "ADELMAN_FIXTURE", path)
-        monkeypatch.setattr(ad, "_frozen_choice", None)
+        ad.frozen_interpretation.cache_clear()
         with pytest.raises(FixtureError):
             ad.frozen_interpretation()
         with pytest.raises(FixtureError):

@@ -60,8 +60,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("error", [sl2mod.ConstructionError, sl2mod.TruncationError,
                                        RuntimeError])
     def test_failed_Tr_build_is_a_verification_failure(self, monkeypatch, capsys, error):
-        def broken(r, n, depth):
-            raise error(f"T_{r} cannot be built")
+        def broken(gen, depth):
+            raise error(f"T_{gen.s} cannot be built")
 
         monkeypatch.setattr(sl2mod, "build_Tr", broken)
         assert main(["verify-pseudoadjoint", "--n", "2"]) == 1
@@ -76,7 +76,7 @@ class TestExitCodes:
         if content is not None:
             path.write_text(content)
         monkeypatch.setattr(fixtures, "ADELMAN_FIXTURE", path)
-        monkeypatch.setattr(adelman, "_frozen_choice", None)
+        adelman.frozen_interpretation.cache_clear()
         assert main(["verify-adelman", "--trials", "4"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("fixture or file error:")
@@ -456,7 +456,7 @@ class TestRefreeze:
         target = tmp_path / "adelman_interpretation.json"
         monkeypatch.setattr(fixtures, "ADELMAN_FIXTURE", target)
         monkeypatch.setattr(cli, "ADELMAN_FIXTURE", target)
-        monkeypatch.setattr(adelman, "_frozen_choice", None)
+        adelman.frozen_interpretation.cache_clear()
         code, out = run_to_file(tmp_path, "ad.json", "verify-adelman", "--trials", "4", "--refreeze")
         assert code == 0
         assert json.loads(out.read_text())["interpretationChosen"]["matchesFixture"]
@@ -496,6 +496,11 @@ SL2_DIGESTS = {
     # odd r and a slice twelve steps deeper than the identity's words
     "verify-pseudoadjoint --n 7 --margin 12":
         "ee38241422a3e31362bf032898f3fc45e03ed53bb91c5c76cae28781e4b6a095",
+    # the T_r rows in CSV, and Verma slices at a small margin and depth
+    "verify-pseudoadjoint --n 9 --format csv":
+        "214b9a2de806c08c571ba109a8e2d752e4fdf47e210e35e8fa72d88235018e0a",
+    "verify-pseudoadjoint --n 6 --margin 3 --depth 9":
+        "02c28133f0f615410d9179cc52f537a689df3dfecd83f48da7f1ee8c82d14177",
 }
 
 

@@ -4,12 +4,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import rank, slice_matrix
+from oracles import casimir, decategorify, formal_matrices, rank, slice_matrix
 
 from vermalab import enright
 from vermalab.cli import main
 from vermalab.exactla import SparseMat, generalized_kernel, nullspace
-from vermalab.sl2mod import apply_op, build_Ln, build_Tr, build_tensor, build_verma, casimir
+from vermalab.sl2mod import (
+    apply_op,
+    build_Ln,
+    build_Tr,
+    build_tensor,
+    build_verma,
+    e_weight_matrix,
+    f_on_slice,
+    tensor_weight_basis,
+)
 
 
 class TestIndexSets:
@@ -125,7 +134,7 @@ class TestApplyFPower:
         """f u, ..., f^count u for the highest weight vector u of rec."""
         out = [rec.coefficients]
         for _ in range(count):
-            out.append(enright._f_on_slice(n, out[-1]))
+            out.append(f_on_slice(n, out[-1]))
         return out[1:]
 
     def test_single_step(self):
@@ -151,7 +160,7 @@ class TestApplyFPower:
 class TestProjectiveGenerator:
     def test_n2_s0_fixture(self):
         rec = enright.projective_generator(2, 0)
-        assert enright.tensor_weight_basis(2, -2) == [(0, 2), (1, 1), (2, 0)]
+        assert tensor_weight_basis(2, -2) == [(0, 2), (1, 1), (2, 0)]
         assert len(rec.omega_minus_c) == 3
         cols = [[rec.omega_minus_c[i].get(j, 0) for i in range(3)] for j in range(3)]
         assert cols == [[-8, -8, 0], [8, 8, 0], [0, 4, 8]]
@@ -165,7 +174,7 @@ class TestProjectiveGenerator:
         for n, s in [(2, 0), (4, 0), (4, 2), (6, 2)]:
             rec = enright.projective_generator(n, s)
             top = (n + s) // 2
-            assert enright.tensor_weight_basis(n, -s - 2)[top + 1] == (top + 1, 0)
+            assert tensor_weight_basis(n, -s - 2)[top + 1] == (top + 1, 0)
             assert len(rec.q_list) == len(rec.p_list) == len(rec.final) == top + 1
 
     def test_a_kernel_line_on_the_boundary_raises(self, monkeypatch):
@@ -285,7 +294,7 @@ class TestPseudoadjoint:
         assert rep.identity_zero and rep.casimir_match
 
     def test_t0_jordan(self):
-        mod = build_Tr(0, 2, 12)
+        mod = build_Tr(enright.projective_generator(2, 0), 12)
         rep = enright.pseudoadjoint_check(mod, 0)
         assert rep.identity_zero and rep.casimir_match
         # B - C is nonzero even though its square vanishes
@@ -303,19 +312,18 @@ class TestPseudoadjoint:
 
 class TestDecategorify:
     def test_class_rules_match_module_action(self):
-        rep = enright.decategorify(4, 10)
+        rep = decategorify(4, 10)
         assert rep.bijective and rep.f_intertwines and rep.e_intertwines
 
     def test_hwv_and_generator_classes(self):
-        rep = enright.decategorify(4, 10)
+        rep = decategorify(4, 10)
         assert rep.hwv_classes == {0: True, 2: True, 4: True}
         assert rep.generator_classes == {0: True, 2: True}
         assert rep.nonnegative_f
         assert rep.ok
 
     def test_formal_f_on_top_class(self):
-        from vermalab.enright import _formal_matrices
-        basis, basis_ext, F, E = _formal_matrices(1, 2)
+        basis, basis_ext, F, E = formal_matrices(1, 2)
         j = basis.index((0, 0))
         col = {i: x for (i, jj), x in F.entries.items() if jj == j}
         assert col == {basis_ext.index((1, 0)): 1, basis_ext.index((0, 1)): 1}
@@ -323,7 +331,7 @@ class TestDecategorify:
 
 def test_integral_matrices_are_plain_int():
     rows = enright.casimir_weight_matrix(4, -4, 8)
-    _, _, F, E = enright._formal_matrices(3, 4)
+    _, _, F, E = formal_matrices(3, 4)
     for mat in (slice_matrix(rows, len(rows)), F, E):
         assert mat.entries and all(type(x) is int for x in mat.entries.values())
 
@@ -339,7 +347,7 @@ def test_slice_casimir_matches_the_module_casimir():
         for j in range(depth):
             mu = n - 2 * j
             rows = enright.casimir_weight_matrix(n, mu)
-            idx = [mod.index[("vw", i, k)] for i, k in enright.tensor_weight_basis(n, mu)]
+            idx = [mod.index[("vw", i, k)] for i, k in tensor_weight_basis(n, mu)]
             cols = set(idx)  # the Casimir keeps the weight: no entry leaves the slice
             assert all(r in cols for r, c in full.entries if c in cols)
             size = len(idx)
@@ -359,9 +367,9 @@ def test_slice_e_matches_the_module_e():
         act = mod.act_matrix("e")
         for j in range(depth + 1):
             mu = n - 2 * j
-            e_rows = enright._e_restriction_matrix(n, mu)
-            src = [mod.index[("vw", i, k)] for i, k in enright.tensor_weight_basis(n, mu)]
-            dst = [mod.index[("vw", i, k)] for i, k in enright.tensor_weight_basis(n, mu + 2)]
+            e_rows = e_weight_matrix(n, mu)
+            src = [mod.index[("vw", i, k)] for i, k in tensor_weight_basis(n, mu)]
+            dst = [mod.index[("vw", i, k)] for i, k in tensor_weight_basis(n, mu + 2)]
             cols, rows = set(src), set(dst)
             assert all(r in rows for r, c in act.entries if c in cols)
             assert slice_matrix(e_rows, len(src)) == SparseMat(len(dst), len(src), {
@@ -379,13 +387,13 @@ def test_slice_f_matches_the_module_f():
         act = mod.act_matrix("f")
         for j in range(depth + 1):
             mu = n - 2 * j
-            basis = enright.tensor_weight_basis(n, mu)
+            basis = tensor_weight_basis(n, mu)
             src = [mod.index[("vw", i, k)] for i, k in basis]
-            dst = [mod.index_ext[("vw", i, k)] for i, k in enright.tensor_weight_basis(n, mu - 2)]
+            dst = [mod.index_ext[("vw", i, k)] for i, k in tensor_weight_basis(n, mu - 2)]
             cols, rows = set(src), set(dst)
             assert all(r in rows for r, c in act.entries if c in cols)
             for b, c in enumerate(src):
-                assert enright._f_on_slice(n, {b: 1}) == {
+                assert f_on_slice(n, {b: 1}) == {
                     a: act[r, c] for a, r in enumerate(dst) if act[r, c]}
 
 
@@ -437,7 +445,7 @@ def _fake_slice(monkeypatch, diagonal, below=()):
 
 def _square_product(n, mu, rep):
     """prod_t (C - c_t)^2 over the blocks of rep, formed with @."""
-    dim = len(enright.tensor_weight_basis(n, mu))
+    dim = len(tensor_weight_basis(n, mu))
     product = SparseMat.identity(dim)
     for b in rep.blocks:
         shifted = slice_matrix(enright.casimir_weight_matrix(n, mu, b.c), dim)
@@ -453,7 +461,7 @@ def test_ranks_match_the_generalized_kernel(n, step):
     for j in range(0, 2 * n + 11, step):
         mu = n - 2 * j
         rep = enright.casimir_blocks(n, mu)
-        dim = len(enright.tensor_weight_basis(n, mu))
+        dim = len(tensor_weight_basis(n, mu))
         vectors = []
         for b in rep.blocks:
             shifted = slice_matrix(enright.casimir_weight_matrix(n, mu, b.c), dim)
@@ -473,7 +481,7 @@ def test_span_check_matches_the_product_of_squares(monkeypatch):
     for n, mu in _decompose_slices(8):
         rep = enright.casimir_blocks(n, mu)
         assert rep.no_stray_eigenvalues and _square_product(n, mu, rep).is_zero()
-        dim = len(enright.tensor_weight_basis(n, mu))
+        dim = len(tensor_weight_basis(n, mu))
         for j in range(dim):
             for pos in {(j, j), ((j + 1) % dim, j)}:
                 if pos[1] > pos[0] + 1:
@@ -541,7 +549,7 @@ def test_a_jordan_block_of_size_three_fails_the_span_check(monkeypatch, capsys):
 
 def test_a_wrong_f_slice_fails_the_f_power_oracle(monkeypatch, capsys):
     # f with its (0, 0) entry 2 in place of 1 on every slice
-    real = enright._f_on_slice
+    real = f_on_slice
 
     def perturbed(n, vec):
         out = real(n, vec)
@@ -549,7 +557,7 @@ def test_a_wrong_f_slice_fails_the_f_power_oracle(monkeypatch, capsys):
             out[0] = out.get(0, 0) + vec[0]
         return out
 
-    monkeypatch.setattr(enright, "_f_on_slice", perturbed)
+    monkeypatch.setattr(enright, "f_on_slice", perturbed)
     with pytest.raises(AssertionError,
                        match="f-power image disagrees with the Casimir kernel line"):
         enright.projective_generator(4, 0)
@@ -567,8 +575,8 @@ def test_the_slice_maps_have_a_nonzero_superdiagonal():
     # int at a column c <= r + 1 of its row r, and row r holds c = r + 1
     # whenever that column exists; the shift moves only the diagonal
     for n, mu in _decompose_slices(40):
-        cols = len(enright.tensor_weight_basis(n, mu))
-        for rows in (enright.casimir_weight_matrix(n, mu), enright._e_restriction_matrix(n, mu)):
+        cols = len(tensor_weight_basis(n, mu))
+        for rows in (enright.casimir_weight_matrix(n, mu), e_weight_matrix(n, mu)):
             for r, row in enumerate(rows):
                 assert all(type(x) is int and x for x in row.values())
                 assert max(row, default=r) <= r + 1
@@ -605,7 +613,7 @@ def test_band_kernels_match_the_elimination_engine(n, step):
     for mu, c in shifts:
         _checked_casimir_kernels(enright.casimir_weight_matrix(n, mu, c), n, mu)
     for s in sorted(set(sets.Iprime) | set(sets.Itripleprime))[::step]:
-        rows, cols = enright._e_restriction_matrix(n, s), len(enright.tensor_weight_basis(n, s))
+        rows, cols = e_weight_matrix(n, s), len(tensor_weight_basis(n, s))
         kernel = enright._slice_solve(rows, cols, {}, n, s)
         assert len(kernel) == 1 and kernel == nullspace(slice_matrix(rows, cols))
 
@@ -672,7 +680,7 @@ def test_the_band_kernel_raises_on_a_vector_it_cannot_check(monkeypatch):
     # a kernel vector or a solution that fails the rows it was solved from
     # names its slice
     rows = enright.casimir_weight_matrix(6, -4, 0)
-    monkeypatch.setattr(enright, "_back_substitute", lambda echelon, x, rhs: ({0: 1}, 1))
+    monkeypatch.setattr(enright, "back_substitute", lambda echelon, x, rhs: ({0: 1}, 1))
     for b in ({}, {0: 1}):
         with pytest.raises(AssertionError, match=r"does not satisfy the slice map at n=6, mu=-4"):
             enright._slice_solve(rows, len(rows), b, 6, -4)

@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import FockPoly, fock_action
+
 from vermalab import heisenberg
 from vermalab.fixtures import load_tilde_fixture
 from vermalab.heisenberg import (
-    FockPoly,
     FuzzVerdict,
     HElem,
     a_gen,
     b_gen,
     confluence_fuzz,
-    fock_action,
     normal_form,
     tilde_candidates,
     tilde_probe,

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from oracles import rank
+from oracles import casimir, rank, verify_category_I
 
 from vermalab import enright
 from vermalab.cli import main
@@ -15,10 +15,8 @@ from vermalab.sl2mod import (
     build_Tr,
     build_tensor,
     build_verma,
-    casimir,
     label_str,
     module_to_json,
-    verify_category_I,
 )
 
 
@@ -113,7 +111,7 @@ class TestTensor:
 
 class TestTr:
     def test_generators_n2(self):
-        m = build_Tr(0, 2, 10)
+        m = build_Tr(enright.projective_generator(2, 0), 10)
         assert m.act_label("e", ("u", 0)) == {}
         assert m.act_label("h", ("a", 0)) == {("a", 0): Fraction(-2)}
         # quotient by the u-column carries e.abar = -k(k+r+1) abar with r=0
@@ -122,7 +120,7 @@ class TestTr:
 
     def test_u_column_is_verma_r(self):
         r, n = 2, 4
-        m = build_Tr(r, n, 12)
+        m = build_Tr(enright.projective_generator(n, r), 12)
         verma = build_verma(r, 8)
         for k in range(6):
             img = m.act_label("e", ("u", k))
@@ -132,7 +130,7 @@ class TestTr:
 
     def test_weight_multiplicities(self):
         r, n = 2, 4
-        m = build_Tr(r, n, 12)
+        m = build_Tr(enright.projective_generator(n, r), 12)
         counts = {}
         for b in m.basis:
             counts[m.weight(b)] = counts.get(m.weight(b), 0) + 1
@@ -143,7 +141,7 @@ class TestTr:
 
     @pytest.mark.parametrize("r,n", [(0, 2), (2, 4), (1, 3)])
     def test_casimir_two_step_nilpotent(self, r, n):
-        m = build_Tr(r, n, r + 12)
+        m = build_Tr(enright.projective_generator(n, r), r + 12)
         c = Fraction(r * (r + 2))
         for b in m.interior(4):
             v = vec(m, b)
@@ -154,7 +152,7 @@ class TestTr:
 
     @pytest.mark.parametrize("r,n", [(0, 2), (2, 4), (1, 5)])
     def test_e_power_kills_generator(self, r, n):
-        m = build_Tr(r, n, r + 10)
+        m = build_Tr(enright.projective_generator(n, r), r + 10)
         v = vec(m, ("a", 0))
         for _ in range(r + 2):
             v = apply_op(m, "e", v)
@@ -162,7 +160,7 @@ class TestTr:
 
     @pytest.mark.parametrize("r,n", [(0, 2), (2, 6), (3, 5)])
     def test_commutator_on_interior(self, r, n):
-        m = build_Tr(r, n, r + 10)
+        m = build_Tr(enright.projective_generator(n, r), r + 10)
         for b in m.interior(1):
             ef = apply_word(m, "ef", vec(m, b))
             fe = apply_word(m, "fe", vec(m, b))
@@ -170,7 +168,8 @@ class TestTr:
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
-            build_Tr(1, 2, 8)  # 1 is not a projective index for n=2
+            # 1 is not a projective index for n=2, so there is no generator
+            build_Tr(enright.projective_generator(2, 1), 8)
 
 
 def _tower(f_mat, index, n, mu, coefficients, count):
@@ -190,7 +189,7 @@ def test_closed_form_e_matches_the_solved_action(r, n):
     image down to depth + 1 is solved back into the towers one depth up,
     which are independent, so the expression is unique."""
     depth = r + 12
-    m = build_Tr(r, n, depth)
+    m = build_Tr(enright.projective_generator(n, r), depth)
     gen = enright.projective_generator(n, r)
     # f^(depth+1) u and f^(depth-r) a have tensor depth (n-r)/2 + depth + 1
     tensor = build_tensor(n, (n - r) // 2 + depth + 1)
@@ -225,7 +224,7 @@ def _perturb_generator(monkeypatch):
 def test_a_perturbed_generator_fails_the_substitution_check(monkeypatch, capsys):
     _perturb_generator(monkeypatch)
     with pytest.raises(ConstructionError, match="^e on a0 is not the closed-form T_2 action$"):
-        build_Tr(2, 4, 12)
+        build_Tr(enright.projective_generator(4, 2), 12)
     assert main(["verify-pseudoadjoint", "--n", "4"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -238,7 +237,7 @@ def test_Tr_action_stops_at_the_stored_depth(r, n):
     """f is known down to depth and e down to depth + 1; one step deeper
     raises TruncationError."""
     depth = r + 5
-    m = build_Tr(r, n, depth)
+    m = build_Tr(enright.projective_generator(n, r), depth)
     for lbl in m.basis_ext:
         assert all(m.weight(x) == m.weight(lbl) + 2 for x in m.act_label("e", lbl))
         if m.depth_of(lbl) <= depth:
@@ -276,7 +275,7 @@ class TestCategoryMembership:
         assert rep.f_failures == [-2]
 
     def test_tr_is_member(self):
-        rep = verify_category_I(build_Tr(0, 2, 10))
+        rep = verify_category_I(build_Tr(enright.projective_generator(2, 0), 10))
         assert rep.in_category
 
     def test_tensor_is_member(self):
@@ -322,8 +321,9 @@ def test_integral_actions_are_plain_int(build, args):
     (lambda: build_tensor(2, 4), [("vw", 0, 0), ("vw", 1, 0), ("vw", 2, 0),
                                   ("vw", 0, 1), ("vw", 1, 1), ("vw", 2, 1),
                                   ("vw", 0, 2), ("vw", 1, 2), ("vw", 2, 2)]),
-    (lambda: build_Tr(1, 3, 7), [("u", 0), ("u", 1), ("u", 2), ("a", 0), ("u", 3),
-                                 ("a", 1), ("u", 4), ("a", 2), ("u", 5), ("a", 3)]),
+    (lambda: build_Tr(enright.projective_generator(3, 1), 7),
+     [("u", 0), ("u", 1), ("u", 2), ("a", 0), ("u", 3),
+      ("a", 1), ("u", 4), ("a", 2), ("u", 5), ("a", 3)]),
 ], ids=["Ln3", "Verma-3", "L2xV0", "T1"])
 def test_weight_and_depth_functions(build, interior):
     """h acts by the builder's weight function on the extended basis, f

@@ -4,7 +4,9 @@ import importlib
 import os
 import subprocess
 import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from test_cli import SL2_DIGESTS
@@ -183,3 +185,97 @@ def test_declared_fields_are_read():
                         unread.append(f"{name}: {node.name}.{stmt.target.id}")
     assert declared  # the scan still sees the library's record classes
     assert unread == []
+
+
+# ---------------------------------------------------------------------------
+# the package's import layers
+# ---------------------------------------------------------------------------
+
+ELIMINATION = {"nullspace", "solve", "solve_each", "generalized_kernel", "_echelon"}
+
+
+class PackageImport(NamedTuple):
+    module: str       # the importing module
+    line: int
+    top_level: bool   # a statement of the module body, not of a function or branch
+    target: str       # the imported package module
+    names: tuple      # the names taken from it, () when the module itself is bound
+    bound: str        # the name bound to the module itself, "" otherwise
+
+
+def _package_imports():
+    """Every import of a vermalab module by a vermalab module, relative
+    (``from .exactla import x``, ``from . import enright``) or absolute."""
+    found = []
+    for p in SOURCES:
+        tree = ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+        top = set(tree.body)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "vermalab"):
+                path = [part for part in (node.module or "").split(".") if part]
+                path = path if node.level else path[1:]
+                if path:
+                    found.append(PackageImport(p.stem, node.lineno, node in top, path[0],
+                                               tuple(a.name for a in node.names), ""))
+                else:
+                    found += [PackageImport(p.stem, node.lineno, node in top, a.name, (),
+                                            a.asname or a.name) for a in node.names]
+            elif isinstance(node, ast.Import):
+                found += [PackageImport(p.stem, node.lineno, node in top, a.name.split(".")[1],
+                                        (), "") for a in node.names
+                          if a.name.startswith("vermalab.")]
+    return found
+
+
+def _names_taken(imports):
+    """(module, line, target, name) for every name one package module
+    takes from another: by a from-import, or as an attribute, read or
+    written, of a name bound to the other module."""
+    for i in imports:
+        for name in i.names:
+            yield i.module, i.line, i.target, name
+    bound = {(i.module, i.bound): i.target for i in imports if i.bound}
+    for name, node in _nodes():
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            target = bound.get((Path(name).stem, node.value.id))
+            if target:
+                yield Path(name).stem, node.lineno, target, node.attr
+
+
+def test_package_imports_are_at_module_level():
+    # an import inside a function hides a dependency from the module's head
+    imports = _package_imports()
+    assert any(i.module == "cli" and i.target == "enright" for i in imports)  # the scan sees them
+    assert [f"{i.module}:{i.line}" for i in imports if not i.top_level] == []
+
+
+def test_package_import_graph_has_no_cycle():
+    # the library is layered: exactla <- sl2mod <- enright <- cli, and so on
+    graph = {}
+    for i in _package_imports():
+        graph.setdefault(i.module, set()).add(i.target)
+    assert "sl2mod" in graph["enright"]
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        pytest.fail(f"import cycle {' -> '.join(exc.args[1])}")
+
+
+def test_no_module_takes_another_modules_private_names():
+    # a _-prefixed name is its module's own business; what another module
+    # needs is public
+    taken = list(_names_taken(_package_imports()))
+    assert any(name == "projective_generator" for *_, name in taken)  # the scan sees attributes
+    assert [f"{module}:{line}: {target}.{name}" for module, line, target, name in taken
+            if name.startswith("_") and not name.startswith("__")] == []
+
+
+def test_sl2_layers_run_no_elimination():
+    # sl2mod and enright solve their weight slices by forward substitution;
+    # the elimination engine is for adelman and for the tests' oracles
+    taken = list(_names_taken(_package_imports()))
+    assert ("adelman", "exactla", "nullspace") in [(m, t, name) for m, _, t, name in taken]
+    assert [f"{module}:{line}: {name}" for module, line, target, name in taken
+            if module in ("sl2mod", "enright") and target == "exactla"
+            and name in ELIMINATION] == []
