@@ -19,8 +19,11 @@ increasing indices, in three independent ways:
   terminates.  They run iteratively, one inversion count at a time, and
   raise if a word turns up under the wrong count.
 
-Only whole words are memoised, in a bounded cache.  Confluence is
-exercised empirically by comparing all three over random words.
+Only whole words are memoised, in a bounded cache that serves
+``normal_form`` callers.  Confluence is exercised empirically by
+comparing all three over random words; the fuzz calls the engines
+directly and keeps one verdict per distinct word for one call, so it
+leaves no normal form behind.
 ``a_gen`` and ``b_gen`` build checked letters for words written by hand;
 the Fock representation, which no verb reads, is a test oracle.
 
@@ -285,11 +288,16 @@ def _fold(word):
 _STRATEGIES = ("series", "leftmost", "rightmost")
 
 
-@lru_cache(maxsize=4096)
-def _nf_cached(word, strategy):
+def _reduce(word, strategy):
+    """Normal form of a word by one engine, uncached."""
     if strategy == "series":
         return _fold(word)
     return _rewrite(word, strategy)
+
+
+@lru_cache(maxsize=4096)
+def _nf_cached(word, strategy):
+    return _reduce(word, strategy)
 
 
 def normal_form(word, strategy="series"):
@@ -300,7 +308,8 @@ def normal_form(word, strategy="series"):
     "leftmost" and "rightmost" are true exchange-step rewriters that pick
     which adjacent a-before-b pair to exchange first.  All three reach the
     same normal form (checked by fuzzing, not assumed by the
-    implementation).  Whole words are memoised in a bounded cache; the
+    implementation).  Whole words are memoised in a bounded cache for
+    the callers of this function; ``confluence_fuzz`` bypasses it.  The
     result is a fresh copy, so a caller may mutate it without touching
     the cache.
     """
@@ -427,21 +436,29 @@ def confluence_fuzz(trials, seed):
     Also checks that every normal form of a product of generators has
     nonnegative integer coefficients.  Per-trial randomness derives from
     the master seed, so runs are reproducible.
+
+    Each distinct word is normalised once per engine, bypassing the
+    ``normal_form`` memo; only its (mismatch, negative) verdict is kept,
+    for this call, and a repeated word is reported again in trial order.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     mismatches = []
     negatives = []
+    verdicts = {}
     for t in range(trials):
         rng = random.Random((seed * 1_000_003 + t) & 0xFFFFFFFF)
         length = rng.randint(0, 8)
         word = tuple((rng.choice("ab"), rng.randint(1, 6)) for _ in range(length))
-        series = normal_form(word)
-        left = normal_form(word, "leftmost")
-        right = normal_form(word, "rightmost")
-        if not series == left == right:
+        verdict = verdicts.get(word)
+        if verdict is None:
+            series, left, right = (_reduce(word, s).terms for s in _STRATEGIES)
+            verdict = verdicts[word] = (not series == left == right,
+                                        any(c < 0 for c in series.values()))
+        mismatch, negative = verdict
+        if mismatch:
             mismatches.append(word)
-        if any(c < 0 for c in series.terms.values()):
+        if negative:
             negatives.append(word)
     return FuzzVerdict(trials=trials, mismatches=mismatches,
                        negative_coefficient_words=negatives)

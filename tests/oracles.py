@@ -9,9 +9,12 @@ needs them, so they stay out of ``src/``.
   hand-written class-level matrices of [F] and [E] as the independent
   source the module matrices are compared against;
 - ``FockPoly`` and ``fock_action``: the Fock representation of the
-  Heisenberg algebra, b multiplying and a lowering.
+  Heisenberg algebra, b multiplying and a lowering;
+- ``fuzz_through_normal_form``: the confluence fuzz as three memoised
+  ``normal_form`` calls per trial, with no verdict kept between trials.
 """
 
+import random
 from typing import NamedTuple
 
 from vermalab.enright import highest_weight_vector, index_sets, projective_generator
@@ -258,3 +261,25 @@ def fock_action(h, p):
                         f"Fock degree {sum(rb)} exceeds bound {p.degree_bound}")
             vec_iadd(out, kept, c * d)
     return FockPoly(out, p.degree_bound)
+
+
+# ---------------------------------------------------------------------------
+# confluence fuzz, one trial at a time through normal_form
+# ---------------------------------------------------------------------------
+
+def fuzz_through_normal_form(trials, seed):
+    """(mismatches, negative-coefficient words) of ``confluence_fuzz``,
+    every trial normalised afresh by three ``normal_form`` calls."""
+    mismatches, negatives = [], []
+    for t in range(trials):
+        rng = random.Random((seed * 1_000_003 + t) & 0xFFFFFFFF)
+        length = rng.randint(0, 8)
+        word = tuple((rng.choice("ab"), rng.randint(1, 6)) for _ in range(length))
+        series = normal_form(word)
+        left = normal_form(word, "leftmost")
+        right = normal_form(word, "rightmost")
+        if not series == left == right:
+            mismatches.append(word)
+        if any(c < 0 for c in series.terms.values()):
+            negatives.append(word)
+    return mismatches, negatives

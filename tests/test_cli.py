@@ -233,15 +233,17 @@ class TestVerifiers:
         assert doc["tildeMatchesFixture"]
         assert doc["fuzz"] == {"trials": 100, "failures": 0}
 
-    def test_heisenberg_fuzz_failure_names_the_words(self, tmp_path, monkeypatch):
-        real = heisenberg._nf_cached
+    def test_heisenberg_fuzz_failure_names_the_words(self, tmp_path, monkeypatch, request):
+        real = heisenberg._reduce
 
         def broken(word, strategy):
             if strategy == "rightmost" and len(word) >= 3:
                 return heisenberg.HElem()
             return real(word, strategy)
 
-        monkeypatch.setattr(heisenberg, "_nf_cached", broken)
+        # the memo calls the patched engine too: leave no broken form in it
+        request.addfinalizer(heisenberg._nf_cached.cache_clear)
+        monkeypatch.setattr(heisenberg, "_reduce", broken)
         code, out = run_to_file(tmp_path, "hz.json", "verify-heisenberg", "--trials", "20")
         fuzz = json.loads(out.read_text())["fuzz"]
         assert code == 1 and fuzz["failures"] > 0
@@ -509,6 +511,11 @@ ALGEBRA_DIGESTS = {
     "verify-hecke": "30841748cb1586b4728e0050946ee85ab5f2076e8217c3932111ae36deb1ab38",
     "verify-heisenberg --trials 100":
         "f5fd4b20d40d8842316d2f3ba102583eac8e6bda26d42018882fbf1c603dfa2e",
+    "verify-heisenberg --trials 1000":
+        "3ced0e5d6ca3edca966e47e7cd135f41065cd451982515929aa232abc5425890",
+    # enough distinct words to overflow the 4096-entry whole-word memo
+    "verify-heisenberg --trials 2500 --seed 7":
+        "decca28ef754b81bdd0377542e0287c1690f7298678cb25c7a63992ac614d503",
     "verify-adelman --trials 20":
         "e9baee3fd4836597a4328d4323ba9a9e63706bd6462ccc8a9843b153609abadb",
 }

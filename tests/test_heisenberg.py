@@ -1,4 +1,6 @@
 import re
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import FockPoly, fock_action
+from oracles import FockPoly, fock_action, fuzz_through_normal_form
 
 from vermalab import heisenberg
 from vermalab.fixtures import load_tilde_fixture
@@ -323,3 +325,39 @@ class TestConfluenceFuzz:
         assert verdict.mismatches and not verdict.ok
         assert all(normal_form(w, "leftmost") == normal_form(w, "rightmost")
                    for w in verdict.mismatches)
+
+    def test_repeated_words_match_the_per_trial_oracle(self, monkeypatch, fresh_cache):
+        # take 2 from the lowest monomial of the fold of every word that
+        # needs rewriting: a mismatch always, a negative coefficient only
+        # where that coefficient was 1
+        real = heisenberg._reduce
+
+        def broken(word, strategy):
+            out = real(word, strategy)
+            if strategy != "series" or not word_inversions(word):
+                return out
+            terms = dict(out.terms)
+            terms[min(terms)] -= 2
+            return HElem(terms)
+
+        monkeypatch.setattr(heisenberg, "_reduce", broken)
+        mismatches, negatives = fuzz_through_normal_form(100, 7)
+        assert max(Counter(mismatches).values()) > 1
+        assert max(Counter(negatives).values()) > 1
+        assert len(negatives) < len(mismatches)
+        verdict = confluence_fuzz(100, 7)
+        assert verdict.mismatches == mismatches
+        assert verdict.negative_coefficient_words == negatives
+
+    def test_fuzz_leaves_the_memo_alone(self, fresh_cache):
+        # each distinct word's normal forms are dropped once compared
+        before = heisenberg._nf_cached.cache_info()
+        tracemalloc.start()
+        try:
+            verdict = confluence_fuzz(1000, 1729)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.ok
+        assert heisenberg._nf_cached.cache_info() == before
+        assert peak < 4 * 2**20

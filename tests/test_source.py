@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
-from test_cli import SL2_DIGESTS
+from test_cli import ALGEBRA_DIGESTS, SL2_DIGESTS
 
 import vermalab
 
@@ -50,14 +50,15 @@ def test_cli_start_up_imports_no_dataclasses_or_inspect():
     assert out == "[]\n"
 
 
-@pytest.mark.parametrize("argv", ["report --n-max 8", "projgen --n 8 --s 2"])
+@pytest.mark.parametrize("argv", ["report --n-max 8", "projgen --n 8 --s 2",
+                                  "verify-heisenberg --trials 100"])
 def test_pinned_outputs_survive_python_O(argv):
     # -O strips assert statements: every check must still run, and the
     # bytes stay those pinned for the plain interpreter
     env = {**os.environ, "PYTHONPATH": str(Path(vermalab.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-O", "-m", "vermalab.cli", *argv.split()], env=env,
                          capture_output=True, check=True).stdout
-    assert hashlib.sha256(out).hexdigest() == SL2_DIGESTS[argv]
+    assert hashlib.sha256(out).hexdigest() == {**SL2_DIGESTS, **ALGEBRA_DIGESTS}[argv]
 
 
 LRU = ("lru_cache", "functools.lru_cache")
