@@ -5,8 +5,10 @@ verify-adelman | verify-pseudoadjoint | report.  ``VERBS`` lists the
 options each verb reads, with their defaults; any other option is a
 usage error.  Output is JSON (sorted keys, exact scalars rendered as
 decimal or "num/den" strings) or RFC-4180 CSV.  Exit code 0 means every
-check passed, 1 flags a verification failure, 2 a usage error and 3 an
-internal error, an exception of no other class, printed as one line.
+check passed, 1 flags a verification failure or a fixture or file error,
+2 a usage error and 3 an internal error, an exception of no other class,
+printed as one line.  verify-heisenberg owns its fixture's schema: the
+rows are its own tildeResiduals rows.
 
 Reports are byte-deterministic: a fixed default seed, fixed key order,
 and string-rendered unbounded integers.
@@ -21,15 +23,9 @@ import json
 import sys
 from typing import Callable, NamedTuple
 
-from . import adelman, enright, hecke, heisenberg, sl2mod
+from . import adelman, enright, fixtures, hecke, heisenberg, sl2mod
 from .exactla import scalar_str
-from .fixtures import (
-    ADELMAN_FIXTURE,
-    TILDE_FIXTURE,
-    FixtureError,
-    load_tilde_fixture,
-    save_json,
-)
+from .fixtures import FixtureError
 
 DEFAULT_SEED = 1729
 
@@ -208,11 +204,15 @@ def cmd_verify_heisenberg(args):
     rel_ok = all(not r for r in residuals.values())
 
     table = _tilde_table(4, 4)
+    path = fixtures.TILDE_FIXTURE
     if args.refreeze:
-        save_json(TILDE_FIXTURE, {"maxN": 6, "maxM": 6, "table": _tilde_table(6, 6)})
-    frozen = load_tilde_fixture()
-    frozen_map = {(row["n"], row["m"]): row["residualNormalForm"]
-                  for row in frozen["table"]}
+        fixtures.save_json(path, {"maxN": 6, "maxM": 6, "table": _tilde_table(6, 6)})
+    frozen = fixtures.load_json(path)
+    try:
+        frozen_map = {(row["n"], row["m"]): row["residualNormalForm"] for row in frozen["table"]}
+    except (KeyError, TypeError) as exc:
+        raise FixtureError(f"{path} must hold a table of rows with n, m and "
+                           f"residualNormalForm: {type(exc).__name__}: {exc}") from exc
     tilde_ok = all(
         frozen_map.get((row["n"], row["m"])) == row["residualNormalForm"]
         for row in table
@@ -242,21 +242,9 @@ def cmd_verify_heisenberg(args):
 
 def cmd_verify_adelman(args):
     seed = args.seed
-    if args.refreeze:
-        reports = [adelman.resolve_interpretation(seed=s) for s in (seed, seed + 1, seed + 2)]
-        choices = {(r.kernel_choice, r.cokernel_choice) for r in reports}
-        if len(choices) != 1:
-            raise AssertionError(f"interpretation unstable across seeds: {choices}")
-        save_json(ADELMAN_FIXTURE, {
-            "kernel": reports[0].kernel_choice,
-            "cokernel": reports[0].cokernel_choice,
-            "seeds": [r.seed for r in reports],
-            "trials": [r.trials for r in reports],
-        })
-        adelman.frozen_interpretation.cache_clear()
-    frozen = adelman.frozen_interpretation()
-    resolved = adelman.resolve_interpretation(seed=seed)
-    stable = (resolved.kernel_choice, resolved.cokernel_choice) == frozen
+    resolve = adelman.freeze_interpretation if args.refreeze else adelman.resolve_interpretation
+    resolved = resolve(seed)
+    stable = (resolved.kernel_choice, resolved.cokernel_choice) == adelman.frozen_interpretation()
     cong = adelman.congruence_checks(seed, max(args.trials // 4, 10))
     up = adelman.universal_property_trials(seed, args.trials)
     doc = {

@@ -1,10 +1,11 @@
-"""Checked-in regression fixtures and their IO.
+"""Checked-in regression fixtures: their paths and their one read path.
 
 Two computations freeze their expected outputs as JSON files shipped
 with the package: the power-sum commutator table (whose delta pattern
-does not hold wholesale, so the exact residuals are pinned) and the
-block-shape interpretation selected for kernels and cokernels.  The
-command line's --refreeze regenerates both explicitly.
+does not hold wholesale, so the exact residuals are pinned), owned by the
+verify-heisenberg verb, and the kernel/cokernel block reading, owned by
+``adelman``.  Each owner keeps its schema and looks its path up here at
+call time; ``load_json`` turns a failed read into FixtureError.
 """
 
 from __future__ import annotations
@@ -22,8 +23,12 @@ class FixtureError(Exception):
 
 
 def load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON document at ``path``; FixtureError if it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise FixtureError(f"cannot read {path}: {exc}") from exc
 
 
 def save_json(path, doc):
@@ -31,11 +36,3 @@ def save_json(path, doc):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_tilde_fixture():
-    return load_json(TILDE_FIXTURE)
-
-
-def load_adelman_fixture():
-    return load_json(ADELMAN_FIXTURE)

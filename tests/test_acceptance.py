@@ -15,7 +15,7 @@ from oracles import decategorify, slice_matrix
 from vermalab import adelman, enright, hecke, heisenberg
 from vermalab.cli import main
 from vermalab.exactla import generalized_kernel
-from vermalab.fixtures import load_tilde_fixture
+from vermalab.fixtures import TILDE_FIXTURE, load_json
 from vermalab.sl2mod import (
     apply_op,
     build_Ln,
@@ -210,7 +210,7 @@ def test_criterion_10_heisenberg():
     verdict = heisenberg.confluence_fuzz(1000, 1729)
     ok = ok and verdict.ok and verdict.trials == 1000
     frozen = {(row["n"], row["m"]): row["residualNormalForm"]
-              for row in load_tilde_fixture()["table"]}
+              for row in load_json(TILDE_FIXTURE)["table"]}
     for n in range(1, 5):
         _, res = heisenberg.tilde_probe(n, 4)
         for (i, m, r) in res:

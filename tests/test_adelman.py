@@ -8,7 +8,7 @@ from oracles import rank
 from vermalab import adelman as ad
 from vermalab import fixtures
 from vermalab.exactla import SparseMat
-from vermalab.fixtures import FixtureError, load_adelman_fixture
+from vermalab.fixtures import FixtureError, load_json
 
 
 def embedded_pair():
@@ -223,7 +223,7 @@ class TestEmbedding:
 
 class TestInterpretation:
     def test_resolution_matches_fixture(self):
-        frozen = load_adelman_fixture()
+        frozen = load_json(fixtures.ADELMAN_FIXTURE)
         rep = ad.resolve_interpretation(seed=1729)
         assert rep.kernel_choice == frozen["kernel"]
         assert rep.cokernel_choice == frozen["cokernel"]
@@ -243,8 +243,8 @@ class TestInterpretation:
                               SparseMat.from_rows([[1]]), SparseMat(0, 0))
         u = ad.identity_of(X)
         assert ad.homotopic_to_zero(ad.compose(t, u)) is not None
-        _, inc_lit = ad.kernel(t, "literal-middle")
-        _, inc_ext = ad.kernel(t, "extended-middle")
+        _, inc_lit = ad.KERNEL_INTERPRETATIONS["literal-middle"](t)
+        _, inc_ext = ad.KERNEL_INTERPRETATIONS["extended-middle"](t)
         assert ad.factors_through_kernel(u, inc_lit) is None
         assert ad.factors_through_kernel(u, inc_ext) is not None
 

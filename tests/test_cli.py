@@ -83,6 +83,20 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("content", [None, "not json", '{"maxN": 6}', '{"table": [{"n": 1}]}'],
+                             ids=["missing", "not-json", "no-table", "row-without-m"])
+    def test_bad_tilde_fixture_is_a_fixture_error(self, tmp_path, monkeypatch, capsys,
+                                                  content):
+        path = tmp_path / "tilde_residuals.json"
+        if content is not None:
+            path.write_text(content)
+        monkeypatch.setattr(fixtures, "TILDE_FIXTURE", path)
+        assert main(["verify-heisenberg", "--trials", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fixture or file error:") and str(path) in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("error,line", [
         (KeyError("slice"), "KeyError: 'slice'"),
         (TypeError("two\nlines"), "TypeError: two lines"),
@@ -440,12 +454,24 @@ def test_sl2_verbs_form_no_product_and_run_no_elimination(monkeypatch, capsys):
     assert calls == Counter()
 
 
+# sha256 of the checked-in fixtures, and of the stdout of the refreezes that
+# rewrite them byte for byte at the default seed
+FIXTURE_DIGESTS = {
+    "ADELMAN_FIXTURE": "f37cc681b86c5c0cc062f5670833d9f4bac5f6dc8394c21fb1e58a8c7bee7a31",
+    "TILDE_FIXTURE": "6b1ea52a03208c6a4f7cc9c67e981b8267745d7a44b2042319e5f3fffdffadc7",
+}
+REFREEZE_DIGESTS = {
+    "verify-adelman --trials 4 --refreeze":
+        "bef135b3aebbf269ee1d7029dbf8fadfeeacac951850ba37922aea480cfdc91f",
+    "verify-heisenberg --trials 10 --refreeze":
+        "f9c1b59da9d86f681c249d4046c732305af2bdc46fc76170da9c939eba21af84",
+}
+
+
 class TestRefreeze:
     def test_tilde_refreeze_roundtrip(self, tmp_path, monkeypatch):
-        import vermalab.fixtures as fx
         target = tmp_path / "tilde.json"
-        monkeypatch.setattr(fx, "TILDE_FIXTURE", target)
-        monkeypatch.setattr(cli, "TILDE_FIXTURE", target)
+        monkeypatch.setattr(fixtures, "TILDE_FIXTURE", target)
         code, _ = run_to_file(tmp_path, "hz.json", "verify-heisenberg", "--trials", "10", "--refreeze")
         assert code == 0
         frozen = json.loads(target.read_text())
@@ -457,13 +483,39 @@ class TestRefreeze:
     def test_adelman_refreeze_writes_a_missing_fixture(self, tmp_path, monkeypatch):
         target = tmp_path / "adelman_interpretation.json"
         monkeypatch.setattr(fixtures, "ADELMAN_FIXTURE", target)
-        monkeypatch.setattr(cli, "ADELMAN_FIXTURE", target)
         adelman.frozen_interpretation.cache_clear()
         code, out = run_to_file(tmp_path, "ad.json", "verify-adelman", "--trials", "4", "--refreeze")
         assert code == 0
         assert json.loads(out.read_text())["interpretationChosen"]["matchesFixture"]
         frozen = json.loads(target.read_text())
         assert (frozen["kernel"], frozen["cokernel"]) == ("extended-middle", "extended-middle")
+
+    def test_refreeze_resolves_three_seeds_and_rewrites_the_fixtures(self, tmp_path,
+                                                                     monkeypatch, capsys):
+        seeds = []
+        real = adelman.resolve_interpretation
+
+        def counted(seed):
+            seeds.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(adelman, "resolve_interpretation", counted)
+        checked_in = {name: getattr(fixtures, name) for name in FIXTURE_DIGESTS}
+        for name, path in checked_in.items():
+            monkeypatch.setattr(fixtures, name, tmp_path / path.name)
+        for argv, digest in REFREEZE_DIGESTS.items():
+            assert main(argv.split()) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        # seed, seed + 1 and seed + 2, and the report of the first is the one printed
+        assert seeds == [1729, 1730, 1731]
+        for name, digest in FIXTURE_DIGESTS.items():
+            written = getattr(fixtures, name).read_bytes()
+            assert written == checked_in[name].read_bytes()
+            assert hashlib.sha256(written).hexdigest() == digest
+        seeds.clear()
+        assert main(["verify-adelman", "--trials", "4"]) == 0
+        capsys.readouterr()
+        assert seeds == [1729]
 
 
 # sha256 of the stdout of each sl2 verb, pinned so that a refactor of the

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import FockPoly, fock_action, fuzz_through_normal_form
 
 from vermalab import heisenberg
-from vermalab.fixtures import load_tilde_fixture
+from vermalab.fixtures import TILDE_FIXTURE, load_json
 from vermalab.heisenberg import (
     FuzzVerdict,
     HElem,
@@ -288,7 +288,7 @@ class TestTildeProbe:
 
     def test_matches_frozen_fixture(self):
         frozen = {(row["n"], row["m"]): row["residualNormalForm"]
-                  for row in load_tilde_fixture()["table"]}
+                  for row in load_json(TILDE_FIXTURE)["table"]}
         for n in range(1, 5):
             _, res = tilde_probe(n, 4)
             for (i, m, r) in res:

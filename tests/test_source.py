@@ -51,7 +51,7 @@ def test_cli_start_up_imports_no_dataclasses_or_inspect():
 
 
 @pytest.mark.parametrize("argv", ["report --n-max 8", "projgen --n 8 --s 2",
-                                  "verify-heisenberg --trials 100"])
+                                  "verify-heisenberg --trials 100", "verify-adelman --trials 20"])
 def test_pinned_outputs_survive_python_O(argv):
     # -O strips assert statements: every check must still run, and the
     # bytes stay those pinned for the plain interpreter
@@ -59,6 +59,23 @@ def test_pinned_outputs_survive_python_O(argv):
     out = subprocess.run([sys.executable, "-O", "-m", "vermalab.cli", *argv.split()], env=env,
                          capture_output=True, check=True).stdout
     assert hashlib.sha256(out).hexdigest() == {**SL2_DIGESTS, **ALGEBRA_DIGESTS}[argv]
+
+
+def test_only_fixtures_reads_a_fixture():
+    # fixtures owns the paths and the one read path: another module looks a
+    # path up at call time, so that a moved path is seen, and reads through
+    # load_json, so that a failed read is a FixtureError
+    offenders, reads = [], 0
+    for name, node in _nodes():
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.load":
+            reads += 1
+            if name != "fixtures.py":
+                offenders.append(f"{name}:{node.lineno}: json.load")
+        elif isinstance(node, ast.ImportFrom) and name != "fixtures.py":
+            offenders += [f"{name}:{node.lineno}: {a.name}" for a in node.names
+                          if a.name.endswith("_FIXTURE")]
+    assert reads  # the scan still sees the read path
+    assert offenders == []
 
 
 LRU = ("lru_cache", "functools.lru_cache")
