@@ -6,9 +6,10 @@ options each verb reads, with their defaults; any other option is a
 usage error.  Output is JSON (sorted keys, exact scalars rendered as
 decimal or "num/den" strings) or RFC-4180 CSV.  Exit code 0 means every
 check passed, 1 flags a verification failure or a fixture or file error,
-2 a usage error and 3 an internal error, an exception of no other class,
-printed as one line.  verify-heisenberg owns its fixture's schema: the
-rows are its own tildeResiduals rows.
+2 a usage error and 3 an internal error, printed as one line: a
+RecursionError, NotImplementedError or ZeroDivisionError, or an
+exception of no other class.  verify-heisenberg owns its fixture's
+schema: the rows are its own tildeResiduals rows.
 
 Reports are byte-deterministic: a fixed default seed, fixed key order,
 and string-rendered unbounded integers.
@@ -28,6 +29,10 @@ from .exactla import scalar_str
 from .fixtures import FixtureError
 
 DEFAULT_SEED = 1729
+# verify-hecke checks the nondegenerate relations and the degeneration
+# only up to these n, whatever --n-max says
+NONDEGENERATE_N_MAX = 4
+DEGENERATION_N_MAX = 3
 
 
 # ---------------------------------------------------------------------------
@@ -125,18 +130,23 @@ def cmd_decompose(args):
         return doc, True
     doc, ok = _record_for_n(args.n, depth)
     blocks = []
-    for j in range(depth + 1):
-        mu = args.n - 2 * j
-        rep = enright.casimir_blocks(args.n, mu)
+    for rep in enright.casimir_blocks(args.n, depth):
         rows = [{"t": b.t, "c": b.c, "kernel": b.kernel_dim, "excess": b.excess_dim}
                 for b in rep.blocks]
-        blocks.append({"mu": mu, "ok": rep.ok, "blocks": rows})
+        blocks.append({"mu": rep.mu, "ok": rep.ok, "blocks": rows})
         if not rep.ok:
-            # the witness: the failed checks, and each block's predicted
-            # dimensions beside the found ones
+            # the witness: the failed checks, each block's predicted
+            # dimensions beside the certified ones, and the residual of
+            # each failing certificate as [i, k, value] rows
             blocks[-1]["failedChecks"] = rep.failed_checks
+            k_top = (args.n - rep.mu) // 2
             for row, b in zip(rows, rep.blocks):
                 row.update(predictedKernel=b.predicted_kernel, predictedExcess=b.predicted_excess)
+                for key, residual in (("kernelResidual", b.kernel_residual),
+                                      ("excessResidual", b.excess_residual)):
+                    if residual is not None:
+                        row[key] = [[i, k_top - i, scalar_str(x)]
+                                    for i, x in sorted(residual.items())]
         ok = ok and rep.ok
     doc["casimirBlocks"] = blocks
     doc["module"] = sl2mod.module_to_json(sl2mod.build_tensor(args.n, depth))
@@ -176,9 +186,9 @@ def cmd_verify_hecke(args):
         for n in range(2, args.n_max + 1):
             checks += [("degenerate", c) for c in hecke.verify_degenerate(n)]
     if args.q_mode in ("both", "generic"):
-        for n in range(2, min(args.n_max, 4) + 1):
+        for n in range(2, min(args.n_max, NONDEGENERATE_N_MAX) + 1):
             checks += [("nondegenerate", c) for c in hecke.verify_nondegenerate(n)]
-        for n in range(2, min(args.n_max, 3) + 1):
+        for n in range(2, min(args.n_max, DEGENERATION_N_MAX) + 1):
             checks += [("degeneration", c) for c in hecke.degeneration_check(n)]
     rows = [{"model": model, "relation": c.family, "n": c.n, "indices": list(c.indices),
              "witnessOrPass": True if c.passed else c.witness}
@@ -412,7 +422,12 @@ VERBS = {
     "verify-hecke": Verb(
         cmd_verify_hecke, "all Hecke presentation relations",
         # below n = 2 there is no relation to check, so a pass would be vacuous
-        (Q_MODE, _int_option("--n-max", "n_max", 2, default=5)), _hecke_rows),
+        (Q_MODE, _int_option(
+            "--n-max", "n_max", 2, default=5,
+            help="largest n of the degenerate relations (default 5, at least 2); the "
+                 f"nondegenerate relations stop at n = {NONDEGENERATE_N_MAX} and the "
+                 f"degeneration check at n = {DEGENERATION_N_MAX}, whatever this is")),
+        _hecke_rows),
     "verify-heisenberg": Verb(
         cmd_verify_heisenberg, "normal-form identities, fuzzing, and the power-sum probe",
         (_int_option("--trials", "trials", 1, default=1000), SEED, REFREEZE),
@@ -492,6 +507,10 @@ def main(argv=None):
                 fh.write(text)
         else:
             sys.stdout.write(text)
+    except (RecursionError, NotImplementedError, ZeroDivisionError) as exc:
+        # faults of the program, though their classes derive from the
+        # RuntimeError and ArithmeticError that the clauses below map to exit 1
+        return _internal_error(exc)
     except ValueError as exc:
         # out-of-range options, and precondition violations from the suites
         print(f"usage error: {exc}", file=sys.stderr)
@@ -511,10 +530,14 @@ def main(argv=None):
         print(f"fixture or file error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
-        # a fault of the program itself: one line, no traceback
-        print(f"internal error: {type(exc).__name__}: {exc}".replace("\n", " "), file=sys.stderr)
-        return 3
+        return _internal_error(exc)
     return 0 if ok else 1
+
+
+def _internal_error(exc):
+    """Report a fault of the program itself: one line, no traceback, exit 3."""
+    print(f"internal error: {type(exc).__name__}: {exc}".replace("\n", " "), file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

@@ -30,7 +30,11 @@ is formed and no elimination runs.  f on slice vectors
 generator pushes the highest weight vector down, one weight at a time.
 A projective generator keeps the highest weight record it was checked
 against, so callers need no second solve, and ``sl2mod.build_Tr``
-realizes T_r from it.
+realizes T_r from it.  The Casimir audit of ``casimir_blocks`` solves
+nothing either: it carries the f-towers of the highest weight vectors
+and of the projective generators down the slices, the spans that
+realize T_r, and certifies every predicted block by substituting them
+into the rows of C - c_t.
 
 All checks are exact; there are no tolerances anywhere.
 """
@@ -49,8 +53,8 @@ from .exactla import (
     vec_sub,
 )
 from .sl2mod import (
+    apply_op,
     apply_rows,
-    apply_word,
     casimir_on_vector,
     e_weight_matrix,
     f_on_slice,
@@ -87,21 +91,26 @@ class IndexSets(NamedTuple):
     Itripleprime: tuple
 
 
+def _mirror(r, lam):
+    """The index whose weight lam + mirror is -(lam + r) - 2, the
+    reflection of the weight lam + r about -1."""
+    return -(lam + r) - 2 - lam
+
+
 def index_sets(n, lam=0):
     """Partition of the weights of Ln controlling the decomposition of
     Ln (x) Verma(lam).
 
-    I' holds the projective indices r (lam + r >= 0 and the mirror
-    weight -(lam+r)-2-lam lies in I), I'' their mirrors, and I''' the
-    leftover pure-Verma indices.  The three sets are asserted to be a
-    disjoint partition of I.
+    I' holds the projective indices r (lam + r >= 0 and the mirror index
+    lies in I), I'' their mirrors, and I''' the leftover pure-Verma
+    indices.  The three sets are asserted to be a disjoint partition of I.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     I = list(range(-n, n + 1, 2))
     iset = set(I)
-    iprime = [r for r in I if lam + r >= 0 and -(lam + r) - 2 - lam in iset]
-    idouble = sorted(-r - 2 * lam - 2 for r in iprime)
+    iprime = [r for r in I if lam + r >= 0 and _mirror(r, lam) in iset]
+    idouble = sorted(_mirror(r, lam) for r in iprime)
     itriple = [t for t in I if t not in set(iprime) and t not in set(idouble)]
     if len(iprime) + len(idouble) + len(itriple) != len(I):
         raise AssertionError(f"index sets fail to partition I for n={n}, lam={lam}")
@@ -457,8 +466,19 @@ class CasimirBlock(NamedTuple):
     c: int
     predicted_kernel: int
     predicted_excess: int
-    kernel_dim: int
-    excess_dim: int
+    kernel_residual: dict | None  # None when the kernel certificate holds
+    excess_residual: dict | None  # None when it holds or no excess is predicted
+
+    @property
+    def kernel_dim(self):
+        """The certified dimension of ker M: 1 when k_t certifies it, else 0."""
+        return int(self.kernel_residual is None)
+
+    @property
+    def excess_dim(self):
+        """The certified dimension of ker M^2 / ker M: the predicted one
+        when x_t certifies it, else 0."""
+        return self.predicted_excess if self.excess_residual is None else 0
 
     @property
     def matches(self):
@@ -487,38 +507,76 @@ class CasimirBlockReport(NamedTuple):
         return not self.failed_checks
 
 
-def casimir_blocks(n, mu):
-    """Generalized eigenstructure of the Casimir C on a full weight slice.
+def _chain_residual(rows, vec, length):
+    """None when M^(length-1) vec != 0 and M^length vec = 0 for the slice
+    map M with these rows.  Otherwise the residual that fails:
+    M^(length-1) vec when it is zero (an empty dict), M^length vec when it
+    is not."""
+    for _ in range(length - 1):
+        vec = apply_rows(rows, vec)
+    if not vec:
+        return vec
+    return apply_rows(rows, vec) or None
+
+
+def casimir_blocks(n, depth):
+    """Generalized eigenstructure of the Casimir C on the full weight
+    slices mu = n, n-2, ..., n-2*depth: one report per slice, in order.
 
     Each T_r and V_s present at mu predicts the eigenvalue c_t = t(t+2)
     with a one-dimensional kernel, and T_r also one excess vector where
-    mu <= -r-2.  With M = C - c_t, the block's kernel dimension
-    dim ker M and excess dimension dim ker M^2 - dim ker M are the
-    lengths of the kernel and excess of ``_casimir_kernels``: on a band
-    map dim ker M <= 1, and the excess dimension is [u in im M] for the
-    kernel vector u.  The c_t are pairwise distinct (t(t+2) = t'(t'+2)
-    only for t' = -t-2, and I''' holds no mirror of I'), so the spaces
-    ker (C - c_t)^2 are independent.  Their dimensions sum to the
-    dimension of the slice exactly when they fill it, that is exactly
-    when the product of the commuting, pairwise coprime (C - c_t)^2 is
-    zero: no stray eigenvalue and no Jordan block longer than 2.
+    mu <= -r-2; the 1 + ex_t over the predicted excesses ex_t sum to the
+    dimension audit's rhs.  No slice is solved.  Each prediction is
+    certified by substitution into the rows of M = C - c_t, on vectors
+    that two f-towers carry down the slices one weight at a time
+    (``sl2mod.f_on_slice``), the spans of f^k u and f^k a that realize T_r:
+
+    - kernel: k_t = f^((t-mu)/2) u_t for the highest weight vector u_t,
+      with k_t != 0 and M k_t = 0;
+    - excess, where ex_t = 1: x_t = f^((-t-2-mu)/2) a_t for the projective
+      generator a_t, with y = M x_t != 0 and M y = 0.
+
+    So dim ker M^2 >= 1 + ex_t.  The c_t are pairwise distinct
+    (t(t+2) = t'(t'+2) only for t' = -t-2, and I''' holds no mirror of
+    I'), so the spaces ker (C - c_t)^2 are independent and their
+    dimensions sum to at most the dimension of the slice.  When the
+    1 + ex_t sum to that dimension and every certificate holds, each
+    ker (C - c_t)^2 has dimension exactly 1 + ex_t, with ker M the line of
+    k_t: no stray eigenvalue and no Jordan block longer than 2.  A failing
+    certificate keeps its residual as the block's witness.
     """
     sets = index_sets(n, 0)
-    dim = len(tensor_weight_basis(n, mu))
-    preds = [(r, int(mu <= -r - 2)) for r in sets.Iprime if _mult_T(r, mu)]
-    preds += [(s, 0) for s in sets.Itripleprime if _mult_V(s, mu)]
-    if len({t * (t + 2) for t, _ in preds}) != len(preds):
-        raise AssertionError(f"two predicted indices at n={n}, mu={mu} share a Casimir eigenvalue")
-    blocks = []
-    for t, ex in sorted(preds):
-        c = t * (t + 2)
-        kernel, excess = _casimir_kernels(casimir_weight_matrix(n, mu, c), n, mu)
-        blocks.append(CasimirBlock(t=t, c=c, predicted_kernel=1, predicted_excess=ex,
-                                   kernel_dim=len(kernel), excess_dim=len(excess)))
-    return CasimirBlockReport(
-        n=n, mu=mu, blocks=blocks,
-        no_stray_eigenvalues=sum(b.kernel_dim + b.excess_dim for b in blocks) == dim,
-    )
+    tops = sorted(set(sets.Iprime) | set(sets.Itripleprime))
+    if len({t * (t + 2) for t in tops}) != len(tops):
+        raise AssertionError(f"two predicted indices at n={n} share a Casimir eigenvalue")
+    gens = {r: projective_generator(n, r) for r in sets.Iprime}
+    hwvs = {t: gens[t].hwv.coefficients if t in gens else highest_weight_vector(n, t).coefficients
+            for t in tops}
+    kernels, excesses = {}, {}  # the towers k_t and x_t at the current weight
+    reports = []
+    for j in range(depth + 1):
+        mu = n - 2 * j
+        kernels = {t: f_on_slice(n, k) for t, k in kernels.items()}
+        excesses = {t: f_on_slice(n, x) for t, x in excesses.items()}
+        if mu in hwvs:
+            kernels[mu] = hwvs[mu]
+        if -mu - 2 in gens:
+            excesses[-mu - 2] = dict(enumerate(gens[-mu - 2].final))
+        preds = [(r, _mult_T(r, mu) - 1) for r in sets.Iprime if _mult_T(r, mu)]
+        preds += [(s, 0) for s in sets.Itripleprime if _mult_V(s, mu)]
+        blocks = []
+        for t, ex in sorted(preds):
+            c = t * (t + 2)
+            rows = casimir_weight_matrix(n, mu, c)
+            blocks.append(CasimirBlock(
+                t=t, c=c, predicted_kernel=1, predicted_excess=ex,
+                kernel_residual=_chain_residual(rows, kernels[t], 1),
+                excess_residual=_chain_residual(rows, excesses[t], 2) if ex else None))
+        spanned = sum(1 + ex for _, ex in preds) == len(tensor_weight_basis(n, mu))
+        reports.append(CasimirBlockReport(
+            n=n, mu=mu, blocks=blocks,
+            no_stray_eigenvalues=spanned and all(b.matches for b in blocks)))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +587,23 @@ _B_WORDS = (("efef", 1), ("fefe", 1), ("ef", 2), ("fe", 2))
 _C_WORDS = (("effe", 1), ("feef", 1))
 
 
-def _apply_combo(module, words, vec):
-    out = {}
-    for word, mult in words:
-        vec_iadd(out, apply_word(module, word, vec), mult)
+# every suffix of the six words, shorter first: 12 letters to apply to a
+# vector where the words spell out 20
+_SUFFIXES = sorted({word[i:] for word, _ in _B_WORDS + _C_WORDS for i in range(len(word))},
+                   key=lambda word: (len(word), word))
+
+
+def _b_and_c(module, vec):
+    """[B vec, C vec], each suffix of their words applied to vec once."""
+    images = {"": vec}
+    for word in _SUFFIXES:  # the rightmost letter acts first
+        images[word] = apply_op(module, word[0], images[word[1:]])
+    out = []
+    for words in (_B_WORDS, _C_WORDS):
+        combo = {}
+        for word, mult in words:
+            vec_iadd(combo, images[word], mult)
+        out.append(combo)
     return out
 
 
@@ -563,14 +634,13 @@ def pseudoadjoint_check(module, c, margin=8):
     casimir_match = True
     for b in interior:
         v = {b: 1}
-        Bv = _apply_combo(module, _B_WORDS, v)
-        Cv = _apply_combo(module, _C_WORDS, v)
-        lhs = _apply_combo(module, _B_WORDS, Bv)
-        lhs = vec_add(lhs, _apply_combo(module, _C_WORDS, Cv))
+        Bv, Cv = _b_and_c(module, v)
+        BBv, CBv = _b_and_c(module, Bv)
+        BCv, CCv = _b_and_c(module, Cv)
+        lhs = vec_add(BBv, CCv)
         lhs = vec_add(lhs, vec_scale(2 * c, Cv))
         lhs = vec_add(lhs, vec_scale(c * c, v))
-        rhs = _apply_combo(module, _B_WORDS, Cv)
-        rhs = vec_add(rhs, _apply_combo(module, _C_WORDS, Bv))
+        rhs = vec_add(BCv, CBv)
         rhs = vec_add(rhs, vec_scale(2 * c, Bv))
         if lhs != rhs:
             identity_zero = False

@@ -288,9 +288,17 @@ def f_on_slice(n, vec):
 
 
 def apply_rows(rows, vec):
-    """The image of a vector keyed by column under a slice map's rows."""
-    image = {r: sum(a * vec[j] for j, a in row.items() if j in vec) for r, row in enumerate(rows)}
-    return {r: y for r, y in image.items() if y}
+    """The image of a vector keyed by column under a slice map's rows,
+    keyed by row in row order, without zeros."""
+    image = {}
+    for r, row in enumerate(rows):
+        y = 0
+        for j, a in row.items():
+            if j in vec:
+                y += a * vec[j]
+        if y:
+            image[r] = y
+    return image
 
 
 # ---------------------------------------------------------------------------

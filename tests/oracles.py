@@ -3,6 +3,9 @@ needs them, so they stay out of ``src/``.
 
 - ``rank`` and ``slice_matrix``: the elimination engine's view of a
   matrix and of a weight slice map given as rows;
+- ``solved_casimir_blocks``: the Casimir audit of one weight slice by
+  slice solves, against which ``enright.casimir_blocks`` and its
+  f-tower certificates are held;
 - ``casimir`` and ``verify_category_I``: the Casimir matrix of a
   truncated module and the membership criteria of Enright's category;
 - ``decategorify``: the split Grothendieck class map of Ln (x) V0, with
@@ -17,10 +20,17 @@ needs them, so they stay out of ``src/``.
 import random
 from typing import NamedTuple
 
+from vermalab import enright
 from vermalab.enright import highest_weight_vector, index_sets, projective_generator
 from vermalab.exactla import SparseMat, _echelon, _integer_rows, nullspace, vec_iadd, vec_scale, vec_sub
 from vermalab.heisenberg import normal_form
-from vermalab.sl2mod import apply_op, apply_word, build_tensor, casimir_on_vector
+from vermalab.sl2mod import (
+    apply_op,
+    apply_word,
+    build_tensor,
+    casimir_on_vector,
+    tensor_weight_basis,
+)
 
 
 def rank(m):
@@ -35,6 +45,29 @@ def slice_matrix(rows, cols):
     with cols columns, for the elimination engine and ``@``."""
     return SparseMat(len(rows), cols, {
         (r, c): x for r, row in enumerate(rows) for c, x in row.items()})
+
+
+class SolvedSlice(NamedTuple):
+    blocks: list  # (t, kernel dimension, excess dimension) by t
+    spanned: bool  # the dimensions of the ker (C - c_t)^2 sum to the slice's
+
+
+def solved_casimir_blocks(n, mu):
+    """The Casimir audit of the weight-mu slice by slice solves, with no
+    f-tower: for each predicted t, dim ker M and dim ker M^2 - dim ker M
+    for M = C - t(t+2) read off the kernel line and the solution of
+    M x = u that ``enright._casimir_kernels`` solves for, and whether these
+    dimensions sum to the dimension of the slice."""
+    sets = index_sets(n, 0)
+    preds = [r for r in sets.Iprime if enright._mult_T(r, mu)]
+    preds += [s for s in sets.Itripleprime if enright._mult_V(s, mu)]
+    blocks = []
+    for t in sorted(preds):
+        kernel, excess = enright._casimir_kernels(
+            enright.casimir_weight_matrix(n, mu, t * (t + 2)), n, mu)
+        blocks.append((t, len(kernel), len(excess)))
+    total = sum(kernel + excess for _, kernel, excess in blocks)
+    return SolvedSlice(blocks, total == len(tensor_weight_basis(n, mu)))
 
 
 # ---------------------------------------------------------------------------

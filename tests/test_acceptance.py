@@ -131,9 +131,8 @@ def test_criterion_06_casimir_blocks():
     ok = True
     for n in range(13):
         sets = enright.index_sets(n, 0)
-        for j in range(2 * n + 11):
-            mu = n - 2 * j
-            rep = enright.casimir_blocks(n, mu)
+        for rep in enright.casimir_blocks(n, 2 * n + 10):
+            mu = rep.mu
             ok = ok and rep.ok
             for b in rep.blocks:
                 # two-step nilpotency on bases of ker M and ker M^2 / ker M

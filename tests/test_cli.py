@@ -39,23 +39,31 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "--s" in captured.err
 
-    @pytest.mark.parametrize("failure", ["non_divisible_bridge", "zero_division"])
+    @pytest.mark.parametrize("failure", ["non_divisible_bridge"])
     def test_arithmetic_error_is_a_verification_failure(self, monkeypatch, capsys,
                                                         failure):
-        if failure == "non_divisible_bridge":
-            # X_2 + 1: 1 - q no longer divides 1 - X_2, so xbar raises
-            real = hecke.evaluation_X
-            monkeypatch.setattr(hecke, "evaluation_X",
-                                lambda n: [x + 1 if k == 1 else x
-                                           for k, x in enumerate(real(n))])
-        else:
-            def divide_by_zero(n):
-                return 1 // 0
-            monkeypatch.setattr(hecke, "verify_degenerate", divide_by_zero)
+        # X_2 + 1: 1 - q no longer divides 1 - X_2, so xbar raises a plain
+        # ArithmeticError
+        real = hecke.evaluation_X
+        monkeypatch.setattr(hecke, "evaluation_X",
+                            lambda n: [x + 1 if k == 1 else x
+                                       for k, x in enumerate(real(n))])
         assert main(["verify-hecke", "--n-max", "2"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("verification failure:")
+        assert err.startswith("verification failure: ") and "1 - q" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("error", [RecursionError, NotImplementedError, ZeroDivisionError])
+    def test_fault_classes_are_internal_errors(self, monkeypatch, capsys, error):
+        # subclasses of RuntimeError and ArithmeticError that no check raises
+        def broken(n):
+            raise error("simulated")
+
+        monkeypatch.setattr(hecke, "verify_degenerate", broken)
+        assert main(["verify-hecke", "--n-max", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal error: {error.__name__}: simulated\n"
 
     @pytest.mark.parametrize("error", [sl2mod.ConstructionError, sl2mod.TruncationError,
                                        RuntimeError])
@@ -102,7 +110,7 @@ class TestExitCodes:
         (TypeError("two\nlines"), "TypeError: two lines"),
     ], ids=["KeyError", "multi-line"])
     def test_unmapped_exception_is_an_internal_error(self, monkeypatch, capsys, error, line):
-        def broken(n, mu):
+        def broken(n, depth):
             raise error
 
         monkeypatch.setattr(enright, "casimir_blocks", broken)
@@ -224,6 +232,23 @@ class TestVerifiers:
         code, out = run_to_file(tmp_path, "hk.json", "verify-hecke", "--n-max", "3")
         doc = json.loads(out.read_text())
         assert code == 0 and doc["allPassed"]
+
+    def test_hecke_caps_are_stated_and_kept(self, tmp_path, monkeypatch, capsys):
+        # the generic-q relations stop at the caps that --help states, and
+        # a larger --n-max extends only the degenerate relations
+        with pytest.raises(SystemExit):
+            main(["verify-hecke", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert (f"the nondegenerate relations stop at n = {cli.NONDEGENERATE_N_MAX} and the "
+                f"degeneration check at n = {cli.DEGENERATION_N_MAX}") in text
+        seen = Counter()
+        for name in ("verify_degenerate", "verify_nondegenerate", "degeneration_check"):
+            monkeypatch.setattr(hecke, name, lambda n, name=name: seen.update([(name, n)]) or [])
+        run_to_file(tmp_path, "hk.json", "verify-hecke", "--n-max", "6")
+        assert sorted(seen) == sorted(
+            [("verify_degenerate", n) for n in range(2, 7)]
+            + [("verify_nondegenerate", n) for n in range(2, cli.NONDEGENERATE_N_MAX + 1)]
+            + [("degeneration_check", n) for n in range(2, cli.DEGENERATION_N_MAX + 1)])
 
     def test_hecke_failure_carries_witness(self, tmp_path, monkeypatch):
         real = hecke.evaluation_X

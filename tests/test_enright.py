@@ -1,16 +1,25 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import casimir, decategorify, formal_matrices, rank, slice_matrix
+from oracles import (
+    casimir,
+    decategorify,
+    formal_matrices,
+    rank,
+    slice_matrix,
+    solved_casimir_blocks,
+)
 
 from vermalab import enright
 from vermalab.cli import main
-from vermalab.exactla import SparseMat, generalized_kernel, nullspace
+from vermalab.exactla import SparseMat, generalized_kernel, nullspace, vec_iadd
 from vermalab.sl2mod import (
     apply_op,
+    apply_word,
     build_Ln,
     build_Tr,
     build_tensor,
@@ -255,29 +264,43 @@ class TestDecompositionAudit:
                 assert r.lhs == r.rhs
 
 
+def _audit(n, mu):
+    """The Casimir audit of the weight-mu slice: the last report of the
+    walk down from n."""
+    return enright.casimir_blocks(n, (n - mu) // 2)[-1]
+
+
 class TestCasimirBlocks:
     def test_n2_weight_minus2(self):
-        rep = enright.casimir_blocks(2, -2)
+        rep = _audit(2, -2)
         by_c = {b.c: b for b in rep.blocks}
         assert by_c[0].kernel_dim == 1 and by_c[0].excess_dim == 1
         assert by_c[8].kernel_dim == 1 and by_c[8].excess_dim == 0
         assert rep.ok
 
     def test_n2_weight_2(self):
-        rep = enright.casimir_blocks(2, 2)
+        rep = _audit(2, 2)
         assert [(b.c, b.kernel_dim, b.excess_dim) for b in rep.blocks] == [(8, 1, 0)]
         assert rep.ok
 
     def test_n0(self):
-        rep = enright.casimir_blocks(0, 0)
+        rep = _audit(0, 0)
         assert [(b.c, b.kernel_dim, b.excess_dim) for b in rep.blocks] == [(0, 1, 0)]
         assert rep.ok
+
+    def test_one_report_per_slice_in_order(self):
+        for n, depth in [(0, 0), (3, 5), (6, 22)]:
+            reports = enright.casimir_blocks(n, depth)
+            assert [rep.mu for rep in reports] == [n - 2 * j for j in range(depth + 1)]
+            assert all(rep.n == n and rep.ok for rep in reports)
+            assert all(b.kernel_residual is None and b.excess_residual is None
+                       for rep in reports for b in rep.blocks)
 
     def test_excess_exactly_where_projective(self):
         n = 6
         sets = enright.index_sets(n, 0)
-        for mu in range(n, n - 20, -2):
-            rep = enright.casimir_blocks(n, mu)
+        for rep in enright.casimir_blocks(n, 9):
+            mu = rep.mu
             assert rep.ok
             for b in rep.blocks:
                 expected = 1 if (b.t in sets.Iprime and mu <= -b.t - 2) else 0
@@ -298,16 +321,28 @@ class TestPseudoadjoint:
         rep = enright.pseudoadjoint_check(mod, 0)
         assert rep.identity_zero and rep.casimir_match
         # B - C is nonzero even though its square vanishes
-        from vermalab.enright import _apply_combo, _B_WORDS, _C_WORDS
-        v = {("a", 0): Fraction(1)}
-        bc = _apply_combo(mod, _B_WORDS, v)
-        cv = _apply_combo(mod, _C_WORDS, v)
+        bc, cv = enright._b_and_c(mod, {("a", 0): Fraction(1)})
         assert {k: bc.get(k, 0) - cv.get(k, 0) for k in set(bc) | set(cv)
                 if bc.get(k, 0) != cv.get(k, 0)}
 
     def test_margin_guard(self):
         with pytest.raises(ValueError):
             enright.pseudoadjoint_check(build_verma(0, 4), 0, margin=8)
+
+    def test_shared_suffixes_match_whole_words(self):
+        # B v and C v from the 12 shared suffixes against each of the six
+        # words applied letter by letter
+        for mod in (build_verma(2, 14), build_Ln(3),
+                    build_Tr(enright.projective_generator(4, 2), 14)):
+            for b in mod.interior(8):
+                v = {b: 1}
+                expected = []
+                for words in (enright._B_WORDS, enright._C_WORDS):
+                    combo = {}
+                    for word, mult in words:
+                        vec_iadd(combo, apply_word(mod, word, v), mult)
+                    expected.append(combo)
+                assert enright._b_and_c(mod, v) == expected
 
 
 class TestDecategorify:
@@ -455,12 +490,11 @@ def _square_product(n, mu, rep):
 
 @pytest.mark.parametrize("n,step", [(n, 1) for n in range(13)] + [(24, 4)])
 def test_ranks_match_the_generalized_kernel(n, step):
-    # every step-th slice that decompose audits: the block dimensions from
-    # rank M and rank M^2 against bases of ker M and ker M^2 / ker M, and
-    # the span check against the rank of those bases
-    for j in range(0, 2 * n + 11, step):
-        mu = n - 2 * j
-        rep = enright.casimir_blocks(n, mu)
+    # every step-th slice that decompose audits: the certified block
+    # dimensions against bases of ker M and ker M^2 / ker M, and the span
+    # check against the rank of those bases
+    for rep in enright.casimir_blocks(n, 2 * n + 10)[::step]:
+        mu = rep.mu
         dim = len(tensor_weight_basis(n, mu))
         vectors = []
         for b in rep.blocks:
@@ -472,32 +506,52 @@ def test_ranks_match_the_generalized_kernel(n, step):
         assert rep.no_stray_eigenvalues == (rank(SparseMat.from_columns(range(dim), vectors)) == dim)
 
 
+@pytest.mark.parametrize("n,step", [(n, 1) for n in range(41)] + [(48, 7), (56, 9), (64, 11)])
+def test_certificates_agree_with_the_solve_oracle(n, step):
+    # every step-th slice that decompose audits: the certified (t, kernel,
+    # excess) and span verdict against two slice solves per block
+    for rep in enright.casimir_blocks(n, 2 * n + 10)[::step]:
+        solved = solved_casimir_blocks(n, rep.mu)
+        assert [(b.t, b.kernel_dim, b.excess_dim) for b in rep.blocks] == solved.blocks
+        assert rep.no_stray_eigenvalues == solved.spanned == rep.ok
+
+
 def test_span_check_matches_the_product_of_squares(monkeypatch):
     # every slice as it is, then with 2 added to one diagonal and one
     # off-diagonal entry per column, wherever that entry is in a row of
-    # the slice map (c <= r + 1); most, not all, of these perturbations
-    # fail both checks
-    stray = total = 0
+    # the slice map (c <= r + 1).  The product of the squared shifted
+    # Casimirs catches 1550 of the 1558 perturbations.  The audit catches
+    # all of them: 160 on a generator slice, where projective_generator
+    # fails first, and the other 1398 by a nonzero residual, among them
+    # the 8 superdiagonal entries at mu = n - 2 that move the eigenvectors
+    # and keep the spectrum.
+    caught = Counter()
     for n, mu in _decompose_slices(8):
-        rep = enright.casimir_blocks(n, mu)
-        assert rep.no_stray_eigenvalues and _square_product(n, mu, rep).is_zero()
+        unperturbed = _audit(n, mu)
+        assert unperturbed.ok and _square_product(n, mu, unperturbed).is_zero()
         dim = len(tensor_weight_basis(n, mu))
         for j in range(dim):
             for pos in {(j, j), ((j + 1) % dim, j)}:
                 if pos[1] > pos[0] + 1:
                     continue
                 _perturb(monkeypatch, n, mu, pos)
-                rep = enright.casimir_blocks(n, mu)
-                assert rep.no_stray_eigenvalues == _square_product(n, mu, rep).is_zero()
-                stray += not rep.no_stray_eigenvalues
-                total += 1
-    assert (stray, total) == (1550, 1558)
+                caught["product"] += not _square_product(n, mu, unperturbed).is_zero()
+                caught["total"] += 1
+                try:
+                    rep = _audit(n, mu)
+                except AssertionError:
+                    caught["generator"] += 1
+                    continue
+                assert rep.failed_checks == ["span", "dimensions"]
+                assert any(b.kernel_residual or b.excess_residual for b in rep.blocks)
+                caught["residual"] += 1
+    assert caught == {"product": 1550, "generator": 160, "residual": 1398, "total": 1558}
 
 
 @pytest.mark.parametrize("pos", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
 def test_a_perturbed_slice_fails_the_span_check(monkeypatch, capsys, pos):
     _perturb(monkeypatch, 4, -8, pos)
-    rep = enright.casimir_blocks(4, -8)
+    rep = _audit(4, -8)
     assert not rep.no_stray_eigenvalues and not rep.ok
     assert not _square_product(4, -8, rep).is_zero()
     assert main(["decompose", "--n", "4"]) == 1
@@ -505,10 +559,14 @@ def test_a_perturbed_slice_fails_the_span_check(monkeypatch, capsys, pos):
     assert [b["mu"] for b in doc["casimirBlocks"] if not b["ok"]] == [-8]
 
 
-@pytest.mark.parametrize("pos", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
-def test_a_failing_slice_prints_its_witness(monkeypatch, capsys, pos):
-    # the perturbed slice keeps no kernel at all, so the blocks span
-    # nothing; passing slices carry no witness keys
+@pytest.mark.parametrize("pos,kernel,excess", [
+    ((0, 0), (4, 2, 2), ((-1592, -2400), (-2472, -3360))),
+    ((0, 1), (18, 10, 12), ((-6480, -9360), (-11200, -14640))),
+], ids=["diagonal", "off-diagonal"])
+def test_a_failing_slice_prints_its_witness(monkeypatch, capsys, pos, kernel, excess):
+    # the 2 added at row 0, column j leaves the residual 2 k_t[j] of each
+    # kernel certificate at row 0, so no block certifies anything; passing
+    # slices carry no witness keys
     _perturb(monkeypatch, 4, -8, pos)
     assert main(["decompose", "--n", "4"]) == 1
     slices = json.loads(capsys.readouterr().out)["casimirBlocks"]
@@ -516,35 +574,129 @@ def test_a_failing_slice_prints_its_witness(monkeypatch, capsys, pos):
     assert all(set(row) == {"t", "c", "kernel", "excess"}
                for b in slices if b["ok"] for row in b["blocks"])
     [failing] = [b for b in slices if not b["ok"]]
+    (k0, k2, k4), (x0, x2) = kernel, excess
     assert failing == {"mu": -8, "ok": False, "failedChecks": ["span", "dimensions"],
                        "blocks": [
-        {"t": 0, "c": 0, "kernel": 0, "excess": 0, "predictedKernel": 1, "predictedExcess": 1},
-        {"t": 2, "c": 8, "kernel": 0, "excess": 0, "predictedKernel": 1, "predictedExcess": 1},
-        {"t": 4, "c": 24, "kernel": 0, "excess": 0, "predictedKernel": 1, "predictedExcess": 0},
+        {"t": 0, "c": 0, "kernel": 0, "excess": 0, "predictedKernel": 1, "predictedExcess": 1,
+         "kernelResidual": [[0, 6, str(k0)]],
+         "excessResidual": [[0, 6, str(x0[0])], [1, 5, str(x0[1])]]},
+        {"t": 2, "c": 8, "kernel": 0, "excess": 0, "predictedKernel": 1, "predictedExcess": 1,
+         "kernelResidual": [[0, 6, str(k2)]],
+         "excessResidual": [[0, 6, str(x2[0])], [1, 5, str(x2[1])]]},
+        {"t": 4, "c": 24, "kernel": 0, "excess": 0, "predictedKernel": 1, "predictedExcess": 0,
+         "kernelResidual": [[0, 6, str(k4)]]},
     ]}
-    rep = enright.casimir_blocks(4, -8)
+    rep = _audit(4, -8)
     assert rep.failed_checks == failing["failedChecks"]
     assert [(b.predicted_kernel, b.predicted_excess) for b in rep.blocks] == [
         (row["predictedKernel"], row["predictedExcess"]) for row in failing["blocks"]]
+    # the kernel residual is 2 k_t[j] at row 0: k_t is the f-tower vector
+    j = pos[1]
+    for b, k in zip(rep.blocks, kernel):
+        u = enright.highest_weight_vector(4, b.t).coefficients
+        for _ in range((b.t + 8) // 2):
+            u = f_on_slice(4, u)
+        assert b.kernel_residual == {0: 2 * u[j]} == {0: k}
 
 
-def test_a_jordan_block_of_size_three_fails_the_span_check(monkeypatch, capsys):
-    # C = J_3(0) + J_2(8) on the (4, -8) slice, as the diagonal 0, 0, 0, 8, 8
-    # under a superdiagonal of ones: the blocks at c = 0 and 8 both read
-    # kernel 1 and excess 1, and every vector of ker (C - c)^2 is killed by
-    # (C - c)^2, yet one dimension at c = 0 lies outside ker C^2
-    _fake_slice(monkeypatch, (0, 0, 0, 8, 8))
-    rep = enright.casimir_blocks(4, -8)
-    assert [(b.c, b.kernel_dim, b.excess_dim) for b in rep.blocks] == [
-        (0, 1, 1), (8, 1, 1), (24, 0, 0)]
-    assert rep.failed_checks == ["span", "dimensions"]
+def test_a_vanishing_certificate_vector_fails_with_an_empty_residual(monkeypatch, capsys):
+    # u_4 replaced by zero, so k_4 = 0, and each generator by its own
+    # kernel line, so y = M x_t = 0: both certificates ask for a nonzero
+    # vector, and the residual they print is that vector, empty
+    real_hwv, real_gen = enright.highest_weight_vector, enright.projective_generator
+
+    def zero_top(n, s):
+        rec = real_hwv(n, s)
+        return rec._replace(coefficients={}) if s == n else rec
+
+    def kernel_line(n, s):
+        gen = real_gen(n, s)
+        return gen._replace(final=gen.p_list)
+
+    monkeypatch.setattr(enright, "highest_weight_vector", zero_top)
+    monkeypatch.setattr(enright, "projective_generator", kernel_line)
+    for rep in enright.casimir_blocks(4, 18):
+        assert [(b.kernel_residual, b.excess_residual) for b in rep.blocks] == [
+            ({} if b.t == 4 else None, {} if b.predicted_excess else None) for b in rep.blocks]
+        assert rep.failed_checks == ["span", "dimensions"]
+    assert main(["decompose", "--n", "4"]) == 1
+    rows = json.loads(capsys.readouterr().out)["casimirBlocks"][-1]["blocks"]
+    assert [(row["t"], row.get("kernelResidual"), row.get("excessResidual")) for row in rows] == [
+        (0, None, []), (2, None, []), (4, [], None)]
+
+
+def test_a_missing_prediction_fails_the_span_check_alone(monkeypatch, capsys):
+    # without V_4 the blocks left over all certify, but 1 + ex_t no longer
+    # sums to the dimension of any slice: "span" fails, "dimensions" holds,
+    # and no residual is printed
+    real = enright._mult_V
+    monkeypatch.setattr(enright, "_mult_V", lambda s, mu: 0 if s == 4 else real(s, mu))
+    reports = enright.casimir_blocks(4, 18)
+    assert all(rep.failed_checks == ["span"] for rep in reports)
+    assert main(["decompose", "--n", "4"]) == 1
+    slices = json.loads(capsys.readouterr().out)["casimirBlocks"]
+    assert [b["failedChecks"] for b in slices] == [["span"]] * 19
+    assert not [row for b in slices for row in b["blocks"]
+                if {"kernelResidual", "excessResidual"} & set(row)]
+
+
+def test_a_shared_casimir_eigenvalue_is_refused(monkeypatch, capsys):
+    # I''' holding -2, the mirror of 0 in I', would give two blocks the
+    # eigenvalue 0, and then their ker M^2 need not be independent
+    real = enright.index_sets
+
+    def with_mirror(n, lam=0):
+        sets = real(n, lam)
+        return sets._replace(Itripleprime=(-2, *sets.Itripleprime)) if n == 4 else sets
+
+    monkeypatch.setattr(enright, "index_sets", with_mirror)
+    with pytest.raises(AssertionError, match="two predicted indices at n=4 share a Casimir"):
+        enright.casimir_blocks(4, 0)
+    assert main(["decompose", "--n", "4"]) == 1
+    assert capsys.readouterr().err == (
+        "verification failure: two predicted indices at n=4 share a Casimir eigenvalue\n")
+
+
+def test_a_broken_partition_is_refused(monkeypatch, capsys):
+    # with every index its own mirror, I'' repeats I' and the three sets
+    # overlap
+    monkeypatch.setattr(enright, "_mirror", lambda r, lam: r)
+    assert main(["decompose", "--n", "4"]) == 1
+    assert capsys.readouterr().err == (
+        "verification failure: index sets fail to partition I for n=4, lam=0\n")
+
+
+def _jordan_fault_fails(monkeypatch, capsys, diagonal, below=()):
+    """C faked on the (4, -8) slice with J_3(0) + J_2(8) as its Jordan form.
+    Slice solves read kernel 1 and excess 1 at c = 0 and 8, and every
+    vector of ker (C - c)^2 is killed by (C - c)^2, yet one dimension at
+    c = 0 lies outside ker C^2: only the dimensions left over show it.
+    The f-towers of the true Casimir fail every kernel certificate
+    outright, each with the residual 9, -3 or -18 at row 0."""
+    _fake_slice(monkeypatch, diagonal, below)
+    solved = solved_casimir_blocks(4, -8)
+    assert (solved.blocks, solved.spanned) == ([(0, 1, 1), (2, 1, 1), (4, 0, 0)], False)
     for c in (0, 8):
-        shifted = slice_matrix(enright.casimir_weight_matrix(4, -8, c), 5)
+        rows = enright.casimir_weight_matrix(4, -8, c)
+        shifted = slice_matrix(rows, 5)
         kernel, excess = generalized_kernel(shifted)
         assert all(not shifted.apply(shifted.apply(v)) for v in kernel + excess)
+        _checked_casimir_kernels(rows, 4, -8)
+    rep = _audit(4, -8)
+    assert [(b.c, b.kernel_dim, b.excess_dim) for b in rep.blocks] == [
+        (0, 0, 0), (8, 0, 0), (24, 0, 0)]
+    assert [b.kernel_residual[0] for b in rep.blocks] == [9, -3, -18]
+    assert rep.failed_checks == ["span", "dimensions"]
     assert main(["decompose", "--n", "4"]) == 1
     [failing] = [b for b in json.loads(capsys.readouterr().out)["casimirBlocks"] if not b["ok"]]
     assert (failing["mu"], failing["failedChecks"]) == (-8, ["span", "dimensions"])
+    assert [row["kernelResidual"][0] for row in failing["blocks"]] == [
+        [0, 6, "9"], [0, 6, "-3"], [0, 6, "-18"]]
+
+
+def test_a_jordan_block_of_size_three_fails_the_span_check(monkeypatch, capsys):
+    # the diagonal 0, 0, 0, 8, 8 under a superdiagonal of ones
+    _jordan_fault_fails(monkeypatch, capsys, (0, 0, 0, 8, 8))
 
 
 def test_a_wrong_f_slice_fails_the_f_power_oracle(monkeypatch, capsys):
@@ -607,8 +759,8 @@ def test_band_kernels_match_the_elimination_engine(n, step):
     # weight slice that report solves: ker M and ker M^2 / ker M against
     # generalized_kernel, and ker e against nullspace
     sets = enright.index_sets(n, 0)
-    shifts = [(mu, b.c) for mu in range(n, -n - 21, -2 * step)
-              for b in enright.casimir_blocks(n, mu).blocks]
+    shifts = [(rep.mu, b.c) for rep in enright.casimir_blocks(n, n + 10)[::step]
+              for b in rep.blocks]
     shifts += [(-s - 2, s * (s + 2)) for s in sets.Iprime[::step]]
     for mu, c in shifts:
         _checked_casimir_kernels(enright.casimir_weight_matrix(n, mu, c), n, mu)
@@ -642,20 +794,8 @@ def test_random_band_maps_match_the_elimination_engine(rows):
 
 
 def test_a_jordan_block_of_size_three_on_the_band_fails_the_span_check(monkeypatch, capsys):
-    # C is the companion matrix of x^3 (x - 8)^2 on the (4, -8) slice, so
-    # J_3(0) + J_2(8): the blocks at c = 0 and 8 read kernel 1 and excess 1
-    # from slice solves alone, and the one dimension of ker C^3 outside
-    # ker C^2 is left over
-    _fake_slice(monkeypatch, (0, 0, 0, 0, 16), below=[(4, 3, -64)])
-    rep = enright.casimir_blocks(4, -8)
-    assert [(b.c, b.kernel_dim, b.excess_dim) for b in rep.blocks] == [
-        (0, 1, 1), (8, 1, 1), (24, 0, 0)]
-    assert rep.failed_checks == ["span", "dimensions"]
-    assert main(["decompose", "--n", "4"]) == 1
-    [failing] = [b for b in json.loads(capsys.readouterr().out)["casimirBlocks"] if not b["ok"]]
-    assert (failing["mu"], failing["failedChecks"]) == (-8, ["span", "dimensions"])
-    for b in rep.blocks:
-        _checked_casimir_kernels(enright.casimir_weight_matrix(4, -8, b.c), 4, -8)
+    # the companion matrix of x^3 (x - 8)^2, a band map like the true slices
+    _jordan_fault_fails(monkeypatch, capsys, (0, 0, 0, 0, 16), below=[(4, 3, -64)])
 
 
 def test_generators_from_the_elimination_engine_are_the_same(monkeypatch):
