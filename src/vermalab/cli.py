@@ -40,6 +40,8 @@ DEGENERATION_N_MAX = 3
 # ---------------------------------------------------------------------------
 
 def _case_record(n, s, iprime):
+    """The per-case record of index s at n, whether its checks pass, and
+    the tops of its f-towers as ``enright.tower_seeds`` keys them."""
     gen = enright.projective_generator(n, s) if s in iprime else None
     rec = gen.hwv if gen else enright.highest_weight_vector(n, s)
     alpha = enright.alpha_recursion_check(rec)
@@ -79,7 +81,7 @@ def _case_record(n, s, iprime):
              or all(x == "0" for x in checks["betaResiduals"]))
     )
     case["checks"] = checks
-    return case, ok
+    return case, ok, (rec.coefficients, gen.final if gen else None)
 
 
 def _index_sets_doc(sets):
@@ -92,12 +94,15 @@ def _index_sets_doc(sets):
 
 
 def _record_for_n(n, depth):
+    """The record of n, whether it passes, and the tower tops of the cases
+    that built: a case whose record is an error has none."""
     sets = enright.index_sets(n, 0)
     cases = []
+    seeds = {}
     ok = True
     for s in sorted(set(sets.Iprime) | set(sets.Itripleprime)):
         try:
-            case, case_ok = _case_record(n, s, set(sets.Iprime))
+            case, case_ok, seeds[s] = _case_record(n, s, set(sets.Iprime))
         except (AssertionError, ValueError) as exc:
             case, case_ok = {"s": s, "error": str(exc)}, False
         cases.append(case)
@@ -111,7 +116,7 @@ def _record_for_n(n, depth):
         "cases": cases,
         "audit": [{"mu": r.mu, "lhs": r.lhs, "rhs": r.rhs} for r in audit],
     }
-    return doc, ok
+    return doc, ok, seeds
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +133,11 @@ def cmd_decompose(args):
             "note": "dimension audit runs for lambda = 0 only",
         }
         return doc, True
-    doc, ok = _record_for_n(args.n, depth)
+    doc, ok, seeds = _record_for_n(args.n, depth)
     blocks = []
-    for rep in enright.casimir_blocks(args.n, depth):
+    # the audit starts from the records' own vectors, so a case that
+    # failed to build fails its blocks instead of being built again
+    for rep in enright.casimir_blocks(args.n, depth, seeds):
         rows = [{"t": b.t, "c": b.c, "kernel": b.kernel_dim, "excess": b.excess_dim}
                 for b in rep.blocks]
         blocks.append({"mu": rep.mu, "ok": rep.ok, "blocks": rows})
@@ -155,7 +162,7 @@ def cmd_decompose(args):
 
 def cmd_hwv(args):
     sets = enright.index_sets(args.n, 0)
-    case, ok = _case_record(args.n, args.s, set(sets.Iprime))
+    case, ok, _ = _case_record(args.n, args.s, set(sets.Iprime))
     return {"n": args.n, "case": case}, ok
 
 
@@ -319,8 +326,8 @@ def cmd_verify_pseudoadjoint(args):
 def cmd_report(args):
     results = [_record_for_n(n, 2 * n + 10 if args.depth is None else args.depth)
                for n in range(args.n_max + 1)]
-    records = [doc for doc, _ in results]
-    failures = sum(0 if ok else 1 for _, ok in results)
+    records = [doc for doc, _, _ in results]
+    failures = sum(0 if ok else 1 for _, ok, _ in results)
     cases_run = sum(len(doc["cases"]) for doc in records)
     doc = {
         "nMax": args.n_max,

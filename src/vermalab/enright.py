@@ -34,7 +34,9 @@ realizes T_r from it.  The Casimir audit of ``casimir_blocks`` solves
 nothing either: it carries the f-towers of the highest weight vectors
 and of the projective generators down the slices, the spans that
 realize T_r, and certifies every predicted block by substituting them
-into the rows of C - c_t.
+into the rows of C - c_t.  The tops of the towers (``tower_seeds``) can
+be handed in, so a caller that already built the records builds no
+generator twice.
 
 All checks are exact; there are no tolerances anywhere.
 """
@@ -507,19 +509,31 @@ class CasimirBlockReport(NamedTuple):
         return not self.failed_checks
 
 
-def _chain_residual(rows, vec, length):
-    """None when M^(length-1) vec != 0 and M^length vec = 0 for the slice
-    map M with these rows.  Otherwise the residual that fails:
-    M^(length-1) vec when it is zero (an empty dict), M^length vec when it
-    is not."""
-    for _ in range(length - 1):
-        vec = apply_rows(rows, vec)
+def _certificate_residual(rows, vec):
+    """None when vec != 0 and M vec = 0 for the slice map M with these
+    rows.  Otherwise the residual that fails: vec itself when it is zero
+    (an empty dict), M vec when it is not."""
     if not vec:
-        return vec
+        return {}
     return apply_rows(rows, vec) or None
 
 
-def casimir_blocks(n, depth):
+def tower_seeds(n):
+    """The tops of the f-towers of ``casimir_blocks`` at n, keyed by t:
+    (u_t, a_t) for t in I', with a_t the projective generator's ``final``
+    list, and (u_t, None) for t in I'''."""
+    sets = index_sets(n, 0)
+    seeds = {}
+    for t in sorted(set(sets.Iprime) | set(sets.Itripleprime)):
+        if t in sets.Iprime:
+            gen = projective_generator(n, t)
+            seeds[t] = (gen.hwv.coefficients, gen.final)
+        else:
+            seeds[t] = (highest_weight_vector(n, t).coefficients, None)
+    return seeds
+
+
+def casimir_blocks(n, depth, seeds=None):
     """Generalized eigenstructure of the Casimir C on the full weight
     slices mu = n, n-2, ..., n-2*depth: one report per slice, in order.
 
@@ -544,24 +558,27 @@ def casimir_blocks(n, depth):
     ker (C - c_t)^2 has dimension exactly 1 + ex_t, with ker M the line of
     k_t: no stray eigenvalue and no Jordan block longer than 2.  A failing
     certificate keeps its residual as the block's witness.
+
+    seeds holds the tops of the towers as ``tower_seeds`` returns them,
+    and is built by it when None.  A t with no seed fails its blocks with
+    empty residuals, as a vanishing tower vector does.
     """
     sets = index_sets(n, 0)
     tops = sorted(set(sets.Iprime) | set(sets.Itripleprime))
     if len({t * (t + 2) for t in tops}) != len(tops):
         raise AssertionError(f"two predicted indices at n={n} share a Casimir eigenvalue")
-    gens = {r: projective_generator(n, r) for r in sets.Iprime}
-    hwvs = {t: gens[t].hwv.coefficients if t in gens else highest_weight_vector(n, t).coefficients
-            for t in tops}
+    if seeds is None:
+        seeds = tower_seeds(n)
     kernels, excesses = {}, {}  # the towers k_t and x_t at the current weight
     reports = []
     for j in range(depth + 1):
         mu = n - 2 * j
         kernels = {t: f_on_slice(n, k) for t, k in kernels.items()}
         excesses = {t: f_on_slice(n, x) for t, x in excesses.items()}
-        if mu in hwvs:
-            kernels[mu] = hwvs[mu]
-        if -mu - 2 in gens:
-            excesses[-mu - 2] = dict(enumerate(gens[-mu - 2].final))
+        if mu in seeds:
+            kernels[mu] = seeds[mu][0]
+        if seeds.get(-mu - 2, (None, None))[1] is not None:
+            excesses[-mu - 2] = dict(enumerate(seeds[-mu - 2][1]))
         preds = [(r, _mult_T(r, mu) - 1) for r in sets.Iprime if _mult_T(r, mu)]
         preds += [(s, 0) for s in sets.Itripleprime if _mult_V(s, mu)]
         blocks = []
@@ -570,8 +587,9 @@ def casimir_blocks(n, depth):
             rows = casimir_weight_matrix(n, mu, c)
             blocks.append(CasimirBlock(
                 t=t, c=c, predicted_kernel=1, predicted_excess=ex,
-                kernel_residual=_chain_residual(rows, kernels[t], 1),
-                excess_residual=_chain_residual(rows, excesses[t], 2) if ex else None))
+                kernel_residual=_certificate_residual(rows, kernels.get(t, {})),
+                excess_residual=(_certificate_residual(rows, apply_rows(rows, excesses.get(t, {})))
+                                 if ex else None)))
         spanned = sum(1 + ex for _, ex in preds) == len(tensor_weight_basis(n, mu))
         reports.append(CasimirBlockReport(
             n=n, mu=mu, blocks=blocks,

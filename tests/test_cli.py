@@ -110,7 +110,7 @@ class TestExitCodes:
         (TypeError("two\nlines"), "TypeError: two lines"),
     ], ids=["KeyError", "multi-line"])
     def test_unmapped_exception_is_an_internal_error(self, monkeypatch, capsys, error, line):
-        def broken(n, depth):
+        def broken(*args):
             raise error
 
         monkeypatch.setattr(enright, "casimir_blocks", broken)

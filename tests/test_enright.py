@@ -625,6 +625,55 @@ def test_a_vanishing_certificate_vector_fails_with_an_empty_residual(monkeypatch
         (0, None, []), (2, None, []), (4, [], None)]
 
 
+def test_a_case_that_fails_to_build_keeps_the_report(monkeypatch, capsys):
+    # the generator of T_0 refused: decompose still prints the whole
+    # report, the case's error beside the other records, and every slice
+    # that T_0 reaches fails its t = 0 block with empty residuals, because
+    # the audit has no tower for it and builds none of its own
+    real = enright.projective_generator
+
+    def refused(n, s):
+        if s == 0:
+            raise AssertionError("beta recursion fails at s=0")
+        return real(n, s)
+
+    monkeypatch.setattr(enright, "projective_generator", refused)
+    assert main(["decompose", "--n", "4"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["cases"][0] == {"s": 0, "error": "beta recursion fails at s=0"}
+    assert all("error" not in case for case in doc["cases"][1:])
+    slices = doc["casimirBlocks"]
+    assert [b["mu"] for b in slices if b["ok"]] == [4, 2]
+    for b in slices[2:]:
+        assert b["failedChecks"] == ["span", "dimensions"]
+        [zero] = [row for row in b["blocks"] if row["t"] == 0]
+        assert zero["kernelResidual"] == [] and (zero["kernel"], zero["excess"]) == (0, 0)
+        assert zero.get("excessResidual") == ([] if b["mu"] < 0 else None)
+        assert not [row for row in b["blocks"]
+                    if row["t"] != 0 and {"kernelResidual", "excessResidual"} & set(row)]
+
+
+def test_decompose_builds_each_record_once(monkeypatch, capsys):
+    # the audit starts from the vectors of decompose's own records
+    calls = Counter()
+    real_hwv, real_gen = enright.highest_weight_vector, enright.projective_generator
+
+    def counted(real, kind):
+        def call(n, s):
+            calls[kind, s] += 1
+            return real(n, s)
+        return call
+
+    monkeypatch.setattr(enright, "highest_weight_vector", counted(real_hwv, "hwv"))
+    monkeypatch.setattr(enright, "projective_generator", counted(real_gen, "gen"))
+    assert main(["decompose", "--n", "6"]) == 0
+    capsys.readouterr()
+    sets = enright.index_sets(6, 0)
+    assert set(calls) == ({("gen", r) for r in sets.Iprime}
+                          | {("hwv", t) for t in sets.Iprime + sets.Itripleprime})
+    assert set(calls.values()) == {1}
+
+
 def test_a_missing_prediction_fails_the_span_check_alone(monkeypatch, capsys):
     # without V_4 the blocks left over all certify, but 1 + ex_t no longer
     # sums to the dimension of any slice: "span" fails, "dimensions" holds,

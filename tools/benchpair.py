@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Paired before/after timings of two commits, written as BENCH_*.json.
 
-    python3 tools/benchpair.py --parent REV --label NAME [--change REV]
-        [--pairs 10] [--workload sl2-sweep] [--seed 1729] [--seconds 6]
+    python3 tools/benchpair.py --parent REV --label NAME [--pairs 10]
+        [--workload sl2-sweep] [--seed 1729] [--seconds 6]
         [--cli "decompose --n 64"] [--out-dir DIR]
 
-Both commits are extracted with ``git archive`` into temporary
-directories, so neither is a checkout and the working tree is not read.
+The parent REV and the change, always ``HEAD``, are extracted with
+``git archive`` into temporary directories, so neither is a checkout
+and the working tree is not read.
 Each pair runs both trees one after the other, the parent first in odd
 pairs and the change first in even ones.
 
@@ -62,7 +63,9 @@ def extract(rev, repo, into):
     commit = git("rev-parse", "--verify", f"{rev}^{{commit}}", cwd=repo).decode().strip()
     src_tree = git("rev-parse", f"{commit}:src", cwd=repo).decode().strip()
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", commit, cwd=repo))) as tar:
-        tar.extractall(into, filter="data")
+        # the "data" filter refuses absolute paths and links out of into;
+        # CPython releases before 3.10.12 and 3.11.4 have no filters
+        tar.extractall(into, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
     return {"commit": commit, "src_tree": src_tree}
 
 
@@ -200,7 +203,6 @@ def bytecode_note(args):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the commit measured as before")
-    parser.add_argument("--change", default="HEAD", help="the commit measured as after")
     parser.add_argument("--label", required=True, help="BENCH_<label>_{parent,change}.json")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workload", default="sl2-sweep")
@@ -215,7 +217,7 @@ def main(argv=None):
     repo = Path(git("rev-parse", "--show-toplevel", cwd=args.repo).decode().strip())
     out_dir = args.out_dir or repo
     env = child_env()
-    revs = dict(zip(SIDES, (args.parent, args.change)))
+    revs = dict(zip(SIDES, (args.parent, "HEAD")))
     with tempfile.TemporaryDirectory(prefix="benchpair-") as tmp:
         trees, ids = {}, {}
         for side, rev in revs.items():
