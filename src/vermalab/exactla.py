@@ -15,7 +15,7 @@ columns keyed by labels.  The profiled hot loops keep the add-and-drop-
 zero rule inline, because a call per entry would cost time there:
 ``SparseMat.__matmul__``, ``_integer_rows`` and ``_echelon`` here,
 ``adelman._system``, ``hecke.HeckeElement._gen_left``, and
-``heisenberg._fold`` and ``_rewrite``.  The tests' class-level
+``heisenberg._fold`` and ``_exchange``.  The tests' class-level
 oracle for decategorification also writes its matrices by hand, so that
 the module matrices are compared against an independent source.
 

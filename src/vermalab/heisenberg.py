@@ -14,10 +14,12 @@ increasing indices, in three independent ways:
   sum over S of b_{m-|S|} prod_{l in S} a_{n_l - 1} prod_{l not in S} a_{n_l},
   read off the series relation, with subsets S of equal indices
   enumerated by multiset and weighted by binomial coefficients.
-- "leftmost" and "rightmost": exchange-step rewriters.  Each step
-  strictly decreases the number of (a, b) inversions, so rewriting
-  terminates.  They run iteratively, one inversion count at a time, and
-  raise if a word turns up under the wrong count.
+- "leftmost" and "rightmost": exchange-step rewriters.  "leftmost" reads
+  the word from the left, keeps what it has read as normal monomials,
+  and exchanges each b with the a's in front of it, one a per round;
+  "rightmost" is its mirror image, read from the right.  Each step
+  removes an (a, b) inversion, so rewriting terminates, and a word
+  whose rounds do not sum to its number of inversions raises.
 
 Only whole words are memoised, in a bounded cache that serves
 ``normal_form`` callers.  Confluence is exercised empirically by
@@ -37,7 +39,7 @@ delta relation only for m <= n).
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -167,70 +169,76 @@ def word_str(word):
     return ".".join(f"{g}{i}" for g, i in word) or "1"
 
 
-def _misfiled(w, count, loss=""):
-    """The failed-decrease error for a signed-int word filed under `count`."""
-    letters = word_str(("a", v) if v > 0 else ("b", -v) for v in w)
+def _misfiled(word, count, detail=""):
+    """The error for a word of `count` inversions that the exchange rounds
+    did not match: some step failed to remove exactly one."""
     return AssertionError(f"rewrite step failed to decrease the inversion measure: "
-                          f"{letters} filed under {count} inversions{loss}")
+                          f"{word_str(word)} filed under {count} inversions{detail}")
+
+
+def _exchange(terms, m):
+    """b_m written after each normal monomial of `terms`, rewritten by
+    exchange steps; returns the normal terms and the number of rounds.
+
+    A term in flight is B A b P with P the a's the b has passed.  A round
+    exchanges the last, largest a_k of A with the b: a_k b -> b a_k +
+    b' a_{k-1}, b' one index lower, so a_k or a_{k-1} joins P, which stays
+    sorted because each a of P is at least k - 1.  A term leaves once A
+    is empty, the b joining B, or once b' = b_0 = 1.
+    """
+    out = {}
+    flight = {(bs, aas, (), m): c for (bs, aas), c in terms.items()}
+    rounds = -1  # the last pass only lets terms leave
+    while flight:
+        rounds += 1
+        after = {}
+        for (bs, aas, passed, mb), c in flight.items():
+            if not (aas and mb):
+                key = (_insert(bs, mb), passed) if mb else (bs, tuple(sorted(aas + passed)))
+                out[key] = out.get(key, 0) + c
+                continue
+            k = aas[-1]
+            aas = aas[:-1]
+            lowered = (k - 1,) + passed if k > 1 else passed
+            for key in (bs, aas, _insert(passed, k), mb), (bs, aas, lowered, mb - 1):
+                after[key] = after.get(key, 0) + c
+        flight = after
+    return out, rounds
 
 
 def _rewrite(word, strategy):
-    """Exchange-step rewriting, one inversion count at a time.
+    """Exchange-step rewriting of a word, read one letter at a time.
 
-    Letters are signed ints, a_n as n and b_m as -m, so an adjacent
-    a-before-b pair is w[p] > 0 > w[p + 1].  Words are filed in buckets by
-    their number of (a, b) inversions.  A bucket is rewritten only once
-    every word above it is done, so each distinct word is rewritten once,
-    carrying its summed coefficient.  The swap removes exactly the
-    exchanged inversion; the contraction also removes the inversions of a
-    b_1 with the a's in front of it and of an a_1 with the b's behind it,
-    since b_0 = a_0 = 1 leave the word.  A word is normal (all b's before
-    all a's) exactly when it is filed under count 0: anything else is a
-    failed decrease of the inversion measure and raises.  The words of
-    count 0 are sorted once each; the sorted letters name the monomial.
+    "leftmost" keeps the word read so far as normal monomials B A with
+    sorted indices: an a-letter joins A, and `_exchange` moves a b-letter
+    past A, since in B A b rest the leftmost a-before-b pair is the last
+    a of A and the b.  "rightmost" rewrites the mirror image, the reversed
+    word with a's and b's swapped, under which the relation is symmetric,
+    and swaps the normal monomials back.
+
+    The term that always swaps has coefficient 1 and, as no coefficient
+    is negative, never cancels; it exchanges each (a, b) inversion of the
+    word in one round, so any other number of rounds raises.
     """
-    top = word_inversions(word)
-    buckets = [{} for _ in range(top + 1)]
-    buckets[top][tuple(i if g == "a" else -i for g, i in word)] = 1
-    leftmost = strategy == "leftmost"
-    for count in range(top, 0, -1):
-        swapped = buckets[count - 1]
-        for w, c in buckets[count].items():
-            for p in range(len(w) - 1) if leftmost else range(len(w) - 2, -1, -1):
-                if w[p] > 0 > w[p + 1]:
-                    break
-            else:
-                raise _misfiled(w, count)
-            n, m = w[p], w[p + 1]  # a_n b_{-m}
-            head, tail = w[:p], w[p + 2:]
-            lost, contracted = 1, (m + 1, n - 1)
-            if m == -1:
-                lost += sum(1 for v in head if v > 0)
-                contracted = contracted[1:]
-            if n == 1:
-                lost += sum(1 for v in tail if v < 0)
-                contracted = contracted[:-1]
-            if lost > count:
-                raise _misfiled(w, count, f" loses {lost}")
-            key = head + (m, n) + tail
-            swapped[key] = swapped.get(key, 0) + c
-            target = buckets[count - lost]
-            key = head + contracted + tail
-            target[key] = target.get(key, 0) + c
-        buckets[count] = None
-    merged = {}
-    for w, c in buckets[0].items():
-        s = sorted(w)
-        k = bisect_left(s, 0)
-        if k and max(w[:k]) > 0:
-            raise _misfiled(w, 0)
-        key = tuple(s)
-        merged[key] = merged.get(key, 0) + c
-    out = {}
-    for s, c in merged.items():
-        k = bisect_left(s, 0)
-        out[tuple(-v for v in reversed(s[:k])), s[k:]] = c
-    return HElem(out)
+    rightmost = strategy == "rightmost"
+    if rightmost:
+        letters = [("b" if g == "a" else "a", i) for g, i in reversed(word)]
+    else:
+        letters = word
+    terms = {((), ()): 1}
+    rounds = 0
+    for kind, i in letters:
+        if kind == "a":
+            terms = {(bs, _insert(aas, i)): c for (bs, aas), c in terms.items()}
+        else:
+            terms, r = _exchange(terms, i)
+            rounds += r
+    count = word_inversions(word)
+    if rounds != count:
+        raise _misfiled(word, count, f" but took {rounds} exchange rounds")
+    if rightmost:
+        terms = {(aas, bs): c for (bs, aas), c in terms.items()}
+    return HElem(terms)
 
 
 def _insert(indices, i):
@@ -311,11 +319,17 @@ def normal_form(word, strategy="series"):
     implementation).  Whole words are memoised in a bounded cache for
     the callers of this function; ``confluence_fuzz`` bypasses it.  The
     result is a fresh copy, so a caller may mutate it without touching
-    the cache.
+    the cache.  A letter other than ("a", n) or ("b", n) with an int
+    n >= 1 raises ValueError.
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return HElem(_nf_cached(tuple(word), strategy).terms)
+    word = tuple(word)
+    for letter in word:
+        if not (type(letter) is tuple and len(letter) == 2 and letter[0] in ("a", "b")
+                and type(letter[1]) is int and letter[1] >= 1):
+            raise ValueError(f"not a generator letter: {letter!r}")
+    return HElem(_nf_cached(word, strategy).terms)
 
 
 # ---------------------------------------------------------------------------

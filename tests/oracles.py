@@ -13,17 +13,21 @@ needs them, so they stay out of ``src/``.
   source the module matrices are compared against;
 - ``FockPoly`` and ``fock_action``: the Fock representation of the
   Heisenberg algebra, b multiplying and a lowering;
-- ``fuzz_through_normal_form``: the confluence fuzz as three memoised
-  ``normal_form`` calls per trial, with no verdict kept between trials.
+- ``fuzz_words`` and ``fuzz_through_normal_form``: the words of the
+  confluence fuzz, and the fuzz as three memoised ``normal_form`` calls
+  per trial, with no verdict kept between trials;
+- ``bucketed_rewrite``: the exchange rewriters on whole words, filed by
+  inversion count, against which ``heisenberg._rewrite`` is held.
 """
 
 import random
+from bisect import bisect_left
 from typing import NamedTuple
 
 from vermalab import enright
 from vermalab.enright import highest_weight_vector, index_sets, projective_generator
 from vermalab.exactla import SparseMat, _echelon, _integer_rows, nullspace, vec_iadd, vec_scale, vec_sub
-from vermalab.heisenberg import normal_form
+from vermalab.heisenberg import HElem, normal_form, word_inversions
 from vermalab.sl2mod import (
     apply_op,
     apply_word,
@@ -300,14 +304,21 @@ def fock_action(h, p):
 # confluence fuzz, one trial at a time through normal_form
 # ---------------------------------------------------------------------------
 
+def fuzz_words(trials, seed):
+    """The word of each trial of ``confluence_fuzz(trials, seed)``."""
+    words = []
+    for t in range(trials):
+        rng = random.Random((seed * 1_000_003 + t) & 0xFFFFFFFF)
+        length = rng.randint(0, 8)
+        words.append(tuple((rng.choice("ab"), rng.randint(1, 6)) for _ in range(length)))
+    return words
+
+
 def fuzz_through_normal_form(trials, seed):
     """(mismatches, negative-coefficient words) of ``confluence_fuzz``,
     every trial normalised afresh by three ``normal_form`` calls."""
     mismatches, negatives = [], []
-    for t in range(trials):
-        rng = random.Random((seed * 1_000_003 + t) & 0xFFFFFFFF)
-        length = rng.randint(0, 8)
-        word = tuple((rng.choice("ab"), rng.randint(1, 6)) for _ in range(length))
+    for word in fuzz_words(trials, seed):
         series = normal_form(word)
         left = normal_form(word, "leftmost")
         right = normal_form(word, "rightmost")
@@ -316,3 +327,63 @@ def fuzz_through_normal_form(trials, seed):
         if any(c < 0 for c in series.terms.values()):
             negatives.append(word)
     return mismatches, negatives
+
+
+# ---------------------------------------------------------------------------
+# exchange rewriting on whole words, one inversion count at a time
+# ---------------------------------------------------------------------------
+
+def bucketed_rewrite(word, strategy):
+    """Normal form of a word by "leftmost" or "rightmost" exchange steps
+    on whole words.
+
+    Letters are signed ints, a_n as n and b_m as -m, so an adjacent
+    a-before-b pair is w[p] > 0 > w[p + 1].  Words are filed in buckets by
+    their number of (a, b) inversions, and a bucket is rewritten once
+    every word above it is done, each distinct word once with its summed
+    coefficient.  The swap removes exactly the exchanged inversion; the
+    contraction also removes the inversions of a b_1 with the a's in
+    front of it and of an a_1 with the b's behind it, since
+    b_0 = a_0 = 1 leave the word.  A word filed under the wrong count
+    raises AssertionError.
+    """
+    def misfiled(w, count):
+        return AssertionError(f"{w} filed under {count} inversions")
+
+    top = word_inversions(word)
+    buckets = [{} for _ in range(top + 1)]
+    buckets[top][tuple(i if g == "a" else -i for g, i in word)] = 1
+    leftmost = strategy == "leftmost"
+    for count in range(top, 0, -1):
+        swapped = buckets[count - 1]
+        for w, c in buckets[count].items():
+            for p in range(len(w) - 1) if leftmost else range(len(w) - 2, -1, -1):
+                if w[p] > 0 > w[p + 1]:
+                    break
+            else:
+                raise misfiled(w, count)
+            n, m = w[p], w[p + 1]  # a_n b_{-m}
+            head, tail = w[:p], w[p + 2:]
+            lost, contracted = 1, (m + 1, n - 1)
+            if m == -1:
+                lost += sum(1 for v in head if v > 0)
+                contracted = contracted[1:]
+            if n == 1:
+                lost += sum(1 for v in tail if v < 0)
+                contracted = contracted[:-1]
+            if lost > count:
+                raise misfiled(w, count)
+            key = head + (m, n) + tail
+            swapped[key] = swapped.get(key, 0) + c
+            target = buckets[count - lost]
+            key = head + contracted + tail
+            target[key] = target.get(key, 0) + c
+    out = {}
+    for w, c in buckets[0].items():
+        s = sorted(w)
+        k = bisect_left(s, 0)
+        if k and max(w[:k]) > 0:
+            raise misfiled(w, 0)
+        key = tuple(-v for v in reversed(s[:k])), tuple(s[k:])
+        out[key] = out.get(key, 0) + c
+    return HElem(out)

@@ -1,3 +1,4 @@
+import inspect
 import re
 import tracemalloc
 from collections import Counter
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import FockPoly, fock_action, fuzz_through_normal_form
+from oracles import FockPoly, bucketed_rewrite, fock_action, fuzz_through_normal_form, fuzz_words
 
 from vermalab import heisenberg
 from vermalab.fixtures import TILDE_FIXTURE, load_json
@@ -81,6 +82,13 @@ class TestNormalForm:
         with pytest.raises(ValueError):
             normal_form((), "inner")
 
+    @pytest.mark.parametrize("strategy", ["series", "leftmost", "rightmost"])
+    @pytest.mark.parametrize("letter", [("a", 0), ("b", -1), ("c", 1), ("a", 1.5),
+                                        ("b", True), ("a",), ["a", 1], "a1"], ids=repr)
+    def test_malformed_letter(self, letter, strategy):
+        with pytest.raises(ValueError, match=re.escape(repr(letter))):
+            normal_form((("b", 1), letter, ("a", 1)), strategy)
+
 
 def _power_oracle(k):
     # a_1^k b_1^k = sum_j C(k, j)^2 j! b_1^{k-j} a_1^{k-j}: choose the j
@@ -134,6 +142,32 @@ def test_rewriters_match_the_fold_on_every_short_word(fresh_cache):
         series = normal_form(word)
         assert normal_form(word, "leftmost") == series, word
         assert normal_form(word, "rightmost") == series, word
+
+
+@pytest.mark.parametrize("words", [pytest.param(SHORT_WORDS, id="short")] + [
+    pytest.param(list(dict.fromkeys(fuzz_words(1000, seed))), id=f"fuzz-{seed}")
+    for seed in (1729, 4242, 7)])
+def test_rewriters_match_the_bucketed_oracle(words):
+    for word in words:
+        for strategy in ("leftmost", "rightmost"):
+            assert heisenberg._rewrite(word, strategy).terms == \
+                bucketed_rewrite(word, strategy).terms, (word, strategy)
+
+
+@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+def test_planted_exchange_fault_is_a_mismatch(strategy, monkeypatch, fresh_cache):
+    # drop the contraction term of every exchange of an a_2 with a b; the
+    # term that always swaps survives, so the inversion guard stays quiet
+    source = inspect.getsource(heisenberg._exchange)
+    step = "for key in (bs, aas, _insert(passed, k), mb), (bs, aas, lowered, mb - 1):"
+    assert source.count(step) == 1
+    namespace = dict(vars(heisenberg))
+    exec(source.replace(step, "for key in ((bs, aas, _insert(passed, k), mb), "
+                              "(bs, aas, lowered, mb - 1))[:1 if k == 2 else 2]:"), namespace)
+    monkeypatch.setattr(heisenberg, "_exchange", namespace["_exchange"])
+    verdict = confluence_fuzz(200, 1729)
+    assert verdict.mismatches and not verdict.ok
+    assert any(normal_form(w, strategy) != normal_form(w) for w in verdict.mismatches)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
