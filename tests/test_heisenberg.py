@@ -82,7 +82,7 @@ class TestNormalForm:
         with pytest.raises(ValueError):
             normal_form((), "inner")
 
-    @pytest.mark.parametrize("strategy", ["series", "leftmost", "rightmost"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("letter", [("a", 0), ("b", -1), ("c", 1), ("a", 1.5),
                                         ("b", True), ("a",), ["a", 1], "a1"], ids=repr)
     def test_malformed_letter(self, letter, strategy):
