@@ -20,11 +20,16 @@ one row in the same order.
 
 Checks that share a coefficient matrix share one elimination, and a
 factorization is checked by the homotopy witness its own solve returns.
+A zero target (f.x2 - g.x2 of a homotopy, u.x2 of a factorization) is
+answered by the zero solution before any system is built, as the
+elimination would answer it; only the nonzero targets of a batch enter
+its system, and every answer, zero or not, is checked by substitution.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -122,14 +127,27 @@ def zero_morphism(src, tgt):
 # the homotopy relation
 # ---------------------------------------------------------------------------
 
-def _mat_from_vars(sol, rows, cols, offset):
-    ent = {}
-    for r in range(rows):
-        for c in range(cols):
-            v = sol.get(offset + r * cols + c)
-            if v:
-                ent[r, c] = v
-    return SparseMat(rows, cols, ent)
+def _offsets(shapes):
+    """Offset of the first variable of each unknown, then the total."""
+    offsets = [0]
+    for r, c in shapes:
+        offsets.append(offsets[-1] + r * c)
+    return offsets
+
+
+def _unpack(shapes, vec):
+    """The list of unknown matrices X_k of the given shapes in a solution
+    vector, read in one pass: each nonzero variable is placed in the
+    unknown whose range of offsets holds it."""
+    mats = [SparseMat(r, c) for r, c in shapes]
+    if vec:
+        offsets = _offsets(shapes)
+        for var, x in vec.items():
+            if x:
+                k = bisect_right(offsets, var) - 1
+                mat = mats[k]
+                mat.entries[divmod(var - offsets[k], mat.cols)] = x
+    return mats
 
 
 def _system(shapes, equations):
@@ -139,12 +157,10 @@ def _system(shapes, equations):
     terms (L, k, R) must equal targets[i] in system i ([] for zero in
     all).  L or R may be None for an identity, which costs no
     multiplication; the residual's shape is read from the first term.
-    Returns (matrix, rhss, unpack), unpack turning a solution vector into
-    the list of X_k.
+    Returns (matrix, rhss); ``_unpack(shapes, x)`` turns a solution x
+    into the list of X_k.
     """
-    offsets = [0]
-    for r, c in shapes:
-        offsets.append(offsets[-1] + r * c)
+    offsets = _offsets(shapes)
     ent, rhss, row0 = {}, [], 0
     for terms, targets in equations:
         L, k, R = terms[0]
@@ -172,11 +188,28 @@ def _system(shapes, equations):
             for (i, j), x in target.entries.items():
                 rhss[k][row0 + i * width + j] = x
         row0 += height * width
+    return SparseMat(row0, offsets[-1], ent), rhss
 
-    def unpack(vec):
-        return [_mat_from_vars(vec, r, c, off) for (r, c), off in zip(shapes, offsets)]
 
-    return SparseMat(row0, offsets[-1], ent), rhss, unpack
+def _solve_targets(shapes, equations, terms, targets):
+    """For each target, the unknowns X_k (as ``_unpack`` lists them) that
+    satisfy the equations and sum(terms) = target, or None.
+
+    A zero target is answered by the zero solution, before any system is
+    built: with every free coordinate 0, that is what ``solve_each``
+    returns for a zero right-hand side.  Only the nonzero targets enter
+    one ``_system`` and one ``solve_each``, which answers each of them
+    as if alone, so a batch of zero targets builds no system at all.
+    The callers check every answer, the zero ones included.
+    """
+    nonzero = [t for t in targets if not t.is_zero()]
+    solved = iter(solve_each(*_system(shapes, equations + [(terms, nonzero)]))
+                  if nonzero else ())
+    answers = []
+    for target in targets:
+        sol = {} if target.is_zero() else next(solved)
+        answers.append(None if sol is None else _unpack(shapes, sol))
+    return answers
 
 
 def _squares(src, tgt):
@@ -205,11 +238,10 @@ def _homotopies(pairs):
         raise ValueError("homotopy requires equal shapes and one pair of objects")
     diffs = [f.x2 - g.x2 for f, g in pairs]
     shapes, terms = _homotopy_terms(src, tgt, 0)
-    mat, rhss, unpack = _system(shapes, [(terms, diffs)])
     witnesses = []
-    for sol, diff in zip(solve_each(mat, rhss), diffs):
+    for sol, diff in zip(_solve_targets(shapes, [], terms, diffs), diffs):
         if sol is not None:
-            s1, s2 = unpack(sol)
+            s1, s2 = sol
             if tgt.m1 @ s1 + s2 @ src.m2 != diff:
                 raise AssertionError("homotopy witness failed re-verification")
             sol = Homotopy(s1, s2)
@@ -447,9 +479,10 @@ def _random_combination(rng, basis):
 def random_morphism(rng, src, tgt, count):
     """count random integer combinations of one basis of the morphism
     space, drawn one after another."""
-    mat, _, unpack = _system(*_squares(src, tgt))
+    shapes, equations = _squares(src, tgt)
+    mat, _ = _system(shapes, equations)
     basis = nullspace(mat)
-    return [TripleMorphism(src, tgt, *unpack(_random_combination(rng, basis)))
+    return [TripleMorphism(src, tgt, *_unpack(shapes, _random_combination(rng, basis)))
             for _ in range(count)]
 
 
@@ -474,12 +507,12 @@ def _factors_up_to_homotopy(us, through, side):
         composite = (None, 1, through.x2)   # v.x2 @ through.x2
     shapes, squares = _squares(vsrc, vtgt)
     h_shapes, h_terms = _homotopy_terms(src, tgt, 3)
-    mat, rhss, unpack = _system(shapes + h_shapes,
-                                squares + [([composite] + h_terms, [u.x2 for u in us])])
+    answers = _solve_targets(shapes + h_shapes, squares, [composite] + h_terms,
+                             [u.x2 for u in us])
     factors = []
-    for u, sol in zip(us, solve_each(mat, rhss)):
+    for u, sol in zip(us, answers):
         if sol is not None:
-            x1, x2, x3, s1, s2 = unpack(sol)
+            x1, x2, x3, s1, s2 = sol
             sol = TripleMorphism(vsrc, vtgt, x1, x2, x3)
             if not is_morphism(sol):
                 raise AssertionError("factorization solver produced a non-morphism")
@@ -510,13 +543,13 @@ def random_null_homotopic(rng, src, tgt):
     bp, a = tgt.m1, src.m2
     shapes = [(tgt.dims[0], src.dims[0]), (tgt.dims[2], src.dims[2]),
               (tgt.dims[0], src.dims[1]), (tgt.dims[1], src.dims[2])]  # x1, x3, s1, s2
-    mat, _, unpack = _system(shapes, [
+    mat, _ = _system(shapes, [
         # x2 m1 - m1' x1 = 0
         ([(bp, 2, src.m1), (None, 3, a @ src.m1), (tgt.m1.scale(-1), 0, None)], []),
         # x3 m2 - m2' x2 = 0
         ([(None, 1, src.m2), ((tgt.m2 @ bp).scale(-1), 2, None), (tgt.m2.scale(-1), 3, a)], []),
     ])
-    x1, x3, s1, s2 = unpack(_random_combination(rng, nullspace(mat)))
+    x1, x3, s1, s2 = _unpack(shapes, _random_combination(rng, nullspace(mat)))
     x2 = bp @ s1 + s2 @ a
     d = TripleMorphism(src, tgt, x1, x2, x3)
     if not is_morphism(d):

@@ -47,7 +47,10 @@ values stay small integers.  Back substitution stays in integers too:
 it keeps integer numerators over one common denominator, scaled by
 p / gcd(s, p) whenever a pivot p does not divide the sum s it must
 take.  A kernel vector then only loses its content and sign; a
-solution is divided by the denominator once, at the end.
+solution is divided by the denominator once, at the end.  A free column
+that no echelon row touches is a zero column of the matrix: its kernel
+vector is the unit vector, already primitive and positive, and is
+taken as it is.
 ``back_substitute`` is also the one solver of ``enright``'s weight
 slice maps: their closed-form integer rows are an echelon form as they
 stand, so a slice is solved by forward substitution with no elimination.
@@ -772,14 +775,20 @@ def nullspace(m):
 
     Each basis vector has ``int`` entries with gcd 1 and its defining
     free coordinate positive; no ``Fraction`` is built on the way.  The
-    empty list means the map is injective.
+    empty list means the map is injective.  A free column that no echelon
+    row touches has the unit vector as its basis vector, with no back
+    substitution.
     Raises TypeError unless every entry is an int or a Fraction.
     """
     echelon = _echelon(_integer_rows(m))
     pivots = {c for c, _ in echelon}
+    touched = set().union(*(row for _, row in echelon))
     basis = []
     for fc in range(m.cols):
         if fc in pivots:
+            continue
+        if fc not in touched:
+            basis.append({fc: 1})
             continue
         x, _ = back_substitute(echelon, {fc: 1}, m.cols)
         basis.append(normalize_integer_vector(x))

@@ -65,16 +65,19 @@ __all__ = [
 # generators are tagged tuples ("a", n) or ("b", m); a word is a tuple of them
 
 
+def _check_index(i, what):
+    """i, when it is an int >= 1 (a bool is not); else ValueError naming it."""
+    if type(i) is not int or i < 1:
+        raise ValueError(f"{what} are indexed by ints from 1, not {i!r}")
+    return i
+
+
 def a_gen(n):
-    if n < 1:
-        raise ValueError("a-generators are indexed from 1")
-    return ("a", n)
+    return ("a", _check_index(n, "a-generators"))
 
 
 def b_gen(m):
-    if m < 1:
-        raise ValueError("b-generators are indexed from 1")
-    return ("b", m)
+    return ("b", _check_index(m, "b-generators"))
 
 
 def word_inversions(word):
@@ -107,9 +110,9 @@ class HElem:
 
     @staticmethod
     def monomial(b_indices=(), a_indices=()):
-        for seq in (b_indices, a_indices):
-            if any(i < 1 for i in seq):
-                raise ValueError("indices start at 1")
+        for what, seq in (("b-generators", b_indices), ("a-generators", a_indices)):
+            for i in seq:
+                _check_index(i, what)
         return HElem({(tuple(sorted(b_indices)), tuple(sorted(a_indices))): 1})
 
     def __add__(self, other):

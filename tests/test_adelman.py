@@ -7,7 +7,7 @@ from oracles import rank
 
 from vermalab import adelman as ad
 from vermalab import fixtures
-from vermalab.exactla import SparseMat
+from vermalab.exactla import SparseMat, solve
 from vermalab.fixtures import FixtureError, load_json
 
 
@@ -342,11 +342,42 @@ def squares(src, tgt, x1, x2, x3):
     return [x2 @ src.m1 - tgt.m1 @ x1, x3 @ src.m2 - tgt.m2 @ x2]
 
 
+def homotopy_system(src, tgt):
+    """Shapes of a homotopy (s1, s2) between triples src -> tgt, and the
+    residual b' s1 + s2 a."""
+    shapes = [(tgt.dims[0], src.dims[1]), (tgt.dims[1], src.dims[2])]
+    return shapes, lambda s1, s2: [tgt.m1 @ s1 + s2 @ src.m2]
+
+
+def factor_system(us, through, side):
+    """Shapes of (v1, v2, v3, s1, s2) for through o v ~ u (side 'kernel',
+    v: W -> ker) or v o through ~ u (side 'cokernel', v: cok -> W), and
+    the residual: both squares of v, then middle + b' s1 + s2 a."""
+    src, tgt = us[0].source, us[0].target
+    vsrc, vtgt = (src, through.source) if side == "kernel" else (through.target, tgt)
+
+    def residual(v1, v2, v3, s1, s2):
+        middle = through.x2 @ v2 if side == "kernel" else v2 @ through.x2
+        return squares(vsrc, vtgt, v1, v2, v3) + [middle + tgt.m1 @ s1 + s2 @ src.m2]
+
+    shapes = triple_shapes(vsrc, vtgt) + [(tgt.dims[0], src.dims[1]),
+                                           (tgt.dims[1], src.dims[2])]
+    return shapes, residual
+
+
+def handed_over(targets_each):
+    """The entries of targets_each (one list of targets per right-hand
+    side, the solved-for target last) that reach the solver: a zero
+    target is answered without one."""
+    return [targets for targets in targets_each if not targets[-1].is_zero()]
+
+
 def test_constraint_systems_match_unit_vector_oracle(monkeypatch):
     """Every system handed to the elimination engine equals the one read
     off the residual on unit vectors: homotopies, morphism spaces,
     null-homotopic morphisms and both factorizations, each right-hand
-    side of a batch against its own target."""
+    side of a batch against its own target.  Zero targets are not handed
+    over, and a batch of them hands over no system at all."""
     calls = []
     real_solve_each, real_nullspace = ad.solve_each, ad.nullspace
 
@@ -361,70 +392,125 @@ def test_constraint_systems_match_unit_vector_oracle(monkeypatch):
     monkeypatch.setattr(ad, "solve_each", solve_each)
     monkeypatch.setattr(ad, "nullspace", nullspace)
 
-    def check_first_system(fn, args, shapes, residual, targets_each):
-        """Call fn, then compare its first system with the oracle, one
-        right-hand side per entry of targets_each."""
+    def check_systems(fn, args, shapes, residual, targets_each):
+        """Call fn, then compare the one system it hands over with the
+        oracle, one right-hand side per entry of targets_each; with no
+        entry, fn must hand over no system."""
         calls.clear()
         out = fn(*args)
-        m, bs = calls[0]
+        if not targets_each:
+            assert calls == []
+            return out
+        [(m, bs)] = calls
         assert len(bs) == len(targets_each)
         for b, targets in zip(bs, targets_each):
             assert (m, b) == probed_system(shapes, residual, targets)
         return out
 
     rng = random.Random(4141)
-    dims_seen = set()
+    dims_seen, mixed_batches = set(), 0
     for _ in range(100):
         X, Y, W = (ad.random_object(rng) for _ in range(3))
         dims_seen.update(X.dims + Y.dims)
 
-        [f] = check_first_system(ad.random_morphism, (rng, X, Y, 1), triple_shapes(X, Y),
-                                 lambda *x: squares(X, Y, *x), [[None, None]])
+        [f] = check_systems(ad.random_morphism, (rng, X, Y, 1), triple_shapes(X, Y),
+                            lambda *x: squares(X, Y, *x), [[None, None]])
 
         def null_residual(x1, x3, s1, s2):
             return squares(X, Y, x1, Y.m1 @ s1 + s2 @ X.m2, x3)
 
         shapes = [(Y.dims[0], X.dims[0]), (Y.dims[2], X.dims[2]),
                   (Y.dims[0], X.dims[1]), (Y.dims[1], X.dims[2])]
-        d, _ = check_first_system(ad.random_null_homotopic, (rng, X, Y), shapes,
-                                  null_residual, [[None, None]])
+        d, _ = check_systems(ad.random_null_homotopic, (rng, X, Y), shapes,
+                             null_residual, [[None, None]])
 
         g = ad.TripleMorphism(X, Y, f.x1 + d.x1, f.x2 + d.x2, f.x3 + d.x3)
-        h_shapes = [(Y.dims[0], X.dims[1]), (Y.dims[1], X.dims[2])]
+        h_shapes, h_residual = homotopy_system(X, Y)
+        check_systems(ad.homotopic, (f, g), h_shapes, h_residual,
+                      handed_over([[f.x2 - g.x2]]))
+        for pairs in ([(f, g), (g, f), (f, f)], [(f, f), (g, g)]):
+            targets_each = [[a.x2 - b.x2] for a, b in pairs]
+            batch = handed_over(targets_each)
+            mixed_batches += 0 < len(batch) < len(targets_each)
+            check_systems(ad._homotopies, (pairs,), h_shapes, h_residual, batch)
 
-        def h_residual(s1, s2):
-            return [Y.m1 @ s1 + s2 @ X.m2]
-
-        check_first_system(ad.homotopic, (f, g), h_shapes, h_residual, [[f.x2 - g.x2]])
-        pairs = [(f, g), (g, f), (f, f)]
-        check_first_system(ad._homotopies, (pairs,), h_shapes, h_residual,
-                           [[a.x2 - b.x2] for a, b in pairs])
-
-        # through o v ~ u with v: W -> ker, and v o through ~ u with v: cok -> W
         for side in ("kernel", "cokernel"):
             if side == "kernel":
-                ker, through = ad.kernel(f)
+                _, through = ad.kernel(f)
                 us = ad.random_morphism(rng, W, X, 2)
-                vsrc, vtgt = W, ker
                 factor = ad.factors_through_kernel
             else:
-                cok, through = ad.cokernel(f)
+                _, through = ad.cokernel(f)
                 us = ad.random_morphism(rng, Y, W, 2)
-                vsrc, vtgt = cok, W
                 factor = ad.factors_through_cokernel
-            src, tgt = us[0].source, us[0].target
-
-            def residual(v1, v2, v3, s1, s2):
-                middle = through.x2 @ v2 if side == "kernel" else v2 @ through.x2
-                return squares(vsrc, vtgt, v1, v2, v3) + [middle + tgt.m1 @ s1 + s2 @ src.m2]
-
-            shapes = triple_shapes(vsrc, vtgt) + [(tgt.dims[0], src.dims[1]),
-                                                   (tgt.dims[1], src.dims[2])]
-            check_first_system(factor, (us[0], through), shapes, residual,
-                               [[None, None, us[0].x2]])
-            check_first_system(ad._factors_up_to_homotopy, (us, through, side), shapes,
-                               residual, [[None, None, u.x2] for u in us])
+            shapes, residual = factor_system(us, through, side)
+            check_systems(factor, (us[0], through), shapes, residual,
+                          handed_over([[None, None, us[0].x2]]))
+            check_systems(ad._factors_up_to_homotopy, (us, through, side), shapes,
+                          residual, handed_over([[None, None, u.x2] for u in us]))
+            zero = ad.zero_morphism(us[0].source, us[0].target)
+            check_systems(ad._factors_up_to_homotopy, ([zero, zero], through, side),
+                          shapes, residual, [])
     assert 0 in dims_seen
+    assert mixed_batches > 0
+
+
+def unflatten(shapes, x):
+    """The matrices of the given shapes whose row-major entries, one after
+    another, are the vector x."""
+    mats, base = [], 0
+    for r, c in shapes:
+        mats.append(SparseMat(r, c, {divmod(k - base, c): v for k, v in x.items()
+                                     if base <= k < base + r * c}))
+        base += r * c
+    return mats
+
+
+def solved_alone(shapes, residual, targets):
+    """The unknowns of the probed system for one right-hand side, solved
+    by itself through the full system, or None."""
+    x = solve(*probed_system(shapes, residual, targets))
+    return None if x is None else unflatten(shapes, x)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42, 1729])
+def test_zero_and_mixed_batches_answer_as_each_target_alone(seed):
+    """A batch answers every target, zero or not, as the full system with
+    that target alone does: a zero target by the zero solution, a
+    nonzero one as if the zero ones were not in the batch."""
+    rng = random.Random(seed)
+    zero_answers = 0
+    for _ in range(25):
+        X, Y, W = (ad.random_object(rng) for _ in range(3))
+        f, g = ad.random_morphism(rng, X, Y, 2)
+        d, _ = ad.random_null_homotopic(rng, X, Y)
+        fd = ad.TripleMorphism(X, Y, f.x1 + d.x1, f.x2 + d.x2, f.x3 + d.x3)
+        h_shapes, h_residual = homotopy_system(X, Y)
+        for pairs in ([(f, f), (g, g)], [(f, f), (f, fd), (g, f), (g, g), (fd, f)]):
+            for (a, b), w in zip(pairs, ad._homotopies(pairs)):
+                target = a.x2 - b.x2
+                alone = solved_alone(h_shapes, h_residual, [target])
+                assert (w is None) == (alone is None)
+                if w is not None:
+                    assert list(w) == alone
+                    zero_answers += target.is_zero()
+        for side in ("kernel", "cokernel"):
+            if side == "kernel":
+                _, through = ad.kernel(f)
+                us = ad.random_morphism(rng, W, X, 2)
+            else:
+                _, through = ad.cokernel(f)
+                us = ad.random_morphism(rng, Y, W, 2)
+            zero = ad.zero_morphism(us[0].source, us[0].target)
+            shapes, residual = factor_system(us, through, side)
+            for batch in ([zero, zero], [zero, us[0], zero, us[1]]):
+                for u, v in zip(batch, ad._factors_up_to_homotopy(batch, through, side)):
+                    alone = solved_alone(shapes, residual, [None, None, u.x2])
+                    assert (v is None) == (alone is None)
+                    if v is not None:
+                        assert [v.x1, v.x2, v.x3] == alone[:3]
+                        zero_answers += u.x2.is_zero()
+    assert zero_answers > 0
 
 
 def test_identities_are_plain_int():
@@ -460,11 +546,14 @@ def corrupt_solutions(monkeypatch, column):
 
 
 def test_corrupted_homotopy_witness_is_caught(monkeypatch):
-    f = ad.identity_of(unit_object())
-    assert ad.homotopic(f, f) is not None
+    # the identity of Q -1-> Q -1-> Q is null-homotopic by s1 = 1, s2 = 0,
+    # a nonzero target that needs the solver
+    X = unit_object()
+    f, z = ad.identity_of(X), ad.zero_morphism(X, X)
+    assert ad.homotopic(f, z) is not None
     corrupt_solutions(monkeypatch, -1)  # the last coordinate of s2
     with pytest.raises(AssertionError, match="failed re-verification"):
-        ad.homotopic(f, f)
+        ad.homotopic(f, z)
 
 
 @pytest.mark.parametrize("side", ["kernel", "cokernel"])
@@ -481,6 +570,39 @@ def test_corrupted_factorization_witness_is_caught(monkeypatch, side):
     corrupt_solutions(monkeypatch, 0)   # the first entry of v.x1
     with pytest.raises(AssertionError, match="produced a non-morphism"):
         factor(u, arrow)
+
+
+def test_null_homotopic_construction_must_be_a_morphism(monkeypatch):
+    # x1 = 1 with s1 = s2 = 0, hence x2 = 0: the first square fails
+    X = unit_object()
+    monkeypatch.setattr(ad, "_random_combination", lambda rng, basis: {0: 1})
+    with pytest.raises(AssertionError, match="null-homotopic construction is not a morphism"):
+        ad.random_null_homotopic(random.Random(1), X, X)
+
+
+def test_resolution_without_a_unique_survivor_raises(monkeypatch):
+    # with the literal kernel reading under both names, both fail a trial
+    # by the 24th at seed 1729 and no kernel reading survives
+    monkeypatch.setitem(ad.KERNEL_INTERPRETATIONS, "extended-middle", ad._kernel_middle_a)
+    with pytest.raises(AssertionError, match="resolution not unique after 24 trials"):
+        ad.resolve_interpretation(1729)
+
+
+def test_unstable_freeze_writes_nothing(tmp_path, monkeypatch):
+    path = tmp_path / "adelman_interpretation.json"
+    monkeypatch.setattr(fixtures, "ADELMAN_FIXTURE", path)
+    saved = []
+    monkeypatch.setattr(fixtures, "save_json", lambda *args: saved.append(args))
+    real = ad.resolve_interpretation
+
+    def resolve(seed):  # the middle seed disagrees on the kernel
+        rep = real(seed)
+        return rep._replace(kernel_choice="literal-middle") if seed == 1730 else rep
+
+    monkeypatch.setattr(ad, "resolve_interpretation", resolve)
+    with pytest.raises(AssertionError, match="interpretation unstable across seeds"):
+        ad.freeze_interpretation(1729)
+    assert saved == [] and not path.exists()
 
 
 def test_a_batch_must_share_its_objects():

@@ -1,8 +1,10 @@
 """The paired recorder ``tools/benchpair.py``: the shape of the files it
-writes, and its refusal to time command lines whose outputs differ."""
+writes, the bytecode-cache regime it reads from the caller's environment,
+and its refusal to time command lines whose outputs differ."""
 
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 from pathlib import Path
@@ -58,7 +60,7 @@ def test_one_pair_against_head_has_the_recorded_shape(tmp_path):
         assert run["command"] == "python3 perfbench/run.py --workload sl2-sweep --seed 1729 " \
                                  "--seconds 0.01"
         assert (run["pairs"], run["order"], run["env"]["commit"]) == (1, benchpair.ORDER, head)
-        assert "bytecode" in run["bytecode_cache"]
+        assert run["bytecode_cache"] == benchpair.bytecode_note(None, os.environ)
         [one] = run["runs"]
         assert (one["pair"], one["ran_first"]) == (1, side == "parent")
         assert one["final_json_line"]["correct"] is True
@@ -71,7 +73,11 @@ def test_one_pair_against_head_has_the_recorded_shape(tmp_path):
 
 
 @needs_git
-def test_cli_pairs_append_and_need_the_same_bytes(tmp_path):
+@pytest.mark.parametrize("no_cache", ["", "1"])
+def test_cli_pairs_append_and_need_the_same_bytes(tmp_path, monkeypatch, no_cache):
+    # the runs keep the caller's environment, and the file says whether it
+    # wrote bytecode caches
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", no_cache)
     same, differ, out = tmp_path / "same", tmp_path / "differ", tmp_path / "out"
     same.mkdir()
     differ.mkdir()
@@ -89,6 +95,9 @@ def test_cli_pairs_append_and_need_the_same_bytes(tmp_path):
         assert [r["ran_first"] for r in run["runs"]] == [False, True]
         assert len(run["wall_s_per_pair"]["cli.wall_s"]) == 2
         assert run["change_lower_in"]["cli.wall_s"]["pairs"] == 2
+        assert run["bytecode_cache"].startswith(
+            "PYTHONDONTWRITEBYTECODE set: no tree wrote" if no_cache
+            else "PYTHONDONTWRITEBYTECODE unset: one import of vermalab.cli wrote")
     with pytest.raises(SystemExit, match="do not print the same bytes"):
         benchpair.main([*argv, "--repo", str(differ), "--label", "d"])
     assert not list(out.glob("BENCH_d_*"))

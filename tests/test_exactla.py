@@ -10,6 +10,9 @@ from vermalab.exactla import (
     Laurent,
     RatFunc,
     SparseMat,
+    _echelon,
+    _integer_rows,
+    back_substitute,
     generalized_kernel,
     normalize_integer_vector,
     nullspace,
@@ -518,6 +521,51 @@ def test_nullspace_vectors_are_primitive_ints(system):
         assert gcd(*v.values()) == 1
         assert v[max(v)] > 0
         assert m.apply(v) == {}
+
+
+def _optional_sympy():
+    try:
+        import sympy
+    except ImportError:
+        return None
+    return sympy
+
+
+def _check_kernel_by_back_substitution(m):
+    """nullspace(m) against a back substitution for every free column and,
+    where sympy is installed, against sympy; a free column that is zero
+    in m (so no echelon row touches it) must give the unit vector."""
+    echelon = _echelon(_integer_rows(m))
+    pivots = {c for c, _ in echelon}
+    expected = [normalize_integer_vector(back_substitute(echelon, {fc: 1}, m.cols)[0])
+                for fc in range(m.cols) if fc not in pivots]
+    got = nullspace(m)
+    assert _items(got) == _items(expected)
+    for fc in set(range(m.cols)) - {j for _, j in m.entries}:
+        assert {fc: 1} in got
+    sympy = _optional_sympy()
+    if sympy is not None:
+        a, _ = _to_sympy(sympy, m, {})
+        assert got == [normalize_integer_vector(_from_sympy(v)) for v in a.nullspace()]
+
+
+@pytest.mark.parametrize("m", [
+    SparseMat(3, 4),
+    SparseMat(0, 3),
+    mat([[1, 0, 2, 0], [2, 0, 4, 0]]),
+    mat([[1, 2, 0, 0, 3], [0, 0, 1, 0, 1]]),
+    mat([[0, Fraction(1, 2), 0, Fraction(1, 3)]]),
+], ids=["all-zero", "no-rows", "untouched", "partly-touched", "fractions"])
+def test_untouched_free_columns_match_back_substitution(m):
+    _check_kernel_by_back_substitution(m)
+
+
+@given(sparse_system(), st.sets(st.integers(0, 13)))
+@settings(max_examples=100, deadline=None)
+def test_zeroed_columns_match_back_substitution(system, zeroed):
+    m, _ = system
+    _check_kernel_by_back_substitution(SparseMat(m.rows, m.cols, {
+        (i, j): x for (i, j), x in m.entries.items() if j not in zeroed}))
 
 
 def test_constructor_still_checks_the_range():

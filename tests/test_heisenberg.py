@@ -90,6 +90,16 @@ class TestNormalForm:
             normal_form((("b", 1), letter, ("a", 1)), strategy)
 
 
+@pytest.mark.parametrize("index", [0, -1, 1.5, 2.0, Fraction(2), True, False, "1", None],
+                         ids=repr)
+def test_malformed_generator_index(index):
+    message = re.escape(repr(index))
+    for make in (a_gen, b_gen, lambda i: HElem.monomial((i,), ()),
+                 lambda i: HElem.monomial((1,), (2, i))):
+        with pytest.raises(ValueError, match=message):
+            make(index)
+
+
 def _power_oracle(k):
     # a_1^k b_1^k = sum_j C(k, j)^2 j! b_1^{k-j} a_1^{k-j}: choose the j
     # lowered a's and b's and match them up

@@ -26,9 +26,11 @@ them) and in how many pairs the change read lower.  One recording is
 appended to ``runs`` of ``BENCH_<label>_parent.json`` and
 ``BENCH_<label>_change.json`` in ``--out-dir`` (the repository root by
 default), so several workloads or command lines can share one label.
-Both trees write their bytecode caches before their first timed run
-(perfbench's warm-up, or one import in ``--cli`` mode), and the file
-says so.
+Every run has the caller's environment as it is, and the file says
+whether that wrote bytecode caches.  With ``PYTHONDONTWRITEBYTECODE``
+set, no tree writes one and every child compiles the sources it
+imports; unset, each tree writes its cache before its first timed run
+(perfbench's warm-up, or one import in ``--cli`` mode).
 """
 
 from __future__ import annotations
@@ -90,11 +92,6 @@ def cpu_name():
 def environment(ids):
     return {"python": platform.python_version(), "nproc": os.cpu_count(),
             "cpu": cpu_name(), **ids}
-
-
-def child_env():
-    """The environment of every run: this one, with bytecode caches on."""
-    return {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
 
 
 def run_perfbench(tree, argv, env):
@@ -192,8 +189,13 @@ def cli_recording(trees, args, env):
     return sides, lower_counts(values)
 
 
-def bytecode_note(args):
-    if args.cli:
+def bytecode_note(cli, env):
+    """Whether the runs wrote bytecode caches, read from their environment:
+    Python writes none when PYTHONDONTWRITEBYTECODE is a non-empty string."""
+    if env.get("PYTHONDONTWRITEBYTECODE"):
+        return ("PYTHONDONTWRITEBYTECODE set: no tree wrote a bytecode cache, so every "
+                "child compiled the sources it imported")
+    if cli:
         return ("PYTHONDONTWRITEBYTECODE unset: one import of vermalab.cli wrote each "
                 "tree's bytecode cache before its first timed run")
     return ("PYTHONDONTWRITEBYTECODE unset: run.py's warm_up wrote the bytecode cache "
@@ -216,14 +218,14 @@ def main(argv=None):
         parser.error("--pairs must be at least 1")
     repo = Path(git("rev-parse", "--show-toplevel", cwd=args.repo).decode().strip())
     out_dir = args.out_dir or repo
-    env = child_env()
+    env = dict(os.environ)
     revs = dict(zip(SIDES, (args.parent, "HEAD")))
     with tempfile.TemporaryDirectory(prefix="benchpair-") as tmp:
         trees, ids = {}, {}
         for side, rev in revs.items():
             trees[side] = os.path.join(tmp, side)
             ids[side] = extract(rev, repo, trees[side])
-            if args.cli:  # write the bytecode cache, as perfbench's warm-up does
+            if args.cli:  # perfbench's warm-up: the cache, if the environment writes one
                 run_cli(trees[side], ["--help"], env)
         recording = cli_recording if args.cli else perfbench_recording
         sides, lower = recording(trees, args, env)
@@ -232,7 +234,7 @@ def main(argv=None):
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for side in SIDES:
-        run = {**sides[side], "bytecode_cache": bytecode_note(args), "order": ORDER,
+        run = {**sides[side], "bytecode_cache": bytecode_note(args.cli, env), "order": ORDER,
                "pairs": args.pairs, "env": environment(ids[side]), "change_lower_in": lower}
         path = out_dir / f"BENCH_{args.label}_{side}.json"
         tree = f"git tree {ids[side]['src_tree']} of src/"
