@@ -2,6 +2,7 @@
 writes, the bytecode-cache regime it reads from the caller's environment,
 and its refusal to time command lines whose outputs differ."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -25,9 +26,10 @@ def _head(repo):
 needs_git = pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 
 
-def _repo_of_two_commits(path, first, second):
-    """A repository whose two commits hold a vermalab.cli module printing
-    first and then second; returns their ids."""
+def _repo_of_two_commits(path, first, second, program="print({!r})"):
+    """A repository whose two commits hold a vermalab.cli module running
+    program with first and then second filled in (by default, printing
+    them); returns their ids."""
     def git(*args):
         subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
                        cwd=path, check=True, capture_output=True)
@@ -38,7 +40,7 @@ def _repo_of_two_commits(path, first, second):
     (package / "__init__.py").write_text("")
     ids = []
     for count, text in enumerate((first, second)):
-        (package / "cli.py").write_text(f"# commit {count}\nprint({text!r})\n")
+        (package / "cli.py").write_text(f"# commit {count}\n{program.format(text)}\n")
         git("add", "-A")
         git("commit", "-q", "-m", text)
         ids.append(_head(path))
@@ -73,11 +75,7 @@ def test_one_pair_against_head_has_the_recorded_shape(tmp_path):
 
 
 @needs_git
-@pytest.mark.parametrize("no_cache", ["", "1"])
-def test_cli_pairs_append_and_need_the_same_bytes(tmp_path, monkeypatch, no_cache):
-    # the runs keep the caller's environment, and the file says whether it
-    # wrote bytecode caches
-    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", no_cache)
+def test_cli_pairs_append_and_need_the_same_bytes(tmp_path):
     same, differ, out = tmp_path / "same", tmp_path / "differ", tmp_path / "out"
     same.mkdir()
     differ.mkdir()
@@ -95,9 +93,28 @@ def test_cli_pairs_append_and_need_the_same_bytes(tmp_path, monkeypatch, no_cach
         assert [r["ran_first"] for r in run["runs"]] == [False, True]
         assert len(run["wall_s_per_pair"]["cli.wall_s"]) == 2
         assert run["change_lower_in"]["cli.wall_s"]["pairs"] == 2
-        assert run["bytecode_cache"].startswith(
-            "PYTHONDONTWRITEBYTECODE set: no tree wrote" if no_cache
-            else "PYTHONDONTWRITEBYTECODE unset: one import of vermalab.cli wrote")
+        assert run["bytecode_cache"] == benchpair.bytecode_note("decompose --n 2", os.environ)
     with pytest.raises(SystemExit, match="do not print the same bytes"):
         benchpair.main([*argv, "--repo", str(differ), "--label", "d"])
     assert not list(out.glob("BENCH_d_*"))
+
+
+@needs_git
+@pytest.mark.parametrize("no_cache", ["", "1"])
+def test_runs_keep_the_callers_environment(tmp_path, monkeypatch, no_cache):
+    # each run's program prints whether its interpreter writes bytecode,
+    # which it reads from PYTHONDONTWRITEBYTECODE; the file says the same
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", no_cache)
+    repo, out = tmp_path / "repo", tmp_path / "out"
+    repo.mkdir()
+    _repo_of_two_commits(repo, "x", "x",
+                         program="import sys; print(sys.flags.dont_write_bytecode, {!r})")
+    argv = ["--parent", "HEAD~1", "--pairs", "1", "--cli", "x", "--label", "e",
+            "--repo", str(repo), "--out-dir", str(out)]
+    assert benchpair.main(argv) == 0
+    [run] = json.loads((out / "BENCH_e_change.json").read_text())["runs"]
+    printed = f"{int(bool(no_cache))} x\n".encode()
+    assert run["stdout_sha256"] == hashlib.sha256(printed).hexdigest()
+    assert run["bytecode_cache"].startswith(
+        "PYTHONDONTWRITEBYTECODE set: no tree wrote" if no_cache
+        else "PYTHONDONTWRITEBYTECODE unset: one import of vermalab.cli wrote")
