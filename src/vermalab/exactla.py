@@ -638,6 +638,8 @@ class SparseMat:
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in product")
+        if not (self.entries and other.entries):
+            return _sparse_mat(self.rows, other.cols, {})
         by_row = {}
         for (i, j), x in other.entries.items():
             by_row.setdefault(i, []).append((j, x))

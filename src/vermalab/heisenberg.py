@@ -21,11 +21,16 @@ increasing indices, in three independent ways:
   removes an (a, b) inversion, so rewriting terminates, and a word
   whose rounds do not sum to its number of inversions raises.
 
-Only whole words are memoised, in a bounded cache that serves
-``normal_form`` callers.  Confluence is exercised empirically by
-comparing all three over random words; the fuzz calls the engines
+Whole words are memoised in a bounded cache that serves ``normal_form``
+callers.  Below it, each engine memoises the one step it repeats, the
+passage of one b_m through one sorted a-part, keyed by (a-part, m) with
+no b-part, in a bounded cache of its own: the fold's closed form
+(`_push_b`) and the rewriters' exchange rounds (`_exchange_one`, shared
+by leftmost and rightmost).  The two memos never answer for each other,
+so the engines stay independent.  Confluence is exercised empirically
+by comparing all three over random words; the fuzz calls the engines
 directly and keeps one verdict per distinct word for one call, so it
-leaves no normal form behind.
+leaves no normal form behind; it does fill the passage memos.
 ``a_gen`` and ``b_gen`` build checked letters for words written by hand;
 the Fock representation, which no verb reads, is a test oracle.
 
@@ -179,33 +184,55 @@ def _misfiled(word, count, detail=""):
                           f"{word_str(word)} filed under {count} inversions{detail}")
 
 
-def _exchange(terms, m):
-    """b_m written after each normal monomial of `terms`, rewritten by
-    exchange steps; returns the normal terms and the number of rounds.
+@lru_cache(maxsize=512)
+def _exchange_one(aas, m):
+    """b_m written after the sorted a-part `aas`, rewritten by exchange
+    steps; returns a tuple of ((b-index or 0, a-indices), weight) and the
+    number of rounds.
 
-    A term in flight is B A b P with P the a's the b has passed.  A round
+    A term in flight is A b P with P the a's the b has passed.  A round
     exchanges the last, largest a_k of A with the b: a_k b -> b a_k +
     b' a_{k-1}, b' one index lower, so a_k or a_{k-1} joins P, which stays
     sorted because each a of P is at least k - 1.  A term leaves once A
-    is empty, the b joining B, or once b' = b_0 = 1.
+    is empty, with the b in front of P, or once b' = b_0 = 1.  The passage
+    does not depend on the b's in front of A, so it is memoised on
+    (A, m) alone; the result is a tuple, which no caller can mutate.
     """
     out = {}
-    flight = {(bs, aas, (), m): c for (bs, aas), c in terms.items()}
+    flight = {(aas, (), m): 1}
     rounds = -1  # the last pass only lets terms leave
     while flight:
         rounds += 1
         after = {}
-        for (bs, aas, passed, mb), c in flight.items():
+        for (aas, passed, mb), c in flight.items():
             if not (aas and mb):
-                key = (_insert(bs, mb), passed) if mb else (bs, tuple(sorted(aas + passed)))
+                key = (mb, passed) if mb else (0, tuple(sorted(aas + passed)))
                 out[key] = out.get(key, 0) + c
                 continue
             k = aas[-1]
             aas = aas[:-1]
             lowered = (k - 1,) + passed if k > 1 else passed
-            for key in (bs, aas, _insert(passed, k), mb), (bs, aas, lowered, mb - 1):
+            for key in (aas, _insert(passed, k), mb), (aas, lowered, mb - 1):
                 after[key] = after.get(key, 0) + c
         flight = after
+    return tuple(out.items()), rounds
+
+
+def _exchange(terms, m):
+    """b_m written after each normal monomial B A of `terms`, rewritten by
+    the exchange steps of `_exchange_one` on A; a surviving b joins B.
+
+    Returns the normal terms and the number of rounds, the most any one
+    term took: the rounds the terms would take exchanged side by side.
+    """
+    out = {}
+    rounds = -1
+    for (bs, aas), c in terms.items():
+        passages, r = _exchange_one(aas, m)
+        rounds = max(rounds, r)
+        for (mb, new_aas), w in passages:
+            key = (_insert(bs, mb) if mb else bs, new_aas)
+            out[key] = out.get(key, 0) + c * w
     return out, rounds
 
 
@@ -250,15 +277,17 @@ def _insert(indices, i):
     return indices[:at] + (i,) + indices[at:]
 
 
+@lru_cache(maxsize=512)
 def _push_b(aas, m):
-    """a_{n_1} ... a_{n_j} b_m as a list of (weight, b-index, a-indices).
+    """a_{n_1} ... a_{n_j} b_m as a tuple of (weight, b-index, a-indices).
 
     From A(t) B(u) = B(u) A(t) (1 + tu): b_m passes each a_n either
     unchanged or lowering both, a_n to a_{n-1} and b_m to b_{m-1}, with
     a_0 = b_0 = 1 and nothing lowered past b_0.  Lowering k of the r
     copies of one index has weight C(r, k).  `aas` is sorted, so the
     lowered copies of a run land after every earlier run and the
-    a-indices stay sorted; a b-index of 0 means the b is gone.
+    a-indices stay sorted; a b-index of 0 means the b is gone.  Memoised
+    on (aas, m); the result is a tuple, which no caller can mutate.
     """
     partial = [(1, m, ())]
     p = 0
@@ -272,7 +301,7 @@ def _push_b(aas, m):
             for w, mb, kept in partial
             for k in range(min(r, mb) + 1)
         ]
-    return partial
+    return tuple(partial)
 
 
 def _fold(word):
@@ -280,7 +309,8 @@ def _fold(word):
 
     The running value is a combination of normal monomials b...b a...a:
     an a-letter joins the a-part, a b-letter is pushed through the a-part
-    by `_push_b`.  No recursion and no memo of sub-words.
+    by `_push_b`.  No recursion and no memo of sub-words; only the
+    passage of one b through one a-part is memoised, in `_push_b`.
     """
     terms = {((), ()): 1}
     for kind, i in word:
@@ -320,7 +350,10 @@ def normal_form(word, strategy="series"):
     which adjacent a-before-b pair to exchange first.  All three reach the
     same normal form (checked by fuzzing, not assumed by the
     implementation).  Whole words are memoised in a bounded cache for
-    the callers of this function; ``confluence_fuzz`` bypasses it.  The
+    the callers of this function; ``confluence_fuzz`` bypasses it.  Each
+    engine also memoises, in a bounded cache of its own, the passage of
+    one b through one sorted a-part, which no engine borrows from
+    another.  The
     result is a fresh copy, so a caller may mutate it without touching
     the cache.  A letter other than ("a", n) or ("b", n) with an int
     n >= 1 raises ValueError.

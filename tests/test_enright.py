@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -873,3 +874,45 @@ def test_the_band_kernel_raises_on_a_vector_it_cannot_check(monkeypatch):
     for b in ({}, {0: 1}):
         with pytest.raises(AssertionError, match=r"does not satisfy the slice map at n=6, mu=-4"):
             enright._slice_solve(rows, len(rows), b, 6, -4)
+
+
+def _hwv_faults():
+    """Each of highest_weight_vector's four checks, with the fault that
+    makes it fire at n = 5, s = -1 and the message it raises."""
+    real_solve, real_p = enright._slice_solve, enright.p_coefficients
+
+    def solve(change):
+        return "_slice_solve", lambda *args: change(real_solve(*args))
+
+    def closed(change):
+        return "p_coefficients", lambda n, r: change(real_p(n, r))
+
+    return {
+        "kernel-dimension": (solve(lambda ker: ker + ker),
+                             "e-kernel at weight -1 has dimension 2, expected 1 (n=5)"),
+        "positivity": (solve(lambda ker: [{**ker[0], 1: -ker[0][1]}]),
+                       "highest weight coefficients not positive at n=5, s=-1"),
+        "support-size": (closed(lambda p: p + [1]),
+                         "support size 3 does not match closed form 4"),
+        "proportionality": (closed(lambda p: p[:-1] + [2 * p[-1]]),
+                            "oracle kernel not proportional to closed form at n=5, s=-1"),
+    }
+
+
+@pytest.mark.parametrize("fault", list(_hwv_faults()))
+def test_highest_weight_vector_checks_fire(fault, monkeypatch):
+    # enright.highest_weight_vector(5, -1) is {0: 5, 1: 6, 2: 3} against
+    # the closed form [320, 384, 192]; each fault breaks one check only
+    (name, replacement), message = _hwv_faults()[fault]
+    monkeypatch.setattr(enright, name, replacement)
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        enright.highest_weight_vector(5, -1)
+
+
+def test_a_broken_highest_weight_vector_fails_the_hwv_verb(monkeypatch, capsys):
+    (name, replacement), message = _hwv_faults()["proportionality"]
+    monkeypatch.setattr(enright, name, replacement)
+    assert main(["hwv", "--n", "5", "--s", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"verification failure: {message}\n"

@@ -592,6 +592,55 @@ def _checked(m):
     return SparseMat(m.rows, m.cols, m.entries)
 
 
+def _dense_product(a, b):
+    """The entries of a @ b by the textbook sum over every index."""
+    out = {}
+    for i in range(a.rows):
+        for j in range(b.cols):
+            s = sum(a.entries.get((i, k), 0) * b.entries.get((k, j), 0) for k in range(a.cols))
+            if s:
+                out[i, j] = s
+    return out
+
+
+@pytest.mark.parametrize("left, right", [
+    (SparseMat(3, 4), SparseMat(4, 2, {(0, 0): 2, (3, 1): Fraction(1, 3)})),
+    (SparseMat(3, 4, {(0, 0): 2, (2, 3): -1}), SparseMat(4, 2)),
+    (SparseMat(3, 4), SparseMat(4, 2)),
+    (SparseMat(0, 3), SparseMat(3, 2, {(1, 1): 5})),
+    (SparseMat(2, 3, {(1, 2): 5}), SparseMat(3, 0)),
+    (SparseMat(3, 0), SparseMat(0, 2)),
+    (SparseMat(2, 2, {(0, 1): 1}), SparseMat(2, 2, {(0, 1): 1})),
+], ids=["left-zero", "right-zero", "both-zero", "no-rows", "no-cols", "inner-0",
+        "nilpotent"])
+def test_products_with_a_zero_operand(left, right):
+    out = left @ right
+    assert (out.rows, out.cols) == (left.rows, right.cols)
+    assert out.entries == _dense_product(left, right) == {}
+    assert out == _checked(out)
+    assert (left @ right).entries is not out.entries  # no shared empty dict
+
+
+@given(matrix_pair())
+@settings(max_examples=100, deadline=None)
+def test_products_match_the_dense_sum(pair):
+    a, b, _ = pair
+    if a.cols != b.rows:  # equal shapes: multiply by the transpose
+        b = SparseMat(b.cols, b.rows, {(j, i): x for (i, j), x in b.entries.items()})
+    for left, right in (a, b), (a.scale(0), b), (a, b.scale(0)):
+        assert (left @ right).entries == _dense_product(left, right)
+
+
+@pytest.mark.parametrize("left, right", [
+    (SparseMat(3, 4), SparseMat(3, 2, {(0, 0): 1})),
+    (SparseMat(3, 4, {(0, 0): 1}), SparseMat(2, 2)),
+    (SparseMat(0, 1), SparseMat(0, 1)),
+])
+def test_zero_operands_still_check_the_shapes(left, right):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        left @ right
+
+
 @given(matrix_pair())
 @settings(max_examples=200, deadline=None)
 def test_unchecked_results_pass_the_checked_constructor(pair):

@@ -3,7 +3,7 @@ import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb, factorial
 
 import pytest
@@ -38,10 +38,14 @@ def mono(bs=(), aas=(), c=1):
 
 @pytest.fixture
 def fresh_cache():
-    # a planted fault must neither read nor leave behind memoised words
-    heisenberg._nf_cached.cache_clear()
+    # a planted fault must neither read nor leave behind memoised words or
+    # passages; the memos are taken before a test can monkeypatch them
+    memos = (heisenberg._nf_cached, heisenberg._push_b, heisenberg._exchange_one)
+    for memo in memos:
+        memo.cache_clear()
     yield
-    heisenberg._nf_cached.cache_clear()
+    for memo in memos:
+        memo.cache_clear()
 
 
 class TestNormalForm:
@@ -168,16 +172,37 @@ def test_rewriters_match_the_bucketed_oracle(words):
 def test_planted_exchange_fault_is_a_mismatch(strategy, monkeypatch, fresh_cache):
     # drop the contraction term of every exchange of an a_2 with a b; the
     # term that always swaps survives, so the inversion guard stays quiet
-    source = inspect.getsource(heisenberg._exchange)
-    step = "for key in (bs, aas, _insert(passed, k), mb), (bs, aas, lowered, mb - 1):"
+    source = inspect.getsource(heisenberg._exchange_one)
+    step = "for key in (aas, _insert(passed, k), mb), (aas, lowered, mb - 1):"
     assert source.count(step) == 1
     namespace = dict(vars(heisenberg))
-    exec(source.replace(step, "for key in ((bs, aas, _insert(passed, k), mb), "
-                              "(bs, aas, lowered, mb - 1))[:1 if k == 2 else 2]:"), namespace)
-    monkeypatch.setattr(heisenberg, "_exchange", namespace["_exchange"])
+    exec(source.replace(step, "for key in ((aas, _insert(passed, k), mb), "
+                              "(aas, lowered, mb - 1))[:1 if k == 2 else 2]:"), namespace)
+    monkeypatch.setattr(heisenberg, "_exchange_one", namespace["_exchange_one"])
     verdict = confluence_fuzz(200, 1729)
     assert verdict.mismatches and not verdict.ok
     assert any(normal_form(w, strategy) != normal_form(w) for w in verdict.mismatches)
+
+
+SORTED_A_PARTS = [aas for length in range(5)
+                  for aas in combinations_with_replacement(range(1, 7), length)]
+
+
+def test_closed_form_matches_the_exchange_steps(fresh_cache):
+    # the fold's passage of b_m through a sorted a-part against the
+    # rewriters', for every a-part of length <= 4 over a_1..a_6
+    assert len(SORTED_A_PARTS) == 210
+    for aas in SORTED_A_PARTS:
+        for m in range(1, 7):
+            pushed = heisenberg._push_b(aas, m)
+            passages, rounds = heisenberg._exchange_one(aas, m)
+            assert type(pushed) is tuple and type(passages) is tuple
+            closed = {}
+            for w, mb, new_aas in pushed:
+                closed[mb, new_aas] = closed.get((mb, new_aas), 0) + w
+            assert dict(passages) == closed, (aas, m)
+            # the term that always swaps passes every a, one per round
+            assert rounds == len(aas), (aas, m)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
