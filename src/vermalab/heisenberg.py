@@ -353,10 +353,9 @@ def normal_form(word, strategy="series"):
     the callers of this function; ``confluence_fuzz`` bypasses it.  Each
     engine also memoises, in a bounded cache of its own, the passage of
     one b through one sorted a-part, which no engine borrows from
-    another.  The
-    result is a fresh copy, so a caller may mutate it without touching
-    the cache.  A letter other than ("a", n) or ("b", n) with an int
-    n >= 1 raises ValueError.
+    another.  The result is a fresh copy, so a caller may mutate it
+    without touching the cache.  A letter other than ("a", n) or
+    ("b", n) with an int n >= 1 raises ValueError.
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
