@@ -46,11 +46,9 @@ __all__ = [
     "zero_morphism",
     "homotopic",
     "homotopic_to_zero",
-    "zero_equivalent",
     "kernel",
     "cokernel",
     "embed",
-    "embed_morphism",
     "random_object",
     "random_morphism",
     "factors_through_kernel",
@@ -262,12 +260,6 @@ def homotopic_to_zero(f):
     return homotopic(f, zero_morphism(f.source, f.target))
 
 
-def zero_equivalent(obj):
-    """An object is zero in the quotient category iff its identity is
-    null-homotopic."""
-    return homotopic_to_zero(identity_of(obj)) is not None
-
-
 # ---------------------------------------------------------------------------
 # block constructions for kernel and cokernel
 # ---------------------------------------------------------------------------
@@ -424,14 +416,6 @@ def cokernel(t):
 def embed(dim):
     """The full embedding of a matrix object: 0 -> Q^dim -> 0."""
     return DoubleArrow((0, dim, 0), SparseMat(dim, 0), SparseMat(0, dim))
-
-
-def embed_morphism(mat):
-    """The embedding on morphisms; plain matrices become middle maps."""
-    return TripleMorphism(
-        embed(mat.cols), embed(mat.rows),
-        SparseMat(0, 0), mat, SparseMat(0, 0),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -459,7 +459,56 @@ VERBS = {
 # ---------------------------------------------------------------------------
 
 def render_json(doc):
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """json.dumps(doc, indent=2, sort_keys=True) + "\\n", appended to one list
+    instead of re-yielded through json's pure-Python indenting encoder.
+    Only what an exact report holds is accepted: dicts with str keys, lists
+    and tuples, str, int, bool and None; anything else, a float included,
+    raises TypeError."""
+    out = []
+    _write_json(doc, out, "\n")
+    return "".join(out) + "\n"
+
+
+_quote = json.encoder.encode_basestring_ascii  # a TypeError on a key that is no str
+# the text of a scalar by its exact type; a subclass of str or int takes the last branch
+_SCALAR_TEXT = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+                type(None): lambda _: "null"}
+
+
+def _write_json(value, out, newline):
+    # newline breaks and indents the line value starts on; a container
+    # writes its scalar items itself and recurses into the rest
+    if isinstance(value, (dict, list, tuple)) and not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner, sep = newline + "  ", "{"
+        for key in sorted(value):
+            item = value[key]
+            text = _SCALAR_TEXT.get(type(item))
+            if text is None:
+                out.append(f"{sep}{inner}{_quote(key)}: ")
+                _write_json(item, out, inner)
+            else:
+                out.append(f"{sep}{inner}{_quote(key)}: {text(item)}")
+            sep = ","
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            text = _SCALAR_TEXT.get(type(item))
+            if text is None:
+                out.append(sep)
+                _write_json(item, out, inner)
+            else:
+                out.append(sep + text(item))
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, (str, int)) or value is None:
+        text = _SCALAR_TEXT.get(type(value)) or (_quote if isinstance(value, str) else int.__repr__)
+        out.append(text(value))
+    else:
+        raise TypeError(f"a {type(value).__name__} has no place in an exact report")
 
 
 def render_csv(rows):

@@ -255,9 +255,6 @@ class RatFunc:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         other = RatFunc._lift(other)
         if other is NotImplemented:
@@ -288,9 +285,6 @@ class RatFunc:
             base = base * base
             k >>= 1
         return out
-
-    def inverse(self):
-        return RatFunc.const(1) / self
 
     # -- predicates ---------------------------------------------------
     def __bool__(self):
@@ -592,22 +586,6 @@ class SparseMat:
         outside index raises."""
         return SparseMat(len(index), len(columns), {
             (index[k], j): x for j, col in enumerate(columns) for k, x in col.items()})
-
-    @staticmethod
-    def from_rows(rows_list):
-        rows = len(rows_list)
-        cols = len(rows_list[0]) if rows else 0
-        ent = {}
-        for i, row in enumerate(rows_list):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for j, x in enumerate(row):
-                if x:
-                    ent[i, j] = x
-        return SparseMat(rows, cols, ent)
-
-    def __getitem__(self, key):
-        return self.entries.get(key, 0)
 
     def __eq__(self, other):
         return (

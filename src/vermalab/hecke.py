@@ -39,7 +39,6 @@ __all__ = [
     "inverse",
     "simple",
     "transposition",
-    "inversions",
     "GroupAlgebraElement",
     "HeckeElement",
     "jucys_murphy",
@@ -89,11 +88,6 @@ def transposition(n, a, b):
     out = list(range(n))
     out[a - 1], out[b - 1] = out[b - 1], out[a - 1]
     return tuple(out)
-
-
-def inversions(p):
-    n = len(p)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
 
 
 def _left_descent(p):
@@ -171,17 +165,9 @@ class _PermCombination:
     def __sub__(self, other):
         return self + (-self._lift(other))
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def scale(self, c):
         c = self._coerce(c)
         return type(self)(self.n, {p: c * x for p, x in self.terms.items()})
-
-    def __rmul__(self, other):
-        if isinstance(other, self._scalars):
-            return self.scale(other)
-        return NotImplemented
 
     def __eq__(self, other):
         other = self._lift(other)

@@ -48,7 +48,6 @@ __all__ = [
     "f_on_slice",
     "apply_rows",
     "apply_op",
-    "apply_word",
     "module_to_json",
     "label_str",
 ]
@@ -155,13 +154,6 @@ def apply_op(module, op, vec):
         if c:
             vec_iadd(out, module.act_label(op, label), c)
     return out
-
-
-def apply_word(module, word, vec):
-    """Apply a word in {'e','f','h'} with the rightmost letter acting first."""
-    for op in reversed(word):
-        vec = apply_op(module, op, vec)
-    return vec
 
 
 # ---------------------------------------------------------------------------

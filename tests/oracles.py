@@ -1,8 +1,13 @@
 """Reference routines that only the tests call; no verb of the library
 needs them, so they stay out of ``src/``.
 
+- ``from_rows`` and ``entry``: a SparseMat from dense rows, and one
+  entry of it, zero where none is stored;
 - ``rank`` and ``slice_matrix``: the elimination engine's view of a
   matrix and of a weight slice map given as rows;
+- ``apply_word``: an e/f/h word applied letter by letter, and
+  ``per_vector_pseudoadjoint_check``: the pseudoadjoint check that pushes
+  every vector through the words of B and C, with no image kept;
 - ``solved_casimir_blocks``: the Casimir audit of one weight slice by
   slice solves, against which ``enright.casimir_blocks`` and its
   f-tower certificates are held;
@@ -17,7 +22,10 @@ needs them, so they stay out of ``src/``.
   confluence fuzz, and the fuzz as three memoised ``normal_form`` calls
   per trial, with no verdict kept between trials;
 - ``bucketed_rewrite``: the exchange rewriters on whole words, filed by
-  inversion count, against which ``heisenberg._rewrite`` is held.
+  inversion count, against which ``heisenberg._rewrite`` is held;
+- ``inversions``: the length of a permutation;
+- ``embed_morphism`` and ``zero_equivalent``: plain matrices as morphisms
+  of matrix objects, and the zero test of the quotient category.
 """
 
 import random
@@ -25,16 +33,49 @@ from bisect import bisect_left
 from typing import NamedTuple
 
 from vermalab import enright
-from vermalab.enright import highest_weight_vector, index_sets, projective_generator
-from vermalab.exactla import SparseMat, _echelon, _integer_rows, nullspace, vec_iadd, vec_scale, vec_sub
+from vermalab.adelman import TripleMorphism, embed, homotopic_to_zero, identity_of
+from vermalab.enright import (
+    PseudoadjointReport,
+    highest_weight_vector,
+    index_sets,
+    projective_generator,
+)
+from vermalab.exactla import (
+    SparseMat,
+    _echelon,
+    _integer_rows,
+    nullspace,
+    vec_add,
+    vec_iadd,
+    vec_scale,
+    vec_sub,
+)
 from vermalab.heisenberg import HElem, normal_form, word_inversions
 from vermalab.sl2mod import (
     apply_op,
-    apply_word,
     build_tensor,
     casimir_on_vector,
     tensor_weight_basis,
 )
+
+
+def from_rows(rows_list):
+    """The SparseMat of a list of equally long dense rows."""
+    rows = len(rows_list)
+    cols = len(rows_list[0]) if rows else 0
+    ent = {}
+    for i, row in enumerate(rows_list):
+        if len(row) != cols:
+            raise ValueError("ragged rows")
+        for j, x in enumerate(row):
+            if x:
+                ent[i, j] = x
+    return SparseMat(rows, cols, ent)
+
+
+def entry(m, r, c):
+    """The (r, c) entry of a SparseMat, 0 where none is stored."""
+    return m.entries.get((r, c), 0)
 
 
 def rank(m):
@@ -75,8 +116,48 @@ def solved_casimir_blocks(n, mu):
 
 
 # ---------------------------------------------------------------------------
-# truncated modules: the Casimir matrix and category membership
+# truncated modules: words, the pseudoadjoint check, the Casimir matrix and
+# category membership
 # ---------------------------------------------------------------------------
+
+def apply_word(module, word, vec):
+    """Apply a word in {'e','f','h'} with the rightmost letter acting first."""
+    for op in reversed(word):
+        vec = apply_op(module, op, vec)
+    return vec
+
+
+def per_vector_pseudoadjoint_check(module, c, margin=8):
+    """``enright.pseudoadjoint_check`` as it was before the images of the
+    labels were kept: B v, C v and then B and C of both are each pushed
+    through the words by ``enright._b_and_c``, for every interior label."""
+    if not module.complete and module.depth < margin:
+        raise ValueError(f"depth {module.depth} too small for margin {margin}")
+    interior = module.interior(margin)
+    failures = []
+    identity_zero = True
+    casimir_match = True
+    for b in interior:
+        v = {b: 1}
+        Bv, Cv = enright._b_and_c(module, v)
+        BBv, CBv = enright._b_and_c(module, Bv)
+        BCv, CCv = enright._b_and_c(module, Cv)
+        lhs = vec_add(BBv, CCv)
+        lhs = vec_add(lhs, vec_scale(2 * c, Cv))
+        lhs = vec_add(lhs, vec_scale(c * c, v))
+        rhs = vec_add(BCv, CBv)
+        rhs = vec_add(rhs, vec_scale(2 * c, Bv))
+        if lhs != rhs:
+            identity_zero = False
+            failures.append(("identity", b))
+        if vec_sub(Bv, Cv) != casimir_on_vector(module, v):
+            casimir_match = False
+            failures.append(("casimir", b))
+    return PseudoadjointReport(
+        kind=module.kind, c=c, margin=margin, labels_checked=len(interior),
+        identity_zero=identity_zero, casimir_match=casimir_match, failures=failures,
+    )
+
 
 def casimir(m):
     """Matrix of the Casimir operator h^2 + 2h + 4fe on the slice.
@@ -387,3 +468,27 @@ def bucketed_rewrite(word, strategy):
         key = tuple(-v for v in reversed(s[:k])), tuple(s[k:])
         out[key] = out.get(key, 0) + c
     return HElem(out)
+
+
+# ---------------------------------------------------------------------------
+# Hecke and Adelman helpers that only the tests use
+# ---------------------------------------------------------------------------
+
+def inversions(p):
+    """The number of inversions of the permutation p, its length."""
+    n = len(p)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+
+
+def embed_morphism(mat):
+    """The embedding on morphisms; plain matrices become middle maps."""
+    return TripleMorphism(
+        embed(mat.cols), embed(mat.rows),
+        SparseMat(0, 0), mat, SparseMat(0, 0),
+    )
+
+
+def zero_equivalent(obj):
+    """An object is zero in the quotient category iff its identity is
+    null-homotopic."""
+    return homotopic_to_zero(identity_of(obj)) is not None

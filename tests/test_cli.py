@@ -5,6 +5,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vermalab import adelman, cli, enright, exactla, fixtures, hecke, heisenberg, sl2mod
 from vermalab.cli import main, scalar_str
@@ -119,6 +121,21 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"internal error: {line}\n"
         assert "Traceback" not in captured.err
+
+    def test_a_report_the_writer_refuses_is_an_internal_error(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # a float has no exact rendering: nothing is written, to stdout or to a file
+        verb = cli.VERBS["hwv"]
+        monkeypatch.setitem(cli.VERBS, "hwv", verb._replace(
+            handler=lambda args: ({"n": args.n, "ratio": 0.5}, True)))
+        out = tmp_path / "h.json"
+        for to_file in ([], ["-o", str(out)]):
+            assert main(["hwv", "--n", "4", "--s", "0", *to_file]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("internal error: TypeError: "
+                                    "a float has no place in an exact report\n")
+        assert not out.exists()
 
     def test_unwritable_output_is_a_file_error(self, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "d.json"
@@ -414,6 +431,31 @@ class TestFormats:
         assert code == 0
         assert out.read_bytes().decode().startswith(
             "model,relation,n,indices,witnessOrPass\r\n")
+
+    # what a report may hold; the texts reach past ASCII and into quotes,
+    # backslashes and control characters, the integers past 64 bits
+    _SCALARS = st.one_of(
+        st.none(), st.booleans(), st.integers(),
+        st.integers(min_value=2**64), st.integers(max_value=-2**64),
+        st.text(), st.text(alphabet='"\\/\x00\x08\x1f\x7f\xe9\u2028\U0001d11e ab'))
+    _DOCS = st.recursive(_SCALARS, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4)), max_leaves=16)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_DOCS)
+    @example({"": [], "b": {}, "a": [(), {"x": [None, True, False, -1, 2**64]}]})
+    def test_json_matches_json_dumps(self, doc):
+        assert cli.render_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        0.5, {"x": [1, 2.0]}, {1: "a"}, {"x": {"y": [{None: 0}]}}, {1, 2}, {"x": [frozenset()]},
+        Fraction(1, 2),
+    ], ids=["float", "nested-float", "int-key", "nested-None-key", "set", "nested-frozenset",
+            "Fraction"])
+    def test_json_refuses_what_no_exact_report_holds(self, doc):
+        with pytest.raises(TypeError):
+            cli.render_json(doc)
 
     def test_scalar_rendering(self):
         assert scalar_str(5) == "5"

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    apply_word,
     casimir,
     decategorify,
+    entry,
     formal_matrices,
+    per_vector_pseudoadjoint_check,
     rank,
     slice_matrix,
     solved_casimir_blocks,
@@ -19,8 +22,8 @@ from vermalab import enright
 from vermalab.cli import main
 from vermalab.exactla import SparseMat, generalized_kernel, nullspace, vec_iadd
 from vermalab.sl2mod import (
+    TruncatedModule,
     apply_op,
-    apply_word,
     build_Ln,
     build_Tr,
     build_tensor,
@@ -346,6 +349,45 @@ class TestPseudoadjoint:
                 assert enright._b_and_c(mod, v) == expected
 
 
+    def test_kept_images_match_the_per_vector_check(self, monkeypatch, capsys):
+        # every module that verify-pseudoadjoint --n 0..12 checks, with the
+        # images of its labels kept and with every vector pushed afresh
+        real, runs = enright.pseudoadjoint_check, []
+
+        def recorded(module, c, margin=8):
+            runs.append((module, c, margin, real(module, c, margin)))
+            return runs[-1][-1]
+
+        monkeypatch.setattr(enright, "pseudoadjoint_check", recorded)
+        for n in range(13):
+            assert main(["verify-pseudoadjoint", "--n", str(n)]) == 0
+        capsys.readouterr()
+        assert {module.kind for module, *_ in runs} == {"Verma", "Ln", "Tr"}
+        for module, c, margin, rep in runs:
+            assert rep == per_vector_pseudoadjoint_check(module, c, margin)
+
+    @pytest.mark.parametrize("build,c", [
+        (lambda: build_verma(0, 20), 0),
+        (lambda: build_Ln(6), 48),
+        (lambda: build_Tr(enright.projective_generator(4, 2), 14), 8),
+    ], ids=["Verma", "Ln", "Tr"])
+    def test_kept_images_hide_no_fault(self, build, c):
+        # e doubled on one interior label: both checks see the same
+        # failures, in the same order
+        mod = build()
+        broken = mod.interior(8)[len(mod.interior(8)) // 2]
+
+        def act(op, label):
+            image = mod.act_label(op, label)
+            return {k: 2 * x for k, x in image.items()} if (op, label) == ("e", broken) else image
+
+        faulty = TruncatedModule(mod.kind, mod.params, mod.depth, mod.basis, mod.basis_ext,
+                                 mod.weight, mod.depth_of, act, mod.complete)
+        rep = enright.pseudoadjoint_check(faulty, c)
+        assert rep.failures and not (rep.identity_zero and rep.casimir_match)
+        assert rep == per_vector_pseudoadjoint_check(faulty, c)
+
+
 class TestDecategorify:
     def test_class_rules_match_module_action(self):
         rep = decategorify(4, 10)
@@ -388,7 +430,7 @@ def test_slice_casimir_matches_the_module_casimir():
             assert all(r in cols for r, c in full.entries if c in cols)
             size = len(idx)
             restricted = SparseMat(size, size, {
-                (a, b): full[r, c] for a, r in enumerate(idx) for b, c in enumerate(idx)})
+                (a, b): entry(full, r, c) for a, r in enumerate(idx) for b, c in enumerate(idx)})
             assert slice_matrix(rows, size) == restricted
             shifted = enright.casimir_weight_matrix(n, mu, 3)
             assert slice_matrix(shifted, size) == restricted - SparseMat.identity(size).scale(3)
@@ -409,7 +451,7 @@ def test_slice_e_matches_the_module_e():
             cols, rows = set(src), set(dst)
             assert all(r in rows for r, c in act.entries if c in cols)
             assert slice_matrix(e_rows, len(src)) == SparseMat(len(dst), len(src), {
-                (a, b): act[r, c] for a, r in enumerate(dst) for b, c in enumerate(src)})
+                (a, b): entry(act, r, c) for a, r in enumerate(dst) for b, c in enumerate(src)})
 
 
 def test_slice_f_matches_the_module_f():
@@ -430,7 +472,7 @@ def test_slice_f_matches_the_module_f():
             assert all(r in rows for r, c in act.entries if c in cols)
             for b, c in enumerate(src):
                 assert f_on_slice(n, {b: 1}) == {
-                    a: act[r, c] for a, r in enumerate(dst) if act[r, c]}
+                    a: entry(act, r, c) for a, r in enumerate(dst) if entry(act, r, c)}
 
 
 # ---------------------------------------------------------------------------
@@ -916,3 +958,22 @@ def test_a_broken_highest_weight_vector_fails_the_hwv_verb(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"verification failure: {message}\n"
+
+
+def test_a_failed_five_term_recurrence_fires(monkeypatch):
+    # the generator of n = 8, s = 2 with one residual of its recurrence nonzero
+    real = enright.beta_recursion_residuals
+    monkeypatch.setattr(enright, "beta_recursion_residuals",
+                        lambda n, s, final: real(n, s, final)[:-1] + [1])
+    with pytest.raises(AssertionError, match=r"^five-term recurrence fails at n=8, s=2$"):
+        enright.projective_generator(8, 2)
+
+
+def test_a_failed_five_term_recurrence_fails_the_projgen_verb(monkeypatch, capsys):
+    real = enright.beta_recursion_residuals
+    monkeypatch.setattr(enright, "beta_recursion_residuals",
+                        lambda n, s, final: real(n, s, final)[:-1] + [1])
+    assert main(["projgen", "--n", "8", "--s", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verification failure: five-term recurrence fails at n=8, s=2\n"

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import rank
+from oracles import entry, from_rows, rank
 
 from vermalab.exactla import (
     Laurent,
@@ -25,7 +25,7 @@ from vermalab.exactla import (
 
 
 def mat(rows):
-    return SparseMat.from_rows(rows)
+    return from_rows(rows)
 
 
 class TestNullspace:
@@ -428,7 +428,7 @@ def _gauss_jordan(m, b):
     columns left to right.  Returns the solution with every free
     coordinate 0 as (column, value) pairs of its nonzero values in
     decreasing pivot column, or None when the system is inconsistent."""
-    a = [[Fraction(m[i, j]) for j in range(m.cols)] + [Fraction(b.get(i, 0))]
+    a = [[Fraction(entry(m, i, j)) for j in range(m.cols)] + [Fraction(b.get(i, 0))]
          for i in range(m.rows)]
     pivots, r = [], 0
     for c in range(m.cols):

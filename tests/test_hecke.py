@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import inversions
 
 from vermalab import hecke
 from vermalab.exactla import Laurent
@@ -16,7 +17,6 @@ from vermalab.hecke import (
     evaluation_X_inverses,
     identity_perm,
     inverse,
-    inversions,
     jucys_murphy,
     reduced_word,
     simple,

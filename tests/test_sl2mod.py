@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from oracles import casimir, rank, verify_category_I
+from oracles import apply_word, casimir, rank, verify_category_I
 
 from vermalab import enright
 from vermalab.cli import main
@@ -10,7 +10,6 @@ from vermalab.sl2mod import (
     ConstructionError,
     TruncationError,
     apply_op,
-    apply_word,
     build_Ln,
     build_Tr,
     build_tensor,
