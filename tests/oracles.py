@@ -128,9 +128,9 @@ def apply_word(module, word, vec):
 
 
 def per_vector_pseudoadjoint_check(module, c, margin=8):
-    """``enright.pseudoadjoint_check`` as it was before the images of the
-    labels were kept: B v, C v and then B and C of both are each pushed
-    through the words by ``enright._b_and_c``, for every interior label."""
+    """``enright.pseudoadjoint_check`` with no image kept: for every
+    interior label, B v, C v and then B and C of both are each pushed
+    through the words by ``enright._b_and_c``."""
     if not module.complete and module.depth < margin:
         raise ValueError(f"depth {module.depth} too small for margin {margin}")
     interior = module.interior(margin)

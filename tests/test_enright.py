@@ -348,7 +348,6 @@ class TestPseudoadjoint:
                     expected.append(combo)
                 assert enright._b_and_c(mod, v) == expected
 
-
     def test_kept_images_match_the_per_vector_check(self, monkeypatch, capsys):
         # every module that verify-pseudoadjoint --n 0..12 checks, with the
         # images of its labels kept and with every vector pushed afresh
@@ -960,19 +959,20 @@ def test_a_broken_highest_weight_vector_fails_the_hwv_verb(monkeypatch, capsys):
     assert captured.err == f"verification failure: {message}\n"
 
 
-def test_a_failed_five_term_recurrence_fires(monkeypatch):
-    # the generator of n = 8, s = 2 with one residual of its recurrence nonzero
+@pytest.fixture
+def broken_recurrence(monkeypatch):
+    # the last residual of every five-term recurrence made nonzero
     real = enright.beta_recursion_residuals
     monkeypatch.setattr(enright, "beta_recursion_residuals",
                         lambda n, s, final: real(n, s, final)[:-1] + [1])
+
+
+def test_a_failed_five_term_recurrence_fires(broken_recurrence):
     with pytest.raises(AssertionError, match=r"^five-term recurrence fails at n=8, s=2$"):
         enright.projective_generator(8, 2)
 
 
-def test_a_failed_five_term_recurrence_fails_the_projgen_verb(monkeypatch, capsys):
-    real = enright.beta_recursion_residuals
-    monkeypatch.setattr(enright, "beta_recursion_residuals",
-                        lambda n, s, final: real(n, s, final)[:-1] + [1])
+def test_a_failed_five_term_recurrence_fails_the_projgen_verb(broken_recurrence, capsys):
     assert main(["projgen", "--n", "8", "--s", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
