@@ -113,7 +113,8 @@ def index_sets(n, lam=0):
     iset = set(I)
     iprime = [r for r in I if lam + r >= 0 and _mirror(r, lam) in iset]
     idouble = sorted(_mirror(r, lam) for r in iprime)
-    itriple = [t for t in I if t not in set(iprime) and t not in set(idouble)]
+    paired = set(iprime) | set(idouble)
+    itriple = [t for t in I if t not in paired]
     if len(iprime) + len(idouble) + len(itriple) != len(I):
         raise AssertionError(f"index sets fail to partition I for n={n}, lam={lam}")
     return IndexSets(n, lam, tuple(I), tuple(iprime), tuple(idouble), tuple(itriple))

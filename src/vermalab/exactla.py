@@ -1,9 +1,9 @@
-"""Exact scalars and sparse linear algebra over Q, Z[q, q^-1] and Q(q).
+"""Exact scalars and sparse linear algebra over Z, Z[q, q^-1] and Q(q).
 
-Scalars are ``int``, ``fractions.Fraction`` (exact rationals),
-:class:`Laurent` (Laurent polynomials in one indeterminate ``q`` with
-integer coefficients) or :class:`RatFunc` (reduced fractions of
-polynomials in ``q`` with rational coefficients, denominator monic).
+Scalars are ``int``, :class:`Laurent` (Laurent polynomials in one
+indeterminate ``q`` with integer coefficients) or :class:`RatFunc`
+(reduced fractions of polynomials in ``q`` with rational coefficients,
+denominator monic).
 Vectors are dicts ``key -> scalar`` and matrices are sparse maps
 ``(row, col) -> scalar``, zeros absent from both.
 
@@ -20,12 +20,13 @@ class-level oracle for decategorification also writes its matrices by
 hand, so that the module matrices are compared against an independent
 source.
 
-A value is a ``Fraction`` only when it is not integral.  Back
-substitution runs in integers: ``nullspace`` never builds a ``Fraction``,
-and ``solve`` returns one only for a non-integral coordinate.  Every
-integral structure constant (identity matrices, the sl2 actions, the
-Casimir, the closed-form coefficients) is a plain ``int``, and
-``scalar_str`` renders both kinds the same way.
+Every scalar the library takes is an ``int``.  Every structure
+constant (identity matrices, the sl2 actions, the Casimir, the
+closed-form coefficients) is integral, and the elimination routines and
+``Laurent`` raise ``TypeError`` on anything else.  Back substitution
+runs in integers: ``nullspace`` never builds a ``Fraction``, and
+``solve`` returns one only for a non-integral coordinate of its answer,
+the one rational value the library makes.
 
 ``Laurent`` is the coefficient ring of the Hecke algebra: every
 structure constant there lies in Z[q, q^-1], so its arithmetic needs no
@@ -35,12 +36,11 @@ library module uses it; it stays as the independent Q(q) oracle the
 tests check ``Laurent`` against.
 
 ``nullspace``, ``solve``, ``solve_each`` and ``generalized_kernel``
-all run one sparse integer echelon routine on matrices with ``int`` or
-``Fraction`` entries (anything else raises ``TypeError``); ``Fraction``
-entries arrive when a solution of ``solve`` enters a later system.  Each row becomes a ``{col: int}`` dict scaled by
-the lcm of its denominators (a row of ints is taken as it is); each
-right-hand side of ``solve_each`` is one extra column, so systems that
-share a matrix share one elimination.  Rows are bucketed by leading
+all run one sparse integer echelon routine on matrices with ``int``
+entries (anything else raises ``TypeError``).  Each row becomes a
+``{col: int}`` dict divided by its content; each right-hand side of
+``solve_each`` is one extra column, so systems that share a matrix
+share one elimination.  Rows are bucketed by leading
 column, columns are taken in increasing order, and the shortest row of
 a bucket is the pivot that clears that column from the others.
 Every new row is divided by the gcd of its entries, so intermediate
@@ -61,15 +61,15 @@ pivot exactly when it is not in the span of the columns before it (the
 column rank profile), a property of the matrix and not of the row
 order.  Given the pivot columns, the kernel vector with one free
 coordinate 1 and the others 0 is unique, and so is the solution with
-every free coordinate 0.  Kernel vectors are finally scaled to integer
-entries with gcd 1 and positive defining free coordinate.
+every free coordinate 0.  Kernel vectors are finally divided by their
+content, with positive defining free coordinate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 
 __all__ = [
     "Laurent",
@@ -86,7 +86,6 @@ __all__ = [
     "vec_sub",
     "vec_scale",
     "normalize_integer_vector",
-    "scalar_str",
 ]
 
 
@@ -317,18 +316,10 @@ class RatFunc:
 # ---------------------------------------------------------------------------
 
 def as_integer(x):
-    """x as an int; raises TypeError unless x is an int or an integral Fraction."""
+    """x itself; raises TypeError unless x is an int."""
     if isinstance(x, int):
         return x
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return x.numerator
     raise TypeError(f"expected an integer, not {x!r}")
-
-
-def scalar_str(x):
-    """Exact scalar (int or Fraction) as a string: decimal for integers,
-    num/den otherwise."""
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _laurent(low, coeffs):
@@ -372,7 +363,7 @@ class Laurent:
     def _lift(x):
         if isinstance(x, Laurent):
             return x
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, int):
             return Laurent.const(x)
         return NotImplemented
 
@@ -446,7 +437,7 @@ class Laurent:
     def __eq__(self, other):
         if isinstance(other, Laurent):
             return self.low == other.low and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.low == 0 and self.coeffs == ((other,) if other else ())
         return NotImplemented
 
@@ -455,14 +446,9 @@ class Laurent:
             return hash(self.coeffs[0] if self.coeffs else 0)  # as the int
         return hash((self.low, self.coeffs))
 
-    def at(self, value):
-        """Evaluate at q = value as an exact Fraction; raises
-        ZeroDivisionError at q = 0 when a negative power is present."""
-        v = Fraction(value)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc * v**self.low if self.low else acc
+    def at_one(self):
+        """The value at q = 1, the sum of the coefficients."""
+        return sum(self.coeffs)
 
     def __repr__(self):
         return _pstr(self.coeffs, self.low)
@@ -504,36 +490,25 @@ def vec_scale(c, u):
     return {k: c * x for k, x in u.items()}
 
 
-def _scaled_to_int(u):
-    """A dict of ints and Fractions scaled by the lcm of its denominators
-    to a dict of ints, building no ``Fraction``; a dict of ints is
-    returned as it is.  Raises TypeError on any other entry."""
+def _int_entries(u):
+    """u itself; raises TypeError unless every value is an int."""
     for x in u.values():
         if type(x) is not int:
-            break
-    else:
-        return u
-    for x in u.values():
-        if not isinstance(x, (int, Fraction)):
-            raise TypeError(
-                f"exact arithmetic needs int or Fraction entries, not {type(x).__name__}")
-    den = lcm(*(x.denominator for x in u.values()))
-    return {k: x.numerator * (den // x.denominator) for k, x in u.items()}
+            raise TypeError(f"exact elimination needs int entries, not {type(x).__name__}")
+    return u
 
 
 def normalize_integer_vector(u):
-    """Scale a rational vector to integer entries with gcd 1.
+    """Divide an integer vector by its content, its entries' gcd.
 
     The sign is fixed by making the highest-indexed nonzero coordinate
     positive; for kernel vectors produced by back substitution that is
-    the defining free coordinate.  Keys must be sortable.  Entries are
-    ints or Fractions (anything else raises TypeError), scaled as by
-    ``_scaled_to_int``, so a vector of ints (as ``nullspace`` builds)
-    only loses its content and sign.
+    the defining free coordinate.  Keys must be sortable.  Raises
+    TypeError unless every entry is an int.
     """
     if not u:
         return {}
-    ints = _scaled_to_int(u)
+    ints = _int_entries(u)
     g = gcd(*ints.values())
     if ints[max(ints)] < 0:
         g = -g
@@ -659,9 +634,8 @@ def _primitive(row):
 def _integer_rows(m, rhss=()):
     """Nonzero rows of [m | rhss] as primitive {col: int} dicts.
 
-    Each row is scaled by ``_scaled_to_int``; the entries of the k-th
-    right-hand side become the extra column m.cols + k.  Raises TypeError
-    on an entry that is neither int nor Fraction.
+    The entries of the k-th right-hand side become the extra column
+    m.cols + k.  Raises TypeError on an entry that is not an int.
     """
     rows = {}
     for (i, j), x in m.entries.items():
@@ -670,7 +644,7 @@ def _integer_rows(m, rhss=()):
         for i, x in rhs.items():
             if x:
                 rows.setdefault(i, {})[col] = x
-    return [_primitive(_scaled_to_int(row)) for row in rows.values()]
+    return [_primitive(_int_entries(row)) for row in rows.values()]
 
 
 def _echelon(rows):
@@ -758,8 +732,7 @@ def nullspace(m):
     free coordinate positive; no ``Fraction`` is built on the way.  The
     empty list means the map is injective.  A free column that no echelon
     row touches has the unit vector as its basis vector, with no back
-    substitution.
-    Raises TypeError unless every entry is an int or a Fraction.
+    substitution.  Raises TypeError unless every entry is an int.
     """
     echelon = _echelon(_integer_rows(m))
     pivots = {c for c, _ in echelon}
@@ -781,7 +754,7 @@ def solve(m, b):
 
     b is a sparse vector over row indices; raises ValueError when an
     index of b lies outside the row range, and TypeError unless every
-    entry of m and b is an int or a Fraction.  The solution has every
+    entry of m and b is an int.  The solution has every
     free coordinate 0; a coordinate is an ``int`` when it is integral and
     a ``Fraction`` only otherwise (see ``back_substitute``).
     """

@@ -28,7 +28,6 @@ families are the same in both presentations and are written once.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .exactla import Laurent, as_integer, vec_add, vec_iadd
@@ -189,13 +188,12 @@ class _PermCombination:
 class GroupAlgebraElement(_PermCombination):
     """Finite Z-linear combination of permutations of fixed size.
 
-    Coefficients are plain ints; an integral Fraction is accepted and
-    stored as an int, any other coefficient raises TypeError.
+    Coefficients are plain ints; any other coefficient raises TypeError.
     """
 
     __slots__ = ()
     _coerce = staticmethod(as_integer)
-    _scalars = (int, Fraction)
+    _scalars = int
     _term = "{c}*{p}"
 
     @staticmethod
@@ -234,21 +232,20 @@ _Q_MINUS_ONE = _Q - 1
 
 def _as_laurent(c):
     """c as a Laurent coefficient; raises TypeError unless c is a
-    Laurent, an int or an integral Fraction."""
+    Laurent or an int."""
     return c if isinstance(c, Laurent) else Laurent.const(c)
 
 
 class HeckeElement(_PermCombination):
     """Finite Z[q, q^-1]-linear combination of basis elements T_w.
 
-    Coefficients are :class:`Laurent` polynomials; an int or integral
-    Fraction is lifted to a constant, any other coefficient raises
-    TypeError.
+    Coefficients are :class:`Laurent` polynomials; an int is lifted to a
+    constant, any other coefficient raises TypeError.
     """
 
     __slots__ = ()
     _coerce = staticmethod(_as_laurent)
-    _scalars = (int, Fraction, Laurent)
+    _scalars = (int, Laurent)
     _term = "({c})*T{p}"
 
     @staticmethod
@@ -435,7 +432,7 @@ def xbar(n):
 def specialize_at_one(h):
     """Evaluate every coefficient at q = 1, landing in the group algebra
     over Z."""
-    return GroupAlgebraElement(h.n, {p: c.at(1) for p, c in h.terms.items()})
+    return GroupAlgebraElement(h.n, {p: c.at_one() for p, c in h.terms.items()})
 
 
 def degeneration_check(n):

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
@@ -136,8 +135,10 @@ class HElem:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return HElem({m: c * other for m, c in self.terms.items()})
+        if not isinstance(other, HElem):
+            return NotImplemented
         out = {}
         for (b1, a1), c in self.terms.items():
             for (b2, a2), d in other.terms.items():
@@ -147,7 +148,7 @@ class HElem:
         return HElem(out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self * other
         return NotImplemented
 

@@ -1,8 +1,7 @@
 """Truncated sl2-modules with exact action matrices.
 
-Four module kinds are supported, all with exact e, f, h actions.  The
-coefficients are ``int``, except T_r's cross coefficient, which is a
-``Fraction`` where it is not integral:
+Four module kinds are supported, all with exact e, f, h actions and
+``int`` coefficients:
 
 - ``Ln``         the (n+1)-dimensional simple module, basis v_0..v_n
 - ``Verma``      the highest weight module of weight lambda on w_k = x^k
@@ -31,9 +30,7 @@ applies such rows.  ``enright`` solves its slices on these maps, and
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exactla import SparseMat, scalar_str, vec_iadd
+from .exactla import SparseMat, vec_iadd
 
 __all__ = [
     "TruncatedModule",
@@ -309,12 +306,12 @@ def build_Tr(gen, depth):
     scalar kappa with e a = kappa f^r u; f moves down each column, and
         e f^k u = k(r-k+1) f^(k-1) u,
         e f^k a = -k(k+r+1) f^(k-1) a + kappa f^(k+r) u.
-    kappa is read off one coordinate by exact division (an int when
-    integral).  The spanning vectors are kept on their weight slices of
-    the tensor product, keyed by the slice index i, and every e image
-    down to depth + 1 is checked by substituting them into these
-    formulas under the closed-form slice rows of e; a mismatch raises
-    ConstructionError naming the label.
+    kappa is read off one coordinate by exact division, and a remainder
+    raises ConstructionError.  The spanning vectors are kept on their
+    weight slices of the tensor product, keyed by the slice index i, and
+    every e image down to depth + 1 is checked by substituting them into
+    these formulas under the closed-form slice rows of e; a mismatch
+    raises ConstructionError naming the label.
     """
     r, n = gen.s, gen.n
     if depth < r + 1:
@@ -349,8 +346,9 @@ def build_Tr(gen, depth):
                 for lbl in basis_ext}
     # e a = kappa f^r u, read at the first coordinate of f^r u
     i = min(towers["u"][r])
-    x, d = e_images["a", 0].get(i, 0), towers["u"][r][i]
-    kappa = x // d if x % d == 0 else Fraction(x, d)
+    kappa, rest = divmod(e_images["a", 0].get(i, 0), towers["u"][r][i])
+    if rest:
+        raise ConstructionError(f"the cross coefficient of T_{r} is not an integer")
 
     def e_action(lbl):
         col, k = lbl
@@ -390,15 +388,15 @@ def casimir_on_vector(m, vec):
 
 
 def module_to_json(m):
-    """JSON-ready document: labels, weights, and matrix triplet lists."""
+    """JSON-ready document: labels, weights, and matrix triplet lists,
+    each entry as its decimal string (int.__repr__ refuses a non-int)."""
 
     def triplets(mat):
-        return [[i, j, scalar_str(x)] for (i, j), x in sorted(mat.entries.items())]
+        return [[i, j, int.__repr__(x)] for (i, j), x in sorted(mat.entries.items())]
 
     return {
         "kind": m.kind,
-        "params": {k: (v if isinstance(v, int) else scalar_str(v))
-                   for k, v in m.params.items()},
+        "params": m.params,
         "depth": m.depth,
         "basis": [label_str(b) for b in m.basis],
         "basisExt": [label_str(b) for b in m.basis_ext],

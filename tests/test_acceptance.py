@@ -8,7 +8,6 @@ suite doubles as a checklist:
 """
 
 import time
-from fractions import Fraction
 
 from oracles import decategorify, slice_matrix, zero_equivalent
 
@@ -101,7 +100,7 @@ def test_criterion_04_projective_generators():
     for n in range(11):
         for s in enright.index_sets(n, 0).Iprime:
             gen = enright.projective_generator(n, s)
-            a = {i: Fraction(v) for i, v in enumerate(gen.final)}
+            a = dict(enumerate(gen.final))
             mat = slice_matrix(gen.omega_minus_c, len(gen.omega_minus_c))
             shifted = mat.apply(a)
             ok = ok and bool(shifted)
@@ -176,7 +175,7 @@ def test_criterion_08_positivity_and_decategorification():
         ok = ok and dec.ok
         mod = build_tensor(n, depth)
         ok = ok and all(
-            x > 0 and Fraction(x).denominator == 1
+            type(x) is int and x > 0
             for x in mod.act_matrix("f").entries.values())
         sets = enright.index_sets(n, 0)
         for s in sorted(set(sets.Iprime) | {n}):
@@ -186,7 +185,7 @@ def test_criterion_08_positivity_and_decategorification():
             for _ in range(max(max_l, 4)):
                 v = apply_op(mod, "f", v)
                 ok = ok and all(
-                    Fraction(c).denominator == 1 and c >= 0 for c in v.values())
+                    type(c) is int and c >= 0 for c in v.values())
     _report(8, "actF nonnegative integer, f-powers stay nonnegative, class map "
                "bijective and intertwining with [U_s] -> u_s", ok)
 

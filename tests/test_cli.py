@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vermalab import adelman, cli, enright, exactla, fixtures, hecke, heisenberg, sl2mod
-from vermalab.cli import main, scalar_str
+from vermalab.cli import main
 from vermalab.exactla import Laurent
 
 
@@ -228,6 +228,19 @@ class TestHwv:
         assert code == 0
         assert doc["case"]["p"] == ["16", "8"]
         assert doc["case"]["coefficients"] == [[0, 2, "2"], [1, 1, "1"]]
+
+    def test_casimir_failure_carries_witness(self, tmp_path, monkeypatch):
+        # C - s(s+2) - 1 sends the Verma vector u to -u, and the witness is
+        # that image as [i, k, value] rows
+        real = enright.casimir_weight_matrix
+        monkeypatch.setattr(enright, "casimir_weight_matrix",
+                            lambda n, mu, c=0: real(n, mu, c + 1))
+        code, out = run_to_file(tmp_path, "h.json", "hwv", "--n", "5", "--s", "-1")
+        case = json.loads(out.read_text())["case"]
+        assert code == 1
+        assert case["kind"] == "verma" and case["checks"]["casimirNilpotent"] is False
+        assert case["coefficients"] == [[0, 3, "5"], [1, 2, "6"], [2, 1, "3"]]
+        assert case["checks"]["casimirResidual"] == [[0, 3, "-5"], [1, 2, "-6"], [2, 1, "-3"]]
 
 
 class TestProjgen:
@@ -458,9 +471,38 @@ class TestFormats:
             cli.render_json(doc)
 
     def test_scalar_rendering(self):
-        assert scalar_str(5) == "5"
-        assert scalar_str(Fraction(-3, 4)) == "-3/4"
-        assert scalar_str(Fraction(8, 2)) == "4"
+        # every exact scalar is an int; anything else, even an integral
+        # Fraction, is a fault of the program
+        assert cli._int_str(5) == "5" and cli._int_str(-2**70) == str(-2**70)
+        for x in (Fraction(-3, 4), Fraction(8, 2), 0.5):
+            with pytest.raises(TypeError):
+                cli._int_str(x)
+
+    @pytest.mark.parametrize("cell", [0.5, Fraction(1, 2), [1], {"x": 1}, b"1"],
+                             ids=["float", "Fraction", "list", "dict", "bytes"])
+    def test_csv_refuses_what_no_exact_report_holds(self, cell):
+        assert cli.render_csv([["a", 1, True, None]]) == "a,1,True,\r\n"
+        with pytest.raises(TypeError):
+            cli.render_csv([["a", 1], ["b", cell]])
+
+    @pytest.mark.parametrize("value", [0.5, Fraction(1, 2)], ids=["float", "Fraction"])
+    def test_adelman_csv_cells_are_held_as_json(self, value):
+        # each cell is compact JSON, which json.dumps would write for a float
+        doc = {"interpretationChosen": {}, "congruenceChecks": {"trials": 1},
+               "universalPropertyTrials": {"passed": [value]}}
+        with pytest.raises(TypeError):
+            cli._adelman_rows(doc)
+
+    def test_a_csv_the_writer_refuses_is_an_internal_error(self, monkeypatch, capsys):
+        # the JSON form of the same report exits 3 in TestExitCodes
+        verb = cli.VERBS["hwv"]
+        monkeypatch.setitem(cli.VERBS, "hwv", verb._replace(
+            handler=lambda args: ({"case": {"coefficients": [[0, 2, 0.5]]}}, True)))
+        assert main(["hwv", "--n", "4", "--s", "0", "--format", "csv"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("internal error: TypeError: "
+                                "a float has no place in an exact report\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -608,6 +650,15 @@ SL2_DIGESTS = {
     "hwv --n 8 --s 2": "b13ff48e4a05d62de58d8e03ff44c99e59718206b52b2fb90b2c61a9b7c29d78",
     "hwv --n 40 --s 40": "826b7bb83f2933bab796622d7c8acb36628a13b46a186ae0337ea3294770edd4",
     "hwv --n 41 --s -1": "a73015aab2e24d31e7f30e4f9b42694e56f2acfdd10ab7acb784dbcac648da78",
+    # the CSV rows of hwv (a projective and a Verma case), projgen and report
+    "hwv --n 8 --s 2 --format csv":
+        "4e7d6387766489eb9c6efc38d5706f6414a296c6838640150db1e87522b50818",
+    "hwv --n 41 --s -1 --format csv":
+        "4733cb425d6e9c57de8181ee8c86a889ff0851cb141aa449ddae124233983a21",
+    "projgen --n 8 --s 2 --format csv":
+        "c1268d17b1c7651a19829ba4fd5d80d8afca67882c4501e3900f16d8c30f4bd4",
+    "report --n-max 8 --format csv":
+        "f78c3f882f120128daa428ffadc3b399fc21ed7257d0a171903190a17f5e73cb",
     "verify-pseudoadjoint --n 4":
         "062e4e4b5091a034fb8ce6472ec1eb9c59569e6aa4eaf8557ba5562beec4a9a4",
     "verify-pseudoadjoint --n 12":
@@ -637,6 +688,10 @@ ALGEBRA_DIGESTS = {
         "decca28ef754b81bdd0377542e0287c1690f7298678cb25c7a63992ac614d503",
     "verify-adelman --trials 20":
         "e9baee3fd4836597a4328d4323ba9a9e63706bd6462ccc8a9843b153609abadb",
+    "verify-heisenberg --trials 100 --format csv":
+        "4068759477d54eddf858150a03b63ba926b85e3fe1b1c51fc3967c97b22eb660",
+    "verify-adelman --trials 20 --format csv":
+        "46f43cbab6f94dc7c040969df73a4c66b756e71deac965bae4eb341dfa2130b6",
 }
 
 

@@ -1,7 +1,6 @@
 import json
 import re
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -91,7 +90,7 @@ class TestPCoefficients:
         mod = build_tensor(n, 8)
         vec = {}
         for j, p in enumerate(ps):
-            vec[("vw", j, (n + r + 2) // 2 - j)] = Fraction(p)
+            vec[("vw", j, (n + r + 2) // 2 - j)] = p
         assert apply_op(mod, "e", vec) == {}
 
 
@@ -207,8 +206,8 @@ class TestProjectiveGenerator:
         # adding the kernel line preserves both shifted-Casimir conditions
         rec = enright.projective_generator(4, 0)
         mat = slice_matrix(rec.omega_minus_c, len(rec.omega_minus_c))
-        a = {i: Fraction(v) for i, v in enumerate(rec.q_list)}
-        u = {i: Fraction(v) for i, v in enumerate(rec.p_list)}
+        a = dict(enumerate(rec.q_list))
+        u = dict(enumerate(rec.p_list))
         shifted = dict(a)
         for k, v in u.items():
             shifted[k] = shifted.get(k, 0) + 7 * v
@@ -244,7 +243,7 @@ class TestBetaRecursionDisplay:
             mat = slice_matrix(rows, len(rows))
             for _ in range(5):
                 coeffs = [rng.randint(-9, 9) for _ in rows]
-                vec = {i: Fraction(x) for i, x in enumerate(coeffs)}
+                vec = dict(enumerate(coeffs))
                 image = (mat @ mat).apply(vec)
                 res = enright.beta_recursion_residuals(n, s, coeffs)
                 assert len(res) == len(rows)
@@ -325,7 +324,7 @@ class TestPseudoadjoint:
         rep = enright.pseudoadjoint_check(mod, 0)
         assert rep.identity_zero and rep.casimir_match
         # B - C is nonzero even though its square vanishes
-        bc, cv = enright._b_and_c(mod, {("a", 0): Fraction(1)})
+        bc, cv = enright._b_and_c(mod, {("a", 0): 1})
         assert {k: bc.get(k, 0) - cv.get(k, 0) for k in set(bc) | set(cv)
                 if bc.get(k, 0) != cv.get(k, 0)}
 

@@ -74,17 +74,19 @@ class TestJucysMurphy:
 
 def test_coefficients_are_integral():
     p = simple(3, 1)
-    assert type(GroupAlgebraElement.from_perm(p, Fraction(2)).terms[p]) is int
-    assert HeckeElement.T(p, Fraction(2)) == HeckeElement.T(p, Laurent.const(2))
-    with pytest.raises(TypeError):
-        GroupAlgebraElement.from_perm(p, Fraction(1, 2))
-    with pytest.raises(TypeError):
-        HeckeElement.T(p, Fraction(1, 2))
+    assert type(GroupAlgebraElement.from_perm(p, 2).terms[p]) is int
+    assert HeckeElement.T(p, 2) == HeckeElement.T(p, Laurent.const(2))
+    # the coefficients are ints: even an integral Fraction is refused
+    for c in (Fraction(2), Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            GroupAlgebraElement.from_perm(p, c)
+        with pytest.raises(TypeError):
+            HeckeElement.T(p, c)
 
 
 def test_constructors_drop_zeros_after_coercion():
     p, e = simple(3, 1), identity_perm(3)
-    assert GroupAlgebraElement(3, {p: Fraction(0), e: 2}).terms == {e: 2}
+    assert GroupAlgebraElement(3, {p: 0, e: 2}).terms == {e: 2}
     assert HeckeElement(3, {p: Laurent.const(0), e: 0}).terms == {}
     # a zero of a foreign type is still rejected, not silently dropped
     with pytest.raises(TypeError):

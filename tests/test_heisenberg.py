@@ -104,6 +104,17 @@ def test_malformed_generator_index(index):
             make(index)
 
 
+def test_scalars_are_ints():
+    x = mono((1,), (2,))
+    assert x * 3 == 3 * x == mono((1,), (2,), 3)
+    # even an integral Fraction is refused, on either side
+    for c in (Fraction(1), Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            x * c
+        with pytest.raises(TypeError):
+            c * x
+
+
 def _power_oracle(k):
     # a_1^k b_1^k = sum_j C(k, j)^2 j! b_1^{k-j} a_1^{k-j}: choose the j
     # lowered a's and b's and match them up

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from oracles import apply_word, casimir, rank, verify_category_I
 
@@ -20,7 +18,7 @@ from vermalab.sl2mod import (
 
 
 def vec(module, label):
-    return {label: Fraction(1)}
+    return {label: 1}
 
 
 def diff(u, v):
@@ -31,8 +29,8 @@ def diff(u, v):
 class TestLn:
     def test_actions_n2(self):
         m = build_Ln(2)
-        assert m.act_label("f", ("v", 1)) == {("v", 2): Fraction(2)}
-        assert m.act_label("e", ("v", 1)) == {("v", 0): Fraction(2)}
+        assert m.act_label("f", ("v", 1)) == {("v", 2): 2}
+        assert m.act_label("e", ("v", 1)) == {("v", 0): 2}
         assert m.act_label("h", ("v", 1)) == {}
 
     def test_n0_trivial(self):
@@ -43,7 +41,7 @@ class TestLn:
 
     def test_casimir_is_scalar(self):
         m = build_Ln(2)
-        assert casimir(m) == SparseMat.identity(3).scale(Fraction(8))
+        assert casimir(m) == SparseMat.identity(3).scale(8)
 
     def test_commutator_on_whole_module(self):
         m = build_Ln(5)
@@ -57,9 +55,9 @@ class TestLn:
 class TestVerma:
     def test_lambda_zero_actions(self):
         m = build_verma(0, 6)
-        assert m.act_label("e", ("w", 2)) == {("w", 1): Fraction(-2)}
-        assert m.act_label("h", ("w", 3)) == {("w", 3): Fraction(-6)}
-        assert m.act_label("f", ("w", 3)) == {("w", 4): Fraction(1)}
+        assert m.act_label("e", ("w", 2)) == {("w", 1): -2}
+        assert m.act_label("h", ("w", 3)) == {("w", 3): -6}
+        assert m.act_label("f", ("w", 3)) == {("w", 4): 1}
 
     def test_casimir_zero_on_v0(self):
         m = build_verma(0, 8)
@@ -68,7 +66,7 @@ class TestVerma:
     def test_casimir_scalar_on_general_weight(self):
         for lam in (-3, 1, 4):
             m = build_verma(lam, 8)
-            expected = SparseMat.identity(len(m.basis)).scale(Fraction(lam * (lam + 2)))
+            expected = SparseMat.identity(len(m.basis)).scale(lam * (lam + 2))
             assert casimir(m) == expected
 
     def test_highest_weight_annihilated(self):
@@ -80,7 +78,7 @@ class TestTensor:
     def test_coproduct_f(self):
         m = build_tensor(2, 4)
         assert m.act_label("f", ("vw", 0, 0)) == {
-            ("vw", 1, 0): Fraction(1), ("vw", 0, 1): Fraction(1)}
+            ("vw", 1, 0): 1, ("vw", 0, 1): 1}
 
     def test_weights_add(self):
         m = build_tensor(3, 4)
@@ -88,7 +86,7 @@ class TestTensor:
 
     def test_e_drops_vanishing_term(self):
         m = build_tensor(4, 4)
-        assert m.act_label("e", ("vw", 1, 1)) == {("vw", 0, 1): Fraction(4)}
+        assert m.act_label("e", ("vw", 1, 1)) == {("vw", 0, 1): 4}
 
     def test_commutator_on_interior(self):
         m = build_tensor(3, 6)
@@ -112,10 +110,10 @@ class TestTr:
     def test_generators_n2(self):
         m = build_Tr(enright.projective_generator(2, 0), 10)
         assert m.act_label("e", ("u", 0)) == {}
-        assert m.act_label("h", ("a", 0)) == {("a", 0): Fraction(-2)}
+        assert m.act_label("h", ("a", 0)) == {("a", 0): -2}
         # quotient by the u-column carries e.abar = -k(k+r+1) abar with r=0
         e_a1 = m.act_label("e", ("a", 1))
-        assert e_a1[("a", 0)] == Fraction(-2)
+        assert e_a1[("a", 0)] == -2
 
     def test_u_column_is_verma_r(self):
         r, n = 2, 4
@@ -141,7 +139,7 @@ class TestTr:
     @pytest.mark.parametrize("r,n", [(0, 2), (2, 4), (1, 3)])
     def test_casimir_two_step_nilpotent(self, r, n):
         m = build_Tr(enright.projective_generator(n, r), r + 12)
-        c = Fraction(r * (r + 2))
+        c = r * (r + 2)
         for b in m.interior(4):
             v = vec(m, b)
             w = _shifted_casimir(m, c, v)
@@ -229,6 +227,26 @@ def test_a_perturbed_generator_fails_the_substitution_check(monkeypatch, capsys)
     assert captured.out == ""
     assert captured.err == (
         "verification failure: ConstructionError: e on a0 is not the closed-form T_0 action\n")
+
+
+def test_a_non_integral_cross_coefficient_is_refused(monkeypatch, capsys):
+    # with u scaled by 3, e a = -2 u of T_0 at n = 2 reads e a = -2/3 (3u):
+    # T_r is built over Z, so the remainder is a failed construction
+    real = enright.projective_generator
+
+    def scaled(n, s):
+        rec = real(n, s)
+        u = {i: 3 * x for i, x in rec.hwv.coefficients.items()}
+        return rec._replace(hwv=rec.hwv._replace(coefficients=u))
+
+    monkeypatch.setattr(enright, "projective_generator", scaled)
+    with pytest.raises(ConstructionError, match="^the cross coefficient of T_0 is not an integer$"):
+        build_Tr(enright.projective_generator(2, 0), 4)
+    assert main(["verify-pseudoadjoint", "--n", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("verification failure: ConstructionError: "
+                            "the cross coefficient of T_0 is not an integer\n")
 
 
 @pytest.mark.parametrize("r,n", [(0, 2), (1, 3), (2, 4)])

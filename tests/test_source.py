@@ -78,6 +78,18 @@ def test_only_fixtures_reads_a_fixture():
     assert offenders == []
 
 
+def test_only_exactla_knows_fractions():
+    # the library's scalars are ints: exactla alone decides what a scalar is,
+    # and its solve makes the one rational value, so no other module imports
+    # fractions or names Fraction, in code or in prose
+    offenders = [f"{name}:{node.lineno}" for name, node in _nodes() if name != "exactla.py" and (
+        isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "fractions")]
+    named = {p.name for p in SOURCES if "Fraction" in p.read_text(encoding="utf-8")}
+    assert "exactla.py" in named  # the scan still sees the one module that may
+    assert offenders + sorted(named - {"exactla.py"}) == []
+
+
 LRU = ("lru_cache", "functools.lru_cache")
 
 
