@@ -143,6 +143,8 @@ class _PermCombination:
         return cls(n)
 
     def _check(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
         if self.n != other.n:
             raise ValueError(f"mixed {type(self).__name__} sizes")
 

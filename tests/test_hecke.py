@@ -82,6 +82,11 @@ def test_coefficients_are_integral():
             GroupAlgebraElement.from_perm(p, c)
         with pytest.raises(TypeError):
             HeckeElement.T(p, c)
+        for element in (GroupAlgebraElement.one(3), HeckeElement.one(3)):
+            with pytest.raises(TypeError):
+                element * c
+            with pytest.raises(TypeError):
+                element + c
 
 
 def test_constructors_drop_zeros_after_coercion():
