@@ -40,9 +40,9 @@ all run one sparse integer echelon routine on matrices with ``int``
 entries (anything else raises ``TypeError``).  Each row becomes a
 ``{col: int}`` dict divided by its content; each right-hand side of
 ``solve_each`` is one extra column, so systems that share a matrix
-share one elimination.  Rows are bucketed by leading
-column, columns are taken in increasing order, and the shortest row of
-a bucket is the pivot that clears that column from the others.
+share one elimination.  Rows are bucketed by leading column, columns
+are taken in increasing order, and the shortest row of a bucket is the
+pivot that clears that column from the others.
 Every new row is divided by the gcd of its entries, so intermediate
 values stay small integers.  Back substitution stays in integers too:
 it keeps integer numerators over one common denominator, scaled by
@@ -754,9 +754,9 @@ def solve(m, b):
 
     b is a sparse vector over row indices; raises ValueError when an
     index of b lies outside the row range, and TypeError unless every
-    entry of m and b is an int.  The solution has every
-    free coordinate 0; a coordinate is an ``int`` when it is integral and
-    a ``Fraction`` only otherwise (see ``back_substitute``).
+    entry of m and b is an int.  The solution has every free coordinate
+    0; a coordinate is an ``int`` when it is integral and a ``Fraction``
+    only otherwise (see ``back_substitute``).
     """
     return solve_each(m, [b])[0]
 
