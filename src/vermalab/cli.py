@@ -4,9 +4,9 @@ Verbs: decompose | hwv | projgen | verify-hecke | verify-heisenberg |
 verify-adelman | verify-pseudoadjoint | report.  ``VERBS`` lists the
 options each verb reads, with their defaults; any other option is a
 usage error.  Output is JSON (sorted keys, every exact scalar an int
-rendered as a decimal string) or RFC-4180 CSV; a value of any other
-type is a fault of the program.  Exit code 0 means every check passed,
-1 flags a verification failure or a fixture or file error, 2 a usage
+rendered by int.__repr__, which raises on any other type) or RFC-4180
+CSV held to the same types.  Exit code 0 means every check passed, 1
+flags a verification failure or a fixture or file error, 2 a usage
 error and 3 an internal error, printed as one line: a RecursionError,
 NotImplementedError or ZeroDivisionError, or an exception of no other
 class.  verify-heisenberg owns its fixture's schema: the rows are its
@@ -35,14 +35,9 @@ NONDEGENERATE_N_MAX = 4
 DEGENERATION_N_MAX = 3
 
 
-# the text of an exact scalar: every one is an int, and int.__repr__
-# raises TypeError on anything else, a rational included
-_int_str = int.__repr__
-
-
 def _slice_rows(vec, k_top):
     """A slice vector keyed by i as [i, k, value] rows, k = k_top - i."""
-    return [[i, k_top - i, _int_str(x)] for i, x in sorted(vec.items())]
+    return [[i, k_top - i, int.__repr__(x)] for i, x in sorted(vec.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +53,7 @@ def _case_record(n, s, iprime):
     case = {
         "s": s,
         "kind": "projective" if s in iprime else "verma",
-        "p": [_int_str(x) for x in rec.p_list],
+        "p": [int.__repr__(x) for x in rec.p_list],
         "coefficients": _slice_rows(rec.coefficients, (n - s) // 2),
         "q": None,
         "m": None,
@@ -66,17 +61,17 @@ def _case_record(n, s, iprime):
     }
     checks = {
         "hwvDim": 1,
-        "alphaResiduals": [_int_str(x) for x in alpha],
+        "alphaResiduals": [int.__repr__(x) for x in alpha],
         "betaResiduals": None,
         "casimirNilpotent": False,
         "positivity": all(x > 0 for x in rec.p_list)
         and all(c > 0 for c in rec.coefficients.values()),
     }
     if gen:
-        case["q"] = [_int_str(x) for x in gen.q_list]
+        case["q"] = [int.__repr__(x) for x in gen.q_list]
         case["m"] = gen.m_shift
-        case["final"] = [_int_str(x) for x in gen.final]
-        checks["betaResiduals"] = [_int_str(x) for x in gen.beta_residuals]
+        case["final"] = [int.__repr__(x) for x in gen.final]
+        checks["betaResiduals"] = [int.__repr__(x) for x in gen.beta_residuals]
         checks["casimirNilpotent"] = True  # record construction verifies both halves
         checks["positivity"] = checks["positivity"] and all(x > 0 for x in gen.final)
     else:
@@ -84,7 +79,6 @@ def _case_record(n, s, iprime):
         residual = sl2mod.apply_rows(rows, rec.coefficients)
         checks["casimirNilpotent"] = not residual
         if residual:
-            # the witness: (C - s(s+2)) u as [i, k, value] rows
             checks["casimirResidual"] = _slice_rows(residual, (n - s) // 2)
     ok = (
         checks["positivity"]
@@ -181,16 +175,16 @@ def cmd_hwv(args):
 def cmd_projgen(args):
     gen = enright.projective_generator(args.n, args.s)
     # the single-index q-form of the recurrence is the same list
-    residuals = [_int_str(x) for x in gen.beta_residuals]
+    residuals = [int.__repr__(x) for x in gen.beta_residuals]
     doc = {
         "n": args.n,
         "s": args.s,
         "c": gen.c,
-        "q": [_int_str(x) for x in gen.q_list],
-        "p": [_int_str(x) for x in gen.p_list],
+        "q": [int.__repr__(x) for x in gen.q_list],
+        "p": [int.__repr__(x) for x in gen.p_list],
         "m": gen.m_shift,
-        "final": [_int_str(x) for x in gen.final],
-        "omegaMinusC": [[i, j, _int_str(x)] for i, row in enumerate(gen.omega_minus_c)
+        "final": [int.__repr__(x) for x in gen.final],
+        "omegaMinusC": [[i, j, int.__repr__(x)] for i, row in enumerate(gen.omega_minus_c)
                         for j, x in sorted(row.items())],
         "betaResiduals": residuals,
         "qFormResiduals": residuals,
@@ -329,7 +323,7 @@ def cmd_verify_pseudoadjoint(args):
         if "cross_coefficient" in mod.params:
             # observed, never asserted: the single e-coefficient from the
             # generator column onto the highest weight column
-            row["crossCoefficient"] = _int_str(mod.params["cross_coefficient"])
+            row["crossCoefficient"] = int.__repr__(mod.params["cross_coefficient"])
         runs.append(row)
         ok = ok and rep.identity_zero and rep.casimir_match
     return {"n": n, "margin": margin, "modules": runs}, ok
@@ -381,10 +375,9 @@ def _heisenberg_rows(doc):
 
 
 def _adelman_rows(doc):
-    keys = ("interpretationChosen", "congruenceChecks", "universalPropertyTrials")
-    # json.dumps takes a float: render_json refuses what a report cannot hold
-    render_json([doc[key] for key in keys])
-    return [["check", "value"]] + [[key, json.dumps(doc[key], sort_keys=True)] for key in keys]
+    return [["check", "value"]] + [
+        [key, doc[key]]
+        for key in ("interpretationChosen", "congruenceChecks", "universalPropertyTrials")]
 
 
 def _pseudoadjoint_rows(doc):
@@ -484,7 +477,7 @@ def render_json(doc):
 
 _quote = json.encoder.encode_basestring_ascii  # a TypeError on a key that is no str
 # the text of a scalar by its exact type; a subclass of str or int takes the last branch
-_SCALAR_TEXT = {str: _quote, int: _int_str, bool: {True: "true", False: "false"}.get,
+_SCALAR_TEXT = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.get,
                 type(None): lambda _: "null"}
 
 
@@ -518,23 +511,20 @@ def _write_json(value, out, newline):
             sep = "," + inner
         out.append(newline + "]")
     elif isinstance(value, (str, int)) or value is None:
-        text = _SCALAR_TEXT.get(type(value)) or (_quote if isinstance(value, str) else _int_str)
+        text = _SCALAR_TEXT.get(type(value)) or (_quote if isinstance(value, str) else int.__repr__)
         out.append(text(value))
     else:
         raise TypeError(f"a {type(value).__name__} has no place in an exact report")
 
 
 def render_csv(rows):
-    """RFC-4180 CSV of rows.  A cell must be a scalar that render_json
-    takes, a str, int, bool or None; anything else, a float included,
-    raises TypeError."""
-    for row in rows:
-        for cell in row:
-            if not (isinstance(cell, (str, int)) or cell is None):
-                raise TypeError(f"a {type(cell).__name__} has no place in an exact report")
+    """RFC-4180 CSV of rows held to what render_json takes, a dict cell
+    written as its one-line JSON with sorted keys."""
+    render_json(rows)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerows(rows)
+    writer.writerows([json.dumps(cell, sort_keys=True) if isinstance(cell, dict) else cell
+                      for cell in row] for row in rows)
     return buf.getvalue()
 
 

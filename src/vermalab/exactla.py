@@ -1,4 +1,4 @@
-"""Exact scalars and sparse linear algebra over Z, Z[q, q^-1] and Q(q).
+"""Exact scalars and sparse linear algebra over Q, Z[q, q^-1] and Q(q).
 
 Scalars are ``int``, :class:`Laurent` (Laurent polynomials in one
 indeterminate ``q`` with integer coefficients) or :class:`RatFunc`
@@ -20,13 +20,13 @@ class-level oracle for decategorification also writes its matrices by
 hand, so that the module matrices are compared against an independent
 source.
 
-Every scalar the library takes is an ``int``.  Every structure
+Every scalar the library builds is an ``int``.  Every structure
 constant (identity matrices, the sl2 actions, the Casimir, the
-closed-form coefficients) is integral, and the elimination routines and
-``Laurent`` raise ``TypeError`` on anything else.  Back substitution
-runs in integers: ``nullspace`` never builds a ``Fraction``, and
-``solve`` returns one only for a non-integral coordinate of its answer,
-the one rational value the library makes.
+closed-form coefficients) is integral, and ``Laurent`` raises
+``TypeError`` on anything else.  Back substitution runs in integers:
+``nullspace`` never builds a ``Fraction``, and ``solve`` returns one
+only for a non-integral coordinate of its answer, the one rational
+value the library makes.
 
 ``Laurent`` is the coefficient ring of the Hecke algebra: every
 structure constant there lies in Z[q, q^-1], so its arithmetic needs no
@@ -36,13 +36,15 @@ library module uses it; it stays as the independent Q(q) oracle the
 tests check ``Laurent`` against.
 
 ``nullspace``, ``solve``, ``solve_each`` and ``generalized_kernel``
-all run one sparse integer echelon routine on matrices with ``int``
-entries (anything else raises ``TypeError``).  Each row becomes a
-``{col: int}`` dict divided by its content; each right-hand side of
-``solve_each`` is one extra column, so systems that share a matrix
-share one elimination.  Rows are bucketed by leading column, columns
-are taken in increasing order, and the shortest row of a bucket is the
-pivot that clears that column from the others.
+all run one sparse integer echelon routine on matrices with ``int`` or
+``Fraction`` entries (anything else raises ``TypeError``): ``adelman``
+works over Q, and composing a rational factorization it returns puts a
+``Fraction`` back into a system.  Each row becomes a ``{col: int}`` dict scaled by
+the lcm of its denominators (a row of ints is taken as it is); each
+right-hand side of ``solve_each`` is one extra column, so systems that
+share a matrix share one elimination.  Rows are bucketed by leading
+column, columns are taken in increasing order, and the shortest row of
+a bucket is the pivot that clears that column from the others.
 Every new row is divided by the gcd of its entries, so intermediate
 values stay small integers.  Back substitution stays in integers too:
 it keeps integer numerators over one common denominator, scaled by
@@ -61,15 +63,15 @@ pivot exactly when it is not in the span of the columns before it (the
 column rank profile), a property of the matrix and not of the row
 order.  Given the pivot columns, the kernel vector with one free
 coordinate 1 and the others 0 is unique, and so is the solution with
-every free coordinate 0.  Kernel vectors are finally divided by their
-content, with positive defining free coordinate.
+every free coordinate 0.  Kernel vectors are finally scaled to integer
+entries with gcd 1 and positive defining free coordinate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "Laurent",
@@ -490,25 +492,36 @@ def vec_scale(c, u):
     return {k: c * x for k, x in u.items()}
 
 
-def _int_entries(u):
-    """u itself; raises TypeError unless every value is an int."""
+def _scaled_to_int(u):
+    """A dict of ints and Fractions scaled by the lcm of its denominators
+    to a dict of ints, building no ``Fraction``; a dict of ints is
+    returned as it is.  Raises TypeError on any other entry."""
     for x in u.values():
         if type(x) is not int:
-            raise TypeError(f"exact elimination needs int entries, not {type(x).__name__}")
-    return u
+            break
+    else:
+        return u
+    for x in u.values():
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(
+                f"exact arithmetic needs int or Fraction entries, not {type(x).__name__}")
+    den = lcm(*(x.denominator for x in u.values()))
+    return {k: x.numerator * (den // x.denominator) for k, x in u.items()}
 
 
 def normalize_integer_vector(u):
-    """Divide an integer vector by its content, its entries' gcd.
+    """Scale a rational vector to integer entries with gcd 1.
 
     The sign is fixed by making the highest-indexed nonzero coordinate
     positive; for kernel vectors produced by back substitution that is
-    the defining free coordinate.  Keys must be sortable.  Raises
-    TypeError unless every entry is an int.
+    the defining free coordinate.  Keys must be sortable.  Entries are
+    ints or Fractions (anything else raises TypeError), scaled as by
+    ``_scaled_to_int``, so a vector of ints (as ``nullspace`` builds)
+    only loses its content and sign.
     """
     if not u:
         return {}
-    ints = _int_entries(u)
+    ints = _scaled_to_int(u)
     g = gcd(*ints.values())
     if ints[max(ints)] < 0:
         g = -g
@@ -634,8 +647,9 @@ def _primitive(row):
 def _integer_rows(m, rhss=()):
     """Nonzero rows of [m | rhss] as primitive {col: int} dicts.
 
-    The entries of the k-th right-hand side become the extra column
-    m.cols + k.  Raises TypeError on an entry that is not an int.
+    Each row is scaled by ``_scaled_to_int``; the entries of the k-th
+    right-hand side become the extra column m.cols + k.  Raises TypeError
+    on an entry that is neither int nor Fraction.
     """
     rows = {}
     for (i, j), x in m.entries.items():
@@ -644,7 +658,7 @@ def _integer_rows(m, rhss=()):
         for i, x in rhs.items():
             if x:
                 rows.setdefault(i, {})[col] = x
-    return [_primitive(_int_entries(row)) for row in rows.values()]
+    return [_primitive(_scaled_to_int(row)) for row in rows.values()]
 
 
 def _echelon(rows):
@@ -732,7 +746,8 @@ def nullspace(m):
     free coordinate positive; no ``Fraction`` is built on the way.  The
     empty list means the map is injective.  A free column that no echelon
     row touches has the unit vector as its basis vector, with no back
-    substitution.  Raises TypeError unless every entry is an int.
+    substitution.
+    Raises TypeError unless every entry is an int or a Fraction.
     """
     echelon = _echelon(_integer_rows(m))
     pivots = {c for c, _ in echelon}
@@ -754,9 +769,9 @@ def solve(m, b):
 
     b is a sparse vector over row indices; raises ValueError when an
     index of b lies outside the row range, and TypeError unless every
-    entry of m and b is an int.  The solution has every free coordinate
-    0; a coordinate is an ``int`` when it is integral and a ``Fraction``
-    only otherwise (see ``back_substitute``).
+    entry of m and b is an int or a Fraction.  The solution has every
+    free coordinate 0; a coordinate is an ``int`` when it is integral and
+    a ``Fraction`` only otherwise (see ``back_substitute``).
     """
     return solve_each(m, [b])[0]
 

@@ -172,6 +172,8 @@ class _PermCombination:
 
     def __eq__(self, other):
         other = self._lift(other)
+        if type(other) is not type(self):
+            return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
     def __bool__(self):

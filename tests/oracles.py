@@ -79,7 +79,7 @@ def entry(m, r, c):
 
 
 def rank(m):
-    """Rank of a SparseMat with int entries: the number of
+    """Rank of a SparseMat with int or Fraction entries: the number of
     rows left by the library's echelon routine.  Raises TypeError on any
     other entry."""
     return len(_echelon(_integer_rows(m)))

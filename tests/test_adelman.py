@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 from oracles import embed_morphism, from_rows, rank, zero_equivalent
@@ -121,6 +122,23 @@ class TestKernelCokernel:
             assert ad.homotopic(ad.compose(g, proj), ad.identity_of(X)) is not None
             assert ad.homotopic(ad.compose(proj, g), ad.identity_of(cok)) is not None
 
+    def test_rational_factorization_composes(self):
+        # adelman works over Q: at this seed the factorization of a cokernel
+        # projection through itself holds Fractions, which re-enter the
+        # elimination when it is composed and compared
+        rng = random.Random(3)
+        X, Y = ad.random_object(rng), ad.random_object(rng)
+        [f] = ad.random_morphism(rng, X, Y, 1)
+        cok, proj = ad.cokernel(f)
+        g = ad.factors_through_cokernel(proj, proj)
+        assert any(type(x) is Fraction for x in g.x2.entries.values())
+        assert ad.homotopic(ad.compose(g, proj), proj) is not None
+        assert ad.homotopic(g, ad.identity_of(cok)) is not None
+        ker, _ = ad.kernel(g)
+        cok_g, _ = ad.cokernel(g)
+        assert zero_equivalent(ker) and zero_equivalent(cok_g)
+        assert ad.is_morphism(ad.random_morphism(rng, cok, cok, 1)[0])
+
     def test_kernel_of_embedded_mono_vanishes(self):
         t = embed_morphism(from_rows([[1]]))
         ker, _ = ad.kernel(t)
@@ -156,7 +174,7 @@ class TestKernelCokernel:
         for _ in range(15):
             rows, cols = rng.randint(1, 3), rng.randint(1, 3)
             f = SparseMat(rows, cols,
-                          {(i, j): rng.randint(-2, 2)
+                          {(i, j): Fraction(rng.randint(-2, 2))
                            for i in range(rows) for j in range(cols)})
             t = embed_morphism(f)
             ker, _ = ad.kernel(t)

@@ -87,6 +87,13 @@ def test_coefficients_are_integral():
                 element * c
             with pytest.raises(TypeError):
                 element + c
+    # and compares unequal, as a float does, with no error
+    for element in (GroupAlgebraElement.one(3), HeckeElement.one(3)):
+        assert element == 1 and element != 2
+        for c in (Fraction(1), Fraction(1, 2), 1.0, 0.5):
+            assert not element == c and element != c
+            assert not c == element and c != element
+    assert GroupAlgebraElement.one(3) != HeckeElement.one(3)
 
 
 def test_constructors_drop_zeros_after_coercion():
