@@ -46,7 +46,7 @@ def _slice_rows(vec, k_top):
 
 def _case_record(n, s, iprime):
     """The per-case record of index s at n, whether its checks pass, and
-    the tops of its f-towers as ``enright.tower_seeds`` keys them."""
+    the library record that ``enright.casimir_blocks`` reads for s."""
     gen = enright.projective_generator(n, s) if s in iprime else None
     rec = gen.hwv if gen else enright.highest_weight_vector(n, s)
     alpha = enright.alpha_recursion_check(rec)
@@ -88,7 +88,7 @@ def _case_record(n, s, iprime):
              or all(x == "0" for x in checks["betaResiduals"]))
     )
     case["checks"] = checks
-    return case, ok, (rec.coefficients, gen.final if gen else None)
+    return case, ok, gen or rec
 
 
 def _index_sets_doc(sets):
@@ -101,15 +101,15 @@ def _index_sets_doc(sets):
 
 
 def _record_for_n(n, depth):
-    """The record of n, whether it passes, and the tower tops of the cases
-    that built: a case whose record is an error has none."""
+    """The record of n, whether it passes, and the library records of the
+    cases that built: a case whose record is an error has none."""
     sets = enright.index_sets(n, 0)
     cases = []
-    seeds = {}
+    records = {}
     ok = True
     for s in sorted(set(sets.Iprime) | set(sets.Itripleprime)):
         try:
-            case, case_ok, seeds[s] = _case_record(n, s, set(sets.Iprime))
+            case, case_ok, records[s] = _case_record(n, s, set(sets.Iprime))
         except (AssertionError, ValueError) as exc:
             case, case_ok = {"s": s, "error": str(exc)}, False
         cases.append(case)
@@ -123,7 +123,7 @@ def _record_for_n(n, depth):
         "cases": cases,
         "audit": [{"mu": r.mu, "lhs": r.lhs, "rhs": r.rhs} for r in audit],
     }
-    return doc, ok, seeds
+    return doc, ok, records
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +140,11 @@ def cmd_decompose(args):
             "note": "dimension audit runs for lambda = 0 only",
         }
         return doc, True
-    doc, ok, seeds = _record_for_n(args.n, depth)
+    doc, ok, records = _record_for_n(args.n, depth)
     blocks = []
     # the audit starts from the records' own vectors, so a case that
     # failed to build fails its blocks instead of being built again
-    for rep in enright.casimir_blocks(args.n, depth, seeds):
+    for rep in enright.casimir_blocks(args.n, depth, records):
         rows = [{"t": b.t, "c": b.c, "kernel": b.kernel_dim, "excess": b.excess_dim}
                 for b in rep.blocks]
         blocks.append({"mu": rep.mu, "ok": rep.ok, "blocks": rows})
@@ -236,10 +236,10 @@ def cmd_verify_heisenberg(args):
     except (KeyError, TypeError) as exc:
         raise FixtureError(f"{path} must hold a table of rows with n, m and "
                            f"residualNormalForm: {type(exc).__name__}: {exc}") from exc
-    tilde_ok = all(
-        frozen_map.get((row["n"], row["m"])) == row["residualNormalForm"]
-        for row in table
-    )
+    # the witness: every row whose normal form is not the frozen one
+    mismatches = [{"n": row["n"], "m": row["m"], "computed": row["residualNormalForm"],
+                   "frozen": frozen_map.get((row["n"], row["m"]))} for row in table
+                  if frozen_map.get((row["n"], row["m"])) != row["residualNormalForm"]]
 
     fuzz = heisenberg.confluence_fuzz(args.trials, args.seed)
     fuzz_doc = {
@@ -255,11 +255,13 @@ def cmd_verify_heisenberg(args):
     doc = {
         "relationResiduals": rel_rows,
         "tildeResiduals": table,
-        "tildeMatchesFixture": tilde_ok,
+        "tildeMatchesFixture": not mismatches,
         "fuzz": fuzz_doc,
         "seed": args.seed,
     }
-    ok = rel_ok and tilde_ok and fuzz.ok
+    if mismatches:
+        doc["tildeMismatches"] = mismatches
+    ok = rel_ok and not mismatches and fuzz.ok
     return doc, ok
 
 
@@ -267,7 +269,8 @@ def cmd_verify_adelman(args):
     seed = args.seed
     resolve = adelman.freeze_interpretation if args.refreeze else adelman.resolve_interpretation
     resolved = resolve(seed)
-    stable = (resolved.kernel_choice, resolved.cokernel_choice) == adelman.frozen_interpretation()
+    frozen = adelman.frozen_interpretation()
+    stable = (resolved.kernel_choice, resolved.cokernel_choice) == frozen
     cong = adelman.congruence_checks(seed, max(args.trials // 4, 10))
     up = adelman.universal_property_trials(seed, args.trials)
     doc = {
@@ -286,6 +289,8 @@ def cmd_verify_adelman(args):
         "seed": seed,
     }
     # the witnesses, only when there are any, so passing bytes stay the same
+    if not stable:
+        doc["interpretationChosen"]["fixture"] = {"kernel": frozen[0], "cokernel": frozen[1]}
     if cong.failures:
         doc["congruenceChecks"]["failures"] = cong.failures
     if up.failures:
@@ -330,10 +335,11 @@ def cmd_verify_pseudoadjoint(args):
 
 
 def cmd_report(args):
-    results = [_record_for_n(n, 2 * n + 10 if args.depth is None else args.depth)
+    # each n's library records are dropped as soon as its document is built
+    results = [_record_for_n(n, 2 * n + 10 if args.depth is None else args.depth)[:2]
                for n in range(args.n_max + 1)]
-    records = [doc for doc, _, _ in results]
-    failures = sum(0 if ok else 1 for _, ok, _ in results)
+    records = [doc for doc, _ in results]
+    failures = sum(0 if ok else 1 for _, ok in results)
     cases_run = sum(len(doc["cases"]) for doc in records)
     doc = {
         "nMax": args.n_max,

@@ -25,18 +25,17 @@ the superdiagonal m[r, r+1] is n-r for e and 4(n-r) for C - c, nonzero
 on every slice.  So ``_slice_solve`` reads a kernel or a solution by
 forward substitution through ``exactla.back_substitute``, the device
 behind the two-term alpha and five-term beta recurrences: no square M^2
-is formed and no elimination runs.  f on slice vectors
-(``sl2mod.f_on_slice``) is how the f-power oracle of a projective
-generator pushes the highest weight vector down, one weight at a time.
-A projective generator keeps the highest weight record it was checked
-against, so callers need no second solve, and ``sl2mod.build_Tr``
+is formed and no elimination runs.  Every walk down by f is a
+``sl2mod.f_tower``.  The f-power oracle of a projective generator pushes
+the highest weight vector u_s down s + 1 weights, and the record keeps
+that tower f^j u_s beside the highest weight record it was checked
+against, so callers need no second solve or walk: ``sl2mod.build_Tr``
 realizes T_r from it.  The Casimir audit of ``casimir_blocks`` solves
 nothing either: it carries the f-towers of the highest weight vectors
-and of the projective generators down the slices, the spans that
-realize T_r, and certifies every predicted block by substituting them
-into the rows of C - c_t.  The tops of the towers (``tower_seeds``) can
-be handed in, so a caller that already built the records builds no
-generator twice.
+and of the projective generators down the slices, one weight at a time,
+the spans that realize T_r, and certifies every predicted block by
+substituting them into the rows of C - c_t.  The records can be handed
+in, so a caller that already built them builds no generator twice.
 
 All checks are exact; there are no tolerances anywhere.
 """
@@ -44,6 +43,7 @@ All checks are exact; there are no tolerances anywhere.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import NamedTuple
 
 from .exactla import (
@@ -59,7 +59,7 @@ from .sl2mod import (
     apply_rows,
     casimir_on_vector,
     e_weight_matrix,
-    f_on_slice,
+    f_tower,
     tensor_weight_basis,
 )
 
@@ -310,6 +310,7 @@ class ProjGenRecord(NamedTuple):
     omega_minus_c: list  # rows of the shifted Casimir, {column: int} dicts
     beta_residuals: list
     hwv: HwvRecord       # the highest weight record u_s was checked against
+    tower: list          # the f-power oracle's f^j u_s, j <= s + 1; tower[0] is hwv.coefficients
 
 
 def projective_generator(n, s):
@@ -327,6 +328,8 @@ def projective_generator(n, s):
     vanishes; the kernel vector's coordinate there is the closed-form
     p_top > 0, so z does not depend on the excess vector that came back.
     Neither u nor the generator may reach the k = 0 boundary top + 1.
+    The shift m = max(0, 1 - q_i // p_i) leaves each q_i + m p_i >= p_i, so
+    the check that every p_i > 0 covers the shifted generator too.
     """
     sets = index_sets(n, 0)
     if s not in sets.Iprime:
@@ -343,6 +346,9 @@ def projective_generator(n, s):
 
     u = kernel[0]
     top = (n + s) // 2
+    p_list = [u.get(j, 0) for j in range(top + 1)]
+    if any(p <= 0 for p in p_list):
+        raise AssertionError("kernel line coefficients expected positive")
     b0, b1 = kernel + excess
     z = normalize_integer_vector(
         vec_sub(vec_scale(b1.get(top, 0), b0), vec_scale(b0.get(top, 0), b1)))
@@ -359,11 +365,9 @@ def projective_generator(n, s):
         raise AssertionError(
             f"kernel line or generator support leaks onto the k=0 boundary at n={n}, s={s}")
 
-    # cross-check against the f-power oracle
-    u_oracle = hwv.coefficients
-    for _ in range(s + 1):
-        u_oracle = f_on_slice(n, u_oracle)
-    if normalize_integer_vector(u_oracle) != u:
+    # cross-check against the f-power oracle, whose tower the record keeps
+    tower = list(islice(f_tower(n, [hwv.coefficients]), s + 2))
+    if normalize_integer_vector(tower[-1]) != u:
         raise AssertionError("f-power image disagrees with the Casimir kernel line")
 
     image = apply_rows(rows, a)
@@ -373,19 +377,14 @@ def projective_generator(n, s):
         raise AssertionError("candidate generator not killed by the squared operator")
 
     q_list = [a.get(j, 0) for j in range(top + 1)]
-    p_list = [u.get(j, 0) for j in range(top + 1)]
-    if any(p <= 0 for p in p_list):
-        raise AssertionError("kernel line coefficients expected positive")
-
     # 1 - q // p == 1 + ceil(-q / p) for p > 0
     m_shift = max([0] + [1 - q // p for q, p in zip(q_list, p_list)])
     final = [q + m_shift * p for q, p in zip(q_list, p_list)]
-    if any(x <= 0 for x in final):
-        raise AssertionError("shifted coefficients are not all positive")
 
     record = ProjGenRecord(
         n=n, s=s, c=c, q_list=q_list, p_list=p_list, m_shift=m_shift, final=final,
         omega_minus_c=rows, beta_residuals=beta_recursion_residuals(n, s, final), hwv=hwv,
+        tower=tower,
     )
     if any(record.beta_residuals):
         raise AssertionError(f"five-term recurrence fails at n={n}, s={s}")
@@ -519,22 +518,7 @@ def _certificate_residual(rows, vec):
     return apply_rows(rows, vec) or None
 
 
-def tower_seeds(n):
-    """The tops of the f-towers of ``casimir_blocks`` at n, keyed by t:
-    (u_t, a_t) for t in I', with a_t the projective generator's ``final``
-    list, and (u_t, None) for t in I'''."""
-    sets = index_sets(n, 0)
-    seeds = {}
-    for t in sorted(set(sets.Iprime) | set(sets.Itripleprime)):
-        if t in sets.Iprime:
-            gen = projective_generator(n, t)
-            seeds[t] = (gen.hwv.coefficients, gen.final)
-        else:
-            seeds[t] = (highest_weight_vector(n, t).coefficients, None)
-    return seeds
-
-
-def casimir_blocks(n, depth, seeds=None):
+def casimir_blocks(n, depth, records=None):
     """Generalized eigenstructure of the Casimir C on the full weight
     slices mu = n, n-2, ..., n-2*depth: one report per slice, in order.
 
@@ -544,7 +528,7 @@ def casimir_blocks(n, depth, seeds=None):
     dimension audit's rhs.  No slice is solved.  Each prediction is
     certified by substitution into the rows of M = C - c_t, on vectors
     that two f-towers carry down the slices one weight at a time
-    (``sl2mod.f_on_slice``), the spans of f^k u and f^k a that realize T_r:
+    (``sl2mod.f_tower``), the spans of f^k u and f^k a that realize T_r:
 
     - kernel: k_t = f^((t-mu)/2) u_t for the highest weight vector u_t,
       with k_t != 0 and M k_t = 0;
@@ -560,26 +544,28 @@ def casimir_blocks(n, depth, seeds=None):
     k_t: no stray eigenvalue and no Jordan block longer than 2.  A failing
     certificate keeps its residual as the block's witness.
 
-    seeds holds the tops of the towers as ``tower_seeds`` returns them,
-    and is built by it when None.  A t with no seed fails its blocks with
-    empty residuals, as a vanishing tower vector does.
+    records maps t to the record its towers start from, built when None:
+    the projective generator of t in I' and the highest weight record of
+    t in I'''.  A t with no record fails its blocks with empty residuals.
     """
     sets = index_sets(n, 0)
     tops = sorted(set(sets.Iprime) | set(sets.Itripleprime))
     if len({t * (t + 2) for t in tops}) != len(tops):
         raise AssertionError(f"two predicted indices at n={n} share a Casimir eigenvalue")
-    if seeds is None:
-        seeds = tower_seeds(n)
-    kernels, excesses = {}, {}  # the towers k_t and x_t at the current weight
+    if records is None:
+        records = {t: (projective_generator if t in sets.Iprime else highest_weight_vector)(n, t)
+                   for t in tops}
+    kernels, excesses = {}, {}  # the towers of k_t and x_t, next() one weight down
     reports = []
     for j in range(depth + 1):
         mu = n - 2 * j
-        kernels = {t: f_on_slice(n, k) for t, k in kernels.items()}
-        excesses = {t: f_on_slice(n, x) for t, x in excesses.items()}
-        if mu in seeds:
-            kernels[mu] = seeds[mu][0]
-        if seeds.get(-mu - 2, (None, None))[1] is not None:
-            excesses[-mu - 2] = dict(enumerate(seeds[-mu - 2][1]))
+        if mu in records:
+            kernels[mu] = f_tower(n, records[mu].tower if mu in sets.Iprime
+                                  else [records[mu].coefficients])
+        if -mu - 2 in records and -mu - 2 in sets.Iprime:
+            excesses[-mu - 2] = f_tower(n, [dict(enumerate(records[-mu - 2].final))])
+        kernel = {t: next(tower) for t, tower in kernels.items()}
+        excess = {t: next(tower) for t, tower in excesses.items()}
         preds = [(r, _mult_T(r, mu) - 1) for r in sets.Iprime if _mult_T(r, mu)]
         preds += [(s, 0) for s in sets.Itripleprime if _mult_V(s, mu)]
         blocks = []
@@ -588,8 +574,8 @@ def casimir_blocks(n, depth, seeds=None):
             rows = casimir_weight_matrix(n, mu, c)
             blocks.append(CasimirBlock(
                 t=t, c=c, predicted_kernel=1, predicted_excess=ex,
-                kernel_residual=_certificate_residual(rows, kernels.get(t, {})),
-                excess_residual=(_certificate_residual(rows, apply_rows(rows, excesses.get(t, {})))
+                kernel_residual=_certificate_residual(rows, kernel.get(t, {})),
+                excess_residual=(_certificate_residual(rows, apply_rows(rows, excess.get(t, {})))
                                  if ex else None)))
         spanned = sum(1 + ex for _, ex in preds) == len(tensor_weight_basis(n, mu))
         reports.append(CasimirBlockReport(

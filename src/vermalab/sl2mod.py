@@ -22,13 +22,16 @@ The weight slices of Ln (x) V0 live here too, keyed by the slice index
 i of v_i (x) w_k: ``tensor_weight_basis`` lists a slice, ``e_weight_matrix``
 writes e from one slice to the next as ``{column: int}`` rows,
 ``f_on_slice`` moves a slice vector one weight down and ``apply_rows``
-applies such rows.  ``enright`` solves its slices on these maps, and
+applies such rows; ``f_tower``, the one walk down by f, gives every
+tower f^j v.  ``enright`` solves its slices on these maps, and
 ``build_Tr`` takes the projective generator record that
-``enright.projective_generator`` checked, so this module builds on
-``exactla`` alone.
+``enright.projective_generator`` checked, extending the record's tower
+of u, so this module builds on ``exactla`` alone.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from .exactla import SparseMat, vec_iadd
 
@@ -43,6 +46,7 @@ __all__ = [
     "tensor_weight_basis",
     "e_weight_matrix",
     "f_on_slice",
+    "f_tower",
     "apply_rows",
     "apply_op",
     "module_to_json",
@@ -276,6 +280,17 @@ def f_on_slice(n, vec):
     return {i: x for i, x in out.items() if x}
 
 
+def f_tower(n, known):
+    """The f-tower v, f v, f^2 v, ... of a slice vector v, without end and
+    one weight at a time: the entries of known, a list that starts with v,
+    then each next one from the last."""
+    yield from known
+    vec = known[-1]
+    while True:
+        vec = f_on_slice(n, vec)
+        yield vec
+
+
 def apply_rows(rows, vec):
     """The image of a vector keyed by column under a slice map's rows,
     keyed by row in row order, without zeros."""
@@ -307,25 +322,18 @@ def build_Tr(gen, depth):
         e f^k u = k(r-k+1) f^(k-1) u,
         e f^k a = -k(k+r+1) f^(k-1) a + kappa f^(k+r) u.
     kappa is read off one coordinate by exact division, and a remainder
-    raises ConstructionError.  The spanning vectors are kept on their
-    weight slices of the tensor product, keyed by the slice index i, and
-    every e image down to depth + 1 is checked by substituting them into
-    these formulas under the closed-form slice rows of e; a mismatch
-    raises ConstructionError naming the label.
+    raises ConstructionError.  The spanning vectors come from ``f_tower``,
+    of a and of u from the record's tower, on their weight slices keyed by
+    the slice index i, and every e image down to depth + 1 is checked by
+    substituting them into these formulas under the slice rows of e; a
+    mismatch raises ConstructionError naming the label.
     """
     r, n = gen.s, gen.n
     if depth < r + 1:
         raise ValueError(f"depth must be at least r+1={r + 1} to include the a-column")
 
-    def f_tower(vec, count):
-        """f^j of a slice vector, for j <= count."""
-        tower = [vec]
-        for _ in range(count):
-            tower.append(f_on_slice(n, tower[-1]))
-        return tower
-
-    towers = {"u": f_tower(gen.hwv.coefficients, depth + 1),
-              "a": f_tower(dict(enumerate(gen.final)), depth - r)}
+    towers = {"u": list(islice(f_tower(n, gen.tower), depth + 2)),
+              "a": list(islice(f_tower(n, [dict(enumerate(gen.final))]), depth - r + 1))}
 
     def weight(lbl):
         return r - 2 * lbl[1] if lbl[0] == "u" else -r - 2 - 2 * lbl[1]

@@ -118,3 +118,28 @@ def test_runs_keep_the_callers_environment(tmp_path, monkeypatch, no_cache):
     assert run["bytecode_cache"].startswith(
         "PYTHONDONTWRITEBYTECODE set: no tree wrote" if no_cache
         else "PYTHONDONTWRITEBYTECODE unset: one import of vermalab.cli wrote")
+
+
+@needs_git
+def test_a_file_of_another_tree_is_refused_before_any_run(tmp_path, monkeypatch):
+    # after a new commit to src/, the change file of the label names the
+    # tree it was recorded from: nothing runs, and the parent file, which
+    # would otherwise have grown by one recording, is left as it was
+    repo, out = tmp_path / "repo", tmp_path / "out"
+    repo.mkdir()
+    _repo_of_two_commits(repo, "x", "x")
+    argv = ["--pairs", "1", "--cli", "x", "--label", "g", "--repo", str(repo),
+            "--out-dir", str(out)]
+    assert benchpair.main(["--parent", "HEAD~1", *argv]) == 0
+    (repo / "src" / "vermalab" / "cli.py").write_text("print('y')\n")
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qam", "y"],
+                   cwd=repo, check=True, capture_output=True)
+    parent = (out / "BENCH_g_parent.json").read_bytes()
+
+    def no_run(*args):
+        pytest.fail("a run started before the files were checked")
+
+    monkeypatch.setattr(benchpair, "run_cli", no_run)
+    with pytest.raises(SystemExit, match=r"BENCH_g_change\.json holds change git tree "):
+        benchpair.main(["--parent", "HEAD~2", *argv])
+    assert (out / "BENCH_g_parent.json").read_bytes() == parent

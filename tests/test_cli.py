@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import sys
 from collections import Counter
@@ -322,6 +324,46 @@ class TestVerifiers:
             letters = word.split(".")
             assert len(letters) >= 3
             assert all(x[0] in "ab" and x[1:].isdigit() for x in letters)
+
+    def test_heisenberg_fixture_mismatch_names_the_rows(self, tmp_path, monkeypatch):
+        # the frozen table with (1, 2) changed and (3, 1) gone: both rows
+        # are named with the computed and the frozen normal form
+        table = [dict(row) for row in fixtures.load_json(fixtures.TILDE_FIXTURE)["table"]
+                 if (row["n"], row["m"]) != (3, 1)]
+        [changed] = [row for row in table if (row["n"], row["m"]) == (1, 2)]
+        computed, changed["residualNormalForm"] = changed["residualNormalForm"], "2*b1"
+        path = tmp_path / "tilde_residuals.json"
+        fixtures.save_json(path, {"maxN": 6, "maxM": 6, "table": table})
+        monkeypatch.setattr(fixtures, "TILDE_FIXTURE", path)
+        code, out = run_to_file(tmp_path, "hz.json", "verify-heisenberg", "--trials", "10")
+        doc = json.loads(out.read_text())
+        [missing] = [row["residualNormalForm"] for row in doc["tildeResiduals"]
+                     if (row["n"], row["m"]) == (3, 1)]
+        assert code == 1 and doc["tildeMatchesFixture"] is False
+        assert doc["tildeMismatches"] == [
+            {"n": 1, "m": 2, "computed": computed, "frozen": "2*b1"},
+            {"n": 3, "m": 1, "computed": missing, "frozen": None}]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_adelman_fixture_mismatch_prints_the_fixture_pair(self, tmp_path, monkeypatch,
+                                                              request, fmt):
+        # a fixture naming the literal kernel reading: the chosen pair is
+        # printed beside the fixture's own, and the CSV cell carries both
+        path = tmp_path / "adelman_interpretation.json"
+        fixtures.save_json(path, {"kernel": "literal-middle", "cokernel": "extended-middle"})
+        monkeypatch.setattr(fixtures, "ADELMAN_FIXTURE", path)
+        adelman.frozen_interpretation.cache_clear()
+        request.addfinalizer(adelman.frozen_interpretation.cache_clear)
+        code, out = run_to_file(tmp_path, f"ad.{fmt}", "verify-adelman", "--trials", "4",
+                                "--format", fmt)
+        if fmt == "json":
+            chosen = json.loads(out.read_text())["interpretationChosen"]
+        else:
+            rows = list(csv.reader(io.StringIO(out.read_text())))
+            [chosen] = [json.loads(value) for key, value in rows if key == "interpretationChosen"]
+        assert code == 1 and chosen["matchesFixture"] is False
+        assert (chosen["kernel"], chosen["cokernel"]) == ("extended-middle", "extended-middle")
+        assert chosen["fixture"] == {"kernel": "literal-middle", "cokernel": "extended-middle"}
 
     def test_adelman(self, tmp_path):
         code, out = run_to_file(tmp_path, "ad.json", "verify-adelman", "--trials", "20")

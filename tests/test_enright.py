@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -17,9 +18,15 @@ from oracles import (
     solved_casimir_blocks,
 )
 
-from vermalab import enright
+from vermalab import enright, sl2mod
 from vermalab.cli import main
-from vermalab.exactla import SparseMat, generalized_kernel, nullspace, vec_iadd
+from vermalab.exactla import (
+    SparseMat,
+    generalized_kernel,
+    normalize_integer_vector,
+    nullspace,
+    vec_iadd,
+)
 from vermalab.sl2mod import (
     TruncatedModule,
     apply_op,
@@ -229,6 +236,16 @@ class TestProjectiveGenerator:
             for s in enright.index_sets(n, 0).Iprime:
                 rec = enright.projective_generator(n, s)
                 assert rec.hwv == enright.highest_weight_vector(n, s)
+
+    def test_keeps_the_f_power_oracle_tower(self):
+        # f^j u_s for j <= s + 1, from the highest weight record's own
+        # vector to the kernel line p
+        for n in range(2, 9):
+            for s in enright.index_sets(n, 0).Iprime:
+                rec = enright.projective_generator(n, s)
+                assert len(rec.tower) == s + 2 and rec.tower[0] is rec.hwv.coefficients
+                assert all(f_on_slice(n, v) == w for v, w in zip(rec.tower, rec.tower[1:]))
+                assert normalize_integer_vector(rec.tower[-1]) == dict(enumerate(rec.p_list))
 
 
 class TestBetaRecursionDisplay:
@@ -790,7 +807,8 @@ def test_a_jordan_block_of_size_three_fails_the_span_check(monkeypatch, capsys):
 
 
 def test_a_wrong_f_slice_fails_the_f_power_oracle(monkeypatch, capsys):
-    # f with its (0, 0) entry 2 in place of 1 on every slice
+    # f with its (0, 0) entry 2 in place of 1 on every slice, in the one
+    # f-step that sl2mod.f_tower takes
     real = f_on_slice
 
     def perturbed(n, vec):
@@ -799,12 +817,87 @@ def test_a_wrong_f_slice_fails_the_f_power_oracle(monkeypatch, capsys):
             out[0] = out.get(0, 0) + vec[0]
         return out
 
-    monkeypatch.setattr(enright, "f_on_slice", perturbed)
+    monkeypatch.setattr(sl2mod, "f_on_slice", perturbed)
     with pytest.raises(AssertionError,
                        match="f-power image disagrees with the Casimir kernel line"):
         enright.projective_generator(4, 0)
     assert main(["projgen", "--n", "4", "--s", "0"]) == 1
     assert "f-power image disagrees" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,calls", [
+    # 36 = the sum of r + 1 over I' = {0, 2, ..., 10}: the oracle's steps,
+    # which the audit and T_r no longer take again
+    ("decompose --n 12", {"projective_generator": 36, "casimir_blocks": 328}),
+    ("verify-pseudoadjoint --n 12", {"projective_generator": 36, "build_Tr": 144}),
+    ("report --n-max 16", {"projective_generator": 372}),
+])
+def test_each_f_step_is_taken_once(argv, calls, monkeypatch, capsys):
+    # f_on_slice calls by the function that pulled the tower (past its
+    # comprehensions); at n = 12 they were 400 and 216 before the audit and
+    # T_r went on from the record's tower
+    seen = Counter()
+    real = f_on_slice
+
+    def counted(n, vec):
+        frame = sys._getframe(2)
+        while frame.f_code.co_name.startswith("<"):
+            frame = frame.f_back
+        seen[frame.f_code.co_name] += 1
+        return real(n, vec)
+
+    monkeypatch.setattr(sl2mod, "f_on_slice", counted)
+    assert main(argv.split()) == 0
+    capsys.readouterr()
+    assert dict(seen) == calls
+
+
+def _projgen_faults():
+    """Each of projective_generator's checks on the Casimir slice, with the
+    fault upstream that makes it fire at n = 4, s = 0 and its message."""
+    real_kernels, real_rows = enright._casimir_kernels, enright.casimir_weight_matrix
+
+    def kernels(change):
+        return "_casimir_kernels", lambda rows, n, mu: change(*real_kernels(rows, n, mu))
+
+    def shifted(shift):
+        return "casimir_weight_matrix", lambda n, mu, c=0: real_rows(n, mu, shift(mu, c))
+
+    return {
+        # (s + 1)^2 is no eigenvalue t(t + 2) = (t + 1)^2 - 1 of C
+        "kernel-dimension": (shifted(lambda mu, c: c + 1),
+                             "kernel of shifted Casimir at weight -2 is 0-dimensional"),
+        # T_2 has no second step at mu = -2: c = 8 is simple there
+        "excess-dimension": (shifted(lambda mu, c: 8 if (mu, c) == (-2, 0) else c),
+                             "excess space at n=4, s=0 has dimension 0"),
+        # the kernel line handed back as the excess: the generator is u itself
+        "plain-kernel": (kernels(lambda k, x: (k, k)),
+                         "candidate generator lies in the plain kernel"),
+        "squared-operator": (kernels(lambda k, x: (k, [{0: 1}])),
+                             "candidate generator not killed by the squared operator"),
+        "positive-kernel-line": (kernels(lambda k, x: ([{**k[0], 0: -k[0][0]}], x)),
+                                 "kernel line coefficients expected positive"),
+    }
+
+
+@pytest.mark.parametrize("fault", list(_projgen_faults()))
+def test_projective_generator_checks_fire(fault, monkeypatch, capsys):
+    (name, replacement), message = _projgen_faults()[fault]
+    monkeypatch.setattr(enright, name, replacement)
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        enright.projective_generator(4, 0)
+    assert main(["projgen", "--n", "4", "--s", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"verification failure: {message}\n"
+
+
+@given(st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(1, 10**3)), min_size=1))
+def test_the_shift_leaves_every_coefficient_at_least_the_kernel_lines(pairs):
+    # why the shifted generator has no positivity check of its own: with
+    # m = max(0, 1 - q // p), q + m p >= p + (q mod p) >= p > 0
+    m = max([0] + [1 - q // p for q, p in pairs])
+    assert all(q + m * p >= p for q, p in pairs)
 
 
 # ---------------------------------------------------------------------------

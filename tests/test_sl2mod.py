@@ -1,7 +1,7 @@
 import pytest
 from oracles import apply_word, casimir, rank, verify_category_I
 
-from vermalab import enright
+from vermalab import enright, sl2mod
 from vermalab.cli import main
 from vermalab.exactla import SparseMat, solve
 from vermalab.sl2mod import (
@@ -12,6 +12,8 @@ from vermalab.sl2mod import (
     build_Tr,
     build_tensor,
     build_verma,
+    f_on_slice,
+    f_tower,
     label_str,
     module_to_json,
 )
@@ -169,6 +171,23 @@ class TestTr:
             build_Tr(enright.projective_generator(2, 1), 8)
 
 
+def test_f_tower_goes_on_from_its_known_entries(monkeypatch):
+    # the known entries come back as the same objects, and each further one
+    # is one f step from the last, taken only when it is pulled
+    steps = []
+
+    def step(n, vec):
+        steps.append(vec)
+        return f_on_slice(n, vec)
+
+    monkeypatch.setattr(sl2mod, "f_on_slice", step)
+    known = [{0: 1}, {0: 1, 1: 1}]
+    tower = f_tower(2, known)
+    assert all(next(tower) is v for v in known) and steps == []
+    assert next(tower) == {0: 1, 1: 2, 2: 2} and steps == [known[1]]
+    assert next(tower) == f_on_slice(2, {0: 1, 1: 2, 2: 2}) and len(steps) == 2
+
+
 def _tower(f_mat, index, n, mu, coefficients, count):
     """f^j of a weight-mu slice vector keyed by slice index i, for
     j <= count, as vectors over the tensor module's basis indices."""
@@ -231,13 +250,15 @@ def test_a_perturbed_generator_fails_the_substitution_check(monkeypatch, capsys)
 
 def test_a_non_integral_cross_coefficient_is_refused(monkeypatch, capsys):
     # with u scaled by 3, e a = -2 u of T_0 at n = 2 reads e a = -2/3 (3u):
-    # T_r is built over Z, so the remainder is a failed construction
+    # T_r is built over Z, so the remainder is a failed construction.  The
+    # tower of u that the record keeps is scaled with it, since build_Tr
+    # goes on from that tower
     real = enright.projective_generator
 
     def scaled(n, s):
         rec = real(n, s)
-        u = {i: 3 * x for i, x in rec.hwv.coefficients.items()}
-        return rec._replace(hwv=rec.hwv._replace(coefficients=u))
+        tower = [{i: 3 * x for i, x in v.items()} for v in rec.tower]
+        return rec._replace(tower=tower, hwv=rec.hwv._replace(coefficients=tower[0]))
 
     monkeypatch.setattr(enright, "projective_generator", scaled)
     with pytest.raises(ConstructionError, match="^the cross coefficient of T_0 is not an integer$"):

@@ -90,6 +90,35 @@ def test_only_exactla_knows_fractions():
     assert offenders + sorted(named - {"exactla.py"}) == []
 
 
+def _readers(name):
+    """(module, innermost enclosing function or "<module>", line) of every
+    read of name in the library: as a bare name, as an attribute, or by
+    an import under any alias."""
+    found = []
+
+    def visit(module, node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id == name \
+                    or isinstance(child, ast.Attribute) and child.attr == name \
+                    or isinstance(child, ast.ImportFrom) and name in [a.name for a in child.names]:
+                found.append((module, where, child.lineno))
+            visit(module, child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    for p in SOURCES:
+        visit(p.name, ast.parse(p.read_text(encoding="utf-8"), filename=str(p)), "<module>")
+    return found
+
+
+def test_only_the_tower_helper_walks_down_by_f():
+    # sl2mod.f_tower is the one walk down by f: the f-power oracle, the
+    # Casimir audit and T_r read their towers from it, so no other function
+    # calls, or so much as reads, f_on_slice
+    readers = _readers("f_on_slice")
+    assert ("sl2mod.py", "f_tower") in [(m, f) for m, f, _ in readers]  # the scan sees it
+    assert [f"{m}:{line}: {f}" for m, f, line in readers
+            if (m, f) != ("sl2mod.py", "f_tower")] == []
+
+
 LRU = ("lru_cache", "functools.lru_cache")
 
 

@@ -26,6 +26,8 @@ them) and in how many pairs the change read lower.  One recording is
 appended to ``runs`` of ``BENCH_<label>_parent.json`` and
 ``BENCH_<label>_change.json`` in ``--out-dir`` (the repository root by
 default), so several workloads or command lines can share one label.
+Both files are checked for their side and ``src/`` tree before the
+first run, and written together after the last.
 Every run has the caller's environment as it is, and the file says
 whether that wrote bytecode caches.  With ``PYTHONDONTWRITEBYTECODE``
 set, no tree writes one and every child compiles the sources it
@@ -202,6 +204,22 @@ def bytecode_note(cli, env):
             "of each tree before its first child")
 
 
+def existing_recordings(out_dir, label, ids, machine):
+    """{side: (path, document)} of BENCH_<label>_{parent,change}.json, as
+    they are or new; exits when one holds another side or src/ tree."""
+    docs = {}
+    for side in SIDES:
+        path = out_dir / f"BENCH_{label}_{side}.json"
+        tree = f"git tree {ids[side]['src_tree']} of src/"
+        doc = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {
+            "machine": machine, "side": side, "tree": tree, "runs": []}
+        if (doc.get("side"), doc.get("tree")) != (side, tree):
+            raise SystemExit(f"{path} holds {doc.get('side')} {doc.get('tree')}, "
+                             f"not {side} {tree}")
+        docs[side] = path, doc
+    return docs
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the commit measured as before")
@@ -220,37 +238,30 @@ def main(argv=None):
     out_dir = args.out_dir or repo
     env = dict(os.environ)
     revs = dict(zip(SIDES, (args.parent, "HEAD")))
+    machine = (f"{os.cpu_count()}-vCPU {cpu_name()}, "
+               f"{platform.python_implementation()} {platform.python_version()}")
     with tempfile.TemporaryDirectory(prefix="benchpair-") as tmp:
-        trees, ids = {}, {}
-        for side, rev in revs.items():
-            trees[side] = os.path.join(tmp, side)
-            ids[side] = extract(rev, repo, trees[side])
-            if args.cli:  # perfbench's warm-up: the cache, if the environment writes one
+        trees = {side: os.path.join(tmp, side) for side in SIDES}
+        ids = {side: extract(rev, repo, trees[side]) for side, rev in revs.items()}
+        # both files are checked before the first run, so none runs in vain
+        docs = existing_recordings(out_dir, args.label, ids, machine)
+        if args.cli:  # perfbench's warm-up: the cache, if the environment writes one
+            for side in SIDES:
                 run_cli(trees[side], ["--help"], env)
         recording = cli_recording if args.cli else perfbench_recording
         sides, lower = recording(trees, args, env)
-    machine = (f"{os.cpu_count()}-vCPU {cpu_name()}, "
-               f"{platform.python_implementation()} {platform.python_version()}")
+    for side, (_, doc) in docs.items():
+        doc["runs"].append({**sides[side], "bytecode_cache": bytecode_note(args.cli, env),
+                            "order": ORDER, "pairs": args.pairs, "env": environment(ids[side]),
+                            "change_lower_in": lower})
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for side in SIDES:
-        run = {**sides[side], "bytecode_cache": bytecode_note(args.cli, env), "order": ORDER,
-               "pairs": args.pairs, "env": environment(ids[side]), "change_lower_in": lower}
-        path = out_dir / f"BENCH_{args.label}_{side}.json"
-        tree = f"git tree {ids[side]['src_tree']} of src/"
-        doc = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {
-            "machine": machine, "side": side, "tree": tree, "runs": []}
-        if (doc.get("side"), doc.get("tree")) != (side, tree):
-            raise SystemExit(f"{path} holds {doc.get('side')} {doc.get('tree')}, "
-                             f"not {side} {tree}")
-        doc["runs"].append(run)
+    for path, doc in docs.values():  # both files or, on a refusal above, neither
         path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-        paths.append(path)
     for key, count in sorted(lower.items()):
         medians = [sides[side][f"{key.rsplit('.', 1)[1]}_summary"][key]["median"] for side in SIDES]
         print(f"{key}: median {medians[0]:.6g} -> {medians[1]:.6g}, "
               f"change lower in {count['lower']} of {count['pairs']} pairs")
-    print("wrote " + ", ".join(str(p) for p in paths))
+    print("wrote " + ", ".join(str(path) for path, _ in docs.values()))
     return 0
 
 
