@@ -24,6 +24,18 @@ A zero target (f.x2 - g.x2 of a homotopy, u.x2 of a factorization) is
 answered by the zero solution before any system is built, as the
 elimination would answer it; only the nonzero targets of a batch enter
 its system, and every answer, zero or not, is checked by substitution.
+
+``universal_property_trials`` certifies before it solves.  The extended
+readings give in closed form the null-homotopy of the composite through
+the candidate and the factor of each test u killed by t, built from t, u
+and the witness of t o u ~ 0 (u o t ~ 0), which is t's own for the
+identity; a test v through the candidate is its own factor.  A witness
+counts only when its shapes fit, it is a morphism and its equation holds
+by substitution; any other check is solved as before, so every verdict
+is the solver's.  The homotopies t ~ 0 and t o u ~ 0 that the witnesses
+start from are solved, and so are all checks of ``resolve_interpretation``,
+which picks the reading and so must not lean on one, and of
+``congruence_checks``, which exercise the homotopy solver itself.
 """
 
 from __future__ import annotations
@@ -620,12 +632,56 @@ def _all_factor(groups, through, side):
                for v in _factors_up_to_homotopy(group, through, side))
 
 
+def _null_witness(t, side):
+    """The homotopy ([0 | 1], [1 | 0]) of t o inclusion ~ 0 into the
+    extended kernel, or ([0; 1], [0; 1]) of projection o t ~ 0."""
+    (_, dA, dA2), (dB1, dB, _) = t.source.dims, t.target.dims
+    if side == "kernel":
+        return Homotopy(_block([[SparseMat(dB1, dA), SparseMat.identity(dB1)]]),
+                        _block([[SparseMat.identity(dB), SparseMat(dB, dA2)]]))
+    return Homotopy(_block([[SparseMat(dB1, dA)], [SparseMat.identity(dA)]]),
+                    _block([[SparseMat(dB, dA2)], [SparseMat.identity(dA2)]]))
+
+
+def _factor_witness(t, u, s, side):
+    """Components (x1, x2, x3) of the v with inclusion o v = u into the
+    extended kernel, or v o projection = u out of the extended cokernel."""
+    if side == "kernel":
+        return (_block([[u.x1], [s.s1 @ u.source.m1 - t.x1 @ u.x1]]),
+                _block([[u.x2], [s.s1]]), _block([[s.s2], [u.x3]]))
+    return (_block([[u.x1, s.s1]]), _block([[u.x2, s.s2]]),
+            _block([[u.x3, u.x3 @ t.x3 - u.target.m2 @ s.s2]]))
+
+
+def _is_null_witness(f, w):
+    """Whether w has the shapes of a homotopy of f and b' s1 + s2 a = f.x2."""
+    src, tgt = f.source, f.target
+    return (w is not None
+            and (w.s1.rows, w.s1.cols, w.s2.rows, w.s2.cols)
+            == (tgt.dims[0], src.dims[1], tgt.dims[1], src.dims[2])
+            and tgt.m1 @ w.s1 + w.s2 @ src.m2 == f.x2)
+
+
+def _is_factor(u, xs, through, side):
+    """Whether xs are the components of a morphism v with through o v = u
+    (side 'kernel') or v o through = u (side 'cokernel') exactly."""
+    vsrc, vtgt = (u.source, through.source) if side == "kernel" else (through.target, u.target)
+    if xs is None or [(x.rows, x.cols) for x in xs] != [
+            (b, a) for a, b in zip(vsrc.dims, vtgt.dims)]:
+        return False
+    v = TripleMorphism(vsrc, vtgt, *xs)
+    middle = through.x2 @ v.x2 if side == "kernel" else v.x2 @ through.x2
+    return is_morphism(v) and middle == u.x2
+
+
 def universal_property_trials(seed, trials, max_dim=4):
     """Both halves of the kernel and cokernel universal properties for
     the frozen block readings on seeded random instances: the composite
     through the candidate is null-homotopic, and every test morphism
     killed by t factors.  Each failing side of a trial is recorded with
-    the stage that failed and the dimensions of X, Y and W."""
+    the stage that failed and the dimensions of X, Y and W.  Each check
+    is tried on its closed-form witness first (see the module docstring);
+    only the checks whose witness does not verify are solved for."""
     rng = random.Random(seed)
     passed, failures = 0, []
     for trial in range(1, trials + 1):
@@ -633,17 +689,24 @@ def universal_property_trials(seed, trials, max_dim=4):
         Y = random_object(rng, max_dim)
         [t] = random_morphism(rng, X, Y, 1)
         W = random_object(rng, max_dim)
-        t_null = homotopic_to_zero(t) is not None
+        t_witness = homotopic_to_zero(t)
         for (side, end, after, hom, _), build in zip(_SIDES, (kernel, cokernel)):
             obj, arrow = build(t)
             stage = "composite not null-homotopic"
-            if homotopic_to_zero(after(t, arrow)) is not None:
+            composite = after(t, arrow)
+            if (_is_null_witness(composite, _null_witness(t, side))
+                    or homotopic_to_zero(composite) is not None):
                 [u] = hom(rng, W, end(t), 1)
                 [v] = hom(rng, W, obj, 1)
-                tests = [u] if homotopic_to_zero(after(t, u)) is not None else []
-                tests.append(after(arrow, v))
-                identity = [identity_of(end(t))] if t_null else []
-                ok = _all_factor([identity, tests], arrow, side)
+                s = homotopic_to_zero(after(t, u))
+                tests = [(u, _factor_witness(t, u, s, side))] if s is not None else []
+                tests.append((after(arrow, v), v[2:]))
+                identity = []
+                if t_witness is not None:  # everything must factor
+                    one = identity_of(end(t))
+                    identity.append((one, _factor_witness(t, one, t_witness, side)))
+                ok = _all_factor([[f for f, xs in group if not _is_factor(f, xs, arrow, side)]
+                                  for group in (identity, tests)], arrow, side)
                 stage = None if ok else "test morphism does not factor"
             passed += stage is None
             if stage:

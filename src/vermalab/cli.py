@@ -141,10 +141,13 @@ def cmd_decompose(args):
         }
         return doc, True
     doc, ok, records = _record_for_n(args.n, depth)
-    blocks = []
     # the audit starts from the records' own vectors, so a case that
-    # failed to build fails its blocks instead of being built again
-    for rep in enright.casimir_blocks(args.n, depth, records):
+    # failed to build fails its blocks instead of being built again; they
+    # are released before the module is built, where decompose peaks
+    reports = enright.casimir_blocks(args.n, depth, records)
+    del records
+    blocks = []
+    for rep in reports:
         rows = [{"t": b.t, "c": b.c, "kernel": b.kernel_dim, "excess": b.excess_dim}
                 for b in rep.blocks]
         blocks.append({"mu": rep.mu, "ok": rep.ok, "blocks": rows})
