@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -645,3 +646,127 @@ def test_failing_trials_name_their_witness(monkeypatch):
     for f in rep.failures:
         assert set(f["dims"]) == {"X", "Y", "W"}
         assert all(len(d) == 3 for d in f["dims"].values())
+
+
+# ---------------------------------------------------------------------------
+# certified trials: the solve stays the oracle
+# ---------------------------------------------------------------------------
+
+CERTIFIED_TRIALS = 80
+
+
+def count_calls(monkeypatch, calls, *names):
+    """Count the calls made to each named adelman function in calls."""
+    for name in names:
+        def counted(*args, _real=getattr(ad, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(ad, name, counted)
+
+
+def record_accepted(monkeypatch):
+    """Make the trials' two witness checks list every witness they accept,
+    as (check, its arguments)."""
+    accepted = []
+    for name in ("_is_null_witness", "_is_factor"):
+        def recorded(*args, _real=getattr(ad, name), _name=name):
+            ok = _real(*args)
+            if ok:
+                accepted.append((_name, args))
+            return ok
+
+        monkeypatch.setattr(ad, name, recorded)
+    return accepted
+
+
+def assert_the_solver_confirms(accepted):
+    """Each accepted witness is what it claims: a null-homotopy of its f by
+    the residual oracle, or a morphism v whose composite with the candidate
+    the homotopy solver finds homotopic to u, and the solve agrees."""
+    for name, args in accepted:
+        if name == "_is_null_witness":
+            f, w = args
+            assert homotopy_system(f.source, f.target)[1](*w) == [f.x2]
+            assert ad.homotopic_to_zero(f) is not None
+        else:
+            u, xs, through, side = args
+            if side == "kernel":
+                v = ad.TripleMorphism(u.source, through.source, *xs)
+                composite = ad.compose(through, v)
+            else:
+                v = ad.TripleMorphism(through.target, u.target, *xs)
+                composite = ad.compose(v, through)
+            assert ad.is_morphism(v) and ad.homotopic(composite, u) is not None
+            assert ad._factors_up_to_homotopy([u], through, side)[0] is not None
+
+
+_SOLVE_ONLY = {}
+
+
+def solve_only_report(seed):
+    """The trials at seed with no witness counted: every check is solved."""
+    if seed not in _SOLVE_ONLY:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ad, "_is_null_witness", lambda *args: False)
+            mp.setattr(ad, "_is_factor", lambda *args: False)
+            _SOLVE_ONLY[seed] = ad.universal_property_trials(seed, CERTIFIED_TRIALS)
+    return _SOLVE_ONLY[seed]
+
+
+@pytest.mark.parametrize("seed", [1729, 4242, 31337])
+def test_certified_trials_equal_a_solve_only_run(seed, monkeypatch):
+    accepted = record_accepted(monkeypatch)
+    rep = ad.universal_property_trials(seed, CERTIFIED_TRIALS)
+    assert rep == solve_only_report(seed)
+    assert {name for name, _ in accepted} == {"_is_null_witness", "_is_factor"}
+    assert_the_solver_confirms(accepted)
+
+
+def test_fixture_readings_certify_every_factorization(monkeypatch):
+    calls = Counter()
+    count_calls(monkeypatch, calls, "_factors_up_to_homotopy", "solve_each")
+    assert ad.universal_property_trials(1729, 200).ok
+    assert calls["_factors_up_to_homotopy"] == 0
+    assert calls["solve_each"] == 208
+    calls.clear()
+    ad.resolve_interpretation(1729)
+    assert calls["solve_each"] == 180
+    calls.clear()
+    ad.congruence_checks(1729, 50)
+    assert calls["solve_each"] == 46
+
+
+def _shifted(m):
+    """m with 1 added to its first entry, or m itself when it has none."""
+    return m + SparseMat(m.rows, m.cols, {(0, 0): 1}) if m.rows and m.cols else m
+
+
+FAULTY_WITNESSES = {
+    "negated s1": ("_null_witness", lambda w: ad.Homotopy(w.s1.scale(-1), w.s2),
+                   "homotopic"),
+    "perturbed v.x2": ("_factor_witness", lambda xs: (xs[0], _shifted(xs[1]), xs[2]),
+                       "_factors_up_to_homotopy"),
+    "wrongly shaped v": ("_factor_witness",
+                         lambda xs: (SparseMat(xs[0].rows + 1, xs[0].cols), *xs[1:]),
+                         "_factors_up_to_homotopy"),
+    "no null-homotopy proposed": ("_null_witness", lambda w: None, "homotopic"),
+    "no factor proposed": ("_factor_witness", lambda xs: None, "_factors_up_to_homotopy"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTY_WITNESSES))
+def test_a_wrong_witness_falls_back_to_the_solve(fault, monkeypatch):
+    builder, corrupt, solver = FAULTY_WITNESSES[fault]
+    expected = solve_only_report(1729)
+    calls = Counter()
+    count_calls(monkeypatch, calls, solver)
+    ad.universal_property_trials(1729, CERTIFIED_TRIALS)
+    clean = calls[solver]
+    monkeypatch.setattr(ad, builder, lambda *args, _real=getattr(ad, builder):
+                        corrupt(_real(*args)))
+    accepted = record_accepted(monkeypatch)
+    calls.clear()
+    assert ad.universal_property_trials(1729, CERTIFIED_TRIALS) == expected
+    assert calls[solver] > clean
+    assert_the_solver_confirms(accepted)

@@ -736,6 +736,12 @@ ALGEBRA_DIGESTS = {
         "4068759477d54eddf858150a03b63ba926b85e3fe1b1c51fc3967c97b22eb660",
     "verify-adelman --trials 20 --format csv":
         "46f43cbab6f94dc7c040969df73a4c66b756e71deac965bae4eb341dfa2130b6",
+    # a second seed at full size, where a seed-dependent slip in the
+    # certified trials would show
+    "verify-adelman --trials 200 --seed 4242":
+        "701c23e43153f2de289393573b44b430835169fb55d7e6193730d34953bae274",
+    "verify-adelman --trials 200 --seed 4242 --format csv":
+        "1d1cd79dabc8c097750bcec5512a0b9172e1e9d8e215351f285332105e8986f3",
 }
 
 
