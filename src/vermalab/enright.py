@@ -5,12 +5,12 @@ decomposition into projective covers T_r and Verma modules V_s.  The
 two computational pillars are
 
 - the closed-form coefficient list ``p_coefficients`` for the highest
-  weight vector of weight s, cross-checked against the kernel of e on
-  the weight-s slice,
-- the kernel line u of the shifted Casimir M on a weight slice and the
-  solution of M x = u, the second step of its Jordan block, which
-  produce the projective generator together with its five-term
-  coefficient recurrence and the positivity shift.
+  weight vector of weight s, certified by substitution into the rows of
+  e on the weight-s slice,
+- the kernel line u = f^(s+1) u_s of the shifted Casimir M, certified
+  the same way, and the solution of M x = u, the second step of its
+  Jordan block, which produce the projective generator together with
+  its five-term coefficient recurrence and the positivity shift.
 
 A weight slice of Ln (x) V0 is the diagonal of the v_i (x) w_k with
 n - 2i - 2k = mu, and every slice vector here -- a highest weight
@@ -22,20 +22,22 @@ the Casimir map of a slice is written here, in closed form from the
 coproduct, with no tensor module built, as a list of ``{column: int}``
 rows like e's.  Both are band maps: an entry (r, c) has c <= r + 1, and
 the superdiagonal m[r, r+1] is n-r for e and 4(n-r) for C - c, nonzero
-on every slice.  So ``_slice_solve`` reads a kernel or a solution by
-forward substitution through ``exactla.back_substitute``, the device
-behind the two-term alpha and five-term beta recurrences: no square M^2
-is formed and no elimination runs.  Every walk down by f is a
-``sl2mod.f_tower``.  The f-power oracle of a projective generator pushes
-the highest weight vector u_s down s + 1 weights, and the record keeps
-that tower f^j u_s beside the highest weight record it was checked
-against, so callers need no second solve or walk: ``sl2mod.build_Tr``
-realizes T_r from it.  The Casimir audit of ``casimir_blocks`` solves
-nothing either: it carries the f-towers of the highest weight vectors
-and of the projective generators down the slices, one weight at a time,
-the spans that realize T_r, and certifies every predicted block by
-substituting them into the rows of C - c_t.  The records can be handed
-in, so a caller that already built them builds no generator twice.
+on every slice.  So the rows fix a kernel vector from its first
+coordinate: ker e and ker M are at most lines, each spanned by any
+nonzero vector the rows kill.  ``_slice_solve`` reads the one solution
+of M x = u by forward substitution through ``exactla.back_substitute``,
+the device behind the two-term alpha and five-term beta recurrences: no
+square M^2 is formed and no elimination runs.  Every walk down by f is
+a ``sl2mod.f_tower``.  A projective generator's kernel line is the
+highest weight vector u_s pushed down s + 1 weights, and the record
+keeps that tower f^j u_s beside the highest weight record, so callers
+need no second walk: ``sl2mod.build_Tr`` realizes T_r from it.  The
+Casimir audit of ``casimir_blocks`` solves nothing either: it carries
+the f-towers of the highest weight vectors and of the projective
+generators down the slices, one weight at a time, the spans that
+realize T_r, and certifies every predicted block by substituting them
+into the rows of C - c_t.  The records can be handed in, so a caller
+that already built them builds no generator twice.
 
 All checks are exact; there are no tolerances anywhere.
 """
@@ -121,7 +123,7 @@ def index_sets(n, lam=0):
 
 
 # ---------------------------------------------------------------------------
-# Casimir slices and slice solves
+# Casimir slices, the slice solve and the certificate
 # ---------------------------------------------------------------------------
 
 def casimir_weight_matrix(n, mu, c=0):
@@ -144,26 +146,25 @@ def casimir_weight_matrix(n, mu, c=0):
     return rows
 
 
-def _slice_solve(rows, cols, b, n, mu):
-    """The solution of m x = lam b for the slice map m with the given
-    rows and cols columns: [x] for some lam != 0 (for m x = 0 when b is
-    empty), or [] when there is none.
+def _slice_solve(rows, b, n, mu):
+    """The solution of m x = lam b for the square slice map m with these
+    rows: [x] for some lam != 0, or [] when there is none.
 
-    Row r of m has no entry beyond column r + 1, and the closed forms of
-    ``casimir_weight_matrix`` and ``sl2mod.e_weight_matrix`` never leave
-    m[r, r+1] zero.  The first cols - 1 rows are then
-    an echelon form, so ``exactla.back_substitute``, given them last
-    first with b as the extra column cols, fixes x one coordinate at a
-    time: from x_0 = 1 for a kernel, from x_0 = 0 for a solve.  The rows
-    below only have to agree.  So dim ker m <= 1, and when m has a kernel vector k,
-    a solve is exact: the solutions of the first rows are x + t k, and
-    whether the rows below agree does not depend on t.  x is checked by
-    m x = lam b (AssertionError naming n and mu) and comes back with
-    integer entries, gcd 1 and its last nonzero entry positive.
+    Row r of m has no entry beyond column r + 1, and the closed form of
+    ``casimir_weight_matrix`` never leaves m[r, r+1] zero.  The first
+    d - 1 rows of a slice of dimension d are then an echelon form, so
+    ``exactla.back_substitute``, given them last first with b as the extra
+    column d, fixes x one coordinate at a time from x_0 = 0.  The rows
+    below only have to agree.  When m has a kernel vector k, the solutions
+    of the first rows are x + t k, and whether the rows below agree does
+    not depend on t.  x is checked by m x = lam b (AssertionError naming n
+    and mu) and comes back with integer entries, gcd 1 and its last
+    nonzero entry positive.
     """
+    cols = len(rows)
     echelon = [(r + 1, {**rows[r], cols: b[r]} if r in b else rows[r])
                for r in reversed(range(cols - 1))]
-    x, lam = back_substitute(echelon, {} if b else {0: 1}, cols)
+    x, lam = back_substitute(echelon, {}, cols)
     residual = vec_sub(apply_rows(rows, x), vec_scale(lam, b))
     if any(r < cols - 1 for r in residual):
         raise AssertionError(
@@ -171,14 +172,13 @@ def _slice_solve(rows, cols, b, n, mu):
     return [] if residual else [normalize_integer_vector(x)]
 
 
-def _casimir_kernels(rows, n, mu):
-    """(kernel, excess) of the rows of a shifted Casimir slice map m, with
-    the meaning of ``exactla.generalized_kernel``: kernel spans ker m, and
-    excess extends it to a basis of ker m^2.  ker m is a line u or
-    nothing, and m^2 y = 0 says m y = lam u, so the excess is the
-    solution of m x = lam u, and the square of m is never formed."""
-    kernel = _slice_solve(rows, len(rows), {}, n, mu)
-    return kernel, _slice_solve(rows, len(rows), kernel[0], n, mu) if kernel else []
+def _certificate_residual(rows, vec):
+    """None when vec != 0 and M vec = 0 for the slice map M with these
+    rows.  Otherwise the residual that fails: vec itself when it is zero
+    (an empty dict), M vec when it is not."""
+    if not vec:
+        return {}
+    return apply_rows(rows, vec) or None
 
 
 # ---------------------------------------------------------------------------
@@ -225,34 +225,21 @@ class HwvRecord(NamedTuple):
 def highest_weight_vector(n, s):
     """The unique (up to scalar) vector of weight s killed by e.
 
-    Solved as the kernel of e restricted to the weight-s slice, by forward
-    substitution along its rows (``_slice_solve``), which is asserted to
-    be one-dimensional, normalized to positive integers with gcd 1, and
-    checked against the closed form when one exists.
+    The closed form ``p_coefficients(n, -s-2)`` by slice index (v_0 (x) w_0
+    at s = n), normalized to positive integers with gcd 1 and certified by
+    substitution: u != 0 and e u = 0 on the rows of ``e_weight_matrix(n,
+    s)``, whose nonzero superdiagonal n - r makes the e-kernel at most a
+    line, so u spans it.
     """
     sets = index_sets(n, 0)
     allowed = set(sets.Iprime) | set(sets.Itripleprime)
     if s not in allowed:
         raise ValueError(f"no highest weight vector expected at weight {s} for n={n}")
-    ker = _slice_solve(e_weight_matrix(n, s), len(tensor_weight_basis(n, s)), {}, n, s)
-    if len(ker) != 1:
+    p_list = [1] if s == n else p_coefficients(n, -s - 2)
+    coeffs = normalize_integer_vector(dict(enumerate(p_list)))
+    if _certificate_residual(e_weight_matrix(n, s), coeffs) is not None:
         raise AssertionError(
-            f"e-kernel at weight {s} has dimension {len(ker)}, expected 1 (n={n})")
-    coeffs = ker[0]
-    if any(c <= 0 for c in coeffs.values()):
-        raise AssertionError(f"highest weight coefficients not positive at n={n}, s={s}")
-
-    if s == n:
-        p_list = [1]
-    else:
-        p_list = p_coefficients(n, -s - 2)
-        if len(coeffs) != len(p_list):
-            raise AssertionError(
-                f"support size {len(coeffs)} does not match closed form {len(p_list)}")
-        for j, p in enumerate(p_list):
-            if coeffs.get(j, 0) * p_list[0] != coeffs[0] * p:
-                raise AssertionError(
-                    f"oracle kernel not proportional to closed form at n={n}, s={s}")
+            f"closed-form highest weight vector is zero or not killed by e at n={n}, s={s}")
     return HwvRecord(n=n, s=s, coefficients=coeffs, p_list=p_list)
 
 
@@ -309,27 +296,29 @@ class ProjGenRecord(NamedTuple):
     final: list          # shifted generator q_i + m p_i, all positive
     omega_minus_c: list  # rows of the shifted Casimir, {column: int} dicts
     beta_residuals: list
-    hwv: HwvRecord       # the highest weight record u_s was checked against
-    tower: list          # the f-power oracle's f^j u_s, j <= s + 1; tower[0] is hwv.coefficients
+    hwv: HwvRecord       # the highest weight record u_s comes from
+    tower: list          # f^j u_s for j <= s + 1; tower[0] is hwv.coefficients
 
 
 def projective_generator(n, s):
     """Canonical generator of the projective cover inside the tensor slice.
 
-    On the weight-(-s-2) slice the shifted Casimir (Casimir - s(s+2)) has
-    a one-dimensional kernel (the image of the highest weight vector
-    under f^{s+1}) and a one-dimensional second-order kernel on top of
-    it, the solutions of M x = lam u for the kernel vector u; both come
-    from ``_casimir_kernels``.  The representative is fixed by: support
-    in slice indices i <= top = (n+s)/2, the coefficient at top equal to
-    the kernel vector's, and the remaining freedom resolved by the
-    smallest positive multiple giving integer entries with gcd 1.  The
-    excess direction z is the line of ker M^2 whose coordinate at top
-    vanishes; the kernel vector's coordinate there is the closed-form
-    p_top > 0, so z does not depend on the excess vector that came back.
-    Neither u nor the generator may reach the k = 0 boundary top + 1.
-    The shift m = max(0, 1 - q_i // p_i) leaves each q_i + m p_i >= p_i, so
-    the check that every p_i > 0 covers the shifted generator too.
+    On the weight-(-s-2) slice the shifted Casimir M = Casimir - s(s+2)
+    has the kernel line u = f^(s+1) u_s, the highest weight vector pushed
+    down s + 1 weights (``sl2mod.f_tower``) and scaled to integers with
+    gcd 1, certified by substitution: u != 0 and M u = 0 on the rows of
+    ``casimir_weight_matrix``, whose nonzero superdiagonal 4(n-r) makes
+    ker M at most a line.  On top of it is a one-dimensional second-order
+    kernel, the solutions of M x = lam u (one ``_slice_solve``).  The
+    representative is fixed by: support in slice indices i <= top =
+    (n+s)/2, the coefficient at top equal to u's, and the remaining
+    freedom resolved by the smallest positive multiple giving integer
+    entries with gcd 1.  The excess direction z is the line of ker M^2
+    whose coordinate at top vanishes; u's coordinate there is p_top > 0,
+    so z does not depend on the solution that came back.  Neither u nor
+    the generator may reach the k = 0 boundary top + 1.  The shift
+    m = max(0, 1 - q_i // p_i) leaves each q_i + m p_i >= p_i, so the
+    check that every p_i > 0 covers the shifted generator too.
     """
     sets = index_sets(n, 0)
     if s not in sets.Iprime:
@@ -338,20 +327,20 @@ def projective_generator(n, s):
     c = s * (s + 2)
     mu = -s - 2
     rows = casimir_weight_matrix(n, mu, c)
-    kernel, excess = _casimir_kernels(rows, n, mu)
-    if len(kernel) != 1:
-        raise AssertionError(f"kernel of shifted Casimir at weight {mu} is {len(kernel)}-dimensional")
-    if len(excess) != 1:
-        raise AssertionError(f"excess space at n={n}, s={s} has dimension {len(excess)}")
-
-    u = kernel[0]
     top = (n + s) // 2
+    tower = list(islice(f_tower(n, [hwv.coefficients]), s + 2))
+    u = normalize_integer_vector(tower[-1])
     p_list = [u.get(j, 0) for j in range(top + 1)]
     if any(p <= 0 for p in p_list):
         raise AssertionError("kernel line coefficients expected positive")
-    b0, b1 = kernel + excess
-    z = normalize_integer_vector(
-        vec_sub(vec_scale(b1.get(top, 0), b0), vec_scale(b0.get(top, 0), b1)))
+    if _certificate_residual(rows, u) is not None:
+        raise AssertionError(
+            f"f-power image is not killed by the shifted Casimir at n={n}, s={s}")
+    excess = _slice_solve(rows, u, n, mu)
+    if not excess:
+        raise AssertionError(f"excess space at n={n}, s={s} has dimension 0")
+    x = excess[0]
+    z = normalize_integer_vector(vec_sub(vec_scale(x.get(top, 0), u), vec_scale(p_list[-1], x)))
 
     sigma = None
     for cand in range(1, 1001):
@@ -364,11 +353,6 @@ def projective_generator(n, s):
     if max(u) > top or max(a) > top:
         raise AssertionError(
             f"kernel line or generator support leaks onto the k=0 boundary at n={n}, s={s}")
-
-    # cross-check against the f-power oracle, whose tower the record keeps
-    tower = list(islice(f_tower(n, [hwv.coefficients]), s + 2))
-    if normalize_integer_vector(tower[-1]) != u:
-        raise AssertionError("f-power image disagrees with the Casimir kernel line")
 
     image = apply_rows(rows, a)
     if not image:
@@ -507,15 +491,6 @@ class CasimirBlockReport(NamedTuple):
     @property
     def ok(self):
         return not self.failed_checks
-
-
-def _certificate_residual(rows, vec):
-    """None when vec != 0 and M vec = 0 for the slice map M with these
-    rows.  Otherwise the residual that fails: vec itself when it is zero
-    (an empty dict), M vec when it is not."""
-    if not vec:
-        return {}
-    return apply_rows(rows, vec) or None
 
 
 def casimir_blocks(n, depth, records=None):

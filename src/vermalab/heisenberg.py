@@ -122,6 +122,8 @@ class HElem:
     def __add__(self, other):
         if isinstance(other, int):
             other = HElem({((), ()): other})
+        elif not isinstance(other, HElem):
+            return NotImplemented
         return HElem(vec_add(self.terms, other.terms))
 
     __radd__ = __add__
@@ -132,6 +134,8 @@ class HElem:
     def __sub__(self, other):
         if isinstance(other, int):
             other = HElem({((), ()): other})
+        elif not isinstance(other, HElem):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -158,6 +162,8 @@ class HElem:
     def __eq__(self, other):
         if isinstance(other, int):
             other = HElem({((), ()): other})
+        elif not isinstance(other, HElem):
+            return NotImplemented
         return self.terms == other.terms
 
     def __bool__(self):

@@ -23,10 +23,11 @@ i of v_i (x) w_k: ``tensor_weight_basis`` lists a slice, ``e_weight_matrix``
 writes e from one slice to the next as ``{column: int}`` rows,
 ``f_on_slice`` moves a slice vector one weight down and ``apply_rows``
 applies such rows; ``f_tower``, the one walk down by f, gives every
-tower f^j v.  ``enright`` solves its slices on these maps, and
-``build_Tr`` takes the projective generator record that
-``enright.projective_generator`` checked, extending the record's tower
-of u, so this module builds on ``exactla`` alone.
+tower f^j v.  ``enright`` certifies its closed-form slice vectors by
+substitution into these maps, and ``build_Tr`` takes the projective
+generator record that ``enright.projective_generator`` checked,
+extending the record's tower of u, so this module builds on ``exactla``
+alone.
 """
 
 from __future__ import annotations

@@ -8,6 +8,12 @@ needs them, so they stay out of ``src/``.
 - ``apply_word``: an e/f/h word applied letter by letter, and
   ``per_vector_pseudoadjoint_check``: the pseudoadjoint check that pushes
   every vector through the words of B and C, with no image kept;
+- ``slice_kernel`` and ``solved_casimir_kernels``: the kernel of a band
+  slice map by forward substitution, and the (kernel, excess) pair of a
+  shifted Casimir slice, its kernel line and the solution of M x = u;
+- ``solved_highest_weight_vector`` and ``solved_projective_generator``:
+  the two sl2 records with their kernel lines solved, against which the
+  closed forms that ``enright`` certifies are held;
 - ``solved_casimir_blocks``: the Casimir audit of one weight slice by
   slice solves, against which ``enright.casimir_blocks`` and its
   f-tower certificates are held;
@@ -28,13 +34,17 @@ needs them, so they stay out of ``src/``.
   of matrix objects, and the zero test of the quotient category.
 """
 
+import math
 import random
 from bisect import bisect_left
+from itertools import islice
 from typing import NamedTuple
 
 from vermalab import enright
 from vermalab.adelman import TripleMorphism, embed, homotopic_to_zero, identity_of
 from vermalab.enright import (
+    HwvRecord,
+    ProjGenRecord,
     PseudoadjointReport,
     highest_weight_vector,
     index_sets,
@@ -44,6 +54,8 @@ from vermalab.exactla import (
     SparseMat,
     _echelon,
     _integer_rows,
+    back_substitute,
+    normalize_integer_vector,
     nullspace,
     vec_add,
     vec_iadd,
@@ -53,8 +65,11 @@ from vermalab.exactla import (
 from vermalab.heisenberg import HElem, normal_form, word_inversions
 from vermalab.sl2mod import (
     apply_op,
+    apply_rows,
     build_tensor,
     casimir_on_vector,
+    e_weight_matrix,
+    f_tower,
     tensor_weight_basis,
 )
 
@@ -92,6 +107,61 @@ def slice_matrix(rows, cols):
         (r, c): x for r, row in enumerate(rows) for c, x in row.items()})
 
 
+def slice_kernel(rows, cols):
+    """ker m for the band slice map m with these rows and cols columns:
+    [x] or [].  Row r has its last entry m[r, r+1] != 0, so the first
+    cols - 1 rows, given last first to ``back_substitute``, fix x from
+    x_0 = 1, and m has a kernel exactly when the rows below agree."""
+    x, _ = back_substitute([(r + 1, rows[r]) for r in reversed(range(cols - 1))], {0: 1}, cols)
+    residual = apply_rows(rows, x)
+    assert all(r >= cols - 1 for r in residual)
+    return [] if residual else [normalize_integer_vector(x)]
+
+
+def solved_casimir_kernels(rows, n, mu):
+    """(kernel, excess) of the rows of a shifted Casimir slice map m, with
+    the meaning of ``exactla.generalized_kernel``: kernel spans ker m, and
+    excess extends it to a basis of ker m^2.  ker m is a line u or
+    nothing, and m^2 y = 0 says m y = lam u, so the excess is the solution
+    of m x = lam u that ``enright._slice_solve`` gives."""
+    kernel = slice_kernel(rows, len(rows))
+    return kernel, enright._slice_solve(rows, kernel[0], n, mu) if kernel else []
+
+
+def solved_highest_weight_vector(n, s):
+    """``enright.highest_weight_vector(n, s)`` with its vector solved as
+    the kernel of e on the weight-s slice: one-dimensional, positive, and
+    proportional to the closed form, whose list the record keeps."""
+    [u] = slice_kernel(e_weight_matrix(n, s), len(tensor_weight_basis(n, s)))
+    p_list = [1] if s == n else enright.p_coefficients(n, -s - 2)
+    assert all(x > 0 for x in u.values()) and sorted(u) == list(range(len(p_list)))
+    assert all(u[j] * p_list[0] == u[0] * p for j, p in enumerate(p_list))
+    return HwvRecord(n, s, u, p_list)
+
+
+def solved_projective_generator(n, s):
+    """``enright.projective_generator(n, s)`` with its kernel line u and
+    its excess solved on the Casimir slice (``solved_casimir_kernels``),
+    u held against f^(s+1) u_s, and the representative fixed as the
+    library fixes it: a = u + sigma z for the line z of ker M^2 that
+    vanishes at top and the least sigma > 0 that makes gcd(a) = 1."""
+    hwv = solved_highest_weight_vector(n, s)
+    c, mu, top = s * (s + 2), -s - 2, (n + s) // 2
+    rows = enright.casimir_weight_matrix(n, mu, c)
+    [u], [x] = solved_casimir_kernels(rows, n, mu)
+    tower = list(islice(f_tower(n, [hwv.coefficients]), s + 2))
+    assert normalize_integer_vector(tower[-1]) == u
+    z = normalize_integer_vector(vec_sub(vec_scale(x.get(top, 0), u), vec_scale(u[top], x)))
+    a = next(a for sigma in range(1, 1001)
+             if math.gcd(*(a := vec_add(u, vec_scale(sigma, z))).values()) == 1)
+    assert max(u) <= top and max(a) <= top
+    p_list, q_list = ([v.get(j, 0) for j in range(top + 1)] for v in (u, a))
+    m_shift = max([0] + [1 - q // p for q, p in zip(q_list, p_list)])
+    final = [q + m_shift * p for q, p in zip(q_list, p_list)]
+    return ProjGenRecord(n, s, c, q_list, p_list, m_shift, final, rows,
+                         enright.beta_recursion_residuals(n, s, final), hwv, tower)
+
+
 class SolvedSlice(NamedTuple):
     blocks: list  # (t, kernel dimension, excess dimension) by t
     spanned: bool  # the dimensions of the ker (C - c_t)^2 sum to the slice's
@@ -101,14 +171,14 @@ def solved_casimir_blocks(n, mu):
     """The Casimir audit of the weight-mu slice by slice solves, with no
     f-tower: for each predicted t, dim ker M and dim ker M^2 - dim ker M
     for M = C - t(t+2) read off the kernel line and the solution of
-    M x = u that ``enright._casimir_kernels`` solves for, and whether these
-    dimensions sum to the dimension of the slice."""
+    M x = u (``solved_casimir_kernels``), and whether these dimensions sum
+    to the dimension of the slice."""
     sets = index_sets(n, 0)
     preds = [r for r in sets.Iprime if enright._mult_T(r, mu)]
     preds += [s for s in sets.Itripleprime if enright._mult_V(s, mu)]
     blocks = []
     for t in sorted(preds):
-        kernel, excess = enright._casimir_kernels(
+        kernel, excess = solved_casimir_kernels(
             enright.casimir_weight_matrix(n, mu, t * (t + 2)), n, mu)
         blocks.append((t, len(kernel), len(excess)))
     total = sum(kernel + excess for _, kernel, excess in blocks)

@@ -554,7 +554,8 @@ class TestFormats:
 ], ids=["report", "decompose", "verify-pseudoadjoint"])
 def test_sl2_eliminations_see_no_fraction(monkeypatch, capsys, argv):
     """Integral values stay int all the way into the elimination engine
-    and into the slice solve, which takes every weight slice map."""
+    and into the slice solve, which takes every generator's Casimir slice
+    map and its kernel line."""
     seen = []
     real = exactla._integer_rows
     real_slice = enright._slice_solve
@@ -565,10 +566,10 @@ def test_sl2_eliminations_see_no_fraction(monkeypatch, capsys, argv):
             seen.extend(rhs.values())
         return real(m, rhss)
 
-    def recording_slice(rows, cols, b, n, mu):
+    def recording_slice(rows, b, n, mu):
         seen.extend(x for row in rows for x in row.values())
         seen.extend(b.values())
-        return real_slice(rows, cols, b, n, mu)
+        return real_slice(rows, b, n, mu)
 
     monkeypatch.setattr(exactla, "_integer_rows", recording)
     monkeypatch.setattr(enright, "_slice_solve", recording_slice)
@@ -578,8 +579,8 @@ def test_sl2_eliminations_see_no_fraction(monkeypatch, capsys, argv):
 
 
 def test_sl2_verbs_form_no_product_and_run_no_elimination(monkeypatch, capsys):
-    """Every weight slice map of the sl2 verbs is solved by forward
-    substitution on its rows: no matrix product is formed and the
+    """Every weight slice map of the sl2 verbs is certified or solved by
+    substitution into its rows: no matrix product is formed and the
     elimination engine is never called."""
     calls = Counter()
     real_matmul = exactla.SparseMat.__matmul__
@@ -760,7 +761,7 @@ def test_algebra_outputs_are_pinned(argv, capsys):
 
 
 def test_report_solves_each_highest_weight_vector_once(tmp_path, monkeypatch):
-    # a projective case reads the record its generator was checked against
+    # a projective case reads the record its generator was built from
     calls = Counter()
     real = enright.highest_weight_vector
 

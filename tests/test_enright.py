@@ -14,8 +14,12 @@ from oracles import (
     formal_matrices,
     per_vector_pseudoadjoint_check,
     rank,
+    slice_kernel,
     slice_matrix,
     solved_casimir_blocks,
+    solved_casimir_kernels,
+    solved_highest_weight_vector,
+    solved_projective_generator,
 )
 
 from vermalab import enright, sl2mod
@@ -25,6 +29,7 @@ from vermalab.exactla import (
     generalized_kernel,
     normalize_integer_vector,
     nullspace,
+    solve,
     vec_iadd,
 )
 from vermalab.sl2mod import (
@@ -197,14 +202,19 @@ class TestProjectiveGenerator:
             assert len(rec.q_list) == len(rec.p_list) == len(rec.final) == top + 1
 
     def test_a_kernel_line_on_the_boundary_raises(self, monkeypatch):
-        # u with support at top + 1 would be cut short by p_list
-        real = enright._casimir_kernels
-
-        def leaking(rows, n, mu):
-            kernel, excess = real(rows, n, mu)
-            return [{**kernel[0], len(rows) - 1: 1}], excess
-
-        monkeypatch.setattr(enright, "_casimir_kernels", leaking)
+        # u or the generator with support at top + 1 would be cut short by
+        # p_list or q_list.  f^(s+1) u_s leaking there fails its
+        # certificate, as row top of M holds 4(n - top) at column top + 1;
+        # a solution of M x = u leaking there moves the generator onto it
+        real_f, real_solve = f_on_slice, enright._slice_solve
+        monkeypatch.setattr(sl2mod, "f_on_slice",
+                            lambda n, vec: {**real_f(n, vec), max(vec) + 2: 1})
+        with pytest.raises(AssertionError,
+                           match="f-power image is not killed by the shifted Casimir at n=4"):
+            enright.projective_generator(4, 0)
+        monkeypatch.setattr(sl2mod, "f_on_slice", real_f)
+        monkeypatch.setattr(enright, "_slice_solve", lambda rows, b, n, mu: [
+            {**x, len(rows) - 1: 1} for x in real_solve(rows, b, n, mu)])
         with pytest.raises(AssertionError,
                            match="support leaks onto the k=0 boundary at n=4, s=0"):
             enright.projective_generator(4, 0)
@@ -239,7 +249,7 @@ class TestProjectiveGenerator:
 
     def test_keeps_the_f_power_oracle_tower(self):
         # f^j u_s for j <= s + 1, from the highest weight record's own
-        # vector to the kernel line p
+        # vector to the kernel line p it certifies
         for n in range(2, 9):
             for s in enright.index_sets(n, 0).Iprime:
                 rec = enright.projective_generator(n, s)
@@ -574,6 +584,21 @@ def test_certificates_agree_with_the_solve_oracle(n, step):
         assert rep.no_stray_eigenvalues == solved.spanned == rep.ok
 
 
+@pytest.mark.parametrize("n", range(31))
+def test_records_agree_with_the_solve_oracle(n):
+    # every highest weight record and every generator record of L_n (x) V0,
+    # field by field, against the records with the e-kernel and the Casimir
+    # (kernel, excess) pair solved on their slices
+    sets = enright.index_sets(n, 0)
+    cases = [(s, enright.highest_weight_vector, solved_highest_weight_vector)
+             for s in sorted(set(sets.Iprime) | set(sets.Itripleprime))]
+    cases += [(s, enright.projective_generator, solved_projective_generator) for s in sets.Iprime]
+    for s, certified, solved in cases:
+        ours, oracle = certified(n, s), solved(n, s)
+        for field in type(ours)._fields:
+            assert getattr(ours, field) == getattr(oracle, field), (n, s, field)
+
+
 def test_span_check_matches_the_product_of_squares(monkeypatch):
     # every slice as it is, then with 2 added to one diagonal and one
     # off-diagonal entry per column, wherever that entry is in a row of
@@ -818,15 +843,17 @@ def test_a_wrong_f_slice_fails_the_f_power_oracle(monkeypatch, capsys):
         return out
 
     monkeypatch.setattr(sl2mod, "f_on_slice", perturbed)
-    with pytest.raises(AssertionError,
-                       match="f-power image disagrees with the Casimir kernel line"):
+    message = "f-power image is not killed by the shifted Casimir at n=4, s=0"
+    with pytest.raises(AssertionError, match=f"^{message}$"):
         enright.projective_generator(4, 0)
     assert main(["projgen", "--n", "4", "--s", "0"]) == 1
-    assert "f-power image disagrees" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"verification failure: {message}\n"
 
 
 @pytest.mark.parametrize("argv,calls", [
-    # 36 = the sum of r + 1 over I' = {0, 2, ..., 10}: the oracle's steps,
+    # 36 = the sum of r + 1 over I' = {0, 2, ..., 10}: the steps to the kernel lines,
     # which the audit and T_r no longer take again
     ("decompose --n 12", {"projective_generator": 36, "casimir_blocks": 328}),
     ("verify-pseudoadjoint --n 12", {"projective_generator": 36, "build_Tr": 144}),
@@ -854,36 +881,49 @@ def test_each_f_step_is_taken_once(argv, calls, monkeypatch, capsys):
 
 def _projgen_faults():
     """Each of projective_generator's checks on the Casimir slice, with the
-    fault upstream that makes it fire at n = 4, s = 0 and its message."""
-    real_kernels, real_rows = enright._casimir_kernels, enright.casimir_weight_matrix
+    fault upstream that makes it fire at n = 4, s = 0 and its message.  At
+    mu = -2 and c = 0 the rows are (-24, 16), (-24, 8, 12), (-16, 24, 8) and
+    (24) from columns 0, 0, 1 and 3, and u = f u_0 = (2, 3, 2)."""
+    real_f, real_rows = f_on_slice, enright.casimir_weight_matrix
 
-    def kernels(change):
-        return "_casimir_kernels", lambda rows, n, mu: change(*real_kernels(rows, n, mu))
+    def rows_for(change):
+        return enright, "casimir_weight_matrix", lambda n, mu, c=0: change(n, mu, c)
 
-    def shifted(shift):
-        return "casimir_weight_matrix", lambda n, mu, c=0: real_rows(n, mu, shift(mu, c))
+    def solved(x):
+        return enright, "_slice_solve", lambda rows, b, n, mu: x(b)
+
+    def halved_row_0(n, mu, c):
+        # M u = 0 still, but u leaves the image: the first three rows give
+        # x_3 = lam / 2 from x_0 = 0, and row 3 asks for 0
+        rows = real_rows(n, mu, c)
+        return [{j: x // 2 for j, x in rows[0].items()}] + rows[1:] if c == 0 else rows
+
+    def turned_f(n, vec):
+        out = real_f(n, vec)
+        out[0] = -out[0]
+        return out
 
     return {
         # (s + 1)^2 is no eigenvalue t(t + 2) = (t + 1)^2 - 1 of C
-        "kernel-dimension": (shifted(lambda mu, c: c + 1),
-                             "kernel of shifted Casimir at weight -2 is 0-dimensional"),
-        # T_2 has no second step at mu = -2: c = 8 is simple there
-        "excess-dimension": (shifted(lambda mu, c: 8 if (mu, c) == (-2, 0) else c),
+        "kernel-dimension": (rows_for(lambda n, mu, c: real_rows(n, mu, c + 1)),
+                             "f-power image is not killed by the shifted Casimir at n=4, s=0"),
+        "excess-dimension": (rows_for(halved_row_0),
                              "excess space at n=4, s=0 has dimension 0"),
-        # the kernel line handed back as the excess: the generator is u itself
-        "plain-kernel": (kernels(lambda k, x: (k, k)),
+        # the kernel line handed back as the solution: the generator is u itself
+        "plain-kernel": (solved(lambda u: [u]),
                          "candidate generator lies in the plain kernel"),
-        "squared-operator": (kernels(lambda k, x: (k, [{0: 1}])),
+        "squared-operator": (solved(lambda u: [{0: 1}]),
                              "candidate generator not killed by the squared operator"),
-        "positive-kernel-line": (kernels(lambda k, x: ([{**k[0], 0: -k[0][0]}], x)),
+        # f's (0, 0) entry -1 in place of 1: f u_0 = (-2, 3, 2)
+        "positive-kernel-line": ((sl2mod, "f_on_slice", turned_f),
                                  "kernel line coefficients expected positive"),
     }
 
 
 @pytest.mark.parametrize("fault", list(_projgen_faults()))
 def test_projective_generator_checks_fire(fault, monkeypatch, capsys):
-    (name, replacement), message = _projgen_faults()[fault]
-    monkeypatch.setattr(enright, name, replacement)
+    (module, name, replacement), message = _projgen_faults()[fault]
+    monkeypatch.setattr(module, name, replacement)
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
         enright.projective_generator(4, 0)
     assert main(["projgen", "--n", "4", "--s", "0"]) == 1
@@ -919,11 +959,12 @@ def test_the_slice_maps_have_a_nonzero_superdiagonal():
 
 
 def _checked_casimir_kernels(rows, n, mu):
-    """The slice (kernel, excess) of the map m with these rows, held against
-    generalized_kernel: the same lengths and the same spans, every kernel
-    vector killed by m and every excess vector x with m x != 0 and
-    m (m x) = 0."""
-    kernel, excess = enright._casimir_kernels(rows, n, mu)
+    """The slice (kernel, excess) of the map m with these rows, the kernel
+    by forward substitution and the excess by ``enright._slice_solve``,
+    held against generalized_kernel: the same lengths and the same spans,
+    every kernel vector killed by m and every excess vector x with
+    m x != 0 and m (m x) = 0."""
+    kernel, excess = solved_casimir_kernels(rows, n, mu)
     m = slice_matrix(rows, len(rows))
     oracle_kernel, oracle_excess = generalized_kernel(m)
     assert (len(kernel), len(excess)) == (len(oracle_kernel), len(oracle_excess))
@@ -939,8 +980,8 @@ def _checked_casimir_kernels(rows, n, mu):
 def test_band_kernels_match_the_elimination_engine(n, step):
     # every step-th slice that decompose audits, with M = C - c for each of
     # its blocks, every step-th generator slice and every step-th highest
-    # weight slice that report solves: ker M and ker M^2 / ker M against
-    # generalized_kernel, and ker e against nullspace
+    # weight slice that report certifies: ker M and ker M^2 / ker M against
+    # generalized_kernel, and ker e against nullspace and the closed form
     sets = enright.index_sets(n, 0)
     shifts = [(rep.mu, b.c) for rep in enright.casimir_blocks(n, n + 10)[::step]
               for b in rep.blocks]
@@ -949,8 +990,9 @@ def test_band_kernels_match_the_elimination_engine(n, step):
         _checked_casimir_kernels(enright.casimir_weight_matrix(n, mu, c), n, mu)
     for s in sorted(set(sets.Iprime) | set(sets.Itripleprime))[::step]:
         rows, cols = e_weight_matrix(n, s), len(tensor_weight_basis(n, s))
-        kernel = enright._slice_solve(rows, cols, {}, n, s)
+        kernel = slice_kernel(rows, cols)
         assert len(kernel) == 1 and kernel == nullspace(slice_matrix(rows, cols))
+        assert kernel == [enright.highest_weight_vector(n, s).coefficients]
 
 
 _NONZERO = st.sampled_from([-3, -2, -1, 1, 2, 3])
@@ -982,64 +1024,63 @@ def test_a_jordan_block_of_size_three_on_the_band_fails_the_span_check(monkeypat
 
 
 def test_generators_from_the_elimination_engine_are_the_same(monkeypatch):
-    # with the slice kernels taken from generalized_kernel instead,
-    # projective_generator, pinning its excess line, builds the same record
-    # for every (n, s) that report covers up to 12
+    # with the solution of M x = u taken from exactla.solve instead, another
+    # x + t u, projective_generator, pinning its excess line, builds the
+    # same record for every (n, s) that report covers up to 12
     cases = [(n, s) for n in range(13) for s in enright.index_sets(n, 0).Iprime]
     expected = {case: enright.projective_generator(*case) for case in cases}
     calls = []
 
-    def eliminated(rows, n, mu):
+    def eliminated(rows, b, n, mu):
         calls.append((n, mu))
-        return generalized_kernel(slice_matrix(rows, len(rows)))
+        x = solve(slice_matrix(rows, len(rows)), b)
+        return [] if x is None else [normalize_integer_vector(x)]
 
-    monkeypatch.setattr(enright, "_casimir_kernels", eliminated)
+    monkeypatch.setattr(enright, "_slice_solve", eliminated)
     for case in cases:
         assert enright.projective_generator(*case) == expected[case]
     assert len(calls) == len(cases)
 
 
 def test_the_band_kernel_raises_on_a_vector_it_cannot_check(monkeypatch):
-    # a kernel vector or a solution that fails the rows it was solved from
-    # names its slice
+    # a solution that fails the rows it was solved from names its slice
     rows = enright.casimir_weight_matrix(6, -4, 0)
     monkeypatch.setattr(enright, "back_substitute", lambda echelon, x, rhs: ({0: 1}, 1))
-    for b in ({}, {0: 1}):
+    for b in ({0: 1}, {2: 3}):
         with pytest.raises(AssertionError, match=r"does not satisfy the slice map at n=6, mu=-4"):
-            enright._slice_solve(rows, len(rows), b, 6, -4)
+            enright._slice_solve(rows, b, 6, -4)
 
 
 def _hwv_faults():
-    """Each of highest_weight_vector's four checks, with the fault that
-    makes it fire at n = 5, s = -1 and the message it raises."""
-    real_solve, real_p = enright._slice_solve, enright.p_coefficients
-
-    def solve(change):
-        return "_slice_solve", lambda *args: change(real_solve(*args))
+    """Each fault of the closed form that one of the four guards of the
+    solved e-kernel caught, made in ``p_coefficients`` at n = 5, s = -1,
+    and the message of the certificate e u = 0, u != 0 that now catches
+    it: the zero vector (no kernel), a negative entry, an entry at the
+    k = 0 boundary, and a vector out of proportion."""
+    real_p = enright.p_coefficients
 
     def closed(change):
         return "p_coefficients", lambda n, r: change(real_p(n, r))
 
+    message = "closed-form highest weight vector is zero or not killed by e at n=5, s=-1"
     return {
-        "kernel-dimension": (solve(lambda ker: ker + ker),
-                             "e-kernel at weight -1 has dimension 2, expected 1 (n=5)"),
-        "positivity": (solve(lambda ker: [{**ker[0], 1: -ker[0][1]}]),
-                       "highest weight coefficients not positive at n=5, s=-1"),
-        "support-size": (closed(lambda p: p + [1]),
-                         "support size 3 does not match closed form 4"),
-        "proportionality": (closed(lambda p: p[:-1] + [2 * p[-1]]),
-                            "oracle kernel not proportional to closed form at n=5, s=-1"),
+        "kernel-dimension": (closed(lambda p: []), message),
+        "positivity": (closed(lambda p: [p[0], -p[1], p[2]]), message),
+        "support-size": (closed(lambda p: p + [1]), message),
+        "proportionality": (closed(lambda p: p[:-1] + [2 * p[-1]]), message),
     }
 
 
 @pytest.mark.parametrize("fault", list(_hwv_faults()))
-def test_highest_weight_vector_checks_fire(fault, monkeypatch):
-    # enright.highest_weight_vector(5, -1) is {0: 5, 1: 6, 2: 3} against
-    # the closed form [320, 384, 192]; each fault breaks one check only
+def test_highest_weight_vector_checks_fire(fault, monkeypatch, capsys):
+    # enright.highest_weight_vector(5, -1) is {0: 5, 1: 6, 2: 3} from the
+    # closed form [320, 384, 192]
     (name, replacement), message = _hwv_faults()[fault]
     monkeypatch.setattr(enright, name, replacement)
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
         enright.highest_weight_vector(5, -1)
+    assert main(["hwv", "--n", "5", "--s", "-1"]) == 1
+    assert capsys.readouterr() == ("", f"verification failure: {message}\n")
 
 
 def test_a_broken_highest_weight_vector_fails_the_hwv_verb(monkeypatch, capsys):

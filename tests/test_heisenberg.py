@@ -115,6 +115,21 @@ def test_scalars_are_ints():
             c * x
 
 
+@pytest.mark.parametrize("other", ["a", 0.5, Fraction(1, 2), None],
+                         ids=["str", "float", "Fraction", "None"])
+def test_a_foreign_operand_is_no_element(other):
+    # neither an int nor an HElem: unequal with no error, and + and -
+    # refuse it on either side
+    x = mono((1,), (2,))
+    for element in (HElem.one(), x):
+        assert not element == other and element != other
+        assert not other == element and other != element
+        for combine in (lambda: element + other, lambda: other + element,
+                        lambda: element - other, lambda: other - element):
+            with pytest.raises(TypeError):
+                combine()
+
+
 def _power_oracle(k):
     # a_1^k b_1^k = sum_j C(k, j)^2 j! b_1^{k-j} a_1^{k-j}: choose the j
     # lowered a's and b's and match them up

@@ -110,13 +110,20 @@ def _readers(name):
 
 
 def test_only_the_tower_helper_walks_down_by_f():
-    # sl2mod.f_tower is the one walk down by f: the f-power oracle, the
+    # sl2mod.f_tower is the one walk down by f: the generators' kernel lines, the
     # Casimir audit and T_r read their towers from it, so no other function
     # calls, or so much as reads, f_on_slice
     readers = _readers("f_on_slice")
     assert ("sl2mod.py", "f_tower") in [(m, f) for m, f, _ in readers]  # the scan sees it
     assert [f"{m}:{line}: {f}" for m, f, line in readers
             if (m, f) != ("sl2mod.py", "f_tower")] == []
+
+
+def test_the_slice_solve_has_one_call_site():
+    # the e-kernel and the Casimir kernel line are closed forms certified by
+    # substitution, so the one slice solve left is the generator's M x = u
+    readers = _readers("_slice_solve")
+    assert [(m, f) for m, f, _ in readers] == [("enright.py", "projective_generator")]
 
 
 LRU = ("lru_cache", "functools.lru_cache")
