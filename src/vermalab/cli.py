@@ -537,14 +537,15 @@ def render_csv(rows):
     return buf.getvalue()
 
 
-def build_parser():
+def build_parser(only=None):
+    """The parser of every verb, or of the verb named only alone."""
     parser = argparse.ArgumentParser(
         prog="vermalab",
         description="exact verification suites for sl2 tensor decompositions, "
                     "Hecke and Heisenberg relations, and the matrix abelianization",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, verb in VERBS.items():
+    for name, verb in VERBS.items() if only is None else [(only, VERBS[only])]:
         # no abbreviations: --n must not be read as --n-max, nor --s as --seed
         p = sub.add_parser(name, help=verb.help, allow_abbrev=False)
         for opt in verb.options:
@@ -569,7 +570,8 @@ def main(argv=None):
     and a missing required option by raising SystemExit(2); a foreign
     option is reported with the usage of the verb it was given to.
     """
-    args, extra = build_parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args, extra = build_parser(argv[0] if argv and argv[0] in VERBS else None).parse_known_args(argv)
     if extra:
         args.verb_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     verb = VERBS[args.command]

@@ -32,12 +32,14 @@ a ``sl2mod.f_tower``.  A projective generator's kernel line is the
 highest weight vector u_s pushed down s + 1 weights, and the record
 keeps that tower f^j u_s beside the highest weight record, so callers
 need no second walk: ``sl2mod.build_Tr`` realizes T_r from it.  The
-Casimir audit of ``casimir_blocks`` solves nothing either: it carries
-the f-towers of the highest weight vectors and of the projective
-generators down the slices, one weight at a time, the spans that
-realize T_r, and certifies every predicted block by substituting them
-into the rows of C - c_t.  The records can be handed in, so a caller
-that already built them builds no generator twice.
+Casimir audit of ``casimir_blocks`` solves nothing either.  It
+substitutes the tops of the f-towers that realize T_r, the highest
+weight vectors and the shifted generators, into the rows of C - c_t
+once each, and checks once per slice edge that C commutes with f, which
+is injective; so every block below a top is certified.  Below the first
+edge that fails, and for a top that fails, it substitutes the tower
+vectors as they come.  The records can be handed in, so a caller that
+already built them builds no generator twice.
 
 All checks are exact; there are no tolerances anywhere.
 """
@@ -45,7 +47,7 @@ All checks are exact; there are no tolerances anywhere.
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import islice, repeat
 from typing import NamedTuple
 
 from .exactla import (
@@ -60,6 +62,7 @@ from .sl2mod import (
     apply_op,
     apply_rows,
     casimir_on_vector,
+    commutes_with_f,
     e_weight_matrix,
     f_tower,
     tensor_weight_basis,
@@ -501,14 +504,25 @@ def casimir_blocks(n, depth, records=None):
     with a one-dimensional kernel, and T_r also one excess vector where
     mu <= -r-2; the 1 + ex_t over the predicted excesses ex_t sum to the
     dimension audit's rhs.  No slice is solved.  Each prediction is
-    certified by substitution into the rows of M = C - c_t, on vectors
-    that two f-towers carry down the slices one weight at a time
+    certified in the rows of M = C - c_t on vectors of two f-towers
     (``sl2mod.f_tower``), the spans of f^k u and f^k a that realize T_r:
 
     - kernel: k_t = f^((t-mu)/2) u_t for the highest weight vector u_t,
       with k_t != 0 and M k_t = 0;
-    - excess, where ex_t = 1: x_t = f^((-t-2-mu)/2) a_t for the projective
-      generator a_t, with y = M x_t != 0 and M y = 0.
+    - excess, where ex_t = 1: x_t = f^((-t-2-mu)/2) a_t for the shifted
+      projective generator a_t (``final``), with y = M x_t != 0 and M y = 0.
+
+    Only the tops, u_t at mu = t and a_t at mu = -t-2, are substituted
+    (projective_generator checked the unshifted a, not a_t).  Below them
+    the certificates follow from one check per edge mu -> mu-2: C_(mu-2) f
+    = f C_mu on the unit vectors of slice mu (``sl2mod.commutes_with_f``,
+    on C's columns at c = 0).  M_t = C - c_t by the diagonal of
+    ``casimir_weight_matrix``'s closed form, so M_t f^j v = f^j M_t v; and
+    f is injective, for (f v)_i = v_i + i v_(i-1) keeps v's lowest nonzero
+    coordinate.  So M kills f^j u_t != 0 and M x_t = f^j M a_t != 0.
+    Below the first edge that fails, and for a t whose top fails or that
+    has no record, every block is substituted, its towers walked only
+    then: each verdict and residual is the substitution's.
 
     So dim ker M^2 >= 1 + ex_t.  The c_t are pairwise distinct
     (t(t+2) = t'(t'+2) only for t' = -t-2, and I''' holds no mirror of
@@ -530,28 +544,39 @@ def casimir_blocks(n, depth, records=None):
     if records is None:
         records = {t: (projective_generator if t in sets.Iprime else highest_weight_vector)(n, t)
                    for t in tops}
-    kernels, excesses = {}, {}  # the towers of k_t and x_t, next() one weight down
+    towers = {}  # (t, 0) for k_t, (t, 1) for x_t: [its f-tower, the j of the tower's next vector]
+    proven = {}  # the same keys: whether the certificate at the tower's top holds
+    commuting, above = True, None  # every edge so far commutes with f; C's columns at mu + 2
     reports = []
     for j in range(depth + 1):
         mu = n - 2 * j
+        if commuting:
+            columns = [{} for _ in tensor_weight_basis(n, mu)]
+            for r, row in enumerate(casimir_weight_matrix(n, mu)):
+                for i, x in row.items():
+                    columns[i][r] = x
+            commuting, above = above is None or commutes_with_f(n, above, columns), columns
         if mu in records:
-            kernels[mu] = f_tower(n, records[mu].tower if mu in sets.Iprime
-                                  else [records[mu].coefficients])
+            towers[mu, 0] = [f_tower(n, records[mu].tower if mu in sets.Iprime
+                                     else [records[mu].coefficients]), j]
         if -mu - 2 in records and -mu - 2 in sets.Iprime:
-            excesses[-mu - 2] = f_tower(n, [dict(enumerate(records[-mu - 2].final))])
-        kernel = {t: next(tower) for t, tower in kernels.items()}
-        excess = {t: next(tower) for t, tower in excesses.items()}
+            towers[-mu - 2, 1] = [f_tower(n, [dict(enumerate(records[-mu - 2].final))]), j]
         preds = [(r, _mult_T(r, mu) - 1) for r in sets.Iprime if _mult_T(r, mu)]
         preds += [(s, 0) for s in sets.Itripleprime if _mult_V(s, mu)]
         blocks = []
         for t, ex in sorted(preds):
-            c = t * (t + 2)
-            rows = casimir_weight_matrix(n, mu, c)
-            blocks.append(CasimirBlock(
-                t=t, c=c, predicted_kernel=1, predicted_excess=ex,
-                kernel_residual=_certificate_residual(rows, kernel.get(t, {})),
-                excess_residual=(_certificate_residual(rows, apply_rows(rows, excess.get(t, {})))
-                                 if ex else None)))
+            c, rows, residuals = t * (t + 2), None, [None, None]
+            for key in [(t, 0), (t, 1)][:1 + ex]:
+                if commuting and proven.get(key):
+                    continue
+                rows = rows or casimir_weight_matrix(n, mu, c)
+                tower = towers.get(key) or [repeat({}), j]  # no record: the zero vector
+                vec, tower[1] = next(islice(tower[0], j - tower[1], None)), j + 1
+                residuals[key[1]] = _certificate_residual(
+                    rows, apply_rows(rows, vec) if key[1] else vec)
+                proven.setdefault(key, residuals[key[1]] is None)
+            blocks.append(CasimirBlock(t=t, c=c, predicted_kernel=1, predicted_excess=ex,
+                                       kernel_residual=residuals[0], excess_residual=residuals[1]))
         spanned = sum(1 + ex for _, ex in preds) == len(tensor_weight_basis(n, mu))
         reports.append(CasimirBlockReport(
             n=n, mu=mu, blocks=blocks,

@@ -138,6 +138,9 @@ class HElem:
             return NotImplemented
         return self + (-other)
 
+    def __rsub__(self, other):
+        return -self + other if isinstance(other, int) else NotImplemented
+
     def __mul__(self, other):
         if isinstance(other, int):
             return HElem({m: c * other for m, c in self.terms.items()})

@@ -23,8 +23,9 @@ i of v_i (x) w_k: ``tensor_weight_basis`` lists a slice, ``e_weight_matrix``
 writes e from one slice to the next as ``{column: int}`` rows,
 ``f_on_slice`` moves a slice vector one weight down and ``apply_rows``
 applies such rows; ``f_tower``, the one walk down by f, gives every
-tower f^j v.  ``enright`` certifies its closed-form slice vectors by
-substitution into these maps, and ``build_Tr`` takes the projective
+tower f^j v, and ``commutes_with_f`` checks a pair of slice maps against
+f on unit vectors.  ``enright`` certifies its closed-form slice vectors
+by substitution into these maps, and ``build_Tr`` takes the projective
 generator record that ``enright.projective_generator`` checked,
 extending the record's tower of u, so this module builds on ``exactla``
 alone.
@@ -48,6 +49,7 @@ __all__ = [
     "e_weight_matrix",
     "f_on_slice",
     "f_tower",
+    "commutes_with_f",
     "apply_rows",
     "apply_op",
     "module_to_json",
@@ -290,6 +292,19 @@ def f_tower(n, known):
     while True:
         vec = f_on_slice(n, vec)
         yield vec
+
+
+def commutes_with_f(n, upper, lower):
+    """Whether lower f = f upper, for slice maps given by their columns
+    (``{row: int}`` dicts), upper on a slice and lower on the slice one
+    weight below: lower f e_i against f (upper e_i) on each unit vector."""
+    for i, column in enumerate(upper):
+        image = {}
+        for j, x in f_on_slice(n, {i: 1}).items():
+            vec_iadd(image, lower[j], x)
+        if image != f_on_slice(n, column):
+            return False
+    return True
 
 
 def apply_rows(rows, vec):

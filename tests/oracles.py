@@ -16,7 +16,10 @@ needs them, so they stay out of ``src/``.
   closed forms that ``enright`` certifies are held;
 - ``solved_casimir_blocks``: the Casimir audit of one weight slice by
   slice solves, against which ``enright.casimir_blocks`` and its
-  f-tower certificates are held;
+  certificates are held;
+- ``substituted_casimir_blocks``: the Casimir audit that substitutes
+  every f-tower vector, against which ``enright.casimir_blocks``, which
+  substitutes only at the tower tops, is held field by field;
 - ``casimir`` and ``verify_category_I``: the Casimir matrix of a
   truncated module and the membership criteria of Enright's category;
 - ``decategorify``: the split Grothendieck class map of Ln (x) V0, with
@@ -183,6 +186,51 @@ def solved_casimir_blocks(n, mu):
         blocks.append((t, len(kernel), len(excess)))
     total = sum(kernel + excess for _, kernel, excess in blocks)
     return SolvedSlice(blocks, total == len(tensor_weight_basis(n, mu)))
+
+
+def substituted_casimir_blocks(n, depth, records=None):
+    """``enright.casimir_blocks`` by substitution alone: the f-towers of
+    the highest weight vectors and of the shifted generators carried down
+    the slices one weight at a time, and every predicted block certified
+    by substituting them into the rows of C - c_t, k_t != 0 with
+    M k_t = 0 and y = M x_t != 0 with M y = 0.  A t with no record fails
+    its blocks with empty residuals.  The library certifies each block at
+    the top of its tower and at each edge mu -> mu - 2 that C commutes
+    with f, and is held to these reports field by field."""
+    sets = enright.index_sets(n, 0)
+    tops = sorted(set(sets.Iprime) | set(sets.Itripleprime))
+    if len({t * (t + 2) for t in tops}) != len(tops):
+        raise AssertionError(f"two predicted indices at n={n} share a Casimir eigenvalue")
+    if records is None:
+        records = {t: (enright.projective_generator if t in sets.Iprime
+                       else enright.highest_weight_vector)(n, t) for t in tops}
+    kernels, excesses = {}, {}  # the towers of k_t and x_t, next() one weight down
+    reports = []
+    for j in range(depth + 1):
+        mu = n - 2 * j
+        if mu in records:
+            kernels[mu] = f_tower(n, records[mu].tower if mu in sets.Iprime
+                                  else [records[mu].coefficients])
+        if -mu - 2 in records and -mu - 2 in sets.Iprime:
+            excesses[-mu - 2] = f_tower(n, [dict(enumerate(records[-mu - 2].final))])
+        kernel = {t: next(tower) for t, tower in kernels.items()}
+        excess = {t: next(tower) for t, tower in excesses.items()}
+        preds = [(r, enright._mult_T(r, mu) - 1) for r in sets.Iprime if enright._mult_T(r, mu)]
+        preds += [(s, 0) for s in sets.Itripleprime if enright._mult_V(s, mu)]
+        blocks = []
+        for t, ex in sorted(preds):
+            c = t * (t + 2)
+            rows = enright.casimir_weight_matrix(n, mu, c)
+            blocks.append(enright.CasimirBlock(
+                t=t, c=c, predicted_kernel=1, predicted_excess=ex,
+                kernel_residual=enright._certificate_residual(rows, kernel.get(t, {})),
+                excess_residual=(enright._certificate_residual(
+                    rows, apply_rows(rows, excess.get(t, {}))) if ex else None)))
+        spanned = sum(1 + ex for _, ex in preds) == len(tensor_weight_basis(n, mu))
+        reports.append(enright.CasimirBlockReport(
+            n=n, mu=mu, blocks=blocks,
+            no_stray_eigenvalues=spanned and all(b.matches for b in blocks)))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,31 @@ class TestVerbTable:
         assert [k for k in plain if plain[k] != changed[k]] == \
             [option.lstrip("-").replace("-", "_").replace("lambda", "lam")]
 
+    @pytest.mark.parametrize("argv", [
+        "--help", "-h", "", "bogus", "--n 3 report", "report -h", "report --bogus",
+        "report --n 3", "decompose", "decompose --n 2 extra", "decompose --n 2 --format xml",
+        "verify-adelman --trials x", "verify-hecke --q-mode bogus", "projgen --n 2",
+        "hwv --n 4 --s 0"])
+    def test_one_verb_parser_answers_as_the_full_one(self, argv, monkeypatch, capsys):
+        # main builds the parser of the verb that argv names alone, and every
+        # verb's parser otherwise: with every verb's parser built each time, the
+        # exit code, stdout and stderr are the same
+        def outcome():
+            try:
+                code = main(argv.split())
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        built, real = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only) or real(only))
+        ours = outcome()
+        monkeypatch.setattr(cli, "build_parser", lambda only=None: real())
+        assert outcome() == ours
+        first = argv.split()[:1]
+        assert built == [first[0] if first and first[0] in cli.VERBS else None]
+
     def test_fixed_defaults(self):
         parse = cli.build_parser().parse_args
         assert parse(["verify-heisenberg"]).trials == 1000

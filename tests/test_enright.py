@@ -2,6 +2,7 @@ import json
 import re
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +21,7 @@ from oracles import (
     solved_casimir_kernels,
     solved_highest_weight_vector,
     solved_projective_generator,
+    substituted_casimir_blocks,
 )
 
 from vermalab import enright, sl2mod
@@ -584,6 +586,121 @@ def test_certificates_agree_with_the_solve_oracle(n, step):
         assert rep.no_stray_eigenvalues == solved.spanned == rep.ok
 
 
+def _audit_records(n):
+    """The records that decompose hands the Casimir audit at n."""
+    sets = enright.index_sets(n, 0)
+    return {t: (enright.projective_generator if t in sets.Iprime
+                else enright.highest_weight_vector)(n, t)
+            for t in sorted(set(sets.Iprime) | set(sets.Itripleprime))}
+
+
+def _held_to_the_substitution(n, depth, records=None):
+    """The reports of casimir_blocks, each held field by field to those of
+    the audit that substitutes every f-tower vector."""
+    ours = enright.casimir_blocks(n, depth, records)
+    oracle = substituted_casimir_blocks(n, depth, records)
+    assert [rep.mu for rep in ours] == [rep.mu for rep in oracle]
+    for rep, want in zip(ours, oracle):
+        for field in type(rep)._fields:
+            assert getattr(rep, field) == getattr(want, field), (n, rep.mu, field)
+    return ours
+
+
+def _edge_verdicts(monkeypatch):
+    """The verdicts of the audit's edge checks, in the order it asks for them."""
+    verdicts, real = [], enright.commutes_with_f
+
+    def spied(n, upper, lower):
+        verdicts.append(real(n, upper, lower))
+        return verdicts[-1]
+
+    monkeypatch.setattr(enright, "commutes_with_f", spied)
+    return verdicts
+
+
+@pytest.mark.parametrize("n", [*range(41), 48, 64])
+def test_the_audit_is_the_substitution_audit(n):
+    # every slice at decompose's default depth, and for n <= 40 at --depth 3:
+    # the audit that substitutes only at the tower tops gives the reports of
+    # the one that substitutes every tower vector
+    records = _audit_records(n)
+    for depth in [2 * n + 10] + [3] * (n <= 40):
+        assert all(rep.ok for rep in _held_to_the_substitution(n, depth, records))
+
+
+def test_a_perturbed_entry_below_the_tops_falls_back_at_its_edge(monkeypatch):
+    # 2 added to C at (0, 0) on the (4, -8) slice, below every tower top: the
+    # edges from mu = 4 down to -6 commute with f, the edge -6 -> -8 does not
+    # and is the last one checked, and from -8 on every block is substituted
+    _perturb(monkeypatch, 4, -8, (0, 0))
+    verdicts = _edge_verdicts(monkeypatch)
+    reports = _held_to_the_substitution(4, 18)
+    assert verdicts == [True] * 5 + [False]
+    assert [rep.mu for rep in reports if not rep.ok] == [-8]
+    assert all(b.kernel_residual for b in reports[6].blocks)
+
+
+def test_a_perturbed_generator_fails_at_its_excess_top(monkeypatch):
+    # final_0 of the T_0 generator one too large: every edge commutes with f,
+    # but y = M x_0 is no longer killed by M at the top mu = -2, so the excess
+    # block of t = 0 fails there and on every slice below, substituted
+    real = enright.projective_generator
+
+    def off_by_one(n, s):
+        gen = real(n, s)
+        return gen._replace(final=[gen.final[0] + 1, *gen.final[1:]]) if s == 0 else gen
+
+    monkeypatch.setattr(enright, "projective_generator", off_by_one)
+    verdicts = _edge_verdicts(monkeypatch)
+    reports = _held_to_the_substitution(4, 18)
+    assert verdicts == [True] * 18
+    assert [(rep.mu, b.t) for rep in reports for b in rep.blocks if not b.matches] == [
+        (mu, 0) for mu in range(-2, -33, -2)]
+    assert all(b.excess_residual for rep in reports for b in rep.blocks if not b.matches)
+
+
+def test_a_missing_record_fails_its_blocks_alone(monkeypatch):
+    # no record for t = 2: its blocks fail with empty residuals on every slice
+    # it reaches, and every other block is certified at its top as before
+    records = _audit_records(4)
+    del records[2]
+    reports = _held_to_the_substitution(4, 18, records)
+    failing = [b for rep in reports for b in rep.blocks if not b.matches]
+    assert [rep.mu for rep in reports if not rep.ok] == list(range(2, -33, -2))
+    assert {b.t for b in failing} == {2} and len(failing) == 18
+    assert all(b.kernel_residual == {} and b.excess_residual == ({} if b.predicted_excess else None)
+               for b in failing)
+
+
+def test_a_clean_audit_substitutes_only_at_the_tower_tops(monkeypatch):
+    # the audit of decompose --n 64 takes no f-step but its edge checks' two per
+    # unit vector, substitutes once at each kernel top and twice at each excess
+    # top (x_t, then y = M x_t), and builds C once per slice and once per top
+    n, depth = 64, 138
+    records, sets = _audit_records(n), enright.index_sets(n, 0)
+    calls, real_f = Counter(), f_on_slice
+
+    def steps(n, vec):
+        calls["f", sys._getframe(1).f_code.co_name] += 1
+        return real_f(n, vec)
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(sl2mod, "f_on_slice", steps)
+    for name in ("apply_rows", "casimir_weight_matrix"):
+        monkeypatch.setattr(enright, name, counted(name, getattr(enright, name)))
+    assert all(rep.ok for rep in enright.casimir_blocks(n, depth, records))
+    kernel_tops, excess_tops = len(sets.Iprime) + len(sets.Itripleprime), len(sets.Iprime)
+    units = sum(len(tensor_weight_basis(n, n - 2 * j)) for j in range(depth))
+    assert calls == {("f", "commutes_with_f"): 2 * units,
+                     "apply_rows": kernel_tops + 2 * excess_tops,
+                     "casimir_weight_matrix": depth + 1 + kernel_tops + excess_tops}
+
+
 @pytest.mark.parametrize("n", range(31))
 def test_records_agree_with_the_solve_oracle(n):
     # every highest weight record and every generator record of L_n (x) V0,
@@ -854,20 +971,26 @@ def test_a_wrong_f_slice_fails_the_f_power_oracle(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv,calls", [
     # 36 = the sum of r + 1 over I' = {0, 2, ..., 10}: the steps to the kernel lines,
-    # which the audit and T_r no longer take again
-    ("decompose --n 12", {"projective_generator": 36, "casimir_blocks": 328}),
+    # which the audit and T_r no longer take again; the audit walks no tower on
+    # a clean run, and its edge checks take 728 = 2 * 364 steps, two for each
+    # unit vector of the 34 slices above the last one
+    ("decompose --n 12", {"projective_generator": 36, "commutes_with_f": 728}),
     ("verify-pseudoadjoint --n 12", {"projective_generator": 36, "build_Tr": 144}),
     ("report --n-max 16", {"projective_generator": 372}),
 ])
 def test_each_f_step_is_taken_once(argv, calls, monkeypatch, capsys):
     # f_on_slice calls by the function that pulled the tower (past its
-    # comprehensions); at n = 12 they were 400 and 216 before the audit and
-    # T_r went on from the record's tower
+    # comprehensions), or by commutes_with_f, which takes its steps on unit
+    # vectors and columns itself; at n = 12 they were 400 and 216 before the
+    # audit and T_r went on from the record's tower, and the audit took 328
+    # before it substituted only at the tower tops
     seen = Counter()
     real = f_on_slice
 
     def counted(n, vec):
-        frame = sys._getframe(2)
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "f_tower":
+            frame = frame.f_back
         while frame.f_code.co_name.startswith("<"):
             frame = frame.f_back
         seen[frame.f_code.co_name] += 1
@@ -927,6 +1050,34 @@ def test_projective_generator_checks_fire(fault, monkeypatch, capsys):
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
         enright.projective_generator(4, 0)
     assert main(["projgen", "--n", "4", "--s", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"verification failure: {message}\n"
+
+
+_REAL_HWV = enright.highest_weight_vector
+
+
+def _seed_off_by_one(n, s):
+    rec = _REAL_HWV(n, s)
+    return rec._replace(p_list=[rec.p_list[0] + 1, *rec.p_list[1:]])
+
+
+@pytest.mark.parametrize("fault,argv,message", [
+    # a highest weight record whose closed-form seed p_0 is one too large: only
+    # hwv, which runs alpha_recursion_check, reads p_list
+    ((enright, "highest_weight_vector", _seed_off_by_one), "hwv --n 4 --s 0",
+     "closed-form seed mismatch at n=4, s=0: 17 != 16"),
+    # a gcd that never returns 1 leaves no multiple sigma <= 1000 of the
+    # excess line for the generator
+    ((enright, "math", SimpleNamespace(gcd=lambda *xs: 2)), "hwv --n 4 --s 0",
+     "RuntimeError: no admissible generator multiple found"),
+    ((enright, "math", SimpleNamespace(gcd=lambda *xs: 2)), "projgen --n 4 --s 0",
+     "RuntimeError: no admissible generator multiple found"),
+], ids=["alpha-seed-hwv", "generator-multiple-hwv", "generator-multiple-projgen"])
+def test_an_upstream_fault_fires_its_guard(fault, argv, message, monkeypatch, capsys):
+    monkeypatch.setattr(*fault)
+    assert main(argv.split()) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"verification failure: {message}\n"

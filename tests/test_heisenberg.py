@@ -119,9 +119,10 @@ def test_scalars_are_ints():
                          ids=["str", "float", "Fraction", "None"])
 def test_a_foreign_operand_is_no_element(other):
     # neither an int nor an HElem: unequal with no error, and + and -
-    # refuse it on either side
+    # refuse it on either side, where an int is taken on either side
     x = mono((1,), (2,))
     for element in (HElem.one(), x):
+        assert 2 - element == -(element - 2) and 2 + element == element + 2
         assert not element == other and element != other
         assert not other == element and other != element
         for combine in (lambda: element + other, lambda: other + element,

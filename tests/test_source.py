@@ -61,6 +61,20 @@ def test_pinned_outputs_survive_python_O(argv):
     assert hashlib.sha256(out).hexdigest() == {**SL2_DIGESTS, **ALGEBRA_DIGESTS}[argv]
 
 
+@pytest.mark.parametrize("argv", ["decompose --n 12", "verify-pseudoadjoint --n 12",
+                                  "verify-heisenberg --trials 100", "verify-adelman --trials 20"])
+def test_outputs_do_not_depend_on_the_hash_seed(argv):
+    # str and tuple hashes change with PYTHONHASHSEED: no set order, and no
+    # dict order that came from one, may reach the bytes
+    env = {**os.environ, "PYTHONPATH": str(Path(vermalab.__file__).parents[1])}
+    runs = [subprocess.Popen([sys.executable, "-m", "vermalab.cli", *argv.split()],
+                             env={**env, "PYTHONHASHSEED": seed}, stdout=subprocess.PIPE)
+            for seed in ("0", "1")]
+    (zero, _), (one, _) = (run.communicate() for run in runs)
+    assert [run.returncode for run in runs] == [0, 0]
+    assert zero == one
+
+
 def test_only_fixtures_reads_a_fixture():
     # fixtures owns the paths and the one read path: another module looks a
     # path up at call time, so that a moved path is seen, and reads through
@@ -112,11 +126,12 @@ def _readers(name):
 def test_only_the_tower_helper_walks_down_by_f():
     # sl2mod.f_tower is the one walk down by f: the generators' kernel lines, the
     # Casimir audit and T_r read their towers from it, so no other function
-    # calls, or so much as reads, f_on_slice
+    # calls, or so much as reads, f_on_slice, but sl2mod.commutes_with_f, which
+    # applies f to the unit vectors and the columns of the audit's edge check
+    helpers = [("sl2mod.py", "f_tower"), ("sl2mod.py", "commutes_with_f")]
     readers = _readers("f_on_slice")
-    assert ("sl2mod.py", "f_tower") in [(m, f) for m, f, _ in readers]  # the scan sees it
-    assert [f"{m}:{line}: {f}" for m, f, line in readers
-            if (m, f) != ("sl2mod.py", "f_tower")] == []
+    assert all(h in [(m, f) for m, f, _ in readers] for h in helpers)  # the scan sees them
+    assert [f"{m}:{line}: {f}" for m, f, line in readers if (m, f) not in helpers] == []
 
 
 def test_the_slice_solve_has_one_call_site():
