@@ -5,12 +5,18 @@ verify-adelman | verify-pseudoadjoint | report.  ``VERBS`` lists the
 options each verb reads, with their defaults; any other option is a
 usage error.  Output is JSON (sorted keys, every exact scalar an int
 rendered by int.__repr__, which raises on any other type) or RFC-4180
-CSV held to the same types.  Exit code 0 means every check passed, 1
-flags a verification failure or a fixture or file error, 2 a usage
-error and 3 an internal error, printed as one line: a RecursionError,
-NotImplementedError or ZeroDivisionError, or an exception of no other
-class.  verify-heisenberg owns its fixture's schema: the rows are its
-own tildeResiduals rows.
+CSV held to the same types.  Exit code 0 means every check passed;
+otherwise the class of the exception alone decides it, with one stderr
+line and no traceback:
+
+    exit  classes                   stderr line
+    2     sl2mod.UsageError         usage error: ...
+    1     AssertionError            verification failure: [<Subclass>: ]...
+    1     FixtureError, OSError     fixture or file error: ...
+    3     any other Exception       internal error: <Class>: ...
+
+verify-heisenberg owns its fixture's schema: the rows are its own
+tildeResiduals rows.
 
 Reports are byte-deterministic: a fixed default seed, fixed key order,
 and string-rendered unbounded integers.
@@ -110,7 +116,7 @@ def _record_for_n(n, depth):
     for s in sorted(set(sets.Iprime) | set(sets.Itripleprime)):
         try:
             case, case_ok, records[s] = _case_record(n, s, set(sets.Iprime))
-        except (AssertionError, ValueError) as exc:
+        except AssertionError as exc:
             case, case_ok = {"s": s, "error": str(exc)}, False
         cases.append(case)
         ok = ok and case_ok
@@ -132,14 +138,6 @@ def _record_for_n(n, depth):
 
 def cmd_decompose(args):
     depth = args.depth if args.depth is not None else 2 * args.n + 10
-    if args.lam != 0:
-        doc = {
-            "n": args.n,
-            "lambda": args.lam,
-            "indexSets": _index_sets_doc(enright.index_sets(args.n, args.lam)),
-            "note": "dimension audit runs for lambda = 0 only",
-        }
-        return doc, True
     doc, ok, records = _record_for_n(args.n, depth)
     # the audit starts from the records' own vectors, so a case that
     # failed to build fails its blocks instead of being built again; they
@@ -414,7 +412,6 @@ def _int_option(flag, dest, least=None, **settings):
 
 N = _int_option("--n", "n", 0, required=True)
 S = _int_option("--s", "s", required=True)
-LAMBDA = _int_option("--lambda", "lam", default=0)
 DEPTH = _int_option("--depth", "depth", 0)  # no fixed default: each verb derives one
 MARGIN = _int_option("--margin", "margin", 0, default=8)
 SEED = _int_option("--seed", "seed", default=DEFAULT_SEED)
@@ -435,7 +432,7 @@ class Verb(NamedTuple):
 VERBS = {
     "decompose": Verb(
         cmd_decompose, "index sets, dimension audit, and Casimir blocks",
-        (N, LAMBDA, DEPTH), lambda doc: _audit_rows([doc])),
+        (N, DEPTH), lambda doc: _audit_rows([doc])),
     "hwv": Verb(
         cmd_hwv, "highest weight vector at a given weight", (N, S), _hwv_rows),
     "projgen": Verb(
@@ -560,7 +557,7 @@ def _check_ranges(args, options):
     for opt in options:
         value = getattr(args, opt.dest)
         if opt.least is not None and value is not None and value < opt.least:
-            raise ValueError(f"{opt.flag} must be at least {opt.least}")
+            raise sl2mod.UsageError(f"{opt.flag} must be at least {opt.least}")
 
 
 def main(argv=None):
@@ -584,23 +581,14 @@ def main(argv=None):
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (RecursionError, NotImplementedError, ZeroDivisionError) as exc:
-        # faults of the program, though their classes derive from the
-        # RuntimeError and ArithmeticError that the clauses below map to exit 1
-        return _internal_error(exc)
-    except ValueError as exc:
-        # out-of-range options, and precondition violations from the suites
+    except sl2mod.UsageError as exc:
+        # an out-of-range option, an index that names no case, a depth below the margin
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, ArithmeticError) as exc:
-        # ArithmeticError: an exact division that must succeed did not
-        # (for example 1 - q not dividing a Hecke bridge coefficient)
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
-    except (sl2mod.ConstructionError, sl2mod.TruncationError, RuntimeError) as exc:
-        # a T_r realization that failed its substitution check or left its stored depth,
-        # or any other internal step that could not complete
-        print(f"verification failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except AssertionError as exc:
+        # a failed check; a subclass, such as ConstructionError, names itself
+        name = "" if type(exc) is AssertionError else f"{type(exc).__name__}: "
+        print(f"verification failure: {name}{exc}", file=sys.stderr)
         return 1
     except (FixtureError, OSError) as exc:
         # a missing or malformed fixture, or a file that cannot be read or written

@@ -59,6 +59,7 @@ from .exactla import (
     vec_sub,
 )
 from .sl2mod import (
+    UsageError,
     apply_op,
     apply_rows,
     casimir_on_vector,
@@ -91,7 +92,6 @@ __all__ = [
 
 class IndexSets(NamedTuple):
     n: int
-    lam: int
     I: tuple
     Iprime: tuple
     Idoubleprime: tuple
@@ -122,7 +122,7 @@ def index_sets(n, lam=0):
     itriple = [t for t in I if t not in paired]
     if len(iprime) + len(idouble) + len(itriple) != len(I):
         raise AssertionError(f"index sets fail to partition I for n={n}, lam={lam}")
-    return IndexSets(n, lam, tuple(I), tuple(iprime), tuple(idouble), tuple(itriple))
+    return IndexSets(n, tuple(I), tuple(iprime), tuple(idouble), tuple(itriple))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,7 @@ def highest_weight_vector(n, s):
     sets = index_sets(n, 0)
     allowed = set(sets.Iprime) | set(sets.Itripleprime)
     if s not in allowed:
-        raise ValueError(f"no highest weight vector expected at weight {s} for n={n}")
+        raise UsageError(f"no highest weight vector expected at weight {s} for n={n}")
     p_list = [1] if s == n else p_coefficients(n, -s - 2)
     coeffs = normalize_integer_vector(dict(enumerate(p_list)))
     if _certificate_residual(e_weight_matrix(n, s), coeffs) is not None:
@@ -325,7 +325,7 @@ def projective_generator(n, s):
     """
     sets = index_sets(n, 0)
     if s not in sets.Iprime:
-        raise ValueError(f"s={s} is not a projective index for n={n}")
+        raise UsageError(f"s={s} is not a projective index for n={n}")
     hwv = highest_weight_vector(n, s)
     c = s * (s + 2)
     mu = -s - 2
@@ -351,7 +351,7 @@ def projective_generator(n, s):
             sigma = cand
             break
     if sigma is None:
-        raise RuntimeError("no admissible generator multiple found")
+        raise AssertionError("no admissible generator multiple found")
     a = vec_add(u, vec_scale(sigma, z))
     if max(u) > top or max(a) > top:
         raise AssertionError(
@@ -632,7 +632,7 @@ def pseudoadjoint_check(module, c, margin=8):
     longest operator word (degree 8).
     """
     if not module.complete and module.depth < margin:
-        raise ValueError(f"depth {module.depth} too small for margin {margin}")
+        raise UsageError(f"depth {module.depth} too small for margin {margin}")
     interior = module.interior(margin)
     images = {}  # label -> [B label, C label]: B and C are linear, so no label is pushed twice
 

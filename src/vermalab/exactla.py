@@ -30,7 +30,7 @@ value the library makes.
 
 ``Laurent`` is the coefficient ring of the Hecke algebra: every
 structure constant there lies in Z[q, q^-1], so its arithmetic needs no
-gcd.  Its one division, by 1 - q, is exact or raises ArithmeticError.
+gcd.  Its one division, by 1 - q, is exact or raises InexactDivisionError.
 ``RatFunc`` normalises by a polynomial gcd on every operation and no
 library module uses it; it stays as the independent Q(q) oracle the
 tests check ``Laurent`` against.
@@ -75,6 +75,7 @@ from math import gcd, lcm
 
 __all__ = [
     "Laurent",
+    "InexactDivisionError",
     "as_integer",
     "RatFunc",
     "SparseMat",
@@ -324,6 +325,10 @@ def as_integer(x):
     raise TypeError(f"expected an integer, not {x!r}")
 
 
+class InexactDivisionError(AssertionError, ArithmeticError):
+    """A division by 1 - q that must be exact was not: a failed check."""
+
+
 def _laurent(low, coeffs):
     """The Laurent polynomial sum coeffs[k] q^(low + k) from a list of
     ints, trimming zeros at both ends."""
@@ -420,7 +425,7 @@ class Laurent:
     def div_by_one_minus_q(self):
         """The exact quotient self / (1 - q).
 
-        Raises ArithmeticError when 1 - q does not divide self, that is
+        Raises InexactDivisionError when 1 - q does not divide self, that is
         when self does not vanish at q = 1.  The quotient's coefficients
         are the running sums of self's.
         """
@@ -429,7 +434,7 @@ class Laurent:
             acc += x
             sums.append(acc)
         if acc:
-            raise ArithmeticError(f"1 - q does not divide {self!r}")
+            raise InexactDivisionError(f"1 - q does not divide {self!r}")
         return _laurent(self.low, sums[:-1])
 
     # -- predicates ---------------------------------------------------

@@ -11,7 +11,7 @@ X_i and X_i^-1 lie in the span of the T_w over Z[q, q^-1].
 
 The degeneration bridge X-bar_i = (1 - X_i)/(1 - q) is computed by exact
 division: every coefficient of 1 - X_i is divisible by 1 - q (the
-division raises ArithmeticError otherwise), so X-bar_i is regular at
+division raises InexactDivisionError otherwise), so X-bar_i is regular at
 q = 1 by construction and specializes there to the Jucys-Murphy
 elements.
 
@@ -423,7 +423,7 @@ def xbar(n):
     """The bridge elements Xbar_i = (1 - X_i)/(1 - q) over Z[q, q^-1].
 
     Every coefficient of 1 - X_i is divided exactly by 1 - q; the
-    division raises ArithmeticError when it is not exact, so a returned
+    division raises InexactDivisionError when it is not exact, so a returned
     Xbar_i is a proof that it is regular at q = 1.
     """
     one = HeckeElement.one(n)
@@ -444,7 +444,7 @@ def degeneration_check(n):
 
     Over Z[q, q^-1]: T_i + T_i Xbar_i T_i = q Xbar_{i+1} exactly, where
     Xbar_i = (1 - X_i)/(1 - q) exists because 1 - q divides every
-    coefficient of 1 - X_i (``xbar`` raises ArithmeticError otherwise).
+    coefficient of 1 - X_i (``xbar`` raises InexactDivisionError otherwise).
     At q = 1 the Xbar_i specialize to the Jucys-Murphy elements, and the
     degenerate crossing relation 1 + T_i Xbar_i = Xbar_{i+1} T_i holds
     in the group algebra.

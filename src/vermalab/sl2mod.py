@@ -41,6 +41,7 @@ __all__ = [
     "TruncatedModule",
     "TruncationError",
     "ConstructionError",
+    "UsageError",
     "build_Ln",
     "build_verma",
     "build_tensor",
@@ -57,12 +58,16 @@ __all__ = [
 ]
 
 
-class TruncationError(Exception):
+class TruncationError(AssertionError):
     """An operation needed basis labels beyond the stored depth."""
 
 
-class ConstructionError(Exception):
+class ConstructionError(AssertionError):
     """A built module's action disagrees with its realization."""
+
+
+class UsageError(ValueError):
+    """A mistaken input, such as an index that names no case: no check ran."""
 
 
 # Basis labels are plain tuples:

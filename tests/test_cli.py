@@ -46,20 +46,22 @@ class TestExitCodes:
     @pytest.mark.parametrize("failure", ["non_divisible_bridge"])
     def test_arithmetic_error_is_a_verification_failure(self, monkeypatch, capsys,
                                                         failure):
-        # X_2 + 1: 1 - q no longer divides 1 - X_2, so xbar raises a plain
-        # ArithmeticError
+        # X_2 + 1: 1 - q no longer divides 1 - X_2, so xbar raises an
+        # InexactDivisionError, which is an AssertionError and an ArithmeticError
         real = hecke.evaluation_X
         monkeypatch.setattr(hecke, "evaluation_X",
                             lambda n: [x + 1 if k == 1 else x
                                        for k, x in enumerate(real(n))])
         assert main(["verify-hecke", "--n-max", "2"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("verification failure: ") and "1 - q" in err
-        assert "Traceback" not in err
+        assert err.startswith("verification failure: InexactDivisionError: 1 - q does not divide ")
+        assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("error", [RecursionError, NotImplementedError, ZeroDivisionError])
+    @pytest.mark.parametrize("error", [RecursionError, NotImplementedError, ZeroDivisionError,
+                                       RuntimeError, ValueError])
     def test_fault_classes_are_internal_errors(self, monkeypatch, capsys, error):
-        # subclasses of RuntimeError and ArithmeticError that no check raises
+        # no check raises these: only an AssertionError is a verification
+        # failure, and only a UsageError a usage error
         def broken(n):
             raise error("simulated")
 
@@ -69,8 +71,7 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"internal error: {error.__name__}: simulated\n"
 
-    @pytest.mark.parametrize("error", [sl2mod.ConstructionError, sl2mod.TruncationError,
-                                       RuntimeError])
+    @pytest.mark.parametrize("error", [sl2mod.ConstructionError, sl2mod.TruncationError])
     def test_failed_Tr_build_is_a_verification_failure(self, monkeypatch, capsys, error):
         def broken(gen, depth):
             raise error(f"T_{gen.s} cannot be built")
@@ -79,6 +80,25 @@ class TestExitCodes:
         assert main(["verify-pseudoadjoint", "--n", "2"]) == 1
         err = capsys.readouterr().err
         assert err == f"verification failure: {error.__name__}: T_0 cannot be built\n"
+
+    @pytest.mark.parametrize("target,error,argv", [
+        ((enright, "casimir_weight_matrix"), ValueError, "decompose --n 4"),
+        # a case's failed check is its error record, an internal fault is not
+        ((enright, "alpha_recursion_check"), ValueError, "report --n-max 1"),
+        ((enright, "apply_rows"), RuntimeError, "hwv --n 4 --s 0"),
+        ((sl2mod, "build_Tr"), RuntimeError, "verify-pseudoadjoint --n 2"),
+    ], ids=["decompose-ValueError", "report-ValueError", "hwv-RuntimeError",
+            "pseudoadjoint-RuntimeError"])
+    def test_an_internal_fault_is_an_internal_error(self, target, error, argv, monkeypatch,
+                                                    capsys):
+        def broken(*args):
+            raise error("internal: simulated")
+
+        monkeypatch.setattr(*target, broken)
+        assert main(argv.split()) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal error: {error.__name__}: internal: simulated\n"
 
     @pytest.mark.parametrize("content", [None, '{"kernel": "extended-middle"}'],
                              ids=["missing", "malformed"])
@@ -150,8 +170,8 @@ class TestExitCodes:
 # the options each verb reads besides --output/-o and --format, and the
 # smallest valid command line of the verb
 VERB_OPTIONS = {
-    "decompose": ({"--n", "--lambda", "--depth"}, ["--n", "2"]),
-    # so the "hwv --lambda" case runs hwv --n 4 --s 0 --lambda 3
+    "decompose": ({"--n", "--depth"}, ["--n", "2"]),
+    # so the "hwv --depth" case runs hwv --n 4 --s 0 --depth 12
     "hwv": ({"--n", "--s"}, ["--n", "4", "--s", "0"]),
     "projgen": ({"--n", "--s"}, ["--n", "2", "--s", "0"]),
     "verify-hecke": ({"--q-mode", "--n-max"}, []),
@@ -161,7 +181,8 @@ VERB_OPTIONS = {
     "report": ({"--n-max", "--depth"}, ["--n-max", "1"]),
 }
 # a valid setting of each option, so that only its verb can reject it,
-# and one that differs from its default and from the command lines above
+# and one that differs from its default and from the command lines above;
+# --lambda is an option of no verb: decompose audits Ln (x) Verma(0) alone
 OPTION_ARGV = {
     "--n": ["--n", "5"], "--lambda": ["--lambda", "3"], "--s": ["--s", "2"],
     "--depth": ["--depth", "12"], "--margin": ["--margin", "0"],
@@ -195,7 +216,7 @@ class TestVerbTable:
         plain = vars(parse([verb, *VERB_OPTIONS[verb][1]]))
         changed = vars(parse([verb, *VERB_OPTIONS[verb][1], *OPTION_ARGV[option]]))
         assert [k for k in plain if plain[k] != changed[k]] == \
-            [option.lstrip("-").replace("-", "_").replace("lambda", "lam")]
+            [option.lstrip("-").replace("-", "_")]
 
     @pytest.mark.parametrize("argv", [
         "--help", "-h", "", "bogus", "--n 3 report", "report -h", "report --bogus",
@@ -241,12 +262,6 @@ class TestDecompose:
         assert all(row["lhs"] == row["rhs"] for row in doc["audit"])
         assert all(blk["ok"] for blk in doc["casimirBlocks"])
 
-    def test_nonzero_lambda_index_sets_only(self, tmp_path):
-        code, out = run_to_file(tmp_path, "d.json", "decompose", "--n", "3", "--lambda", "2")
-        doc = json.loads(out.read_text())
-        assert code == 0
-        assert "audit" not in doc
-
 
 class TestHwv:
     def test_n4_s0(self, tmp_path):
@@ -255,6 +270,12 @@ class TestHwv:
         assert code == 0
         assert doc["case"]["p"] == ["16", "8"]
         assert doc["case"]["coefficients"] == [[0, 2, "2"], [1, 1, "1"]]
+
+    def test_a_weight_with_no_highest_weight_vector_is_a_usage_error(self, capsys):
+        assert main(["hwv", "--n", "4", "--s", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: no highest weight vector expected at weight 3 for n=4\n"
 
     def test_casimir_failure_carries_witness(self, tmp_path, monkeypatch):
         # C - s(s+2) - 1 sends the Verma vector u to -u, and the witness is
@@ -271,6 +292,12 @@ class TestHwv:
 
 
 class TestProjgen:
+    def test_an_index_that_is_not_projective_is_a_usage_error(self, capsys):
+        assert main(["projgen", "--n", "4", "--s", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: s=1 is not a projective index for n=4\n"
+
     def test_n2_s0_fixture(self, tmp_path):
         code, out = run_to_file(tmp_path, "p.json", "projgen", "--n", "2", "--s", "0")
         doc = json.loads(out.read_text())

@@ -1071,13 +1071,38 @@ def _seed_off_by_one(n, s):
     # a gcd that never returns 1 leaves no multiple sigma <= 1000 of the
     # excess line for the generator
     ((enright, "math", SimpleNamespace(gcd=lambda *xs: 2)), "hwv --n 4 --s 0",
-     "RuntimeError: no admissible generator multiple found"),
+     "no admissible generator multiple found"),
     ((enright, "math", SimpleNamespace(gcd=lambda *xs: 2)), "projgen --n 4 --s 0",
-     "RuntimeError: no admissible generator multiple found"),
+     "no admissible generator multiple found"),
 ], ids=["alpha-seed-hwv", "generator-multiple-hwv", "generator-multiple-projgen"])
 def test_an_upstream_fault_fires_its_guard(fault, argv, message, monkeypatch, capsys):
     monkeypatch.setattr(*fault)
     assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"verification failure: {message}\n"
+
+
+def _remainder_on_second_call():
+    """A divmod that reports a remainder of 1 on its second call."""
+    calls = []
+
+    def fake(num, den):
+        calls.append(num)
+        val, rem = divmod(num, den)
+        return (val, 1) if len(calls) == 2 else (val, rem)
+    return fake
+
+
+def test_a_non_integral_closed_form_coefficient_fires_its_guard(monkeypatch, capsys):
+    # divmod is looked up in enright's globals before the builtins, so the fake
+    # shadows it there alone: p_1 = 1536/4 at n=5, r=-1 is reported inexact
+    message = "p_1 is not a positive integer for n=5, r=-1: 1536/4"
+    monkeypatch.setattr(enright, "divmod", _remainder_on_second_call(), raising=False)
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        enright.highest_weight_vector(5, -1)
+    monkeypatch.setattr(enright, "divmod", _remainder_on_second_call(), raising=False)
+    assert main(["hwv", "--n", "5", "--s", "-1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"verification failure: {message}\n"

@@ -31,6 +31,37 @@ def test_library_has_no_bare_assert():
     assert offenders == []
 
 
+def test_no_check_raises_a_fault_class():
+    # a failed check is an AssertionError: the exception's class alone
+    # decides the exit code, and RuntimeError and ArithmeticError are faults
+    raised, offenders = 0, []
+    for name, node in _nodes():
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            raised += 1
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if ast.unparse(exc) in ("RuntimeError", "ArithmeticError"):
+                offenders.append(f"{name}:{node.lineno}: {ast.unparse(exc)}")
+    assert raised  # the scan still sees the library's raises
+    assert offenders == []
+
+
+def _handlers(tree, function):
+    """The exception types each except clause of function names, in order."""
+    body = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    return [ast.unparse(node.type) for node in ast.walk(body)
+            if isinstance(node, ast.ExceptHandler)]
+
+
+def test_the_exit_code_ladder_has_one_class_per_code():
+    # one clause per exit code, each naming its classes, and no carve-out
+    # for a subclass that a wider clause below would misfile
+    tree = ast.parse((Path(vermalab.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    assert _handlers(tree, "main") == [
+        "sl2mod.UsageError", "AssertionError", "(FixtureError, OSError)", "Exception"]
+    assert _handlers(tree, "_record_for_n") == ["AssertionError"]
+
+
 def test_records_are_not_dataclasses():
     # every record is a typing.NamedTuple: a dataclass generates code for
     # each class at import and imports inspect, which the CLI pays at start
