@@ -595,14 +595,10 @@ def main(argv=None):
         print(f"fixture or file error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
-        return _internal_error(exc)
+        # a fault of the program itself: one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}".replace("\n", " "), file=sys.stderr)
+        return 3
     return 0 if ok else 1
-
-
-def _internal_error(exc):
-    """Report a fault of the program itself: one line, no traceback, exit 3."""
-    print(f"internal error: {type(exc).__name__}: {exc}".replace("\n", " "), file=sys.stderr)
-    return 3
 
 
 if __name__ == "__main__":

@@ -262,6 +262,15 @@ class TestDecompose:
         assert all(row["lhs"] == row["rhs"] for row in doc["audit"])
         assert all(blk["ok"] for blk in doc["casimirBlocks"])
 
+    def test_lambda_is_no_option(self, capsys):
+        # decompose audits Ln (x) Verma(0) alone; its JSON keeps "lambda": 0
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--n", "3", "--lambda", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --lambda 2" in captured.err
+
 
 class TestHwv:
     def test_n4_s0(self, tmp_path):
